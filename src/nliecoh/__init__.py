@@ -44,7 +44,7 @@ from .deformations import (
     obstruction,
     validate_deformation,
 )
-from .linalg import Matrix, kernel_backend, kernel_basis, quotient_data, rank, solve
+from .linalg import Matrix, kernel_basis, quotient_data, rank, solve
 from .morphisms import (
     CochainTriple,
     Morphism,
@@ -88,7 +88,6 @@ __all__ = [
     "formal_inverse",
     "fundamental_bracket",
     "infinitesimal",
-    "kernel_backend",
     "kernel_basis",
     "linear_map_cochain",
     "module_action",

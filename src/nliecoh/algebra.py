@@ -260,6 +260,15 @@ class NLieAlgebra:
         return tuple(out)
 
     @cached_property
+    def _report(self) -> "ValidationReport":
+        return validate_algebra(self)
+
+    @property
+    def is_valid(self) -> bool:
+        """Fundamental identity verdict, computed once per algebra."""
+        return self._report.is_valid
+
+    @cached_property
     def _ad_cache(self) -> dict[tuple[int, ...], Matrix]:
         return {}
 

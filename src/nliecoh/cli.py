@@ -165,13 +165,12 @@ def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
         if args.module:
             raise ParseError("--module requires --morphism")
         alg = jsonio.load_algebra(args.algebra)
-        vrep = validate_algebra(alg)
-        if not vrep.is_valid:
+        if not alg.is_valid:
             out = {
                 "command": argv,
                 "inputs": _digest_inputs(paths),
                 "verdict": {"valid": False, "reason": "algebra fails validation"},
-                "residuals": _residual_json(vrep.failures),
+                "residuals": _residual_json(alg._report.failures),
                 "status": 1,
             }
             return out, 1
@@ -304,6 +303,16 @@ def cmd_deform(args, argv: list[str]) -> tuple[dict, int]:
     return out, status
 
 
+def _report_degree(text: str) -> int:
+    try:
+        r = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if r < 1:
+        raise argparse.ArgumentTypeError(f"report degree must be at least 1, got {r}")
+    return r
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nliecoh",
@@ -322,12 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", help="algebra file (self-valued complex)")
     p.add_argument("--module", help="target algebra file (module-valued complex)")
     p.add_argument("--morphism", help="morphism file defining the module structure")
-    p.add_argument("--degree", type=int, required=True, help="report degree r >= 1")
+    p.add_argument("--degree", type=_report_degree, required=True, help="report degree r >= 1")
     p.add_argument("--basis", action="store_true", help="include representative bases")
 
     p = sub.add_parser("morphism-cohomology", help="cohomology of the morphism complex")
     p.add_argument("--morphism", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_report_degree, required=True, help="report degree r >= 1")
     p.add_argument("--basis", action="store_true")
 
     p = sub.add_parser("deform", help="deformation tools")

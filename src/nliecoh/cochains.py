@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-from .algebra import FundamentalObject, NLieAlgebra, ad_action, fundamental_bracket, sort_sign, validate_algebra
+from .algebra import FundamentalObject, NLieAlgebra, ad_action, fundamental_bracket, sort_sign
 from .errors import (
     BrokenComplex,
     DegreeMismatch,
@@ -250,19 +250,14 @@ def _expr_accumulate(target: list[dict], source: list[dict], factor: Fraction) -
 
 def _expr_apply_matrix(m: Matrix, expr: list[dict]) -> list[dict]:
     out = [{} for _ in range(m.rows)]
-    for t, sdict in enumerate(expr):
-        if not sdict:
-            continue
-        for s in range(m.rows):
-            a = m.entry(s, t)
-            if a:
-                od = out[s]
-                for col, c in sdict.items():
-                    cur = od.get(col, Fraction(0)) + a * c
-                    if cur:
-                        od[col] = cur
-                    else:
-                        od.pop(col, None)
+    for od, mrow in zip(out, m.data):
+        for t, a in mrow.items():
+            for col, c in expr[t].items():
+                cur = od.get(col, Fraction(0)) + a * c
+                if cur:
+                    od[col] = cur
+                else:
+                    od.pop(col, None)
     return out
 
 
@@ -419,22 +414,15 @@ def _canonical_args(
 
 
 def _assemble(space_in: CochainSpace, space_out: CochainSpace, ctx) -> Matrix:
-    d_T = ctx.target_dim
-    zero = Fraction(0)
-    rows = [[zero] * space_in.dim for _ in range(space_out.dim)]
-    for pos, key in enumerate(space_out.domain_keys):
+    rows: list[dict] = []
+    for key in space_out.domain_keys:
         args, z = _canonical_args(space_in.source, key)
-        expr = delta_expression(space_in, ctx, args, z)
-        base = pos * d_T
-        for t in range(d_T):
-            row = rows[base + t]
-            for col, c in expr[t].items():
-                row[col] = c
-    return Matrix(space_out.dim, space_in.dim, rows)
+        rows += delta_expression(space_in, ctx, args, z)
+    return Matrix.from_sparse(space_out.dim, space_in.dim, rows)
 
 
 def _require_valid_algebra(alg: NLieAlgebra) -> None:
-    if not validate_algebra(alg).is_valid:
+    if not alg.is_valid:
         raise InvalidAlgebra(f"algebra {alg.name!r} fails the fundamental identity")
 
 

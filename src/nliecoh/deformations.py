@@ -36,26 +36,17 @@ def linear_map_cochain(space: CochainSpace, m: Matrix) -> Cochain:
         raise DegreeMismatch("expected a degree-0 space")
     if (m.rows, m.cols) != (space.target_dim, space.source.dim):
         raise DimensionMismatch("matrix shape does not fit the cochain space")
-    coeffs = {}
-    for i in range(m.cols):
-        for t in range(m.rows):
-            c = m.entry(t, i)
-            if c:
-                coeffs[(i, t)] = c
-    return Cochain(space, coeffs)
+    return Cochain(space, {(i, t): c for t, row in enumerate(m.data) for i, c in row.items()})
 
 
 def cochain_matrix(c: Cochain) -> Matrix:
     """Matrix of a degree-0 cochain (columns indexed by source basis)."""
     if c.space.degree != 0:
         raise DegreeMismatch("expected a degree-0 cochain")
-    rows = c.space.target_dim
-    cols = c.space.source.dim
-    zero = Fraction(0)
-    data = [[zero] * cols for _ in range(rows)]
+    data: list[dict] = [{} for _ in range(c.space.target_dim)]
     for (i, t), v in c.coeffs.items():
         data[t][i] = v
-    return Matrix(rows, cols, data)
+    return Matrix.from_sparse(c.space.target_dim, c.space.source.dim, data)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

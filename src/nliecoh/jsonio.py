@@ -26,16 +26,17 @@ from .morphisms import CochainTriple, Morphism
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def parse_rational(text) -> Fraction:
-    """Parse "p", "-p", or "p/q" with q > 0."""
-    if isinstance(text, int):
+def parse_rational(text, where: str = "") -> Fraction:
+    """Parse "p", "-p", or "p/q" with q > 0; ``where`` prefixes errors."""
+    prefix = f"{where}: " if where else ""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
-        raise ParseError(f"malformed rational literal {text!r}")
+        raise ParseError(f"{prefix}malformed rational literal {text!r}")
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:
-            raise ParseError(f"zero denominator in {text!r}")
+            raise ParseError(f"{prefix}zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 
@@ -50,13 +51,17 @@ def _expect(obj, key, kind, where):
     if key not in obj:
         raise ParseError(f"{where}: missing key {key!r}")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (
+        not isinstance(value, kind) or (kind is int and isinstance(value, bool))
+    ):
         raise ParseError(f"{where}: key {key!r} has wrong type")
     return value
 
 
 def _check_increasing(idxs, dim, where) -> tuple[int, ...]:
-    if not isinstance(idxs, list) or not all(isinstance(i, int) for i in idxs):
+    if not isinstance(idxs, list) or not all(
+        isinstance(i, int) and not isinstance(i, bool) for i in idxs
+    ):
         raise ParseError(f"{where}: index list must hold integers")
     if any(not 1 <= i <= dim for i in idxs):
         raise ParseError(f"{where}: index outside 1..{dim} in {idxs}")
@@ -78,7 +83,7 @@ def algebra_from_json(obj: dict, where: str = "algebra") -> NLieAlgebra:
     brackets = {}
     for i, entry in enumerate(_expect(obj, "brackets", list, where)):
         spot = f"{where}.brackets[{i}]"
-        args = _check_increasing(_expect(entry, "args", list, spot), dim, spot)
+        args = _check_increasing(_expect(entry, "args", list, spot), dim, f"{spot}.args")
         if len(args) != arity:
             raise ParseError(f"{spot}: expected {arity} arguments")
         if args in brackets:
@@ -91,7 +96,7 @@ def algebra_from_json(obj: dict, where: str = "algebra") -> NLieAlgebra:
                 raise ParseError(f"{spot}: value key {k!r} is not a basis index")
             if not 1 <= pos <= dim:
                 raise ParseError(f"{spot}: value index {pos} outside 1..{dim}")
-            value[pos - 1] = parse_rational(raw)
+            value[pos - 1] = parse_rational(raw, f"{spot}: value key {k!r}")
         brackets[args] = tuple(value)
     try:
         return NLieAlgebra.from_brackets(name, arity, dim, brackets, tuple(basis))
@@ -141,12 +146,12 @@ def matrix_from_json(rows, shape: tuple[int, int], where: str) -> Matrix:
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != shape[1]:
             raise ParseError(f"{where}: row {r} must hold {shape[1]} entries")
-        data.append([parse_rational(x) for x in row])
+        data.append([parse_rational(x, f"{where}: row {r}") for x in row])
     return Matrix(shape[0], shape[1], data)
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m.data]
+    return [[format_rational(x) for x in m.row(i)] for i in range(m.rows)]
 
 
 # -- morphisms ---------------------------------------------------------------
@@ -206,7 +211,7 @@ def cochain_from_json(
         t = _expect(entry, "target_index", int, spot)
         if not 1 <= t <= target_dim:
             raise ParseError(f"{spot}: target_index outside 1..{target_dim}")
-        value = parse_rational(_expect(entry, "value", None, spot))
+        value = parse_rational(_expect(entry, "value", None, spot), f"{spot}: key 'value'")
         pos = (key, t - 1)
         if pos in coeffs:
             raise ParseError(f"{spot}: duplicate coefficient")

@@ -1,36 +1,26 @@
-"""Exact dense rational linear algebra.
+"""Exact sparse rational linear algebra.
 
 Everything the cohomology machinery needs reduces to the primitives here:
 rank, right null space, particular solutions, and quotient-space data, all
 over arbitrary-precision rationals with no rounding anywhere.
 
-Row reduction is delegated to a kernel module chosen at import time: the
-compiled extension ``_rref_c`` when it is built, otherwise the pure-Python
-twin ``_rref_py``. Set ``NLIECOH_PURE=1`` to force the fallback.
+Matrices store only their nonzero entries, one ``{column: Fraction}`` dict
+per row.  Row reduction runs in :func:`_echelon`, a fraction-free sparse
+elimination over integer rows.
 """
 
 from __future__ import annotations
 
-import os
+from bisect import insort
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, SubspaceViolation
 
-if os.environ.get("NLIECOH_PURE"):
-    from . import _rref_py as _kernel
-else:
-    try:
-        from . import _rref_c as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _rref_py as _kernel
-
 Vector = tuple[Fraction, ...]
-
-
-def kernel_backend() -> str:
-    """Name of the row-reduction backend in use ('c' or 'python')."""
-    return _kernel.BACKEND
+_ZERO = Fraction(0)
 
 
 def frac(x) -> Fraction:
@@ -56,39 +46,44 @@ def basis_vector(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
-
-
 def is_zero_vector(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
+
+
+Row = dict  # {column: nonzero Fraction}
+
+
 class Matrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable sparse matrix of Fractions: row i is ``data[i]``, a dict
+    mapping each column to its nonzero entry (read-only, like the rest)."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence]):
+        dense = [list(r) for r in data]
+        if len(dense) != rows or any(len(r) != cols for r in dense):
+            raise DimensionMismatch(f"matrix data does not fill {rows}x{cols}")
+        self._fill(rows, cols, [dict(enumerate(r)) for r in dense])
+
+    def _fill(self, rows: int, cols: int, data: Iterable[Row]) -> None:
+        tup = tuple({j: q for j, x in r.items() if (q := frac(x))} for r in data)
+        if len(tup) != rows or any(r and not (min(r) >= 0 and max(r) < cols) for r in tup):
+            raise DimensionMismatch(f"sparse rows do not fit {rows}x{cols}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        tup = tuple(tuple(frac(x) for x in row) for row in data)
-        if len(tup) != rows or any(len(r) != cols for r in tup):
-            raise DimensionMismatch(
-                f"matrix data does not fill {rows}x{cols}"
-            )
         object.__setattr__(self, "data", tup)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    @classmethod
+    def from_sparse(cls, rows: int, cols: int, data: Iterable[Row]) -> "Matrix":
+        """Build from ``rows`` dicts {column: entry}; zero entries are dropped."""
+        m = cls.__new__(cls)
+        m._fill(rows, cols, data)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -98,20 +93,15 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        z = Fraction(0)
-        return cls(rows, cols, [[z] * cols for _ in range(rows)])
+        return cls.from_sparse(rows, cols, [{}] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(
-            n, n, [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        )
+        return cls.from_sparse(n, n, [{i: Fraction(1)} for i in range(n)])
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
-        cols = [vector(c) for c in columns]
-        nrows = len(cols[0]) if cols else 0
-        return cls(nrows, len(cols), [[c[i] for c in cols] for i in range(nrows)])
+        return cls.from_rows(columns).transpose()
 
     def __eq__(self, other) -> bool:
         return (
@@ -122,84 +112,176 @@ class Matrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.data)))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
+        return self.data[i].get(j, _ZERO)
 
     def row(self, i: int) -> Vector:
-        return self.data[i]
+        r = self.data[i]
+        return tuple(r.get(j, _ZERO) for j in range(self.cols))
 
     def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.data)
-
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
+        return tuple(r.get(j, _ZERO) for r in self.data)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, list(zip(*self.data))) if self.data else Matrix(self.cols, 0, [[] for _ in range(self.cols)])
+        out: list[Row] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.data):
+            for j, x in r.items():
+                out[j][i] = x
+        return Matrix.from_sparse(self.cols, self.rows, out)
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in r) for r in self.data)
+        return not any(self.data)
 
     def mul_vector(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
         v = vector(v)
-        out = []
-        for r in self.data:
-            acc = Fraction(0)
-            for a, b in zip(r, v):
-                if a and b:
-                    acc += a * b
-            out.append(acc)
-        return tuple(out)
+        return tuple(sum((a * v[j] for j, a in r.items()), _ZERO) for r in self.data)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        zero = Fraction(0)
-        out = [[zero] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.data):
-            oi = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    brow = other.data[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            oi[j] += a * b
-        return Matrix(self.rows, other.cols, out)
+        right = [_scaled(r) for r in other.data]
+        out = []
+        for r in self.data:
+            # integer products, summed apart for each denominator of a right row
+            den, left = _scaled(r)
+            sums: dict[int, dict[int, int]] = {}
+            for k, a in left.items():
+                rden, rrow = right[k]
+                acc = sums.setdefault(rden, {})
+                for j, b in rrow.items():
+                    acc[j] = acc.get(j, 0) + a * b
+            total: Row = {}
+            for rden, acc in sums.items():
+                for j, v in acc.items():
+                    if v:
+                        total[j] = total.get(j, _ZERO) + Fraction(v, den * rden)
+            out.append(total)
+        return Matrix.from_sparse(self.rows, other.cols, out)
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        return Matrix(
-            self.rows,
-            self.cols,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ],
-        )
+        out = []
+        for r1, r2 in zip(self.data, other.data):
+            acc = dict(r1)
+            for j, x in r2.items():
+                acc[j] = acc.get(j, _ZERO) + x
+            out.append(acc)
+        return Matrix.from_sparse(self.rows, self.cols, out)
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix(self.rows, self.cols, [[c * x for x in r] for r in self.data])
+        return Matrix.from_sparse(
+            self.rows, self.cols, [{j: c * x for j, x in r.items()} for r in self.data]
+        )
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        reduced, pivots = _kernel.rref([list(r) for r in self.data])
-        return Matrix(self.rows, self.cols, reduced), tuple(pivots)
+        """Reduced row echelon form (pivot rows first) and its pivot columns."""
+        reduced = _echelon(self.data)
+        rows = [{j: Fraction(v, r[pc]) for j, v in r.items()} for pc, r in reduced]
+        rows += [{}] * (self.rows - len(rows))
+        return Matrix.from_sparse(self.rows, self.cols, rows), tuple(pc for pc, _ in reduced)
+
+
+def _scaled(row: Row) -> tuple[int, dict[int, int]]:
+    """(d, integer row) with row == integer row / d, d the lcm of denominators."""
+    den = lcm(*(x.denominator for x in row.values()))
+    return den, {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Integer row divided by the gcd of its entries (its content)."""
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
+def _echelon(rows: Iterable[Row], reduce: bool = True) -> list[tuple[int, dict[int, int]]]:
+    """Fraction-free sparse elimination: (pivot column, integer row) pairs.
+
+    Each row is cleared of denominators and kept primitive (content 1), in
+    the integer scheme of Bareiss.  Pivot columns are taken strictly left
+    to right, rows bucketed by leading column; in each bucket the sparsest
+    row is the pivot and the others become ``a*r - b*p``.  The pivots are
+    therefore those of the reduced row echelon form.  With ``reduce`` the
+    rows are back-substituted bottom-up, so row k divided by its pivot
+    entry is row k of that (unique) form; without it they are an echelon
+    form, enough for the rank.
+    """
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for r in rows:
+        if r:
+            ints = _primitive(_scaled(r)[1])
+            buckets.setdefault(min(ints), []).append(ints)
+    heap = list(buckets)
+    heapify(heap)
+    echelon = []
+    while heap:
+        pc = heappop(heap)
+        bucket = buckets.pop(pc)
+        piv = min(bucket, key=len)
+        a = piv[pc]
+        for r in bucket:
+            if r is piv:
+                continue
+            g = gcd(a, r[pc])
+            fa, fb = a // g, r[pc] // g
+            new = {j: fa * v for j, v in r.items()} if fa != 1 else dict(r)
+            for j, v in piv.items():
+                w = new.get(j, 0) - fb * v
+                if w:
+                    new[j] = w
+                else:
+                    del new[j]
+            if new:
+                new = _primitive(new)
+                lead = min(new)
+                if lead not in buckets:
+                    buckets[lead] = []
+                    heappush(heap, lead)
+                buckets[lead].append(new)
+        echelon.append((pc, piv))
+    if not reduce:
+        return echelon
+    # rows below are already reduced, so clearing their pivot columns from a
+    # row brings in no other pivot column: one common multiplier m suffices
+    done: dict[int, dict[int, int]] = {}
+    for k in range(len(echelon) - 1, -1, -1):
+        pc, r = echelon[k]
+        above = [j for j in r if j != pc and j in done]
+        if above:
+            m = lcm(*(done[j][j] for j in above))
+            new = {j: m * v for j, v in r.items() if j not in done or j == pc}
+            for j in above:
+                f = m // done[j][j] * r[j]
+                for i, v in done[j].items():
+                    if i != j:
+                        w = new.get(i, 0) - f * v
+                        if w:
+                            new[i] = w
+                        else:
+                            del new[i]
+            r = _primitive(new)
+            echelon[k] = (pc, r)
+        done[pc] = r
+    return echelon
+
+
+def _sparse(v: Sequence) -> Row:
+    return {j: q for j, x in enumerate(v) if x and (q := frac(x))}
 
 
 def rank(m: Matrix) -> int:
     """Exact rank via row reduction."""
-    _, pivots = _kernel.rref([list(r) for r in m.data])
-    return len(pivots)
+    return len(_echelon(m.data, reduce=False))
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
@@ -208,33 +290,27 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     Every returned v satisfies m.mul_vector(v) == 0 exactly, and the list
     has length cols - rank.  Basis order follows ascending free column.
     """
-    reduced, pivots = _kernel.rref([list(r) for r in m.data])
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][f]
-        basis.append(tuple(v))
-    return basis
+    reduced = _echelon(m.data)
+    pivots = {pc for pc, _ in reduced}
+    free = {f: {f: Fraction(1)} for f in range(m.cols) if f not in pivots}
+    for pc, r in reduced:
+        a = r[pc]
+        for f, v in r.items():
+            if f != pc:
+                free[f][pc] = Fraction(-v, a)
+    return [tuple(v.get(j, _ZERO) for j in range(m.cols)) for v in free.values()]
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     """Some x with m x = b, or None when b is outside the column space."""
     if len(b) != m.rows:
         raise DimensionMismatch(f"rhs length {len(b)} != rows {m.rows}")
-    b = vector(b)
-    aug = [list(r) + [bv] for r, bv in zip(m.data, b)]
-    if not aug:
-        return zero_vector(m.cols) if all(x == 0 for x in b) else None
-    reduced, pivots = _kernel.rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][m.cols]
+    aug = [{**r, m.cols: bv} if bv else r for r, bv in zip(m.data, vector(b))]
+    x = [_ZERO] * m.cols
+    for pc, r in _echelon(aug):
+        if pc == m.cols:
+            return None
+        x[pc] = Fraction(r.get(m.cols, 0), r[pc])
     return tuple(x)
 
 
@@ -242,41 +318,40 @@ class RowSpace:
     """Incremental echelon accumulator for span membership and rank."""
 
     def __init__(self, vectors: Iterable[Sequence] = ()):  # rows
-        self._rows: list[list[Fraction]] = []
-        self._pivots: list[int] = []
+        self._rows: dict[int, Row] = {}  # pivot column -> row with unit pivot
+        self._pivots: list[int] = []  # ascending
         for v in vectors:
             self.add(v)
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
-    def reduce(self, v: Sequence) -> list[Fraction]:
-        w = [frac(x) for x in v]
-        for pc, row in zip(self._pivots, self._rows):
-            c = w[pc]
+    def _reduce(self, v: Sequence) -> Row:
+        w = _sparse(v)
+        for pc in self._pivots:
+            c = w.get(pc)
             if c:
-                for j in range(pc, len(w)):
-                    if row[j]:
-                        w[j] -= c * row[j]
+                for j, x in self._rows[pc].items():
+                    y = w.get(j, _ZERO) - c * x
+                    if y:
+                        w[j] = y
+                    else:
+                        del w[j]
         return w
 
     def contains(self, v: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+        return not self._reduce(v)
 
     def add(self, v: Sequence) -> bool:
         """Insert v; returns True when it enlarged the span."""
-        w = self.reduce(v)
-        pc = next((j for j, x in enumerate(w) if x != 0), None)
-        if pc is None:
+        w = self._reduce(v)
+        if not w:
             return False
-        inv = Fraction(1) / w[pc]
-        w = [x * inv for x in w]
-        pos = 0
-        while pos < len(self._pivots) and self._pivots[pos] < pc:
-            pos += 1
-        self._pivots.insert(pos, pc)
-        self._rows.insert(pos, w)
+        pc = min(w)
+        inv = 1 / w[pc]
+        self._rows[pc] = {j: x * inv for j, x in w.items()}
+        insort(self._pivots, pc)
         return True
 
 

@@ -18,7 +18,6 @@ from .algebra import (
     FundamentalObject,
     NLieAlgebra,
     ValidationReport,
-    validate_algebra,
     wedge_decompose,
 )
 from .cochains import (
@@ -101,10 +100,9 @@ def validate_morphism(phi: Morphism) -> ValidationReport:
     """Check structure preservation on every increasing basis tuple."""
     src, tgt = phi.source, phi.target
     for alg in (src, tgt):
-        rep = validate_algebra(alg)
-        if not rep.is_valid:
+        if not alg.is_valid:
             return ValidationReport(
-                phi.name or "morphism", "morphism", rep.failures
+                phi.name or "morphism", "morphism", alg._report.failures
             )
     failures = []
     for key in src.bracket_keys():
@@ -262,17 +260,12 @@ class TripleComplex:
         src_space = self.space_source(m)
         keys = src_space.domain_keys
         d, dp = self.phi.source.dim, self.phi.target.dim
-        phi = self.phi.matrix
-        zero = Fraction(0)
-        rows = [[zero] * (len(keys) * d) for _ in range(len(keys) * dp)]
-        for pos in range(len(keys)):
-            for s in range(dp):
-                row = rows[pos * dp + s]
-                for t in range(d):
-                    a = phi.entry(s, t)
-                    if a:
-                        row[pos * d + t] = a
-        out = Matrix(len(keys) * dp, len(keys) * d, rows)
+        rows = [
+            {pos * d + t: a for t, a in phi_row.items()}
+            for pos in range(len(keys))
+            for phi_row in self.phi.matrix.data
+        ]
+        out = Matrix.from_sparse(len(keys) * dp, len(keys) * d, rows)
         self._post_cache[m] = out
         return out
 
@@ -320,16 +313,12 @@ class TripleComplex:
         src_space = self.space_source(m)
         tgt_space = self.space_target(m)
         dp = self.phi.target.dim
-        zero = Fraction(0)
-        nrows = len(src_space.domain_keys) * dp
-        rows = [[zero] * tgt_space.dim for _ in range(nrows)]
-        for pos, key in enumerate(src_space.domain_keys):
+        rows: list[dict] = []
+        for key in src_space.domain_keys:
             combo = self._pull_combo(key)
-            for dkey, c in combo.items():
-                col_base = tgt_space._key_pos[dkey] * dp
-                for s in range(dp):
-                    rows[pos * dp + s][col_base + s] = c
-        out = Matrix(nrows, tgt_space.dim, rows)
+            cols = [(tgt_space._key_pos[dkey] * dp, c) for dkey, c in combo.items()]
+            rows += [{base + s: c for base, c in cols} for s in range(dp)]
+        out = Matrix.from_sparse(len(rows), tgt_space.dim, rows)
         self._pull_cache[m] = out
         return out
 
@@ -354,23 +343,16 @@ class TripleComplex:
             else None
         )
         sign = Fraction((-1) ** m)
-        zero = Fraction(0)
-        rows: list[list[Fraction]] = []
-        for i in range(d_src.rows):
-            rows.append(
-                list(d_src.data[i]) + [zero] * dims_in[1] + [zero] * dims_in[2]
-            )
-        for i in range(d_tgt.rows):
-            rows.append(
-                [zero] * dims_in[0] + list(d_tgt.data[i]) + [zero] * dims_in[2]
-            )
-        mod_rows = post.rows
-        for i in range(mod_rows):
-            part1 = [sign * x for x in post.data[i]]
-            part2 = [-sign * x for x in pull.data[i]]
-            part3 = list(d_mod.data[i]) if d_mod is not None else []
-            rows.append(part1 + part2 + part3)
-        out = Matrix(len(rows), sum(dims_in), rows)
+        off_tgt, off_mod = dims_in[0], dims_in[0] + dims_in[1]
+        rows = list(d_src.data)
+        rows += [{off_tgt + j: x for j, x in r.items()} for r in d_tgt.data]
+        for i in range(post.rows):
+            row = {j: sign * x for j, x in post.data[i].items()}
+            row.update((off_tgt + j, -sign * x) for j, x in pull.data[i].items())
+            if d_mod is not None:
+                row.update((off_mod + j, x) for j, x in d_mod.data[i].items())
+            rows.append(row)
+        out = Matrix.from_sparse(len(rows), sum(dims_in), rows)
         self._delta_cache[m] = out
         return out
 

@@ -203,3 +203,37 @@ def oracle_matrix(src, p, tgt=None, phi=None):
                     if x:
                         data[base + s][col] = x
     return Matrix(nrows, ncols, data)
+
+
+def oracle_rref(rows):
+    """Dense Fraction Gauss-Jordan reference for the sparse kernel.
+
+    Reduces ``rows`` (lists of Fraction) to reduced row echelon form and
+    returns ``(reduced_rows, pivot_columns)`` with pivot rows first, zero
+    rows last.  The input is not modified.
+    """
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        found = next((r for r in range(pr, nrows) if m[r][pc] != 0), -1)
+        if found < 0:
+            continue
+        m[pr], m[found] = m[found], m[pr]
+        piv_row = m[pr]
+        inv = 1 / piv_row[pc]
+        for c in range(pc, ncols):
+            piv_row[c] *= inv
+        for r in range(nrows):
+            factor = m[r][pc]
+            if r != pr and factor:
+                row = m[r]
+                for c in range(pc, ncols):
+                    row[c] -= factor * piv_row[c]
+        pivots.append(pc)
+        pr += 1
+        if pr == nrows:
+            break
+    return m, pivots

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from nliecoh import jsonio
+from nliecoh.cli import main
 from nliecoh.corpus import algebra, deformation
 from nliecoh.deformations import FormalAutomorphism
 from nliecoh.errors import ParseError
@@ -147,7 +148,36 @@ def test_rejects_zero_denominator():
         jsonio.algebra_from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "mutate,key",
+    [
+        (lambda obj: obj.update(arity=True), "'arity'"),
+        (lambda obj: obj.update(dimension=True), "'dimension'"),
+        (lambda obj: obj["brackets"][0].update(args=[True, 2, 3]), "brackets[0].args"),
+        (lambda obj: obj["brackets"][0].update(value={"1": True}), "value key '1'"),
+    ],
+    ids=["arity", "dimension", "index-list", "rational"],
+)
+def test_cli_rejects_json_booleans(tmp_path, mutate, key):
+    obj = base_algebra_obj()
+    mutate(obj)
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps(obj))
+    out = run_cli("validate", str(p))
+    assert out.returncode == 2
+    assert key in out.stdout
+
+
 # -- CLI -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["cohomology", "morphism-cohomology"])
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_cli_rejects_degree_below_one(command, degree, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--morphism", str(DATA / "mor_a1_b1.json"), "--degree", degree])
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
 
 
 def test_cli_validate_exit_codes(tmp_path):

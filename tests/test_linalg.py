@@ -1,19 +1,24 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nliecoh.errors import SubspaceViolation
+from oracles import oracle_rref
+
+from nliecoh import corpus
+from nliecoh.cochains import coboundary_matrix_module, coboundary_matrix_self
+from nliecoh.errors import DimensionMismatch, SubspaceViolation
 from nliecoh.linalg import (
     Matrix,
     RowSpace,
-    kernel_backend,
     kernel_basis,
     quotient_data,
     rank,
     solve,
 )
+from nliecoh.morphisms import triple_complex
 
 fractions = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -95,20 +100,21 @@ def test_solve_detects_inconsistency(m, data):
     got = solve(m, tuple(b))
     if got is None:
         aug = Matrix.from_rows(
-            [list(r) + [bv] for r, bv in zip(m.data, b)]
+            [list(m.row(i)) + [bv] for i, bv in enumerate(b)]
         )
         assert rank(aug) == rank(m) + 1
     else:
         assert m.mul_vector(got) == tuple(b)
 
 
-def test_rref_unique_across_backends():
-    if kernel_backend() != "c":
-        pytest.skip("compiled kernel not built")
-    import random
+def _assert_rref_matches_oracle(m: Matrix):
+    reduced, pivots = m.rref()
+    want_rows, want_pivots = oracle_rref([list(m.row(i)) for i in range(m.rows)])
+    assert pivots == tuple(want_pivots)
+    assert [list(reduced.row(i)) for i in range(m.rows)] == want_rows
 
-    from nliecoh import _rref_c, _rref_py
 
+def test_rref_matches_dense_oracle():
     rng = random.Random(11)
     for _ in range(200):
         r, c = rng.randint(0, 5), rng.randint(1, 6)
@@ -116,9 +122,42 @@ def test_rref_unique_across_backends():
             [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(c)]
             for _ in range(r)
         ]
-        assert _rref_py.rref([row[:] for row in m]) == _rref_c.rref(
-            [row[:] for row in m]
-        )
+        _assert_rref_matches_oracle(Matrix(r, c, m))
+
+
+def test_rref_edge_shapes():
+    _assert_rref_matches_oracle(Matrix(0, 3, []))
+    _assert_rref_matches_oracle(Matrix(3, 0, [[], [], []]))
+    _assert_rref_matches_oracle(Matrix.zero(3, 4))
+    m = Matrix.from_rows([[0, 0, 0, 0], [0, 2, 0, 4], [0, 0, 0, 0], [0, 1, 0, 2]])
+    _assert_rref_matches_oracle(m)
+    assert rank(m) == 1
+    assert kernel_basis(m) == [(1, 0, 0, 0), (0, 0, 1, 0), (0, -2, 0, 1)]
+
+
+def test_solve_rank_deficient_augmented():
+    m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 0]])
+    x = solve(m, (2, 4, 0))
+    assert x == (2, 0, 0)
+    assert solve(m, (2, 5, 0)) is None
+    assert solve(m, (2, 4, 1)) is None
+    assert solve(Matrix(0, 2, []), ()) == (0, 0)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.ALGEBRA_FILES))
+def test_rref_matches_oracle_on_corpus_coboundaries(name):
+    alg = corpus.algebra(name)
+    for p in range(3):
+        _assert_rref_matches_oracle(coboundary_matrix_self(alg, p))
+
+
+@pytest.mark.parametrize("name", sorted(corpus.MORPHISM_FILES))
+def test_rref_matches_oracle_on_morphism_coboundaries(name):
+    phi = corpus.morphism(name)
+    tc = triple_complex(phi)
+    for m in range(3):
+        _assert_rref_matches_oracle(coboundary_matrix_module(phi.source, phi.target, phi.matrix, m))
+        _assert_rref_matches_oracle(tc.delta_matrix(m))
 
 
 def test_row_space_incremental_rank():
@@ -129,3 +168,17 @@ def test_row_space_incremental_rank():
     assert space.rank == 2
     assert space.contains((0, 1, 0))
     assert not space.contains((0, 0, 1))
+
+
+def test_sparse_rows_match_dense_construction():
+    dense = Matrix.from_rows([[1, 0, Fraction(1, 2)], [0, 0, 0]])
+    sparse = Matrix.from_sparse(2, 3, [{0: Fraction(1), 2: Fraction(1, 2), 1: Fraction(0)}, {}])
+    assert sparse == dense and hash(sparse) == hash(dense)
+    assert sparse.data == ({0: 1, 2: Fraction(1, 2)}, {})
+    assert sparse.row(1) == (0, 0, 0) and sparse.column(2) == (Fraction(1, 2), 0)
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_sparse(2, 3, [{3: Fraction(1)}, {}])
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_sparse(3, 3, [{}, {}])
+    with pytest.raises(TypeError):
+        Matrix(1, 2, [[0.0, 1]])
