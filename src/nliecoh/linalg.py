@@ -50,14 +50,21 @@ def is_zero_vector(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
+class _Row(dict):
+    """One matrix row, {column: nonzero Fraction}; mutating it raises."""
 
+    __slots__ = ()
 
-Row = dict  # {column: nonzero Fraction}
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("Matrix rows are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
 
 class Matrix:
-    """Immutable sparse matrix of Fractions: row i is ``data[i]``, a dict
-    mapping each column to its nonzero entry (read-only, like the rest)."""
+    """Immutable sparse matrix of Fractions: row i is ``data[i]``, a
+    read-only dict mapping each column to its nonzero entry."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -67,8 +74,8 @@ class Matrix:
             raise DimensionMismatch(f"matrix data does not fill {rows}x{cols}")
         self._fill(rows, cols, [dict(enumerate(r)) for r in dense])
 
-    def _fill(self, rows: int, cols: int, data: Iterable[Row]) -> None:
-        tup = tuple({j: q for j, x in r.items() if (q := frac(x))} for r in data)
+    def _fill(self, rows: int, cols: int, data: Iterable[dict]) -> None:
+        tup = tuple(_Row({j: q for j, x in r.items() if (q := frac(x))}) for r in data)
         if len(tup) != rows or any(r and not (min(r) >= 0 and max(r) < cols) for r in tup):
             raise DimensionMismatch(f"sparse rows do not fit {rows}x{cols}")
         object.__setattr__(self, "rows", rows)
@@ -79,7 +86,7 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def from_sparse(cls, rows: int, cols: int, data: Iterable[Row]) -> "Matrix":
+    def from_sparse(cls, rows: int, cols: int, data: Iterable[dict]) -> "Matrix":
         """Build from ``rows`` dicts {column: entry}; zero entries are dropped."""
         m = cls.__new__(cls)
         m._fill(rows, cols, data)
@@ -128,7 +135,7 @@ class Matrix:
         return tuple(r.get(j, _ZERO) for r in self.data)
 
     def transpose(self) -> "Matrix":
-        out: list[Row] = [{} for _ in range(self.cols)]
+        out: list[dict] = [{} for _ in range(self.cols)]
         for i, r in enumerate(self.data):
             for j, x in r.items():
                 out[j][i] = x
@@ -148,23 +155,17 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        right = [_scaled(r) for r in other.data]
+        # integer products over one common denominator d of ``other``
+        d = lcm(*(x.denominator for r in other.data for x in r.values()))
+        right = [{j: x.numerator * (d // x.denominator) for j, x in r.items()} for r in other.data]
         out = []
         for r in self.data:
-            # integer products, summed apart for each denominator of a right row
             den, left = _scaled(r)
-            sums: dict[int, dict[int, int]] = {}
+            acc: dict[int, int] = {}
             for k, a in left.items():
-                rden, rrow = right[k]
-                acc = sums.setdefault(rden, {})
-                for j, b in rrow.items():
+                for j, b in right[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-            total: Row = {}
-            for rden, acc in sums.items():
-                for j, v in acc.items():
-                    if v:
-                        total[j] = total.get(j, _ZERO) + Fraction(v, den * rden)
-            out.append(total)
+            out.append({j: Fraction(v, den * d) for j, v in acc.items() if v})
         return Matrix.from_sparse(self.rows, other.cols, out)
 
     def add(self, other: "Matrix") -> "Matrix":
@@ -192,7 +193,7 @@ class Matrix:
         return Matrix.from_sparse(self.rows, self.cols, rows), tuple(pc for pc, _ in reduced)
 
 
-def _scaled(row: Row) -> tuple[int, dict[int, int]]:
+def _scaled(row: dict) -> tuple[int, dict[int, int]]:
     """(d, integer row) with row == integer row / d, d the lcm of denominators."""
     den = lcm(*(x.denominator for x in row.values()))
     return den, {j: x.numerator * (den // x.denominator) for j, x in row.items()}
@@ -204,17 +205,16 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def _echelon(rows: Iterable[Row], reduce: bool = True) -> list[tuple[int, dict[int, int]]]:
+def _echelon(rows: Iterable[dict]) -> list[tuple[int, dict[int, int]]]:
     """Fraction-free sparse elimination: (pivot column, integer row) pairs.
 
     Each row is cleared of denominators and kept primitive (content 1), in
     the integer scheme of Bareiss.  Pivot columns are taken strictly left
     to right, rows bucketed by leading column; in each bucket the sparsest
     row is the pivot and the others become ``a*r - b*p``.  The pivots are
-    therefore those of the reduced row echelon form.  With ``reduce`` the
-    rows are back-substituted bottom-up, so row k divided by its pivot
-    entry is row k of that (unique) form; without it they are an echelon
-    form, enough for the rank.
+    therefore those of the reduced row echelon form.  The rows are then
+    back-substituted bottom-up, so row k divided by its pivot entry is row
+    k of that (unique) form.
     """
     buckets: dict[int, list[dict[int, int]]] = {}
     for r in rows:
@@ -249,8 +249,6 @@ def _echelon(rows: Iterable[Row], reduce: bool = True) -> list[tuple[int, dict[i
                     heappush(heap, lead)
                 buckets[lead].append(new)
         echelon.append((pc, piv))
-    if not reduce:
-        return echelon
     # rows below are already reduced, so clearing their pivot columns from a
     # row brings in no other pivot column: one common multiplier m suffices
     done: dict[int, dict[int, int]] = {}
@@ -275,13 +273,13 @@ def _echelon(rows: Iterable[Row], reduce: bool = True) -> list[tuple[int, dict[i
     return echelon
 
 
-def _sparse(v: Sequence) -> Row:
+def _sparse(v: Sequence) -> dict[int, Fraction]:
     return {j: q for j, x in enumerate(v) if x and (q := frac(x))}
 
 
 def rank(m: Matrix) -> int:
     """Exact rank via row reduction."""
-    return len(_echelon(m.data, reduce=False))
+    return len(_echelon(m.data))
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
@@ -318,7 +316,7 @@ class RowSpace:
     """Incremental echelon accumulator for span membership and rank."""
 
     def __init__(self, vectors: Iterable[Sequence] = ()):  # rows
-        self._rows: dict[int, Row] = {}  # pivot column -> row with unit pivot
+        self._rows: dict[int, dict] = {}  # pivot column -> row with unit pivot
         self._pivots: list[int] = []  # ascending
         for v in vectors:
             self.add(v)
@@ -327,7 +325,7 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def _reduce(self, v: Sequence) -> Row:
+    def _reduce(self, v: Sequence) -> dict[int, Fraction]:
         w = _sparse(v)
         for pc in self._pivots:
             c = w.get(pc)

@@ -182,3 +182,23 @@ def test_sparse_rows_match_dense_construction():
         Matrix.from_sparse(3, 3, [{}, {}])
     with pytest.raises(TypeError):
         Matrix(1, 2, [[0.0, 1]])
+
+
+def test_matrix_rows_are_read_only():
+    m = Matrix.from_rows([[1, 0], [0, 2]])
+    before = hash(m)
+    row = m.data[0]
+    for mutate in (
+        lambda: row.__setitem__(1, Fraction(5)),
+        lambda: row.__delitem__(0),
+        lambda: row.update({1: Fraction(5)}),
+        lambda: row.setdefault(1, Fraction(5)),
+        lambda: row.pop(0),
+        row.popitem,
+        row.clear,
+    ):
+        with pytest.raises(TypeError):
+            mutate()
+    with pytest.raises(TypeError):
+        m.data[1] |= {0: Fraction(1)}
+    assert m == Matrix.from_rows([[1, 0], [0, 2]]) and hash(m) == before
