@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .linalg import Matrix, Vector, frac, is_zero_vector, vector, zero_vector
+from .linalg import Vector, frac, is_zero_vector, vector, zero_vector
 
 
 def sort_sign(idxs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -58,8 +58,8 @@ class FundamentalObject:
     """An argument block x1 ^ ... ^ x(n-1) for brackets and cochains.
 
     Stored as the raw component tuple when one is known (needed by the
-    coboundary formulas, which address individual slots) and decomposed
-    lazily over the increasing-wedge basis for matrix assembly.  Linear
+    bracket actions, which address individual slots) and decomposed lazily
+    over the increasing-wedge basis for cochain evaluation.  Linear
     combinations of wedges carry only the decomposition.
     """
 
@@ -267,20 +267,6 @@ class NLieAlgebra:
     def is_valid(self) -> bool:
         """Fundamental identity verdict, computed once per algebra."""
         return self._report.is_valid
-
-    @cached_property
-    def _ad_cache(self) -> dict[tuple[int, ...], Matrix]:
-        return {}
-
-    def ad_matrix(self, wedge: Sequence[int]) -> Matrix:
-        """Matrix of z -> [e_w1, ..., e_w(n-1), z] for a basis wedge."""
-        key = tuple(wedge)
-        cached = self._ad_cache.get(key)
-        if cached is None:
-            cols = [self.bracket_on_basis(key + (j,)) for j in range(self.dim)]
-            cached = Matrix.from_columns(cols)
-            self._ad_cache[key] = cached
-        return cached
 
     def wedge_keys(self) -> list[tuple[int, ...]]:
         """All strictly increasing (n-1)-tuples of basis indices."""

@@ -159,7 +159,7 @@ def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
                 "status": 1,
             }
             return out, 1
-        rep = module_cohomology(phi.source, phi.target, phi.matrix, args.degree)
+        rep = module_cohomology(phi.source, phi.target, phi, args.degree)
         space = CochainSpace(phi.source, args.degree - 1, phi.target.dim)
     else:
         if args.module:
@@ -313,6 +313,16 @@ def _report_degree(text: str) -> int:
     return r
 
 
+def _truncation_order(text: str) -> int:
+    try:
+        order = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if order < 0:
+        raise argparse.ArgumentTypeError(f"order must be nonnegative, got {order}")
+    return order
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nliecoh",
@@ -342,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deform", help="deformation tools")
     p.add_argument("subcommand", choices=("check", "infinitesimal", "obstruction", "extend", "transform"))
     p.add_argument("deformation", help="deformation file")
-    p.add_argument("--order", type=int, help="truncate to this order first")
+    p.add_argument("--order", type=_truncation_order, help="truncate to this order first")
     p.add_argument("--psi-source", help="automorphism series file for the source")
     p.add_argument("--psi-target", help="automorphism series file for the target")
     p.add_argument("--emit", help="write the main artifact JSON to this path")

@@ -7,6 +7,8 @@ fixed lexicographic order, so assembled matrices are identical across runs.
 
 Two coboundary operators are assembled here: the self-valued one on
 C^p(N, N) and the module-valued one on C^m(N, N') twisted by a morphism.
+One formula builds both; the self-valued complex is the module-valued one
+along the identity map.
 Reports use the classical labelling H^r with r = p + 1.
 """
 
@@ -14,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-from .algebra import FundamentalObject, NLieAlgebra, ad_action, fundamental_bracket, sort_sign
+from .algebra import FundamentalObject, NLieAlgebra, sort_sign
 from .errors import (
+    ArityMismatch,
     BrokenComplex,
     DegreeMismatch,
     DimensionMismatch,
@@ -188,6 +191,8 @@ def eval_key_combo(
         return {i: c for i, c in enumerate(z) if c}
     if last is None or len(blocks) != p - 1:
         raise DegreeMismatch(f"degree {p} needs {p - 1} blocks plus a final one")
+    if any(b.dim != d or b.width != space.source.arity - 1 for b in (*blocks, last)):
+        raise DimensionMismatch("argument block has the wrong shape")
     last_combo: dict[tuple[int, ...], Fraction] = {}
     for wkey, wc in last.decomposition().items():
         for j, zc in enumerate(z):
@@ -219,205 +224,125 @@ def eval_key_combo(
 
 
 # ---------------------------------------------------------------------------
-# Linear-in-the-cochain expressions: each target component is a sparse row of
-# coefficients over the flat coordinates of a cochain space.
+# Coboundary rows.  A canonical key (w_0, ..., w_(p-1), k) of degree p+1
+# stands for the blocks e_w0, ..., e_w(p-1) and the n-wedge e_k.  A degree-p
+# cochain f is read on p-1 blocks and an n-wedge, or, written f(..; e_j), on
+# p blocks and a vector.  With D(w) the action of e_w on a wedge slot by
+# slot, rho(u) the target map [phi e_u, -], and "\i" dropping block i, the
+# coboundary at that key is
+#
+#   sum_i (-1)^(i+1) [ sum_(i<j) f(\i, D(w_i) w_j at j, k) + f(\i, D(w_i) k) ]
+#   + (-1)^(p+1) f(w_0, ..., w_(p-1); [e_k])
+#   + sum_i (-1)^i rho(w_i) f(\i, k)
+#   + (-1)^p sum_r (-1)^(n-1-r) rho(k without k_r) f(w_0, ..., w_(p-1); e_(k_r)).
+#
+# The first line joins the bracket of two blocks with the action of a block
+# on the extra vector.  The last joins the action on the cochain's value
+# with the value put into each slot of the final wedge, moved to the last
+# slot by skewness.  The self complex is the case phi = identity.
 
 
-def _expr_zero(d_T: int) -> list[dict]:
-    return [{} for _ in range(d_T)]
+def _sparse_bracket(alg: NLieAlgebra, idxs: tuple) -> dict:
+    return {t: x for t, x in enumerate(alg.bracket_on_basis(idxs)) if x}
 
 
-def _expr_from_combo(space: CochainSpace, combo: dict) -> list[dict]:
-    out = _expr_zero(space.target_dim)
-    for key, c in combo.items():
-        pos = space._key_pos[key] * space.target_dim
-        for t in range(space.target_dim):
-            out[t][pos + t] = c
-    return out
+class _Tables:
+    """Sparse structure data of one coboundary, keyed on basis indices.
 
-
-def _expr_accumulate(target: list[dict], source: list[dict], factor: Fraction) -> None:
-    if not factor:
-        return
-    for tdict, sdict in zip(target, source):
-        for col, c in sdict.items():
-            cur = tdict.get(col, Fraction(0)) + factor * c
-            if cur:
-                tdict[col] = cur
-            else:
-                tdict.pop(col, None)
-
-
-def _expr_apply_matrix(m: Matrix, expr: list[dict]) -> list[dict]:
-    out = [{} for _ in range(m.rows)]
-    for od, mrow in zip(out, m.data):
-        for t, a in mrow.items():
-            for col, c in expr[t].items():
-                cur = od.get(col, Fraction(0)) + a * c
-                if cur:
-                    od[col] = cur
-                else:
-                    od.pop(col, None)
-    return out
-
-
-class _SelfContext:
-    """Bracket data feeding the self-valued coboundary formula."""
-
-    def __init__(self, alg: NLieAlgebra):
-        self.alg = alg
-        self.target_dim = alg.dim
-
-    def fundamental_bracket(self, x, y):
-        return fundamental_bracket(self.alg, x, y)
-
-    def source_ad(self, x, z):
-        return ad_action(self.alg, x, z)
-
-    def action_matrix(self, x: FundamentalObject) -> Matrix:
-        total = None
-        for key, c in x.decomposition().items():
-            m = self.alg.ad_matrix(key).scale(c)
-            total = m if total is None else total.add(m)
-        return total if total is not None else Matrix.zero(self.alg.dim, self.alg.dim)
-
-    def slot_bracket_matrix(self, last: FundamentalObject, slot: int, z: Vector) -> Matrix:
-        comps = last.components
-        cols = []
-        for t in range(self.alg.dim):
-            args = list(comps)
-            args[slot] = tuple(
-                Fraction(1 if j == t else 0) for j in range(self.alg.dim)
-            )
-            cols.append(self.alg.bracket(*args, z))
-        return Matrix.from_columns(cols)
-
-
-class _ModuleContext:
-    """Morphism-twisted data feeding the module-valued coboundary formula."""
+    Built from ``bracket_on_basis`` lookups and the columns of ``phi``, and
+    memoized for the life of one assembly.
+    """
 
     def __init__(self, src: NLieAlgebra, tgt: NLieAlgebra, phi: Matrix):
         self.src = src
         self.tgt = tgt
-        self.phi = phi
-        self.target_dim = tgt.dim
-        self._action_cache: dict[tuple[int, ...], Matrix] = {}
+        self._phi_cols: list[dict] = [{} for _ in range(src.dim)]
+        for i, row in enumerate(phi.data):
+            for j, x in row.items():
+                self._phi_cols[j][i] = x
+        self.sign = cache(sort_sign)
+        self.src_bracket = cache(partial(_sparse_bracket, src))
+        self.tgt_bracket = self.src_bracket if tgt is src else cache(partial(_sparse_bracket, tgt))
+        self.derivation = cache(self._derivation)
+        self.action = cache(self._action)
 
-    def map_vector(self, v: Vector) -> Vector:
-        return self.phi.mul_vector(v)
+    def _derivation(self, w: tuple, u: tuple) -> dict:
+        """e_w acting on the wedge e_u slot by slot, over increasing wedges."""
+        out: dict = {}
+        for slot, i in enumerate(u):
+            for j, c in self.src_bracket(w + (i,)).items():
+                sign, v = self.sign(u[:slot] + (j,) + u[slot + 1 :])
+                if sign:
+                    out[v] = out.get(v, 0) + sign * c
+        return out
 
-    def fundamental_bracket(self, x, y):
-        return fundamental_bracket(self.src, x, y)
-
-    def source_ad(self, x, z):
-        return ad_action(self.src, x, z)
-
-    def _basis_action(self, key: tuple[int, ...]) -> Matrix:
-        cached = self._action_cache.get(key)
-        if cached is None:
-            imgs = [self.phi.column(i) for i in key]
-            cols = []
+    def _action(self, u: tuple) -> list[dict]:
+        """Rows s of the target map t -> [phi e_u0, ..., phi e_u(n-2), e_t]."""
+        out: list[dict] = [{} for _ in range(self.tgt.dim)]
+        for choice in product(*(self._phi_cols[i].items() for i in u)):
+            idxs = tuple(i for i, _ in choice)
+            coeff = 1
+            for _, c in choice:
+                coeff *= c
             for t in range(self.tgt.dim):
-                unit = tuple(
-                    Fraction(1 if j == t else 0) for j in range(self.tgt.dim)
-                )
-                cols.append(self.tgt.bracket(*imgs, unit))
-            cached = Matrix.from_columns(cols)
-            self._action_cache[key] = cached
-        return cached
+                for s, x in self.tgt_bracket(idxs + (t,)).items():
+                    out[s][t] = out[s].get(t, 0) + coeff * x
+        return out
 
-    def action_matrix(self, x: FundamentalObject) -> Matrix:
-        total = None
-        for key, c in x.decomposition().items():
-            m = self._basis_action(key).scale(c)
-            total = m if total is None else total.add(m)
-        return total if total is not None else Matrix.zero(self.tgt.dim, self.tgt.dim)
+    def delta_rows(self, space_in: CochainSpace, key: tuple) -> list[dict]:
+        """Rows of the coboundary out of ``space_in`` at one canonical key of
+        the next degree, one row per target coordinate."""
+        p, n, d_T = space_in.degree, self.src.arity, self.tgt.dim
+        ws, k = key[:-1], key[-1]
+        scalar: dict = {}  # input key -> coefficient
+        acted: list = []  # (input key, coefficient, action rows)
 
-    def slot_bracket_matrix(self, last: FundamentalObject, slot: int, z: Vector) -> Matrix:
-        imgs = [self.map_vector(v) for v in last.components]
-        phi_z = self.map_vector(z)
-        cols = []
-        for t in range(self.tgt.dim):
-            args = list(imgs)
-            args[slot] = tuple(
-                Fraction(1 if j == t else 0) for j in range(self.tgt.dim)
-            )
-            cols.append(self.tgt.bracket(*args, phi_z))
-        return Matrix.from_columns(cols)
+        def last(j: int):
+            """Input keys of f(w_0, ..., w_(p-1); e_j) with their signs."""
+            if not p:
+                return ((j, 1),)
+            sign, v = self.sign(ws[-1] + (j,))
+            return ((ws[:-1] + (v,), sign),) if sign else ()
 
+        for i in range(p):
+            s = 1 if i % 2 else -1
+            rest = ws[:i] + ws[i + 1 :]
+            for j in range(i + 1, p):
+                for v, c in self.derivation(ws[i], ws[j]).items():
+                    ikey = rest[: j - 1] + (v,) + rest[j:] + (k,)
+                    scalar[ikey] = scalar.get(ikey, 0) + s * c
+            for v, c in self.derivation(ws[i], k).items():
+                ikey = rest + (v,)
+                scalar[ikey] = scalar.get(ikey, 0) + s * c
+            acted.append((rest + (k,), -s, self.action(ws[i])))
+        s = 1 if p % 2 else -1
+        for j, c in self.src_bracket(k).items():
+            for ikey, sign in last(j):
+                scalar[ikey] = scalar.get(ikey, 0) + s * sign * c
+        for r in range(n):
+            sr = s if (n - 1 - r) % 2 else -s
+            for ikey, sign in last(k[r]):
+                acted.append((ikey, sr * sign, self.action(k[:r] + k[r + 1 :])))
 
-def delta_expression(
-    space: CochainSpace, ctx, args: Sequence[FundamentalObject], z: Vector
-) -> list[dict]:
-    """Coboundary of an unknown cochain, evaluated at raw argument blocks.
-
-    ``args`` holds the p+1 blocks of the degree-(p+1) input; the result is
-    linear in the unknown degree-p cochain and is returned per target
-    component as sparse rows over the flat coordinates of ``space``.
-    """
-    p = space.degree
-    n = space.source.arity
-    if len(args) != p + 1:
-        raise DegreeMismatch(f"expected {p + 1} argument blocks, got {len(args)}")
-    out = _expr_zero(ctx.target_dim)
-
-    def eval_expr(rem: list, zz: Vector) -> list[dict]:
-        if p == 0:
-            combo = eval_key_combo(space, [], None, zz)
-        else:
-            combo = eval_key_combo(space, rem[:-1], rem[-1], zz)
-        return _expr_from_combo(space, combo)
-
-    # pairwise bracket insertions
-    for i in range(p + 1):
-        for j in range(i + 1, p + 1):
-            fb = ctx.fundamental_bracket(args[i], args[j])
-            new_args = list(args[:i]) + list(args[i + 1 : j]) + [fb] + list(args[j + 1 :])
-            _expr_accumulate(out, eval_expr(new_args, z), Fraction((-1) ** (i + 1)))
-
-    # action moved onto the extra vector
-    for i in range(p + 1):
-        z2 = ctx.source_ad(args[i], z)
-        rem = list(args[:i]) + list(args[i + 1 :])
-        _expr_accumulate(out, eval_expr(rem, z2), Fraction((-1) ** (i + 1)))
-
-    # action applied to the cochain value
-    for i in range(p + 1):
-        rem = list(args[:i]) + list(args[i + 1 :])
-        inner = eval_expr(rem, z)
-        m = ctx.action_matrix(args[i])
-        _expr_accumulate(out, _expr_apply_matrix(m, inner), Fraction((-1) ** i))
-
-    # cochain value substituted into each slot of the final block
-    last = args[-1]
-    if last.components is None:
-        raise DegreeMismatch("the final argument block must be a raw wedge")
-    sign = Fraction((-1) ** p)
-    rem = list(args[:-1])
-    for slot in range(n - 1):
-        inner = eval_expr(rem, last.components[slot])
-        m = ctx.slot_bracket_matrix(last, slot, z)
-        _expr_accumulate(out, _expr_apply_matrix(m, inner), sign)
-    return out
+        pos = space_in._key_pos
+        rows: list[dict] = [{} for _ in range(d_T)]
+        for ikey, c in scalar.items():
+            base = pos[ikey] * d_T
+            for t, row in enumerate(rows):
+                row[base + t] = c
+        for ikey, c, action in acted:
+            base = pos[ikey] * d_T
+            for row, arow in zip(rows, action):
+                for t, a in arow.items():
+                    row[base + t] = row.get(base + t, 0) + c * a
+        return rows
 
 
-def _canonical_args(
-    alg: NLieAlgebra, key: tuple
-) -> tuple[list[FundamentalObject], Vector]:
-    """Raw blocks and extra vector for a canonical domain key (degree >= 1)."""
-    n = alg.arity
-    blocks = [FundamentalObject.from_basis(alg.dim, idx) for idx in key[:-1]]
-    k = key[-1]
-    blocks.append(FundamentalObject.from_basis(alg.dim, k[: n - 1]))
-    z = tuple(Fraction(1 if j == k[n - 1] else 0) for j in range(alg.dim))
-    return blocks, z
-
-
-def _assemble(space_in: CochainSpace, space_out: CochainSpace, ctx) -> Matrix:
+def _assemble(space_in: CochainSpace, tables: _Tables) -> Matrix:
+    space_out = CochainSpace(space_in.source, space_in.degree + 1, space_in.target_dim)
     rows: list[dict] = []
     for key in space_out.domain_keys:
-        args, z = _canonical_args(space_in.source, key)
-        rows += delta_expression(space_in, ctx, args, z)
+        rows += tables.delta_rows(space_in, key)
     return Matrix.from_sparse(space_out.dim, space_in.dim, rows)
 
 
@@ -426,22 +351,22 @@ def _require_valid_algebra(alg: NLieAlgebra) -> None:
         raise InvalidAlgebra(f"algebra {alg.name!r} fails the fundamental identity")
 
 
-def _require_morphism_matrix(src: NLieAlgebra, tgt: NLieAlgebra, phi: Matrix) -> None:
-    if src.arity != tgt.arity:
-        raise InvalidMorphism("source and target arity differ")
-    if (phi.rows, phi.cols) != (tgt.dim, src.dim):
-        raise InvalidMorphism(
-            f"morphism matrix must be {tgt.dim}x{src.dim}, got {phi.rows}x{phi.cols}"
-        )
-    for key in src.bracket_keys():
-        lhs = phi.mul_vector(src.bracket_on_basis(key))
-        rhs = tgt.bracket(*(phi.column(i) for i in key))
-        if lhs != rhs:
-            raise InvalidMorphism(f"morphism equation fails on basis tuple {key}")
+def _morphism_matrix(src: NLieAlgebra, tgt: NLieAlgebra, phi) -> Matrix:
+    """Matrix of ``phi``, a Morphism or a Matrix, once it is checked to be a
+    morphism from ``src`` to ``tgt``; a Morphism's cached verdict is reused."""
+    from .morphisms import Morphism  # morphisms builds on this module
 
-
-def _phi_matrix(phi) -> Matrix:
-    return phi.matrix if hasattr(phi, "matrix") else phi
+    if not isinstance(phi, Morphism):
+        try:
+            phi = Morphism(src, tgt, phi)
+        except (ArityMismatch, DimensionMismatch) as exc:
+            raise InvalidMorphism(str(exc)) from None
+    elif (phi.source, phi.target) != (src, tgt):
+        raise InvalidMorphism("the morphism joins other algebras than the ones given")
+    if not phi.is_valid:
+        key = phi._report.failures[0].bracket_tuple
+        raise InvalidMorphism(f"morphism equation fails on basis tuple {key}")
+    return phi.matrix
 
 
 def coboundary_matrix_self(alg: NLieAlgebra, p: int) -> Matrix:
@@ -450,9 +375,8 @@ def coboundary_matrix_self(alg: NLieAlgebra, p: int) -> Matrix:
     Columns follow the degree-p basis, rows the degree-(p+1) basis.
     """
     _require_valid_algebra(alg)
-    space_in = CochainSpace(alg, p, alg.dim)
-    space_out = CochainSpace(alg, p + 1, alg.dim)
-    return _assemble(space_in, space_out, _SelfContext(alg))
+    tables = _Tables(alg, alg, Matrix.identity(alg.dim))
+    return _assemble(CochainSpace(alg, p, alg.dim), tables)
 
 
 def coboundary_matrix_module(
@@ -461,11 +385,24 @@ def coboundary_matrix_module(
     """Matrix of the module-valued coboundary out of degree m via a morphism."""
     _require_valid_algebra(src)
     _require_valid_algebra(tgt)
-    mat = _phi_matrix(phi)
-    _require_morphism_matrix(src, tgt, mat)
-    space_in = CochainSpace(src, m, tgt.dim)
-    space_out = CochainSpace(src, m + 1, tgt.dim)
-    return _assemble(space_in, space_out, _ModuleContext(src, tgt, mat))
+    tables = _Tables(src, tgt, _morphism_matrix(src, tgt, phi))
+    return _assemble(CochainSpace(src, m, tgt.dim), tables)
+
+
+def _apply(tables: _Tables, f: Cochain, args: Sequence[FundamentalObject], z) -> Vector:
+    """δf at raw arguments: decompose them over the next degree's canonical
+    keys, as for any cochain, and contract those keys' rows with f."""
+    p = f.space.degree
+    if len(args) != p + 1:
+        raise DegreeMismatch(f"expected {p + 1} argument blocks, got {len(args)}")
+    space_out = CochainSpace(f.space.source, p + 1, f.space.target_dim)
+    combo = eval_key_combo(space_out, list(args[:-1]), args[-1], vector(z))
+    flat = f.as_flat()
+    out = [Fraction(0)] * f.space.target_dim
+    for key, c in combo.items():
+        for s, row in enumerate(tables.delta_rows(f.space, key)):
+            out[s] += c * sum(a * flat[col] for col, a in row.items())
+    return tuple(out)
 
 
 def coboundary_apply_self(
@@ -475,8 +412,7 @@ def coboundary_apply_self(
     z: Sequence,
 ) -> Vector:
     """Numeric coboundary value of a concrete self-valued cochain."""
-    expr = delta_expression(f.space, _SelfContext(alg), list(args), vector(z))
-    return _contract(expr, f)
+    return _apply(_Tables(alg, alg, Matrix.identity(alg.dim)), f, args, z)
 
 
 def coboundary_apply_module(
@@ -488,16 +424,8 @@ def coboundary_apply_module(
     z: Sequence,
 ) -> Vector:
     """Numeric coboundary value of a concrete module-valued cochain."""
-    ctx = _ModuleContext(src, tgt, _phi_matrix(phi))
-    expr = delta_expression(f.space, ctx, list(args), vector(z))
-    return _contract(expr, f)
-
-
-def _contract(expr: list[dict], f: Cochain) -> Vector:
-    flat = f.as_flat()
-    return tuple(
-        sum((c * flat[col] for col, c in row.items()), Fraction(0)) for row in expr
-    )
+    mat = phi.matrix if hasattr(phi, "matrix") else phi
+    return _apply(_Tables(src, tgt, mat), f, args, z)
 
 
 @dataclass(frozen=True)

@@ -338,7 +338,7 @@ class TripleComplex:
             self.space_module(m).dim if self.space_module(m) else 0,
         )
         d_mod = (
-            coboundary_matrix_module(phi.source, phi.target, phi.matrix, m - 1)
+            coboundary_matrix_module(phi.source, phi.target, phi, m - 1)
             if m >= 1
             else None
         )
@@ -389,7 +389,13 @@ class TripleComplex:
         return self.unvectorize(m - 1, x)
 
 
-@lru_cache(maxsize=None)
+# Morphism complexes kept alive at once.  Each holds its differentials, so
+# the bound caps memory in a long-lived process.  Every README command run
+# over every bundled file touches 7 distinct morphisms.
+_TRIPLE_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_TRIPLE_CACHE_SIZE)
 def triple_complex(phi: Morphism) -> TripleComplex:
     return TripleComplex(phi)
 

@@ -4,9 +4,10 @@ from itertools import permutations
 
 import pytest
 
-from oracles import oracle_matrix
+from oracles import oracle_delta_eval, oracle_matrix
 
 from nliecoh.algebra import FundamentalObject, NLieAlgebra
+from nliecoh.corpus import MORPHISM_FILES, morphism
 from nliecoh.cochains import (
     Cochain,
     CochainSpace,
@@ -17,7 +18,13 @@ from nliecoh.cochains import (
     cohomology,
     self_cohomology,
 )
-from nliecoh.errors import BrokenComplex, DegreeMismatch, InvalidAlgebra, InvalidMorphism
+from nliecoh.errors import (
+    BrokenComplex,
+    DegreeMismatch,
+    DimensionMismatch,
+    InvalidAlgebra,
+    InvalidMorphism,
+)
 from nliecoh.linalg import Matrix, basis_vector, zero_vector
 
 
@@ -81,10 +88,18 @@ def test_coboundary_requires_valid_algebra():
         coboundary_matrix_self(bad, 1)
 
 
-def test_module_requires_morphism(alg_a1, alg_b1):
+def test_module_requires_morphism(alg_a1, alg_b1, phi_a1_b1):
     not_morphism = Matrix.identity(4)
     with pytest.raises(InvalidMorphism):
         coboundary_matrix_module(alg_a1, alg_b1, not_morphism, 0)
+    lie = NLieAlgebra.abelian("ab", 2, 4)
+    for src, tgt, phi in [
+        (alg_a1, lie, Matrix.identity(4)),  # arity
+        (alg_a1, alg_b1, Matrix.identity(3)),  # shape
+        (alg_b1, alg_a1, phi_a1_b1),  # a morphism between other algebras
+    ]:
+        with pytest.raises(InvalidMorphism):
+            coboundary_matrix_module(src, tgt, phi, 0)
 
 
 def test_identity_module_equals_self(corpus_algebras):
@@ -161,6 +176,67 @@ def test_module_skewness_and_oracle(phi_a1_b1):
     assert coboundary_matrix_module(src, tgt, phi_a1_b1.matrix, 0) == oracle_matrix(
         src, 0, tgt, phi_a1_b1.matrix
     )
+
+
+
+def _random_cochain(rng, space):
+    return Cochain(space, {
+        (key, t): rng.randint(-2, 2) for key in space.domain_keys for t in range(space.target_dim)
+    })
+
+
+def _random_raw_blocks(rng, d, n, count):
+    """``count`` raw wedges of n-1 random vectors, plus one random vector."""
+    vec = lambda: tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))) for _ in range(d))
+    return [tuple(vec() for _ in range(n - 1)) for _ in range(count)], vec()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("key", ["a1", "b1", "b2", "a3", "b3"])
+def test_apply_self_matches_oracle_on_raw_arguments(corpus_algebras, key, p):
+    """The basis rows contracted at raw (non-basis) arguments agree with the
+    coboundary summed straight from its definition."""
+    alg = corpus_algebras[key]
+    rng = random.Random(f"{key}/{p}")
+    f = _random_cochain(rng, CochainSpace(alg, p, alg.dim))
+    blocks, z = _random_raw_blocks(rng, alg.dim, alg.arity, p + 1)
+    got = coboundary_apply_self(alg, f, [FundamentalObject(b) for b in blocks], z)
+    assert got == oracle_delta_eval(f, blocks, z, alg)
+    assert any(got)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("key", sorted(MORPHISM_FILES))
+def test_apply_module_matches_oracle_on_raw_arguments(key, p):
+    phi = morphism(key)
+    src, tgt = phi.source, phi.target
+    rng = random.Random(f"{key}/{p}")
+    f = _random_cochain(rng, CochainSpace(src, p, tgt.dim))
+    blocks, z = _random_raw_blocks(rng, src.dim, src.arity, p + 1)
+    got = coboundary_apply_module(src, tgt, phi, f, [FundamentalObject(b) for b in blocks], z)
+    assert got == oracle_delta_eval(f, blocks, z, src, tgt, phi.matrix)
+
+
+
+def test_apply_rejects_misshapen_arguments(alg_a1):
+    f = CochainSpace(alg_a1, 1, 4).zero()
+    good = FundamentalObject.from_basis(4, (0, 1))
+    with pytest.raises(DegreeMismatch):
+        coboundary_apply_self(alg_a1, f, [good], unit(4, 2))
+    with pytest.raises(DimensionMismatch):
+        coboundary_apply_self(alg_a1, f, [FundamentalObject.from_basis(4, (0,)), good], unit(4, 2))
+    with pytest.raises(DimensionMismatch):
+        coboundary_apply_self(alg_a1, f, [good, FundamentalObject.from_basis(5, (0, 1))], unit(4, 2))
+
+@pytest.mark.parametrize("key", sorted(MORPHISM_FILES))
+def test_module_matrix_matches_bruteforce_degree_one(key):
+    phi = morphism(key)
+    got = coboundary_matrix_module(phi.source, phi.target, phi, 1)
+    assert got == oracle_matrix(phi.source, 1, phi.target, phi.matrix)
+
+
+def test_self_matrix_matches_bruteforce_degree_two(alg_a1):
+    assert coboundary_matrix_self(alg_a1, 2) == oracle_matrix(alg_a1, 2)
 
 
 def test_cohomology_report_fields(alg_a3):

@@ -180,6 +180,22 @@ def test_cli_rejects_degree_below_one(command, degree, capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["check", "infinitesimal", "obstruction", "extend", "transform"])
+@pytest.mark.parametrize("order", ["-1", "-7"])
+def test_cli_rejects_negative_order(subcommand, order, capsys):
+    psi = ["--psi-source", str(DATA / "aut_a3_scaling.json"),
+           "--psi-target", str(DATA / "aut_b3_identity.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(["deform", subcommand, str(DATA / "def_a3_b3_order2.json"), "--order", order]
+             + (psi if subcommand == "transform" else []))
+    assert exc.value.code == 2
+    assert "order must be nonnegative" in capsys.readouterr().err
+
+
+def test_cli_accepts_order_zero():
+    assert main(["deform", "check", str(DATA / "def_a3_b3_order2.json"), "--order", "0"]) == 0
+
+
 def test_cli_validate_exit_codes(tmp_path):
     ok = run_cli("validate", str(DATA / "alg_a1.json"))
     assert ok.returncode == 0
