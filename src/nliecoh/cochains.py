@@ -246,48 +246,52 @@ def _sparse_bracket(alg: NLieAlgebra, idxs: tuple) -> dict:
     return {t: x for t, x in enumerate(alg.bracket_on_basis(idxs)) if x}
 
 
+def _derivation(sign, bracket, w: tuple, u: tuple) -> dict:
+    """e_w acting on the wedge e_u slot by slot, over increasing wedges."""
+    out: dict = {}
+    for slot, i in enumerate(u):
+        for j, c in bracket(w + (i,)).items():
+            s, v = sign(u[:slot] + (j,) + u[slot + 1 :])
+            if s:
+                out[v] = out.get(v, 0) + s * c
+    return out
+
+
+def _action(phi_cols: list, bracket, d_T: int, u: tuple) -> list[dict]:
+    """Rows s of the target map t -> [phi e_u0, ..., phi e_u(n-2), e_t]."""
+    out: list[dict] = [{} for _ in range(d_T)]
+    for choice in product(*(phi_cols[i].items() for i in u)):
+        idxs = tuple(i for i, _ in choice)
+        coeff = 1
+        for _, c in choice:
+            coeff *= c
+        for t in range(d_T):
+            for s, x in bracket(idxs + (t,)).items():
+                out[s][t] = out[s].get(t, 0) + coeff * x
+    return out
+
+
 class _Tables:
     """Sparse structure data of one coboundary, keyed on basis indices.
 
     Built from ``bracket_on_basis`` lookups and the columns of ``phi``, and
-    memoized for the life of one assembly.
+    memoized for the life of one assembly.  The memoized functions close
+    over each other, not over the instance, so no reference cycle keeps
+    them alive after it.
     """
 
     def __init__(self, src: NLieAlgebra, tgt: NLieAlgebra, phi: Matrix):
         self.src = src
         self.tgt = tgt
-        self._phi_cols: list[dict] = [{} for _ in range(src.dim)]
+        phi_cols: list[dict] = [{} for _ in range(src.dim)]
         for i, row in enumerate(phi.data):
             for j, x in row.items():
-                self._phi_cols[j][i] = x
+                phi_cols[j][i] = x
         self.sign = cache(sort_sign)
         self.src_bracket = cache(partial(_sparse_bracket, src))
-        self.tgt_bracket = self.src_bracket if tgt is src else cache(partial(_sparse_bracket, tgt))
-        self.derivation = cache(self._derivation)
-        self.action = cache(self._action)
-
-    def _derivation(self, w: tuple, u: tuple) -> dict:
-        """e_w acting on the wedge e_u slot by slot, over increasing wedges."""
-        out: dict = {}
-        for slot, i in enumerate(u):
-            for j, c in self.src_bracket(w + (i,)).items():
-                sign, v = self.sign(u[:slot] + (j,) + u[slot + 1 :])
-                if sign:
-                    out[v] = out.get(v, 0) + sign * c
-        return out
-
-    def _action(self, u: tuple) -> list[dict]:
-        """Rows s of the target map t -> [phi e_u0, ..., phi e_u(n-2), e_t]."""
-        out: list[dict] = [{} for _ in range(self.tgt.dim)]
-        for choice in product(*(self._phi_cols[i].items() for i in u)):
-            idxs = tuple(i for i, _ in choice)
-            coeff = 1
-            for _, c in choice:
-                coeff *= c
-            for t in range(self.tgt.dim):
-                for s, x in self.tgt_bracket(idxs + (t,)).items():
-                    out[s][t] = out[s].get(t, 0) + coeff * x
-        return out
+        tgt_bracket = self.src_bracket if tgt is src else cache(partial(_sparse_bracket, tgt))
+        self.derivation = cache(partial(_derivation, self.sign, self.src_bracket))
+        self.action = cache(partial(_action, phi_cols, tgt_bracket, tgt.dim))
 
     def delta_rows(self, space_in: CochainSpace, key: tuple) -> list[dict]:
         """Rows of the coboundary out of ``space_in`` at one canonical key of
@@ -340,9 +344,7 @@ class _Tables:
 
 def _assemble(space_in: CochainSpace, tables: _Tables) -> Matrix:
     space_out = CochainSpace(space_in.source, space_in.degree + 1, space_in.target_dim)
-    rows: list[dict] = []
-    for key in space_out.domain_keys:
-        rows += tables.delta_rows(space_in, key)
+    rows = (row for key in space_out.domain_keys for row in tables.delta_rows(space_in, key))
     return Matrix.from_sparse(space_out.dim, space_in.dim, rows)
 
 
