@@ -223,9 +223,19 @@ def cmd_morphism_cohomology(args, argv: list[str]) -> tuple[dict, int]:
 
 def cmd_deform(args, argv: list[str]) -> tuple[dict, int]:
     paths = [args.deformation]
+    dm = jsonio.load_deformation(args.deformation)
     if args.subcommand == "transform":
         paths += [args.psi_source, args.psi_target]
-    dm = jsonio.load_deformation(args.deformation)
+        psi_n = jsonio.load_automorphism(args.psi_source)
+        psi_t = jsonio.load_automorphism(args.psi_target)
+        for path, psi, alg in (
+            (args.psi_source, psi_n, dm.src_def.base),
+            (args.psi_target, psi_t, dm.tgt_def.base),
+        ):
+            if psi.dim != alg.dim:
+                raise ParseError(
+                    f"{path}: automorphism dimension {psi.dim}, expected {alg.dim}"
+                )
     if args.order is not None:
         if args.order > dm.order:
             raise ParseError(f"--order {args.order} exceeds file order {dm.order}")
@@ -284,8 +294,6 @@ def cmd_deform(args, argv: list[str]) -> tuple[dict, int]:
             }
             status = 0 if revalidated else 1
     else:  # transform
-        psi_n = jsonio.load_automorphism(args.psi_source)
-        psi_t = jsonio.load_automorphism(args.psi_target)
         transformed = apply_automorphism(dm, psi_n, psi_t)
         revalidated = validate_deformation(transformed).is_valid
         verdict = {"valid": True, "revalidated": revalidated}

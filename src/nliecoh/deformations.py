@@ -11,18 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .algebra import NLieAlgebra, ValidationReport
+from .algebra import NLieAlgebra, ValidationReport, sort_sign
 from .cochains import Cochain, CochainSpace
 from .errors import (
+    ArityMismatch,
     DegreeMismatch,
     DimensionMismatch,
     NotValidated,
     ObstructionNotCocycle,
     OrderMismatch,
 )
-from .linalg import Matrix, Vector, basis_vector, solve, zero_vector
+from .linalg import Matrix, Vector, solve
 from .morphisms import CochainTriple, Morphism, triple_complex
 
 
@@ -63,6 +65,48 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+# ---------------------------------------------------------------------------
+# Order convolution.  Each order of a bracket family is read from a sparse
+# table {increasing n-tuple: {t: coefficient}}; vectors are sparse
+# {index: coefficient} dicts, and the images phi_i(e_a) are the sparse
+# columns of the map terms.
+
+
+def _basis(table: dict, idxs: tuple) -> tuple[int, dict]:
+    """One order's bracket of basis vectors given in any order: the sign
+    sorting them and the stored value, empty on a repeat or a missing key."""
+    sign, key = sort_sign(idxs)
+    return sign, table.get(key, {}) if sign else {}
+
+
+def _bracket(table: dict, args: Sequence[dict]) -> dict:
+    """One order's bracket of sparse vectors, multilinear over their supports."""
+    out: dict = {}
+    if not (table and all(args)):
+        return out
+    for choice in product(*(a.items() for a in args)):
+        idxs, cs = zip(*choice)
+        sign, val = _basis(table, idxs)
+        if val:
+            for c in cs:
+                sign *= c
+            _add(out, val, sign)
+    return {t: x for t, x in out.items() if x}
+
+
+def _apply(cols: Sequence[dict], v: dict) -> dict:
+    """Image of a sparse vector under the map with sparse columns ``cols``."""
+    out: dict = {}
+    for a, c in v.items():
+        _add(out, cols[a], c)
+    return out
+
+
+def _add(total: dict, v: dict, c: int = 1) -> None:
+    for t, x in v.items():
+        total[t] = total.get(t, 0) + c * x
+
+
 @dataclass(frozen=True)
 class DeformedAlgebra:
     """Bracket family: the base bracket plus one degree-1 cochain per order."""
@@ -88,13 +132,18 @@ class DeformedAlgebra:
         space = degree1_space(base)
         return cls(base, order, tuple(space.zero() for _ in range(order)))
 
-    def bracket_order(self, i: int, *vectors_in: Sequence) -> Vector:
-        """Coefficient of the i-th parameter power on the given arguments."""
-        if i == 0:
-            return self.base.bracket(*vectors_in)
-        if i <= self.order:
-            return self.terms[i - 1].evaluate_vectors(*vectors_in)
-        return zero_vector(self.base.dim)
+    @cached_property
+    def tables(self) -> tuple[dict, ...]:
+        """Bracket of each order 0..order as {increasing n-tuple: {t: c}}."""
+        tables = [
+            {key: {t: x for t, x in enumerate(val) if x} for key, val in self.base.structure}
+        ]
+        for term in self.terms:
+            table: dict = {}
+            for ((key,), t), c in term.coeffs.items():
+                table.setdefault(key, {})[t] = c
+            tables.append(table)
+        return tuple(tables)
 
     def truncated(self, order: int) -> "DeformedAlgebra":
         if order > self.order:
@@ -108,31 +157,26 @@ def nambu_residual(da: DeformedAlgebra, s: int) -> Cochain:
     The zero cochain means the identity holds exactly at that order.
     """
     alg = da.base
-    n = alg.arity
     space = CochainSpace(alg, 2, alg.dim)
+    pairs = [
+        (da.tables[k], da.tables[s - k])
+        for k in range(max(0, s - da.order), min(s, da.order) + 1)
+        if da.tables[k] and da.tables[s - k]
+    ]
     coeffs = {}
     for key in space.domain_keys:
-        xt = key[0]
-        kt = key[1]
-        xs = [basis_vector(alg.dim, i) for i in xt]
-        ys = [basis_vector(alg.dim, i) for i in kt]
-        total = list(zero_vector(alg.dim))
-        for k in range(s + 1):
-            l = s - k
-            if k > da.order or l > da.order:
-                continue
-            inner = da.bracket_order(k, *ys)
-            lhs = da.bracket_order(l, *xs, inner)
-            for t, c in enumerate(lhs):
-                total[t] += c
-            for i in range(n):
-                acted = da.bracket_order(k, *xs, ys[i])
-                term = da.bracket_order(l, *ys[:i], acted, *ys[i + 1 :])
-                for t, c in enumerate(term):
-                    total[t] -= c
-        for t, c in enumerate(total):
-            if c:
-                coeffs[(key, t)] = c
+        xt, kt = key
+        total: dict = {}
+        for inner, outer in pairs:
+            for j, c in inner.get(kt, {}).items():
+                sign, val = _basis(outer, xt + (j,))
+                _add(total, val, sign * c)
+            for i in range(alg.arity):
+                sign, acted = _basis(inner, xt + (kt[i],))
+                for j, c in acted.items():
+                    slot_sign, val = _basis(outer, kt[:i] + (j,) + kt[i + 1 :])
+                    _add(total, val, -sign * slot_sign * c)
+        coeffs.update(((key, t), c) for t, c in total.items())
     return Cochain(space, coeffs)
 
 
@@ -156,15 +200,17 @@ class DeformedMorphism:
     name: str = ""
 
     def __post_init__(self):
+        src, tgt = self.src_def.base, self.tgt_def.base
+        if src.arity != tgt.arity:
+            raise ArityMismatch(f"source arity {src.arity} != target arity {tgt.arity}")
         if self.src_def.order != self.tgt_def.order:
             raise OrderMismatch("source and target truncation orders differ")
         if len(self.phi_terms) != self.order + 1:
             raise OrderMismatch(
                 f"expected {self.order + 1} morphism terms, got {len(self.phi_terms)}"
             )
-        d, dp = self.src_def.base.dim, self.tgt_def.base.dim
         for m in self.phi_terms:
-            if (m.rows, m.cols) != (dp, d):
+            if (m.rows, m.cols) != (tgt.dim, src.dim):
                 raise DimensionMismatch("morphism terms must map source to target")
 
     @property
@@ -187,11 +233,6 @@ class DeformedMorphism:
             self.src_def.base, self.tgt_def.base, self.phi_terms[0], self.name
         )
 
-    def phi_order(self, i: int) -> Matrix:
-        if 0 <= i <= self.order:
-            return self.phi_terms[i]
-        return Matrix.zero(self.tgt_def.base.dim, self.src_def.base.dim)
-
     @cached_property
     def report(self) -> ValidationReport:
         return validate_deformation(self)
@@ -213,31 +254,21 @@ class DeformedMorphism:
 def morphism_residual(dm: DeformedMorphism, s: int) -> Cochain:
     """Order-s defect of the map equation, as a module-valued cochain."""
     src = dm.src_def.base
-    tgt = dm.tgt_def.base
-    n = src.arity
-    space = CochainSpace(src, 1, tgt.dim)
+    space = CochainSpace(src, 1, dm.tgt_def.base.dim)
+    cols = [m.transpose().data for m in dm.phi_terms]
+    src_tables, tgt_tables = dm.src_def.tables, dm.tgt_def.tables
+    top = min(s, dm.order)
     coeffs = {}
     for key in src.bracket_keys():
-        args = [basis_vector(src.dim, i) for i in key]
-        total = list(zero_vector(tgt.dim))
-        for i in range(s + 1):
-            j = s - i
-            if i > dm.order or j > dm.order:
-                continue
-            val = dm.phi_order(i).mul_vector(dm.src_def.bracket_order(j, *args))
-            for t, c in enumerate(val):
-                total[t] += c
-        for j in range(min(s, dm.order) + 1):
-            for split in _compositions(s - j, n):
-                if any(i > dm.order for i in split):
-                    continue
-                imgs = [dm.phi_order(i).mul_vector(a) for i, a in zip(split, args)]
-                val = dm.tgt_def.bracket_order(j, *imgs)
-                for t, c in enumerate(val):
-                    total[t] -= c
-        for t, c in enumerate(total):
-            if c:
-                coeffs[((key,), t)] = c
+        total: dict = {}
+        for i in range(s - top, top + 1):
+            _add(total, _apply(cols[i], src_tables[s - i].get(key, {})))
+        for j in range(top + 1):
+            for split in _compositions(s - j, src.arity):
+                if max(split) <= dm.order:
+                    imgs = [cols[i][a] for i, a in zip(split, key)]
+                    _add(total, _bracket(tgt_tables[j], imgs), -1)
+        coeffs.update((((key,), t), c) for t, c in total.items())
     return Cochain(space, coeffs)
 
 
@@ -301,79 +332,19 @@ def infinitesimal(dm: DeformedMorphism) -> tuple[CochainTriple, bool]:
 def obstruction(dm: DeformedMorphism) -> CochainTriple:
     """Known part of the next-order equations, collected as a degree-2 triple.
 
-    The returned triple is always a cocycle; the deformation extends one
-    order further exactly when it is also a coboundary.
+    It is the order-(N+1) defect of the order-N family itself, with the two
+    bracket parts negated.  The returned triple is always a cocycle; the
+    deformation extends one order further exactly when it is also a
+    coboundary.
     """
     _require_validated(dm, dm.order)
-    big_n = dm.order
-    ob1 = _algebra_obstruction(dm.src_def, big_n)
-    ob2 = _algebra_obstruction(dm.tgt_def, big_n)
-    ob3 = _morphism_obstruction(dm, big_n)
-    return CochainTriple(2, ob1, ob2, ob3)
-
-
-def _algebra_obstruction(da: DeformedAlgebra, big_n: int) -> Cochain:
-    alg = da.base
-    n = alg.arity
-    space = CochainSpace(alg, 2, alg.dim)
-    coeffs = {}
-    for key in space.domain_keys:
-        x1 = [basis_vector(alg.dim, i) for i in key[0]]
-        kt = key[1]
-        x2 = [basis_vector(alg.dim, i) for i in kt[: n - 1]]
-        z = basis_vector(alg.dim, kt[n - 1])
-        total = list(zero_vector(alg.dim))
-        for k in range(1, big_n + 1):
-            l = big_n + 1 - k
-            if l < 1 or k > da.order or l > da.order:
-                continue
-            first = da.bracket_order(l, *x1, da.bracket_order(k, *x2, z))
-            second = da.bracket_order(l, *x2, da.bracket_order(k, *x1, z))
-            for t in range(alg.dim):
-                total[t] += -first[t] + second[t]
-            for i in range(n - 1):
-                acted = da.bracket_order(k, *x1, x2[i])
-                term = da.bracket_order(l, *x2[:i], acted, *x2[i + 1 :], z)
-                for t, c in enumerate(term):
-                    total[t] += c
-        for t, c in enumerate(total):
-            if c:
-                coeffs[(key, t)] = c
-    return Cochain(space, coeffs)
-
-
-def _morphism_obstruction(dm: DeformedMorphism, big_n: int) -> Cochain:
-    src = dm.src_def.base
-    tgt = dm.tgt_def.base
-    n = src.arity
-    space = CochainSpace(src, 1, tgt.dim)
-    coeffs = {}
-    for key in src.bracket_keys():
-        args = [basis_vector(src.dim, i) for i in key]
-        total = list(zero_vector(tgt.dim))
-        for i in range(1, big_n + 1):
-            j = big_n + 1 - i
-            if j < 1 or i > dm.order or j > dm.order:
-                continue
-            val = dm.phi_order(i).mul_vector(dm.src_def.bracket_order(j, *args))
-            for t, c in enumerate(val):
-                total[t] += c
-        for j in range(0, big_n + 1):
-            if j > dm.order:
-                continue
-            for split in _compositions(big_n + 1 - j, n):
-                if any(i > big_n for i in split):
-                    continue  # indices above the known orders are unknowns
-                if any(i > dm.order for i in split):
-                    continue
-                imgs = [dm.phi_order(i).mul_vector(a) for i, a in zip(split, args)]
-                val = dm.tgt_def.bracket_order(j, *imgs)
-                for t, c in enumerate(val):
-                    total[t] -= c
-        for t, c in enumerate(total):
-            if c:
-                coeffs[((key,), t)] = c
-    return Cochain(space, coeffs)
+    s = dm.order + 1
+    return CochainTriple(
+        2,
+        nambu_residual(dm.src_def, s).scale(-1),
+        nambu_residual(dm.tgt_def, s).scale(-1),
+        morphism_residual(dm, s),
+    )
 
 
 def extend_order(dm: DeformedMorphism) -> Optional[CochainTriple]:
@@ -496,7 +467,7 @@ def apply_automorphism(
         for a in range(s + 1):
             for i in range(s - a + 1):
                 b = s - a - i
-                acc = acc.add(psi_tgt.term(a).mul(dm.phi_order(i)).mul(inv_src.term(b)))
+                acc = acc.add(psi_tgt.term(a).mul(dm.phi_terms[i]).mul(inv_src.term(b)))
         phi_terms.append(acc)
     return DeformedMorphism(new_src, new_tgt, tuple(phi_terms), dm.name)
 
@@ -508,24 +479,20 @@ def _conjugate_brackets(
     k: int,
 ) -> DeformedAlgebra:
     alg = da.base
-    n = alg.arity
     space = degree1_space(alg)
+    psi_cols = [psi.term(a).transpose().data for a in range(k + 1)]
+    inv_cols = [inv.term(b).transpose().data for b in range(k + 1)]
     new_terms = []
     for s in range(1, k + 1):
         coeffs = {}
         for key in alg.bracket_keys():
-            total = list(zero_vector(alg.dim))
+            total: dict = {}
             for a in range(s + 1):
-                for j in range(s - a + 1):
-                    rest = s - a - j
-                    for split in _compositions(rest, n):
-                        args = [inv.term(b).column(i) for b, i in zip(split, key)]
-                        val = psi.term(a).mul_vector(da.bracket_order(j, *args))
-                        for t, c in enumerate(val):
-                            total[t] += c
-            for t, c in enumerate(total):
-                if c:
-                    coeffs[((key,), t)] = c
+                for j in range(min(s - a, da.order) + 1):
+                    for split in _compositions(s - a - j, alg.arity):
+                        args = [inv_cols[b][i] for b, i in zip(split, key)]
+                        _add(total, _apply(psi_cols[a], _bracket(da.tables[j], args)))
+            coeffs.update((((key,), t), c) for t, c in total.items())
         new_terms.append(Cochain(space, coeffs))
     return DeformedAlgebra(alg, k, tuple(new_terms))
 

@@ -237,3 +237,150 @@ def oracle_rref(rows):
         if pr == nrows:
             break
     return m, pivots
+
+
+# -- deformation equations --------------------------------------------------
+# Dense reference loops for the order-by-order deformation equations: every
+# bracket is evaluated on dense vectors, the base one through
+# ``NLieAlgebra.bracket`` and the higher orders through
+# ``Cochain.evaluate_vectors``.
+
+
+def _compositions(total, parts):
+    return [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
+
+
+def oracle_bracket_order(da, i, *vectors):
+    """Coefficient of the i-th parameter power on dense vectors."""
+    if i == 0:
+        return da.base.bracket(*vectors)
+    if i <= da.order:
+        return da.terms[i - 1].evaluate_vectors(*vectors)
+    return tuple(Fraction(0) for _ in range(da.base.dim))
+
+
+def _phi_order(dm, i):
+    if 0 <= i <= dm.order:
+        return dm.phi_terms[i]
+    return Matrix.zero(dm.tgt_def.base.dim, dm.src_def.base.dim)
+
+
+def _coeffs(key, total):
+    return {(key, t): c for t, c in enumerate(total) if c}
+
+
+def oracle_nambu_residual(da, s):
+    """Order-s coefficient of the fundamental-identity defect."""
+    alg = da.base
+    n, d = alg.arity, alg.dim
+    space = CochainSpace(alg, 2, d)
+    coeffs = {}
+    for key in space.domain_keys:
+        xs = [_unit(d, i) for i in key[0]]
+        ys = [_unit(d, i) for i in key[1]]
+        total = [Fraction(0)] * d
+        for k in range(s + 1):
+            l = s - k
+            if k > da.order or l > da.order:
+                continue
+            inner = oracle_bracket_order(da, k, *ys)
+            lhs = oracle_bracket_order(da, l, *xs, inner)
+            for t, c in enumerate(lhs):
+                total[t] += c
+            for i in range(n):
+                acted = oracle_bracket_order(da, k, *xs, ys[i])
+                term = oracle_bracket_order(da, l, *ys[:i], acted, *ys[i + 1 :])
+                for t, c in enumerate(term):
+                    total[t] -= c
+        coeffs.update(_coeffs(key, total))
+    return Cochain(space, coeffs)
+
+
+def oracle_morphism_residual(dm, s):
+    """Order-s defect of the map equation, as a module-valued cochain."""
+    src, tgt = dm.src_def.base, dm.tgt_def.base
+    n = src.arity
+    space = CochainSpace(src, 1, tgt.dim)
+    coeffs = {}
+    for key in src.bracket_keys():
+        args = [_unit(src.dim, i) for i in key]
+        total = [Fraction(0)] * tgt.dim
+        for i in range(s + 1):
+            j = s - i
+            if i > dm.order or j > dm.order:
+                continue
+            val = _phi_order(dm, i).mul_vector(oracle_bracket_order(dm.src_def, j, *args))
+            for t, c in enumerate(val):
+                total[t] += c
+        for j in range(min(s, dm.order) + 1):
+            for split in _compositions(s - j, n):
+                if any(i > dm.order for i in split):
+                    continue
+                imgs = [_phi_order(dm, i).mul_vector(a) for i, a in zip(split, args)]
+                val = oracle_bracket_order(dm.tgt_def, j, *imgs)
+                for t, c in enumerate(val):
+                    total[t] -= c
+        coeffs.update(_coeffs((key,), total))
+    return Cochain(space, coeffs)
+
+
+def oracle_algebra_obstruction(da, big_n):
+    """Known part of the order-(N+1) fundamental identity, written with the
+    last argument z split off: -[x1, [x2, z]] + [x2, [x1, z]] + the slot
+    terms, summed over the pairs of orders k, l >= 1 with k + l = N + 1."""
+    alg = da.base
+    n, d = alg.arity, alg.dim
+    space = CochainSpace(alg, 2, d)
+    coeffs = {}
+    for key in space.domain_keys:
+        x1 = [_unit(d, i) for i in key[0]]
+        kt = key[1]
+        x2 = [_unit(d, i) for i in kt[: n - 1]]
+        z = _unit(d, kt[n - 1])
+        total = [Fraction(0)] * d
+        for k in range(1, big_n + 1):
+            l = big_n + 1 - k
+            if l < 1 or k > da.order or l > da.order:
+                continue
+            first = oracle_bracket_order(da, l, *x1, oracle_bracket_order(da, k, *x2, z))
+            second = oracle_bracket_order(da, l, *x2, oracle_bracket_order(da, k, *x1, z))
+            for t in range(d):
+                total[t] += -first[t] + second[t]
+            for i in range(n - 1):
+                acted = oracle_bracket_order(da, k, *x1, x2[i])
+                term = oracle_bracket_order(da, l, *x2[:i], acted, *x2[i + 1 :], z)
+                for t, c in enumerate(term):
+                    total[t] += c
+        coeffs.update(_coeffs(key, total))
+    return Cochain(space, coeffs)
+
+
+def oracle_morphism_obstruction(dm, big_n):
+    """Known part of the order-(N+1) map equation: every product of known
+    terms, the unknown order-(N+1) ones left out."""
+    src, tgt = dm.src_def.base, dm.tgt_def.base
+    n = src.arity
+    space = CochainSpace(src, 1, tgt.dim)
+    coeffs = {}
+    for key in src.bracket_keys():
+        args = [_unit(src.dim, i) for i in key]
+        total = [Fraction(0)] * tgt.dim
+        for i in range(1, big_n + 1):
+            j = big_n + 1 - i
+            if j < 1 or i > dm.order or j > dm.order:
+                continue
+            val = _phi_order(dm, i).mul_vector(oracle_bracket_order(dm.src_def, j, *args))
+            for t, c in enumerate(val):
+                total[t] += c
+        for j in range(0, big_n + 1):
+            if j > dm.order:
+                continue
+            for split in _compositions(big_n + 1 - j, n):
+                if any(i > big_n or i > dm.order for i in split):
+                    continue
+                imgs = [_phi_order(dm, i).mul_vector(a) for i, a in zip(split, args)]
+                val = oracle_bracket_order(dm.tgt_def, j, *imgs)
+                for t, c in enumerate(val):
+                    total[t] -= c
+        coeffs.update(_coeffs((key,), total))
+    return Cochain(space, coeffs)

@@ -3,6 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from catalog import full_catalog
+from oracles import (
+    oracle_algebra_obstruction,
+    oracle_morphism_obstruction,
+    oracle_morphism_residual,
+    oracle_nambu_residual,
+)
+
+from nliecoh.algebra import NLieAlgebra
 from nliecoh.cochains import Cochain, CochainSpace
 from nliecoh.corpus import automorphism, degree1_cochain
 from nliecoh.deformations import (
@@ -17,11 +26,12 @@ from nliecoh.deformations import (
     formal_inverse,
     infinitesimal,
     linear_map_cochain,
+    morphism_residual,
     nambu_residual,
     obstruction,
     validate_deformation,
 )
-from nliecoh.errors import NotValidated, ObstructionNotCocycle, OrderMismatch
+from nliecoh.errors import ArityMismatch, NotValidated, ObstructionNotCocycle, OrderMismatch
 from nliecoh.linalg import Matrix, basis_vector, zero_vector
 from nliecoh.morphisms import CochainTriple, Morphism, triple_complex
 
@@ -125,12 +135,109 @@ def test_obstruction_vs_quadratic_residual(def_identity_pair, def_order1):
         assert tc.is_cocycle(ob)
 
 
+def _random_term(rng, alg):
+    space = CochainSpace(alg, 1, alg.dim)
+    return Cochain(
+        space,
+        {
+            (key, t): rng.randint(-2, 2)
+            for key in space.domain_keys
+            for t in range(alg.dim)
+            if rng.random() < 0.5
+        },
+    )
+
+
+def _random_deformation(rng, src, tgt, order):
+    """Random bracket terms (almost never cocycles) and dense map terms."""
+    return DeformedMorphism(
+        DeformedAlgebra(src, order, tuple(_random_term(rng, src) for _ in range(order))),
+        DeformedAlgebra(tgt, order, tuple(_random_term(rng, tgt) for _ in range(order))),
+        tuple(
+            Matrix.from_rows(
+                [[rng.randint(-2, 2) for _ in range(src.dim)] for _ in range(tgt.dim)]
+            )
+            for _ in range(order + 1)
+        ),
+    )
+
+
+def _catalog_pairs(rng, count):
+    """Random catalog pairs of equal arity."""
+    catalog = full_catalog()
+    pairs = []
+    while len(pairs) < count:
+        src, tgt = rng.choice(catalog), rng.choice(catalog)
+        if src.arity == tgt.arity:
+            pairs.append((src, tgt))
+    return pairs
+
+
+def _oracle_obstruction(dm):
+    return CochainTriple(
+        2,
+        oracle_algebra_obstruction(dm.src_def, dm.order),
+        oracle_algebra_obstruction(dm.tgt_def, dm.order),
+        oracle_morphism_obstruction(dm, dm.order),
+    )
+
+
+def _same_triple(a, b):
+    return (a.c1.coeffs, a.c2.coeffs, a.c3.coeffs) == (b.c1.coeffs, b.c2.coeffs, b.c3.coeffs)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_residuals_and_obstruction_match_dense_oracle(order, monkeypatch):
+    """The table-driven residuals and obstruction agree coefficient for
+    coefficient with the dense loops on random, non-cocycle data."""
+    import nliecoh.deformations as dfm
+
+    monkeypatch.setattr(dfm, "_require_validated", lambda dm, through: None)
+    rng = random.Random(900 + order)
+    nonzero_parts = set()
+    for src, tgt in _catalog_pairs(rng, 6):
+        dm = _random_deformation(rng, src, tgt, order)
+        for s in range(order + 2):
+            for da in (dm.src_def, dm.tgt_def):
+                assert nambu_residual(da, s).coeffs == oracle_nambu_residual(da, s).coeffs
+            assert morphism_residual(dm, s).coeffs == oracle_morphism_residual(dm, s).coeffs
+        ob = obstruction(dm)
+        assert _same_triple(ob, _oracle_obstruction(dm))
+        parts = (ob.c1, ob.c2, ob.c3)
+        nonzero_parts.update(i for i, c in enumerate(parts) if not c.is_zero())
+    assert nonzero_parts == {0, 1, 2}
+
+
+def test_obstruction_matches_dense_oracle_on_valid_families(
+    def_order1, def_order2, def_identity_pair
+):
+    """Validated families, and dense equivalent ones obtained by random
+    automorphism pairs, give the oracle's obstruction."""
+    rng = random.Random(23)
+    cases = [def_order1, def_identity_pair] + [def_order2.truncated(k) for k in range(3)]
+    for dm in list(cases):
+        d, dp = dm.src_def.base.dim, dm.tgt_def.base.dim
+        psi_n, psi_t = (
+            FormalAutomorphism(
+                dim,
+                dm.order,
+                tuple(
+                    Matrix.from_rows([[rng.randint(-1, 1) for _ in range(dim)] for _ in range(dim)])
+                    for _ in range(dm.order)
+                ),
+            )
+            for dim in (d, dp)
+        )
+        cases.append(apply_automorphism(dm, psi_n, psi_t))
+    for dm in cases:
+        assert dm.report.is_valid
+        assert _same_triple(obstruction(dm), _oracle_obstruction(dm))
+
+
 def test_obstruction_identity_for_arbitrary_terms(alg_a1):
     """The defect/obstruction relation is an algebraic identity in the
     first-order term, so it must hold for a random non-cocycle too, where
     both sides are nonzero."""
-    from nliecoh.deformations import _algebra_obstruction
-
     rng = random.Random(77)
     space = CochainSpace(alg_a1, 1, 4)
     term = Cochain(
@@ -143,9 +250,32 @@ def test_obstruction_identity_for_arbitrary_terms(alg_a1):
     )
     da = DeformedAlgebra(alg_a1, 1, (term,))
     res = nambu_residual(da, 2)
-    ob = _algebra_obstruction(da, 1)
+    ob = oracle_algebra_obstruction(da, 1)
     assert not ob.is_zero()
     assert res.coeffs == ob.scale(-1).coeffs
+
+
+def test_obstruction_morphism_part_is_next_order_residual():
+    """The map part of the obstruction is the order-(N+1) defect of the map
+    equation itself, not negated, for arbitrary terms at every order."""
+    rng = random.Random(78)
+    for src, tgt in _catalog_pairs(rng, 6):
+        for order in (1, 2, 3):
+            dm = _random_deformation(rng, src, tgt, order)
+            ob = oracle_morphism_obstruction(dm, order)
+            assert not ob.is_zero()
+            assert morphism_residual(dm, order + 1).coeffs == ob.coeffs
+
+
+def test_arity_mismatch_rejected(phi_a3_b3):
+    ternary = phi_a3_b3.source
+    binary = NLieAlgebra.abelian("ab2", 2, ternary.dim)
+    with pytest.raises(ArityMismatch):
+        DeformedMorphism(
+            DeformedAlgebra.trivial(ternary, 1),
+            DeformedAlgebra.trivial(binary, 1),
+            (Matrix.zero(binary.dim, ternary.dim),) * 2,
+        )
 
 
 def test_obstruction_equals_coboundary_of_discarded_terms(def_order2):

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nliecoh import jsonio
 from nliecoh.cli import main
@@ -320,3 +322,151 @@ def test_cli_validate_morphism_and_deformation_files():
                  "aut_a3_scaling.json"):
         out = run_cli("validate", str(DATA / name))
         assert out.returncode == 0, name
+
+
+# -- deformation files -------------------------------------------------------------
+
+
+def _deformation_obj(name="def_a3_b3_1.json"):
+    return json.loads((DATA / name).read_text())
+
+
+@pytest.mark.parametrize("subcommand", ["check", "obstruction", "extend"])
+def test_cli_rejects_deformation_arity_mismatch(tmp_path, subcommand):
+    obj = _deformation_obj()
+    obj["target"] = {"name": "ab2", "arity": 2, "dimension": 4,
+                     "basis": ["f1", "f2", "f3", "f4"], "brackets": []}
+    obj["target_terms"] = [{"degree": 1, "target": "self", "entries": []}]
+    p = tmp_path / "mixed_arity.json"
+    p.write_text(json.dumps(obj))
+    out = run_cli("deform", subcommand, str(p))
+    assert out.returncode == 2
+    assert "arity" in out.stdout
+
+
+def test_cli_rejects_automorphism_of_wrong_dimension(tmp_path, capsys):
+    p = tmp_path / "aut3.json"
+    p.write_text(json.dumps({"dimension": 3, "order": 1, "terms": [[["0"] * 3] * 3]}))
+    status = main(["deform", "transform", str(DATA / "def_a3_b3_1.json"),
+                   "--psi-source", str(p), "--psi-target", str(DATA / "aut_b3_identity.json")])
+    assert status == 2
+    report = capsys.readouterr().out
+    assert str(p) in report and "expected 4" in report
+
+
+# Every README deform command (the transform without --emit, whose path
+# would enter the report), and obstruction/extend/transform at the full
+# order of the order-2 family.
+DEFORM_GOLDEN = {
+    "check_a3_b3_1": ["deform", "check", "def_a3_b3_1.json"],
+    "infinitesimal_a3_b3_1": ["deform", "infinitesimal", "def_a3_b3_1.json"],
+    "obstruction_a3_b3_order2_o1": ["deform", "obstruction", "def_a3_b3_order2.json",
+                                    "--order", "1"],
+    "extend_a3_b3_order2_o1": ["deform", "extend", "def_a3_b3_order2.json", "--order", "1"],
+    "transform_a3_b3_1": ["deform", "transform", "def_a3_b3_1.json", "--psi-source",
+                          "aut_a3_scaling.json", "--psi-target", "aut_b3_identity.json"],
+    "obstruction_a3_b3_order2": ["deform", "obstruction", "def_a3_b3_order2.json"],
+    "extend_a3_b3_order2": ["deform", "extend", "def_a3_b3_order2.json"],
+    "transform_a3_b3_order2": ["deform", "transform", "def_a3_b3_order2.json", "--psi-source",
+                               "aut_a3_scaling.json", "--psi-target", "aut_b3_identity.json"],
+}
+
+
+@pytest.mark.parametrize("name", DEFORM_GOLDEN)
+def test_deform_reports_match_golden(name, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    args = [f"src/nliecoh/data/{a}" if a.endswith(".json") else a for a in DEFORM_GOLDEN[name]]
+    assert main(["--output", "json", *args]) == 0
+    golden = ROOT / "tests" / "golden" / f"deform_{name}.json"
+    assert capsys.readouterr().out == golden.read_text(), f"golden drift for {name}"
+
+
+# -- fuzzing the deformation and automorphism files ------------------------------------
+
+
+def _set(path, value):
+    def mutate(obj):
+        *head, last = path
+        for step in head:
+            obj = obj[step]
+        obj[last] = value
+    return mutate
+
+
+def _resize(path, count):
+    """Truncate or repeat the list at ``path`` to ``count`` items."""
+    def mutate(obj):
+        *head, last = path
+        for step in head:
+            obj = obj[step]
+        items = obj[last]
+        obj[last] = [items[i % len(items)] for i in range(count)] if items else [[]] * count
+    return mutate
+
+
+_small = st.integers(-1, 6)
+_index_list = st.lists(_small, max_size=5)
+_entry = st.integers(0, 3)
+_rational = st.sampled_from(["1", "-1", "2/3", "1/0"])
+_DEF_MUTATIONS = st.one_of(
+    st.builds(_set, st.sampled_from([("source", "arity"), ("target", "arity")]), _small),
+    st.builds(_set, st.sampled_from([("source", "dimension"), ("target", "dimension")]), _small),
+    st.builds(_set, st.just(("order",)), st.integers(-2, 4)),
+    st.builds(
+        _resize,
+        st.sampled_from([("source_terms",), ("target_terms",), ("morphism_terms",)]),
+        st.integers(0, 4),
+    ),
+    st.builds(_set, st.sampled_from([("source", "brackets", 0, "args"),
+                                     ("target", "brackets", 0, "args")]), _index_list),
+    st.builds(_set, st.sampled_from([("source_terms", 0, "entries", 0, "last"),
+                                     ("source_terms", 0, "entries", 0, "blocks")]),
+              st.one_of(_index_list, st.lists(_index_list, max_size=2))),
+    st.builds(_resize, st.sampled_from([("morphism_terms", 0), ("morphism_terms", 1, 2)]),
+              st.integers(0, 6)),
+    st.builds(_set, st.tuples(st.just("morphism_terms"), st.integers(0, 1), _entry, _entry),
+              _rational),
+    st.builds(_set, st.just(("source_terms", 0, "entries", 0, "value")), _rational),
+)
+_AUT_MUTATIONS = st.one_of(
+    st.builds(_set, st.just(("dimension",)), _small),
+    st.builds(_set, st.just(("order",)), st.integers(-2, 3)),
+    st.builds(_resize, st.sampled_from([("terms",), ("terms", 0), ("terms", 0, 1)]),
+              st.integers(0, 6)),
+    st.builds(_set, st.tuples(st.just("terms"), st.just(0), _entry, _entry), _rational),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    source=st.sampled_from(["def_a3_b3_1.json", "def_a3_b3_order2.json"]),
+    mutations=st.lists(_DEF_MUTATIONS, max_size=2),
+    aut_mutations=st.lists(_AUT_MUTATIONS, max_size=2),
+    subcommand=st.sampled_from(["check", "infinitesimal", "obstruction", "extend", "transform"]),
+)
+def test_fuzz_deform_inputs_never_raise(source, mutations, aut_mutations, subcommand):
+    """Mutated deformation and automorphism files end in exit 0, 1 or 2,
+    never in an uncaught exception."""
+    import contextlib
+    import io
+    import tempfile
+
+    obj = _deformation_obj(source)
+    aut = json.loads((DATA / "aut_a3_scaling.json").read_text())
+    for mutate in mutations:
+        with contextlib.suppress(IndexError, KeyError, TypeError):
+            mutate(obj)
+    for mutate in aut_mutations:
+        with contextlib.suppress(IndexError, KeyError, TypeError):
+            mutate(aut)
+    with tempfile.TemporaryDirectory() as tmp:
+        def_path, aut_path = Path(tmp) / "def.json", Path(tmp) / "aut.json"
+        def_path.write_text(json.dumps(obj))
+        aut_path.write_text(json.dumps(aut))
+        args = ["deform", subcommand, str(def_path)]
+        if subcommand == "transform":
+            args += ["--psi-source", str(aut_path),
+                     "--psi-target", str(DATA / "aut_b3_identity.json")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(args) in (0, 1, 2)
