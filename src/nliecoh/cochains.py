@@ -242,8 +242,13 @@ def eval_key_combo(
 # slot by skewness.  The self complex is the case phi = identity.
 
 
+def _exact(x: Fraction):
+    """x, as an int when integral: integral tables run on int arithmetic."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def _sparse_bracket(alg: NLieAlgebra, idxs: tuple) -> dict:
-    return {t: x for t, x in enumerate(alg.bracket_on_basis(idxs)) if x}
+    return {t: _exact(x) for t, x in enumerate(alg.bracket_on_basis(idxs)) if x}
 
 
 def _derivation(sign, bracket, w: tuple, u: tuple) -> dict:
@@ -286,7 +291,7 @@ class _Tables:
         phi_cols: list[dict] = [{} for _ in range(src.dim)]
         for i, row in enumerate(phi.data):
             for j, x in row.items():
-                phi_cols[j][i] = x
+                phi_cols[j][i] = _exact(x)
         self.sign = cache(sort_sign)
         self.src_bracket = cache(partial(_sparse_bracket, src))
         tgt_bracket = self.src_bracket if tgt is src else cache(partial(_sparse_bracket, tgt))
@@ -453,15 +458,12 @@ def cohomology(delta_in: Optional[Matrix], delta_out: Matrix) -> CohomologyRepor
         if not delta_out.mul(delta_in).is_zero():
             raise BrokenComplex("consecutive differentials do not compose to zero")
     z_basis = kernel_basis(delta_out)
-    if delta_in is None:
-        b_basis: list[Vector] = []
-    else:
-        b_basis = [
-            delta_in.column(j)
-            for j in range(delta_in.cols)
-        ]
+    b_basis: list[Vector] = []
+    if delta_in is not None:
+        columns = delta_in.transpose()
+        b_basis = [columns.row(j) for j in range(columns.rows)]
     dim_h, reps = quotient_data(z_basis, b_basis)
-    dim_b = (len(z_basis) - dim_h)
+    dim_b = len(z_basis) - dim_h
     return CohomologyReport(
         dim_z=len(z_basis),
         dim_b=dim_b,

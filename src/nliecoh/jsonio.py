@@ -19,7 +19,7 @@ from typing import Optional, Union
 from .algebra import NLieAlgebra
 from .cochains import Cochain, CochainSpace
 from .deformations import DeformedAlgebra, DeformedMorphism, FormalAutomorphism
-from .errors import ParseError
+from .errors import ArityMismatch, DimensionMismatch, ParseError
 from .linalg import Matrix
 from .morphisms import CochainTriple, Morphism
 
@@ -55,6 +55,14 @@ def _expect(obj, key, kind, where):
         not isinstance(value, kind) or (kind is int and isinstance(value, bool))
     ):
         raise ParseError(f"{where}: key {key!r} has wrong type")
+    return value
+
+
+def _name(obj, name: str, where: str) -> str:
+    """``name`` if given, else the file's optional "name" key."""
+    value = name or obj.get("name", "")
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: key 'name' has wrong type")
     return value
 
 
@@ -165,7 +173,10 @@ def morphism_from_json(
     matrix = matrix_from_json(
         _expect(obj, "matrix", list, where), (target.dim, source.dim), where
     )
-    return Morphism(source, target, matrix, name or obj.get("name", ""))
+    try:
+        return Morphism(source, target, matrix, _name(obj, name, where))
+    except (ArityMismatch, DimensionMismatch) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def morphism_to_json(phi: Morphism) -> dict:
@@ -185,6 +196,8 @@ def cochain_from_json(
     obj: dict, source: NLieAlgebra, target_dim: int, where: str = "cochain"
 ) -> Cochain:
     degree = _expect(obj, "degree", int, where)
+    if degree < 0:
+        raise ParseError(f"{where}: cochain degree must be nonnegative")
     space = CochainSpace(source, degree, target_dim)
     n = source.arity
     coeffs: dict = {}
@@ -274,12 +287,13 @@ def deformation_from_json(
         matrix_from_json(m, (target.dim, source.dim), f"{where}.morphism_terms[{i}]")
         for i, m in enumerate(phi_rows)
     ]
+    label = _name(obj, name, where)
     try:
         return DeformedMorphism(
             DeformedAlgebra(source, order, tuple(src_terms)),
             DeformedAlgebra(target, order, tuple(tgt_terms)),
             tuple(phis),
-            name or obj.get("name", ""),
+            label,
         )
     except Exception as exc:
         raise ParseError(f"{where}: {exc}") from exc

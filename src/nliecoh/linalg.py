@@ -11,7 +11,6 @@ elimination over integer rows.
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -62,6 +61,14 @@ class _Row(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
 
+class _SharedInts(dict):
+    """int -> Fraction, each made once, so equal int entries share one."""
+
+    def __missing__(self, x: int) -> Fraction:
+        q = self[x] = Fraction(x)
+        return q
+
+
 class Matrix:
     """Immutable sparse matrix of Fractions: row i is ``data[i]``, a
     read-only dict mapping each column to its nonzero entry."""
@@ -75,7 +82,11 @@ class Matrix:
         self._fill(rows, cols, [dict(enumerate(r)) for r in dense])
 
     def _fill(self, rows: int, cols: int, data: Iterable[dict]) -> None:
-        tup = tuple(_Row({j: q for j, x in r.items() if (q := frac(x))}) for r in data)
+        ints = _SharedInts()
+        tup = tuple(
+            _Row({j: q for j, x in r.items() if (q := ints[x] if type(x) is int else frac(x))})
+            for r in data
+        )
         if len(tup) != rows or any(r and not (min(r) >= 0 and max(r) < cols) for r in tup):
             raise DimensionMismatch(f"sparse rows do not fit {rows}x{cols}")
         object.__setattr__(self, "rows", rows)
@@ -274,7 +285,8 @@ def _echelon(rows: Iterable[dict]) -> list[tuple[int, dict[int, int]]]:
 
 
 def _sparse(v: Sequence) -> dict[int, Fraction]:
-    return {j: q for j, x in enumerate(v) if x and (q := frac(x))}
+    # dense vectors made here pad with the shared _ZERO: skip it by identity
+    return {j: q for j, x in enumerate(v) if x is not _ZERO and x and (q := frac(x))}
 
 
 def rank(m: Matrix) -> int:
@@ -312,47 +324,6 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     return tuple(x)
 
 
-class RowSpace:
-    """Incremental echelon accumulator for span membership and rank."""
-
-    def __init__(self, vectors: Iterable[Sequence] = ()):  # rows
-        self._rows: dict[int, dict] = {}  # pivot column -> row with unit pivot
-        self._pivots: list[int] = []  # ascending
-        for v in vectors:
-            self.add(v)
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def _reduce(self, v: Sequence) -> dict[int, Fraction]:
-        w = _sparse(v)
-        for pc in self._pivots:
-            c = w.get(pc)
-            if c:
-                for j, x in self._rows[pc].items():
-                    y = w.get(j, _ZERO) - c * x
-                    if y:
-                        w[j] = y
-                    else:
-                        del w[j]
-        return w
-
-    def contains(self, v: Sequence) -> bool:
-        return not self._reduce(v)
-
-    def add(self, v: Sequence) -> bool:
-        """Insert v; returns True when it enlarged the span."""
-        w = self._reduce(v)
-        if not w:
-            return False
-        pc = min(w)
-        inv = 1 / w[pc]
-        self._rows[pc] = {j: x * inv for j, x in w.items()}
-        insort(self._pivots, pc)
-        return True
-
-
 def quotient_data(
     z_basis: Sequence[Sequence], b_basis: Sequence[Sequence]
 ) -> tuple[int, list[Vector]]:
@@ -360,20 +331,30 @@ def quotient_data(
 
     Raises SubspaceViolation when some b vector lies outside span(z_basis),
     which signals a broken complex upstream.  Representatives are drawn from
-    z_basis itself, so they are genuine cocycles when z_basis is.
+    z_basis itself, greedily (each z outside the span of the b vectors and
+    the z before it), so they are genuine cocycles when z_basis is.
+
+    With Z reduced to rows with pivot columns P, restriction to P is
+    injective on span Z.  The representatives are then the pivot columns,
+    past the b vectors, of the columns b_1..b_m, z_1..z_k restricted to P.
     """
-    zspace = RowSpace(z_basis)
-    for b in b_basis:
-        if not zspace.contains(b):
-            raise SubspaceViolation(
-                "coboundary vector outside the cocycle span"
-            )
-    acc = RowSpace(b_basis)
-    rank_b = acc.rank
-    reps: list[Vector] = []
-    for z in z_basis:
-        if acc.add(z):
-            reps.append(vector(z))
-    dim = zspace.rank - rank_b
+    zs = [_sparse(z) for z in z_basis]
+    bs = [_sparse(b) for b in b_basis]
+    reduced = _echelon(zs)
+    for b in bs:
+        # the rows are back-substituted: each pivot column lies in one row
+        hits = [(pc, r) for pc, r in reduced if pc in b]
+        m = lcm(*(r[pc] for pc, r in hits))
+        w = {j: m * v for j, v in _scaled(b)[1].items()}
+        for pc, r in hits:
+            f = w[pc] // r[pc]
+            for j, v in r.items():
+                w[j] = w.get(j, 0) - f * v
+        if any(w.values()):
+            raise SubspaceViolation("coboundary vector outside the cocycle span")
+    restricted = [{i: v[pc] for i, v in enumerate(bs + zs) if pc in v} for pc, _ in reduced]
+    pivots = [pc for pc, _ in _echelon(restricted)]
+    reps = [vector(z_basis[pc - len(bs)]) for pc in pivots if pc >= len(bs)]
+    dim = len(reduced) - (len(pivots) - len(reps))
     assert dim == len(reps)
     return dim, reps

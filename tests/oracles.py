@@ -7,10 +7,12 @@ indicator cochains.  No canonicalization shortcuts from the package's
 assembly path are reused, so agreement is a genuine two-route check.
 """
 
+from bisect import insort
 from fractions import Fraction
 from itertools import combinations, product
 
 from nliecoh.cochains import Cochain, CochainSpace
+from nliecoh.errors import SubspaceViolation
 from nliecoh.linalg import Matrix
 
 
@@ -237,6 +239,64 @@ def oracle_rref(rows):
         if pr == nrows:
             break
     return m, pivots
+
+
+class RowSpace:
+    """Incremental Fraction echelon accumulator for span membership and rank.
+
+    The reference for ``linalg.quotient_data``, which runs on the integer
+    kernel instead.
+    """
+
+    def __init__(self, vectors=()):
+        self._rows = {}  # pivot column -> sparse row with unit pivot
+        self._pivots = []  # ascending
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def rank(self):
+        return len(self._pivots)
+
+    def _reduce(self, v):
+        w = {j: Fraction(x) for j, x in enumerate(v) if x}
+        for pc in self._pivots:
+            c = w.get(pc)
+            if c:
+                for j, x in self._rows[pc].items():
+                    y = w.get(j, Fraction(0)) - c * x
+                    if y:
+                        w[j] = y
+                    else:
+                        del w[j]
+        return w
+
+    def contains(self, v):
+        return not self._reduce(v)
+
+    def add(self, v):
+        """Insert v; returns True when it enlarged the span."""
+        w = self._reduce(v)
+        if not w:
+            return False
+        pc = min(w)
+        inv = 1 / w[pc]
+        self._rows[pc] = {j: x * inv for j, x in w.items()}
+        insort(self._pivots, pc)
+        return True
+
+
+def oracle_quotient(z_basis, b_basis):
+    """``(dim, reps)`` of span(z_basis)/span(b_basis) by greedy insertion,
+    raising SubspaceViolation for a b vector outside span(z_basis)."""
+    zspace = RowSpace(z_basis)
+    if not all(zspace.contains(b) for b in b_basis):
+        raise SubspaceViolation("coboundary vector outside the cocycle span")
+    acc = RowSpace(b_basis)
+    dim = zspace.rank - acc.rank
+    reps = [tuple(Fraction(x) for x in z) for z in z_basis if acc.add(z)]
+    assert dim == len(reps)
+    return dim, reps
 
 
 # -- deformation equations --------------------------------------------------

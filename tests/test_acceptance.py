@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from catalog import full_catalog
-from oracles import oracle_matrix
+from oracles import RowSpace, oracle_matrix
 
 from nliecoh.algebra import (
     FundamentalObject,
@@ -56,7 +56,7 @@ from nliecoh.deformations import (
     obstruction,
     validate_deformation,
 )
-from nliecoh.linalg import RowSpace, basis_vector, kernel_basis, rank
+from nliecoh.linalg import basis_vector, kernel_basis, rank
 from nliecoh.morphisms import CochainTriple, triple_complex
 
 ROOT = Path(__file__).resolve().parent.parent

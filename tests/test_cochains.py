@@ -4,10 +4,11 @@ from itertools import permutations
 
 import pytest
 
+from catalog import _random_invertible, conjugate
 from oracles import oracle_delta_eval, oracle_matrix
 
 from nliecoh.algebra import FundamentalObject, NLieAlgebra
-from nliecoh.corpus import MORPHISM_FILES, morphism
+from nliecoh.corpus import MORPHISM_FILES, algebra, morphism
 from nliecoh.cochains import (
     Cochain,
     CochainSpace,
@@ -26,6 +27,7 @@ from nliecoh.errors import (
     InvalidMorphism,
 )
 from nliecoh.linalg import Matrix, basis_vector, zero_vector
+from nliecoh.morphisms import Morphism, triple_complex
 
 
 def unit(d, i):
@@ -266,3 +268,45 @@ def test_both_matrices_zero_gives_full_dim():
     space_dim = CochainSpace(alg, 1, 3).dim
     rep = self_cohomology(alg, 2)
     assert rep.dim_h == space_dim
+
+
+def _dense_conjugate_a1():
+    p, p_inv = _random_invertible(random.Random(3), 4)
+    return conjugate(algebra("a1"), p, p_inv, "a1~dense")
+
+
+def _entries(m: Matrix):
+    return [x for row in m.data for x in row.values()]
+
+
+def test_coboundary_entries_are_fractions(corpus_algebras):
+    """Integral algebras assemble on int tables; every matrix and every
+    applied value still holds Fractions only, for rational structure
+    constants as well."""
+    dense = _dense_conjugate_a1()
+    assert any(x.denominator > 1 for _, val in dense.structure for x in val)
+    phis = [morphism(key) for key in sorted(MORPHISM_FILES)] + [Morphism.identity(dense)]
+    seen_rational = False
+    for alg in [*corpus_algebras.values(), dense]:
+        for p in (0, 1, 2):
+            entries = _entries(coboundary_matrix_self(alg, p))
+            assert all(type(x) is Fraction for x in entries), (alg.name, p)
+            seen_rational |= any(x.denominator > 1 for x in entries)
+    for phi in phis:
+        tc = triple_complex(phi)
+        for m in (0, 1, 2):
+            for mat in (coboundary_matrix_module(phi.source, phi.target, phi, m),
+                        tc.delta_matrix(m)):
+                assert all(type(x) is Fraction for x in _entries(mat)), (phi.name, m)
+    assert seen_rational
+    rng = random.Random(29)
+    for alg, phi in [(corpus_algebras["a1"], morphism("a1_b1")), (dense, phis[-1])]:
+        for p in (1, 2):
+            f = _random_cochain(rng, CochainSpace(alg, p, alg.dim))
+            blocks, z = _random_raw_blocks(rng, alg.dim, alg.arity, p + 1)
+            args = [FundamentalObject(b) for b in blocks]
+            got = coboundary_apply_self(alg, f, args, z)
+            assert all(type(x) is Fraction for x in got)
+            g = _random_cochain(rng, CochainSpace(phi.source, p, phi.target.dim))
+            got = coboundary_apply_module(phi.source, phi.target, phi, g, args, z)
+            assert all(type(x) is Fraction for x in got)

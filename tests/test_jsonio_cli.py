@@ -354,6 +354,47 @@ def test_cli_rejects_automorphism_of_wrong_dimension(tmp_path, capsys):
     assert str(p) in report and "expected 4" in report
 
 
+def test_cli_rejects_morphism_arity_mismatch(tmp_path):
+    ternary = {"name": "t3", "arity": 3, "dimension": 3, "basis": ["e1", "e2", "e3"],
+               "brackets": []}
+    binary = dict(ternary, name="b3", arity=2)
+    eye = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    p = tmp_path / "mixed_arity_morphism.json"
+    p.write_text(json.dumps({"source": ternary, "target": binary, "matrix": eye}))
+    out = run_cli("validate", str(p))
+    assert out.returncode == 2
+    assert "source arity 3 != target arity 2" in out.stdout
+
+
+@pytest.mark.parametrize("kind", ["morphism", "deformation"])
+def test_cli_rejects_non_string_name(tmp_path, kind):
+    if kind == "morphism":
+        obj = json.loads((DATA / "mor_a3_b3.json").read_text())
+        command = ["morphism-cohomology", "--morphism"]
+    else:
+        obj = _deformation_obj()
+        command = ["deform", "check"]
+    for side in ("source", "target"):
+        if isinstance(obj[side], str):
+            obj[side] = str(DATA / obj[side])
+    obj["name"] = ["a"]
+    p = tmp_path / f"{kind}.json"
+    p.write_text(json.dumps(obj))
+    out = run_cli(*command, str(p), *(["--degree", "1"] if kind == "morphism" else []))
+    assert out.returncode == 2
+    assert "key 'name' has wrong type" in out.stdout
+
+
+def test_cli_rejects_negative_cochain_degree(tmp_path):
+    obj = _deformation_obj()
+    obj["source_terms"][0]["degree"] = -1
+    p = tmp_path / "negative_degree.json"
+    p.write_text(json.dumps(obj))
+    out = run_cli("deform", "check", str(p))
+    assert out.returncode == 2
+    assert "source_terms[0]: cochain degree must be nonnegative" in out.stdout
+
+
 # Every README deform command (the transform without --emit, whose path
 # would enter the report), and obstruction/extend/transform at the full
 # order of the order-2 family.
@@ -427,6 +468,8 @@ _DEF_MUTATIONS = st.one_of(
     st.builds(_set, st.tuples(st.just("morphism_terms"), st.integers(0, 1), _entry, _entry),
               _rational),
     st.builds(_set, st.just(("source_terms", 0, "entries", 0, "value")), _rational),
+    st.builds(_set, st.sampled_from([("source_terms", 0, "degree"), ("target_terms", 0, "degree")]),
+              st.integers(-2, 3)),
 )
 _AUT_MUTATIONS = st.one_of(
     st.builds(_set, st.just(("dimension",)), _small),
@@ -468,5 +511,75 @@ def test_fuzz_deform_inputs_never_raise(source, mutations, aut_mutations, subcom
         if subcommand == "transform":
             args += ["--psi-source", str(aut_path),
                      "--psi-target", str(DATA / "aut_b3_identity.json")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(args) in (0, 1, 2)
+
+
+# -- fuzzing the algebra and morphism files ------------------------------------------
+
+
+def _inside(side, mutate):
+    """Apply ``mutate`` to the inline algebra at ``side`` of a morphism."""
+    def apply(obj):
+        mutate(obj[side])
+    return apply
+
+
+_values = st.dictionaries(st.sampled_from(["1", "2", "4", "5", "x"]), _rational, max_size=2)
+_ALG_MUTATIONS = st.one_of(
+    st.builds(_set, st.sampled_from([("arity",), ("dimension",)]), _small),
+    st.builds(_set, st.tuples(st.just("brackets"), st.integers(0, 2), st.just("args")),
+              _index_list),
+    st.builds(_set, st.tuples(st.just("brackets"), st.integers(0, 2), st.just("value")), _values),
+    st.builds(_resize, st.just(("brackets",)), st.integers(0, 5)),
+)
+_MOR_MUTATIONS = st.one_of(
+    st.builds(_inside, st.sampled_from(["source", "target"]), _ALG_MUTATIONS),
+    st.builds(_set, st.just(("name",)), st.sampled_from([["a"], 5, None, "renamed"])),
+    st.builds(_resize, st.sampled_from([("matrix",), ("matrix", 0), ("matrix", 2)]),
+              st.integers(0, 6)),
+    st.builds(_set, st.tuples(st.just("matrix"), _entry, _entry), _rational),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    name=st.sampled_from(sorted(p.name for p in DATA.glob("alg_*.json"))
+                         + sorted(p.name for p in DATA.glob("mor_*.json"))),
+    inline=st.booleans(),
+    alg_mutations=st.lists(_ALG_MUTATIONS, max_size=2),
+    mor_mutations=st.lists(_MOR_MUTATIONS, max_size=2),
+    command=st.sampled_from([None, "1", "2", "morphism-cohomology"]),
+)
+def test_fuzz_algebra_and_morphism_inputs_never_raise(name, inline, alg_mutations,
+                                                      mor_mutations, command):
+    """Mutated algebra and morphism files end in exit 0, 1 or 2 under
+    ``validate``, ``cohomology --degree 1|2`` and ``morphism-cohomology``,
+    never in an uncaught exception.  Morphism files reference their algebras by absolute path,
+    or hold them inline, where the algebra mutations reach them."""
+    import contextlib
+    import io
+    import tempfile
+
+    obj = json.loads((DATA / name).read_text())
+    is_morphism = name.startswith("mor_")
+    if is_morphism:
+        for side in ("source", "target"):
+            path = DATA / obj[side]
+            obj[side] = json.loads(path.read_text()) if inline else str(path)
+    for mutate in mor_mutations if is_morphism else alg_mutations:
+        with contextlib.suppress(IndexError, KeyError, TypeError):
+            mutate(obj)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(json.dumps(obj))
+        if command is None:
+            args = ["validate", str(path)]
+        elif command == "morphism-cohomology":
+            args = [command, "--morphism", str(path), "--degree", "2"]
+        else:
+            flag = "--morphism" if is_morphism else "--algebra"
+            args = ["cohomology", flag, str(path), "--degree", command]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(args) in (0, 1, 2)

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_rref
+from oracles import RowSpace, oracle_quotient, oracle_rref
 
 from nliecoh import corpus
 from nliecoh.cochains import coboundary_matrix_module, coboundary_matrix_self
 from nliecoh.errors import DimensionMismatch, SubspaceViolation
 from nliecoh.linalg import (
     Matrix,
-    RowSpace,
     kernel_basis,
     quotient_data,
     rank,
@@ -202,3 +201,66 @@ def test_matrix_rows_are_read_only():
     with pytest.raises(TypeError):
         m.data[1] |= {0: Fraction(1)}
     assert m == Matrix.from_rows([[1, 0], [0, 2]]) and hash(m) == before
+
+
+def _quotient_or_violation(quotient, z_basis, b_basis):
+    try:
+        return quotient(z_basis, b_basis)
+    except SubspaceViolation:
+        return "violation"
+
+
+_sparse_fractions = st.one_of(st.just(Fraction(0)), fractions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_quotient_matches_oracle(data):
+    """Random spans with dependent z vectors, zero and combined b vectors,
+    rational entries, and sometimes a b vector drawn freely, which may lie
+    outside span Z: both sides raise, or agree on (dim, reps)."""
+    n = data.draw(st.integers(1, 6), label="length")
+    vec = st.lists(_sparse_fractions, min_size=n, max_size=n).map(tuple)
+    base = data.draw(st.lists(vec, max_size=4), label="base")
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+
+    def combine(cs):
+        return tuple(sum((c * v[j] for c, v in zip(cs, base)), Fraction(0)) for j in range(n))
+
+    z_basis = base + [combine(cs) for cs in data.draw(st.lists(coeffs, max_size=3), label="zdep")]
+    z_basis = data.draw(st.permutations(z_basis), label="zorder")
+    b_basis = [combine(cs) for cs in data.draw(st.lists(coeffs, max_size=4), label="b")]
+    b_basis += data.draw(st.lists(vec, max_size=1), label="free b")
+    b_basis = data.draw(st.permutations(b_basis), label="border")
+    want = _quotient_or_violation(oracle_quotient, z_basis, b_basis)
+    assert _quotient_or_violation(quotient_data, z_basis, b_basis) == want
+
+
+def _consecutive_pairs(matrices):
+    """(incoming, outgoing) differentials: the bottom slot, then each pair."""
+    yield None, matrices[0]
+    yield from zip(matrices, matrices[1:])
+
+
+def _assert_quotient_matches_oracle(delta_in, delta_out):
+    z_basis = kernel_basis(delta_out)
+    b_basis = [] if delta_in is None else [delta_in.column(j) for j in range(delta_in.cols)]
+    assert quotient_data(z_basis, b_basis) == oracle_quotient(z_basis, b_basis)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.ALGEBRA_FILES))
+def test_quotient_matches_oracle_on_corpus_complexes(name):
+    alg = corpus.algebra(name)
+    for pair in _consecutive_pairs([coboundary_matrix_self(alg, p) for p in range(3)]):
+        _assert_quotient_matches_oracle(*pair)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.MORPHISM_FILES))
+def test_quotient_matches_oracle_on_morphism_complexes(name):
+    phi = corpus.morphism(name)
+    tc = triple_complex(phi)
+    module = [coboundary_matrix_module(phi.source, phi.target, phi, m) for m in range(3)]
+    for pair in _consecutive_pairs(module):
+        _assert_quotient_matches_oracle(*pair)
+    for pair in _consecutive_pairs([tc.delta_matrix(m) for m in range(3)]):
+        _assert_quotient_matches_oracle(*pair)
