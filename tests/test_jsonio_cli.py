@@ -397,7 +397,9 @@ def test_cli_rejects_negative_cochain_degree(tmp_path):
 
 # Every README deform command (the transform without --emit, whose path
 # would enter the report), and obstruction/extend/transform at the full
-# order of the order-2 family.
+# order of the order-2 family; then cocycle bases and representatives of
+# self, module and morphism-complex cohomology.  The golden file is named
+# after the subcommand and the key.
 DEFORM_GOLDEN = {
     "check_a3_b3_1": ["deform", "check", "def_a3_b3_1.json"],
     "infinitesimal_a3_b3_1": ["deform", "infinitesimal", "def_a3_b3_1.json"],
@@ -410,6 +412,14 @@ DEFORM_GOLDEN = {
     "extend_a3_b3_order2": ["deform", "extend", "def_a3_b3_order2.json"],
     "transform_a3_b3_order2": ["deform", "transform", "def_a3_b3_order2.json", "--psi-source",
                                "aut_a3_scaling.json", "--psi-target", "aut_b3_identity.json"],
+    "alg_a3_h2_basis": ["cohomology", "--algebra", "alg_a3.json", "--degree", "2", "--basis"],
+    "alg_b3_h3_basis": ["cohomology", "--algebra", "alg_b3.json", "--degree", "3", "--basis"],
+    "mor_a1_b2_i1_h2_basis": ["cohomology", "--morphism", "mor_a1_b2_i1.json", "--degree", "2",
+                              "--basis"],
+    "a3_b3_h2_basis": ["morphism-cohomology", "--morphism", "mor_a3_b3.json", "--degree", "2",
+                       "--basis"],
+    "a3_b3_h3_basis": ["morphism-cohomology", "--morphism", "mor_a3_b3.json", "--degree", "3",
+                       "--basis"],
 }
 
 
@@ -418,7 +428,7 @@ def test_deform_reports_match_golden(name, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     args = [f"src/nliecoh/data/{a}" if a.endswith(".json") else a for a in DEFORM_GOLDEN[name]]
     assert main(["--output", "json", *args]) == 0
-    golden = ROOT / "tests" / "golden" / f"deform_{name}.json"
+    golden = ROOT / "tests" / "golden" / f"{args[0]}_{name}.json"
     assert capsys.readouterr().out == golden.read_text(), f"golden drift for {name}"
 
 
