@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -124,14 +125,11 @@ def cmd_validate(args, argv: list[str]) -> tuple[dict, int]:
     return out, status
 
 
-def _basis_artifacts(rep: CohomologyReport, space: CochainSpace) -> dict:
+def _basis_artifacts(rep: CohomologyReport, unflatten, to_json) -> dict:
+    """The report's sparse cocycle and representative rows, read as cochains."""
     return {
-        "cocycle_basis": [
-            cochain_to_json(Cochain.from_flat(space, v)) for v in rep.cocycle_basis
-        ],
-        "representatives": [
-            cochain_to_json(Cochain.from_flat(space, v)) for v in rep.representatives
-        ],
+        "cocycle_basis": [to_json(unflatten(v)) for v in rep.cocycles.data],
+        "representatives": [to_json(unflatten(v)) for v in rep.classes.data],
     }
 
 
@@ -184,7 +182,7 @@ def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
         "status": 0,
     }
     if args.basis:
-        out["bases"] = _basis_artifacts(rep, space)
+        out["bases"] = _basis_artifacts(rep, partial(Cochain.from_flat, space), cochain_to_json)
     return out, 0
 
 
@@ -208,16 +206,8 @@ def cmd_morphism_cohomology(args, argv: list[str]) -> tuple[dict, int]:
         "status": 0,
     }
     if args.basis:
-        tc = triple_complex(phi)
-        m = args.degree - 1
-        out["bases"] = {
-            "cocycle_basis": [
-                jsonio.triple_to_json(tc.unvectorize(m, v)) for v in rep.cocycle_basis
-            ],
-            "representatives": [
-                jsonio.triple_to_json(tc.unvectorize(m, v)) for v in rep.representatives
-            ],
-        }
+        unflatten = partial(triple_complex(phi).unvectorize, args.degree - 1)
+        out["bases"] = _basis_artifacts(rep, unflatten, triple_to_json)
     return out, 0
 
 

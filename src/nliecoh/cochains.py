@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import combinations, product
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .algebra import FundamentalObject, NLieAlgebra, sort_sign
 from .errors import (
@@ -93,15 +93,11 @@ class Cochain:
         self.coeffs = clean
 
     @classmethod
-    def from_flat(cls, space: CochainSpace, flat: Sequence) -> "Cochain":
-        d_T = space.target_dim
-        coeffs = {}
-        for pos, key in enumerate(space.domain_keys):
-            for t in range(d_T):
-                c = frac(flat[pos * d_T + t])
-                if c:
-                    coeffs[(key, t)] = c
-        return cls(space, coeffs)
+    def from_flat(cls, space: CochainSpace, flat) -> "Cochain":
+        """From flat coordinates: a dense sequence or a sparse {index: value}."""
+        items = flat.items() if isinstance(flat, Mapping) else enumerate(flat)
+        keys, d_T = space.domain_keys, space.target_dim
+        return cls(space, {(keys[i // d_T], i % d_T): c for i, c in items})
 
     def as_flat(self) -> Vector:
         out = [Fraction(0)] * self.space.dim
@@ -437,13 +433,26 @@ def coboundary_apply_module(
 
 @dataclass(frozen=True)
 class CohomologyReport:
-    """Kernel/image/quotient data of one slot of a cochain complex."""
+    """Kernel/image/quotient data of one slot of a cochain complex.
+
+    ``cocycles`` holds a basis of Z as rows in the form of
+    :func:`~nliecoh.linalg.kernel_basis`; ``classes`` holds the rows of it
+    that represent a basis of H.
+    """
 
     dim_z: int
     dim_b: int
     dim_h: int
-    cocycle_basis: tuple[Vector, ...]
-    representatives: tuple[Vector, ...]
+    cocycles: Matrix
+    classes: Matrix
+
+    @cached_property
+    def cocycle_basis(self) -> tuple[Vector, ...]:
+        return tuple(self.cocycles.row(i) for i in range(self.cocycles.rows))
+
+    @cached_property
+    def representatives(self) -> tuple[Vector, ...]:
+        return tuple(self.classes.row(i) for i in range(self.classes.rows))
 
 
 def cohomology(delta_in: Optional[Matrix], delta_out: Matrix) -> CohomologyReport:
@@ -457,20 +466,10 @@ def cohomology(delta_in: Optional[Matrix], delta_out: Matrix) -> CohomologyRepor
             raise DimensionMismatch("differentials do not compose")
         if not delta_out.mul(delta_in).is_zero():
             raise BrokenComplex("consecutive differentials do not compose to zero")
-    z_basis = kernel_basis(delta_out)
-    b_basis: list[Vector] = []
-    if delta_in is not None:
-        columns = delta_in.transpose()
-        b_basis = [columns.row(j) for j in range(columns.rows)]
-    dim_h, reps = quotient_data(z_basis, b_basis)
-    dim_b = len(z_basis) - dim_h
-    return CohomologyReport(
-        dim_z=len(z_basis),
-        dim_b=dim_b,
-        dim_h=dim_h,
-        cocycle_basis=tuple(z_basis),
-        representatives=tuple(reps),
-    )
+    z = kernel_basis(delta_out)
+    b = Matrix.zero(0, delta_out.cols) if delta_in is None else delta_in.transpose()
+    dim_h, classes = quotient_data(z, b)
+    return CohomologyReport(z.rows, z.rows - dim_h, dim_h, z, classes)
 
 
 def self_cohomology(alg: NLieAlgebra, r: int) -> CohomologyReport:

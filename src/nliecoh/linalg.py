@@ -135,9 +135,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i].get(j, _ZERO)
-
     def row(self, i: int) -> Vector:
         r = self.data[i]
         return tuple(r.get(j, _ZERO) for j in range(self.cols))
@@ -284,21 +281,18 @@ def _echelon(rows: Iterable[dict]) -> list[tuple[int, dict[int, int]]]:
     return echelon
 
 
-def _sparse(v: Sequence) -> dict[int, Fraction]:
-    # dense vectors made here pad with the shared _ZERO: skip it by identity
-    return {j: q for j, x in enumerate(v) if x is not _ZERO and x and (q := frac(x))}
-
-
 def rank(m: Matrix) -> int:
     """Exact rank via row reduction."""
     return len(_echelon(m.data))
 
 
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """A basis of the right null space, one vector per free column.
+def kernel_basis(m: Matrix) -> Matrix:
+    """The right null space, one row per free column f of m, ascending.
 
-    Every returned v satisfies m.mul_vector(v) == 0 exactly, and the list
-    has length cols - rank.  Basis order follows ascending free column.
+    Row f is the kernel vector of the reduced row echelon form: 1 at f and
+    otherwise nonzero only on pivot columns left of f, so f is its largest
+    column.  Every row v satisfies m.mul_vector(v) == 0 exactly, and there
+    are cols - rank rows.
     """
     reduced = _echelon(m.data)
     pivots = {pc for pc, _ in reduced}
@@ -308,7 +302,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
         for f, v in r.items():
             if f != pc:
                 free[f][pc] = Fraction(-v, a)
-    return [tuple(v.get(j, _ZERO) for j in range(m.cols)) for v in free.values()]
+    return Matrix.from_sparse(len(free), m.cols, free.values())
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
@@ -324,37 +318,46 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     return tuple(x)
 
 
-def quotient_data(
-    z_basis: Sequence[Sequence], b_basis: Sequence[Sequence]
-) -> tuple[int, list[Vector]]:
-    """Dimension and representatives of span(z_basis)/span(b_basis).
+def quotient_data(z: Matrix, b: Matrix) -> tuple[int, Matrix]:
+    """Dimension and representatives of span(z rows)/span(b rows).
 
-    Raises SubspaceViolation when some b vector lies outside span(z_basis),
-    which signals a broken complex upstream.  Representatives are drawn from
-    z_basis itself, greedily (each z outside the span of the b vectors and
-    the z before it), so they are genuine cocycles when z_basis is.
+    ``z`` is in the form :func:`kernel_basis` returns: row i has a 1 at its
+    largest column f_i, the f_i ascend, and no row has a nonzero entry at
+    another row's f.  DimensionMismatch is raised otherwise.  In those free
+    coordinates F, each vector of span Z is the combination of z rows given
+    by its entries on F.  SubspaceViolation is raised when some b row is not
+    that combination, which signals a broken complex upstream.
 
-    With Z reduced to rows with pivot columns P, restriction to P is
-    injective on span Z.  The representatives are then the pivot columns,
-    past the b vectors, of the columns b_1..b_m, z_1..z_k restricted to P.
+    Representatives are z rows, drawn greedily (each z outside the span of
+    the b rows and the z before it), so they are genuine cocycles when the
+    z rows are.  Row z_f is one exactly when no vector of span B, restricted
+    to F, has f as its largest column: f is then no pivot of B restricted
+    to F with the columns reversed.  Returns (dim H, the representative rows).
     """
-    zs = [_sparse(z) for z in z_basis]
-    bs = [_sparse(b) for b in b_basis]
-    reduced = _echelon(zs)
-    for b in bs:
-        # the rows are back-substituted: each pivot column lies in one row
-        hits = [(pc, r) for pc, r in reduced if pc in b]
-        m = lcm(*(r[pc] for pc, r in hits))
-        w = {j: m * v for j, v in _scaled(b)[1].items()}
-        for pc, r in hits:
-            f = w[pc] // r[pc]
-            for j, v in r.items():
-                w[j] = w.get(j, 0) - f * v
+    if z.cols != b.cols:
+        raise DimensionMismatch(f"cocycle length {z.cols} != coboundary length {b.cols}")
+    free = [max(r, default=-1) for r in z.data]
+    pos = {f: i for i, f in enumerate(free)}
+    if free != sorted(pos) or any(
+        r.get(f) != 1 or sum(j in pos for j in r) != 1 for f, r in zip(free, z.data)
+    ):
+        raise DimensionMismatch("cocycle rows are not in kernel form")
+    scaled = [_scaled(r) for r in z.data]
+    restricted = []
+    for row in b.data:
+        # b == sum of b[f] z_f, checked in integers over common denominators
+        w = _scaled(row)[1]
+        coords = {f: v for f, v in w.items() if f in pos}
+        m = lcm(*(scaled[pos[f]][0] for f in coords))
+        w = {j: m * v for j, v in w.items()}
+        for f, c in coords.items():
+            zden, zrow = scaled[pos[f]]
+            c *= m // zden
+            for j, v in zrow.items():
+                w[j] = w.get(j, 0) - c * v
         if any(w.values()):
             raise SubspaceViolation("coboundary vector outside the cocycle span")
-    restricted = [{i: v[pc] for i, v in enumerate(bs + zs) if pc in v} for pc, _ in reduced]
-    pivots = [pc for pc, _ in _echelon(restricted)]
-    reps = [vector(z_basis[pc - len(bs)]) for pc in pivots if pc >= len(bs)]
-    dim = len(reduced) - (len(pivots) - len(reps))
-    assert dim == len(reps)
-    return dim, reps
+        restricted.append({len(free) - 1 - pos[f]: v for f, v in coords.items()})
+    pivot_rows = {len(free) - 1 - pc for pc, _ in _echelon(restricted)}
+    reps = [r for i, r in enumerate(z.data) if i not in pivot_rows]
+    return len(reps), Matrix.from_sparse(len(reps), z.cols, reps)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .algebra import (
     FundamentalObject,
@@ -241,14 +241,15 @@ class TripleComplex:
             parts += list(t.c3.as_flat())
         return tuple(parts)
 
-    def unvectorize(self, m: int, flat: Sequence) -> CochainTriple:
-        s1, s2, s3 = self.space_source(m), self.space_target(m), self.space_module(m)
-        flat = vector(flat)
-        a = s1.dim
-        b = a + s2.dim
-        c1 = Cochain.from_flat(s1, flat[:a])
-        c2 = Cochain.from_flat(s2, flat[a:b])
-        c3 = Cochain.from_flat(s3, flat[b:]) if s3 else None
+    def unvectorize(self, m: int, flat) -> CochainTriple:
+        """Triple from flat coordinates: a dense sequence or a sparse {index: value}."""
+        spaces = (self.space_source(m), self.space_target(m), self.space_module(m))
+        starts = (0, spaces[0].dim, spaces[0].dim + spaces[1].dim)
+        parts: tuple[dict, ...] = ({}, {}, {})
+        for i, x in flat.items() if isinstance(flat, Mapping) else enumerate(flat):
+            k = (i >= starts[1]) + (i >= starts[2])
+            parts[k][i - starts[k]] = x
+        c1, c2, c3 = (Cochain.from_flat(s, p) if s else None for s, p in zip(spaces, parts))
         return CochainTriple(m, c1, c2, c3)
 
     # -- structure matrices ---------------------------------------------------

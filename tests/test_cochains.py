@@ -119,8 +119,8 @@ def test_zero_morphism_into_abelian_kernel(alg_a1):
     zero = Matrix.zero(4, 4)
     delta = coboundary_matrix_module(alg_a1, ab, zero, 0)
     rep = cohomology(None, delta)
-    assert rep.dim_z == 8
-    for v in rep.cocycle_basis:
+    assert rep.dim_z == rep.cocycles.rows == 8
+    for v in (rep.cocycles.row(i) for i in range(rep.cocycles.rows)):
         for col in (1, 3):  # coefficients on the killed generators
             for t in range(4):
                 assert v[col * 4 + t] == 0

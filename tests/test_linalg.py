@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalog import _random_invertible, conjugate
 from oracles import RowSpace, oracle_quotient, oracle_rref
 
 from nliecoh import corpus
@@ -35,15 +36,19 @@ def test_rank_identity_and_zero():
     assert rank(Matrix.from_rows([[1, 2], [2, 4]])) == 1
 
 
+def _dense_rows(m: Matrix) -> list:
+    return [m.row(i) for i in range(m.rows)]
+
+
 def test_kernel_basis_examples():
-    assert kernel_basis(Matrix.identity(4)) == []
+    assert kernel_basis(Matrix.identity(4)).rows == 0
     zero23 = Matrix.zero(2, 3)
     basis = kernel_basis(zero23)
-    assert len(basis) == 3
+    assert basis.rows == 3
     m = Matrix.from_rows([[1, 1, 0]])
     basis = kernel_basis(m)
-    assert len(basis) == 2
-    for v in basis:
+    assert basis.rows == 2
+    for v in _dense_rows(basis):
         assert all(x == 0 for x in m.mul_vector(v))
 
 
@@ -58,25 +63,46 @@ def test_solve_examples():
 
 def test_quotient_data_examples():
     e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    dim, reps = quotient_data([e1, e2], [e1])
+    dim, reps = quotient_data(Matrix.from_rows([e1, e2]), Matrix.from_rows([e1]))
     assert dim == 1
     space = RowSpace([e1])
-    assert all(not space.contains(r) for r in reps)
-    assert quotient_data([e1, e2], [e1, e2])[0] == 0
-    assert quotient_data([e1, e2, e3], [])[0] == 3
+    assert all(not space.contains(r) for r in _dense_rows(reps))
+    assert quotient_data(Matrix.from_rows([e1, e2]), Matrix.from_rows([e1, e2]))[0] == 0
+    assert quotient_data(Matrix.identity(3), Matrix.zero(0, 3))[0] == 3
 
 
 def test_quotient_data_rejects_outside_vectors():
     with pytest.raises(SubspaceViolation):
-        quotient_data([(1, 0, 0)], [(0, 1, 0)])
+        quotient_data(Matrix.from_rows([(1, 0, 0)]), Matrix.from_rows([(0, 1, 0)]))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0, 2, 0)],  # entry 2 at its free column
+        [(1, 0, 0), (1, 1, 0)],  # second row has the first row's free column
+        [(0, 1, 0), (1, 0, 0)],  # free columns descending
+        [(1, 0, 0), (1, 0, 0)],  # one free column twice
+        [(0, 0, 0)],  # no free column at all
+    ],
+    ids=["entry", "second-free", "descending", "repeated", "zero-row"],
+)
+def test_quotient_data_rejects_rows_not_in_kernel_form(rows):
+    with pytest.raises(DimensionMismatch):
+        quotient_data(Matrix.from_rows(rows), Matrix.zero(0, 3))
+
+
+def test_quotient_data_rejects_length_mismatch():
+    with pytest.raises(DimensionMismatch):
+        quotient_data(Matrix.identity(3), Matrix.zero(0, 2))
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_matrices)
 def test_rank_nullity_and_kernel_exactness(m):
     basis = kernel_basis(m)
-    assert rank(m) + len(basis) == m.cols
-    for v in basis:
+    assert rank(m) + basis.rows == m.cols
+    for v in _dense_rows(basis):
         assert all(x == 0 for x in m.mul_vector(v))
 
 
@@ -131,7 +157,7 @@ def test_rref_edge_shapes():
     m = Matrix.from_rows([[0, 0, 0, 0], [0, 2, 0, 4], [0, 0, 0, 0], [0, 1, 0, 2]])
     _assert_rref_matches_oracle(m)
     assert rank(m) == 1
-    assert kernel_basis(m) == [(1, 0, 0, 0), (0, 0, 1, 0), (0, -2, 0, 1)]
+    assert _dense_rows(kernel_basis(m)) == [(1, 0, 0, 0), (0, 0, 1, 0), (0, -2, 0, 1)]
 
 
 def test_solve_rank_deficient_augmented():
@@ -213,27 +239,37 @@ def _quotient_or_violation(quotient, z_basis, b_basis):
 _sparse_fractions = st.one_of(st.just(Fraction(0)), fractions)
 
 
+def _dense_quotient(z: Matrix, b: Matrix):
+    dim, reps = quotient_data(z, b)
+    return dim, _dense_rows(reps)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_quotient_matches_oracle(data):
-    """Random spans with dependent z vectors, zero and combined b vectors,
-    rational entries, and sometimes a b vector drawn freely, which may lie
-    outside span Z: both sides raise, or agree on (dim, reps)."""
-    n = data.draw(st.integers(1, 6), label="length")
+    """Z from the kernel of a random sparse rational matrix; B from integer
+    combinations of Z rows, zero and repeated rows, and sometimes a vector
+    drawn freely, which may lie outside span Z: both sides raise, or agree
+    on (dim, reps)."""
+    n = data.draw(st.integers(1, 7), label="length")
     vec = st.lists(_sparse_fractions, min_size=n, max_size=n).map(tuple)
-    base = data.draw(st.lists(vec, max_size=4), label="base")
-    coeffs = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+    delta_out = data.draw(st.lists(vec, max_size=5), label="delta_out")
+    z = kernel_basis(Matrix(len(delta_out), n, delta_out))
+    z_basis = _dense_rows(z)
+    coeffs = st.lists(st.integers(-2, 2), min_size=z.rows, max_size=z.rows)
 
     def combine(cs):
-        return tuple(sum((c * v[j] for c, v in zip(cs, base)), Fraction(0)) for j in range(n))
+        return tuple(sum((c * v[j] for c, v in zip(cs, z_basis)), Fraction(0)) for j in range(n))
 
-    z_basis = base + [combine(cs) for cs in data.draw(st.lists(coeffs, max_size=3), label="zdep")]
-    z_basis = data.draw(st.permutations(z_basis), label="zorder")
     b_basis = [combine(cs) for cs in data.draw(st.lists(coeffs, max_size=4), label="b")]
+    b_basis += [(Fraction(0),) * n] * data.draw(st.integers(0, 1), label="zero b")
+    if b_basis:
+        b_basis += data.draw(st.lists(st.sampled_from(b_basis), max_size=2), label="repeated b")
     b_basis += data.draw(st.lists(vec, max_size=1), label="free b")
     b_basis = data.draw(st.permutations(b_basis), label="border")
     want = _quotient_or_violation(oracle_quotient, z_basis, b_basis)
-    assert _quotient_or_violation(quotient_data, z_basis, b_basis) == want
+    b = Matrix(len(b_basis), n, b_basis)
+    assert _quotient_or_violation(_dense_quotient, z, b) == want
 
 
 def _consecutive_pairs(matrices):
@@ -243,9 +279,20 @@ def _consecutive_pairs(matrices):
 
 
 def _assert_quotient_matches_oracle(delta_in, delta_out):
-    z_basis = kernel_basis(delta_out)
-    b_basis = [] if delta_in is None else [delta_in.column(j) for j in range(delta_in.cols)]
-    assert quotient_data(z_basis, b_basis) == oracle_quotient(z_basis, b_basis)
+    z = kernel_basis(delta_out)
+    b = Matrix.zero(0, delta_out.cols) if delta_in is None else delta_in.transpose()
+    assert _dense_quotient(z, b) == oracle_quotient(_dense_rows(z), _dense_rows(b))
+
+
+def _assert_kernel_form(delta: Matrix):
+    """Each kernel row has a 1 at its largest column, which ascends, no
+    other row's largest column, and lies in the kernel."""
+    z = kernel_basis(delta)
+    free = [max(r) for r in z.data]
+    assert free == sorted(set(free)) and z.rows == delta.cols - rank(delta)
+    for f, r in zip(free, z.data):
+        assert r[f] == 1 and not set(free) & (r.keys() - {f})
+    assert delta.mul(z.transpose()).is_zero()
 
 
 @pytest.mark.parametrize("name", sorted(corpus.ALGEBRA_FILES))
@@ -264,3 +311,17 @@ def test_quotient_matches_oracle_on_morphism_complexes(name):
         _assert_quotient_matches_oracle(*pair)
     for pair in _consecutive_pairs([tc.delta_matrix(m) for m in range(3)]):
         _assert_quotient_matches_oracle(*pair)
+
+
+def test_kernel_form_on_corpus_and_dense_complexes():
+    p, p_inv = _random_invertible(random.Random(3), 4)
+    dense = conjugate(corpus.algebra("a1"), p, p_inv, "a1~dense")
+    for alg in [*corpus.all_algebras().values(), dense]:
+        for deg in range(3):
+            _assert_kernel_form(coboundary_matrix_self(alg, deg))
+    for name in sorted(corpus.MORPHISM_FILES):
+        phi = corpus.morphism(name)
+        tc = triple_complex(phi)
+        for m in range(3):
+            _assert_kernel_form(coboundary_matrix_module(phi.source, phi.target, phi, m))
+            _assert_kernel_form(tc.delta_matrix(m))

@@ -41,7 +41,7 @@ def test_dd_zero_and_rank_nullity(alg):
     d2 = coboundary_matrix_self(alg, 1)
     assert d2.mul(d1).is_zero()
     for m in (d1, d2):
-        assert rank(m) + len(kernel_basis(m)) == m.cols
+        assert rank(m) + kernel_basis(m).rows == m.cols
 
 
 @pytest.mark.parametrize("alg", HEAVY, ids=[a.name for a in HEAVY])
@@ -49,7 +49,7 @@ def test_dd_zero_next_degree(alg):
     d2 = coboundary_matrix_self(alg, 1)
     d3 = coboundary_matrix_self(alg, 2)
     assert d3.mul(d2).is_zero()
-    assert rank(d3) + len(kernel_basis(d3)) == d3.cols
+    assert rank(d3) + kernel_basis(d3).rows == d3.cols
 
 
 @pytest.mark.parametrize("alg", CATALOG, ids=IDS)
@@ -139,7 +139,7 @@ def test_module_dd_zero(label, phi):
     ]
     assert mats[1].mul(mats[0]).is_zero()
     for mat in mats:
-        assert rank(mat) + len(kernel_basis(mat)) == mat.cols
+        assert rank(mat) + kernel_basis(mat).rows == mat.cols
 
 
 @pytest.mark.parametrize("label,phi", TRIPLE_CASES, ids=[c[0] for c in TRIPLE_CASES])
@@ -149,7 +149,7 @@ def test_triple_dd_zero(label, phi):
         out = tc.delta_matrix(m + 1).mul(tc.delta_matrix(m))
         assert out.is_zero()
         mat = tc.delta_matrix(m)
-        assert rank(mat) + len(kernel_basis(mat)) == mat.cols
+        assert rank(mat) + kernel_basis(mat).rows == mat.cols
 
 
 def test_catalog_is_large_and_valid():
