@@ -95,6 +95,8 @@ class Cochain:
     @classmethod
     def from_flat(cls, space: CochainSpace, flat) -> "Cochain":
         """From flat coordinates: a dense sequence or a sparse {index: value}."""
+        if not isinstance(flat, Mapping) and len(flat) != space.dim:
+            raise DimensionMismatch(f"flat length {len(flat)} != {space.dim}")
         items = flat.items() if isinstance(flat, Mapping) else enumerate(flat)
         keys, d_T = space.domain_keys, space.target_dim
         return cls(space, {(keys[i // d_T], i % d_T): c for i, c in items})

@@ -243,6 +243,8 @@ class TripleComplex:
 
     def unvectorize(self, m: int, flat) -> CochainTriple:
         """Triple from flat coordinates: a dense sequence or a sparse {index: value}."""
+        if not isinstance(flat, Mapping) and len(flat) != self.dim(m):
+            raise DimensionMismatch(f"flat length {len(flat)} != {self.dim(m)}")
         spaces = (self.space_source(m), self.space_target(m), self.space_module(m))
         starts = (0, spaces[0].dim, spaces[0].dim + spaces[1].dim)
         parts: tuple[dict, ...] = ({}, {}, {})

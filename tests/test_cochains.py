@@ -67,6 +67,10 @@ def test_flat_roundtrip(alg_a1):
     flat = [Fraction(rng.randint(-3, 3)) for _ in range(space.dim)]
     c = Cochain.from_flat(space, flat)
     assert list(c.as_flat()) == flat
+    assert Cochain.from_flat(space, {i: x for i, x in enumerate(flat) if x}) == c
+    for wrong in (flat[:-1], flat + [Fraction(0)]):
+        with pytest.raises(DimensionMismatch):
+            Cochain.from_flat(space, wrong)
 
 
 def test_abelian_coboundary_is_zero():

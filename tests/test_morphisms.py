@@ -12,7 +12,7 @@ from nliecoh.cochains import (
     module_cohomology,
 )
 from nliecoh.corpus import morphism
-from nliecoh.errors import ArityMismatch, DegreeMismatch, NotCocycle
+from nliecoh.errors import ArityMismatch, DegreeMismatch, DimensionMismatch, NotCocycle
 from nliecoh.linalg import Matrix, basis_vector, rank
 from nliecoh.morphisms import (
     CochainTriple,
@@ -199,6 +199,13 @@ def test_cohomologous_check(phi_a3_b3):
 
 def test_triple_shape_checks(phi_a3_b3):
     tc = triple_complex(phi_a3_b3)
+    for m in (0, 1, 2):
+        flat = [Fraction(i % 5 - 2) for i in range(tc.dim(m))]
+        t = tc.unvectorize(m, flat)
+        assert list(tc.vectorize(t)) == flat
+        assert tc.unvectorize(m, {i: x for i, x in enumerate(flat) if x}) == t
+        with pytest.raises(DimensionMismatch):
+            tc.unvectorize(m, flat[:-1])
     with pytest.raises(DegreeMismatch):
         CochainTriple(0, tc.zero_triple(1).c1, tc.zero_triple(1).c2, None)
     with pytest.raises(DegreeMismatch):
