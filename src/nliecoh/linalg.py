@@ -289,9 +289,9 @@ def rank(m: Matrix) -> int:
 def kernel_basis(m: Matrix) -> Matrix:
     """The right null space, one row per free column f of m, ascending.
 
-    Row f is the kernel vector of the reduced row echelon form: 1 at f and
-    otherwise nonzero only on pivot columns left of f, so f is its largest
-    column.  Every row v satisfies m.mul_vector(v) == 0 exactly, and there
+    The row of f is the kernel vector of the reduced row echelon form: 1 at
+    f and otherwise nonzero only on pivot columns left of f, so f is its
+    largest column.  Every row v satisfies m.mul_vector(v) == 0 exactly, and there
     are cols - rank rows.
     """
     reduced = _echelon(m.data)
@@ -330,9 +330,10 @@ def quotient_data(z: Matrix, b: Matrix) -> tuple[int, Matrix]:
 
     Representatives are z rows, drawn greedily (each z outside the span of
     the b rows and the z before it), so they are genuine cocycles when the
-    z rows are.  Row z_f is one exactly when no vector of span B, restricted
-    to F, has f as its largest column: f is then no pivot of B restricted
-    to F with the columns reversed.  Returns (dim H, the representative rows).
+    z rows are.  Row z_f is a representative exactly when no vector of span
+    B, restricted to F, has f as its largest column, that is when f is no
+    pivot of B restricted to F with the columns reversed.  Returns (dim H,
+    the representative rows).
     """
     if z.cols != b.cols:
         raise DimensionMismatch(f"cocycle length {z.cols} != coboundary length {b.cols}")
