@@ -62,7 +62,7 @@ def test_solve_examples():
 
 
 def test_quotient_data_examples():
-    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    e1, e2 = (1, 0, 0), (0, 1, 0)
     dim, reps = quotient_data(Matrix.from_rows([e1, e2]), Matrix.from_rows([e1]))
     assert dim == 1
     space = RowSpace([e1])
