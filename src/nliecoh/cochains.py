@@ -287,9 +287,9 @@ class _Tables:
         self.src = src
         self.tgt = tgt
         phi_cols: list[dict] = [{} for _ in range(src.dim)]
-        for i, row in enumerate(phi.data):
-            for j, x in row.items():
-                phi_cols[j][i] = _exact(x)
+        for i, (row, den) in enumerate(zip(phi.ints, phi.dens)):
+            for j, v in row.items():
+                phi_cols[j][i] = v if den == 1 else Fraction(v, den)
         self.sign = cache(sort_sign)
         self.src_bracket = cache(partial(_sparse_bracket, src))
         tgt_bracket = self.src_bracket if tgt is src else cache(partial(_sparse_bracket, tgt))

@@ -4,15 +4,20 @@ Everything the cohomology machinery needs reduces to the primitives here:
 rank, right null space, particular solutions, and quotient-space data, all
 over arbitrary-precision rationals with no rounding anywhere.
 
-Matrices store only their nonzero entries, one ``{column: Fraction}`` dict
-per row.  Row reduction runs in :func:`_echelon`, a fraction-free sparse
-elimination over integer rows.
+Matrices store only their nonzero entries, as integer rows: row i is a
+read-only ``{column: int}`` dict ``ints[i]`` over one positive denominator
+``dens[i]``, in lowest terms (the denominator is the lcm of the entries'
+reduced denominators), so equal matrices store equal rows.  Outside input
+is coerced and range-checked once, in :meth:`Matrix.from_sparse`; rows
+derived from integer rows are built as integers.  ``data`` is the
+``{column: Fraction}`` view of the rows, built on first read.  Row
+reduction runs in :func:`_echelon`, one fraction-free pass per row into a
+reduced integer basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -20,6 +25,7 @@ from .errors import DimensionMismatch, SubspaceViolation
 
 Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
+_INT = frozenset((int,))
 
 
 def frac(x) -> Fraction:
@@ -50,7 +56,7 @@ def is_zero_vector(v: Vector) -> bool:
 
 
 class _Row(dict):
-    """One matrix row, {column: nonzero Fraction}; mutating it raises."""
+    """One matrix row, {column: nonzero entry}; mutating it raises."""
 
     __slots__ = ()
 
@@ -61,37 +67,47 @@ class _Row(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
 
-class _SharedInts(dict):
-    """int -> Fraction, each made once, so equal int entries share one."""
+def _lowest(row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """The integer row and positive denominator of row/den in lowest terms."""
+    g = gcd(den, *row.values()) if den != 1 else 1
+    return ({j: v // g for j, v in row.items()}, den // g) if g != 1 else (row, den)
 
-    def __missing__(self, x: int) -> Fraction:
-        q = self[x] = Fraction(x)
-        return q
+
+def _coerce(rows: int, cols: int, data: Iterable[dict]) -> tuple[list, list]:
+    """Integer rows and denominators of {column: exact entry} rows."""
+    ints, dens = [], []
+    for r in data:
+        if r and not (_INT.issuperset(map(type, r)) and min(r) >= 0 and max(r) < cols):
+            raise DimensionMismatch(f"sparse rows do not fit {rows}x{cols}")
+        den = 1
+        if not _INT.issuperset(map(type, r.values())):
+            r = {j: frac(x) for j, x in r.items()}
+            den = lcm(*(x.denominator for x in r.values()))
+            r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
+        ints.append({j: x for j, x in r.items() if x} if 0 in r.values() else r)
+        dens.append(den)
+    if len(ints) != rows:
+        raise DimensionMismatch(f"sparse rows do not fit {rows}x{cols}")
+    return ints, dens
 
 
 class Matrix:
-    """Immutable sparse matrix of Fractions: row i is ``data[i]``, a
-    read-only dict mapping each column to its nonzero entry."""
+    """Immutable sparse rational matrix: row i is ``ints[i]`` divided by
+    ``dens[i]``, in lowest terms; ``data[i]`` is the same row as a read-only
+    {column: Fraction} dict."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "ints", "dens", "_data")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence]):
         dense = [list(r) for r in data]
         if len(dense) != rows or any(len(r) != cols for r in dense):
             raise DimensionMismatch(f"matrix data does not fill {rows}x{cols}")
-        self._fill(rows, cols, [dict(enumerate(r)) for r in dense])
+        self._set(rows, cols, *_coerce(rows, cols, [dict(enumerate(r)) for r in dense]))
 
-    def _fill(self, rows: int, cols: int, data: Iterable[dict]) -> None:
-        ints = _SharedInts()
-        tup = tuple(
-            _Row({j: q for j, x in r.items() if (q := ints[x] if type(x) is int else frac(x))})
-            for r in data
-        )
-        if len(tup) != rows or any(r and not (min(r) >= 0 and max(r) < cols) for r in tup):
-            raise DimensionMismatch(f"sparse rows do not fit {rows}x{cols}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", tup)
+    def _set(self, rows: int, cols: int, ints: Iterable[dict], dens: Iterable[int]) -> None:
+        values = (rows, cols, tuple(map(_Row, ints)), tuple(dens), None)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -100,7 +116,20 @@ class Matrix:
     def from_sparse(cls, rows: int, cols: int, data: Iterable[dict]) -> "Matrix":
         """Build from ``rows`` dicts {column: entry}; zero entries are dropped."""
         m = cls.__new__(cls)
-        m._fill(rows, cols, data)
+        m._set(rows, cols, *_coerce(rows, cols, data))
+        return m
+
+    @classmethod
+    def from_ints(cls, rows: int, cols: int, ints: Sequence[dict], dens=None) -> "Matrix":
+        """Build from integer rows of nonzero entries, as derived from other
+        matrices' ``ints``, over positive denominators (all 1 when ``dens``
+        is None); rows are put in lowest terms and not checked otherwise."""
+        if dens is None:
+            dens = (1,) * rows
+        else:
+            ints, dens = tuple(zip(*map(_lowest, ints, dens))) or ((), ())
+        m = cls.__new__(cls)
+        m._set(rows, cols, ints, dens)
         return m
 
     @classmethod
@@ -111,26 +140,35 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls.from_sparse(rows, cols, [{}] * rows)
+        return cls.from_ints(rows, cols, [{}] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls.from_sparse(n, n, [{i: Fraction(1)} for i in range(n)])
+        return cls.from_ints(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
         return cls.from_rows(columns).transpose()
 
+    @property
+    def data(self) -> tuple[dict, ...]:
+        """The rows as read-only {column: nonzero Fraction} dicts."""
+        if self._data is None:
+            rows = zip(self.ints, self.dens)
+            view = tuple(_Row({j: Fraction(v, d) for j, v in r.items()}) for r, d in rows)
+            object.__setattr__(self, "_data", view)
+        return self._data
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
+            and (self.rows, self.cols, self.dens) == (other.rows, other.cols, other.dens)
+            and self.ints == other.ints
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.data)))
+        rows = tuple(frozenset(r.items()) for r in self.ints)
+        return hash((self.rows, self.cols, self.dens, rows))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
@@ -140,23 +178,30 @@ class Matrix:
         return tuple(r.get(j, _ZERO) for j in range(self.cols))
 
     def column(self, j: int) -> Vector:
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside 0..{self.cols - 1}")
         return tuple(r.get(j, _ZERO) for r in self.data)
 
     def transpose(self) -> "Matrix":
         out: list[dict] = [{} for _ in range(self.cols)]
-        for i, r in enumerate(self.data):
-            for j, x in r.items():
-                out[j][i] = x
-        return Matrix.from_sparse(self.cols, self.rows, out)
+        for i, r in enumerate(self.ints):
+            for j, v in r.items():
+                out[j][i] = v
+        dens = None
+        if any(d != 1 for d in self.dens):
+            dens = [lcm(*(self.dens[i] for i in r)) for r in out]
+            out = [{i: v * (d // self.dens[i]) for i, v in r.items()} for r, d in zip(out, dens)]
+        return Matrix.from_ints(self.cols, self.rows, out, dens)
 
     def is_zero(self) -> bool:
-        return not any(self.data)
+        return not any(self.ints)
 
     def mul_vector(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
         v = vector(v)
-        return tuple(sum((a * v[j] for j, a in r.items()), _ZERO) for r in self.data)
+        rows = zip(self.ints, self.dens)
+        return tuple(sum((a * v[j] for j, a in r.items()), _ZERO) / d for r, d in rows)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -164,126 +209,101 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         # integer products over one common denominator d of ``other``
-        d = lcm(*(x.denominator for r in other.data for x in r.values()))
-        right = [{j: x.numerator * (d // x.denominator) for j, x in r.items()} for r in other.data]
+        d = lcm(*other.dens)
+        right = other.ints
+        if d != 1:
+            right = [{j: v * (d // e) for j, v in r.items()} for r, e in zip(right, other.dens)]
         out = []
-        for r in self.data:
-            den, left = _scaled(r)
+        for r in self.ints:
             acc: dict[int, int] = {}
-            for k, a in left.items():
+            for k, a in r.items():
                 for j, b in right[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-            out.append({j: Fraction(v, den * d) for j, v in acc.items() if v})
-        return Matrix.from_sparse(self.rows, other.cols, out)
+            out.append({j: v for j, v in acc.items() if v})
+        return Matrix.from_ints(self.rows, other.cols, out, [e * d for e in self.dens])
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        out = []
-        for r1, r2 in zip(self.data, other.data):
-            acc = dict(r1)
-            for j, x in r2.items():
-                acc[j] = acc.get(j, _ZERO) + x
-            out.append(acc)
+        rows = zip(self.data, other.data)
+        out = [{j: r1.get(j, _ZERO) + r2.get(j, _ZERO) for j in {**r1, **r2}} for r1, r2 in rows]
         return Matrix.from_sparse(self.rows, self.cols, out)
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix.from_sparse(
-            self.rows, self.cols, [{j: c * x for j, x in r.items()} for r in self.data]
-        )
+        out = [{j: c.numerator * v for j, v in r.items()} if c else {} for r in self.ints]
+        return Matrix.from_ints(self.rows, self.cols, out, [d * c.denominator for d in self.dens])
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form (pivot rows first) and its pivot columns."""
-        reduced = _echelon(self.data)
-        rows = [{j: Fraction(v, r[pc]) for j, v in r.items()} for pc, r in reduced]
-        rows += [{}] * (self.rows - len(rows))
-        return Matrix.from_sparse(self.rows, self.cols, rows), tuple(pc for pc, _ in reduced)
+        reduced = _echelon(self.ints)
+        pad = self.rows - len(reduced)
+        ints = [r for _, r in reduced] + [{}] * pad
+        dens = [r[pc] for pc, r in reduced] + [1] * pad
+        return Matrix.from_ints(self.rows, self.cols, ints, dens), tuple(pc for pc, _ in reduced)
 
 
-def _scaled(row: dict) -> tuple[int, dict[int, int]]:
-    """(d, integer row) with row == integer row / d, d the lcm of denominators."""
-    den = lcm(*(x.denominator for x in row.values()))
-    return den, {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+def _sub(acc: dict[int, int], f: int, row: dict[int, int]) -> dict[int, int]:
+    """acc - f * row, in place, dropping the entries that cancel."""
+    for j, v in row.items():
+        w = acc.get(j, 0) - f * v
+        if w:
+            acc[j] = w
+        else:
+            del acc[j]
+    return acc
 
 
-def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """Integer row divided by the gcd of its entries (its content)."""
+def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
+    """Integer row divided by its content, signed so row[lead] > 0."""
     g = gcd(*row.values())
-    return {j: v // g for j, v in row.items()} if g > 1 else row
+    if row[lead] < 0:
+        g = -g
+    return {j: v // g for j, v in row.items()} if g != 1 else row
 
 
-def _echelon(rows: Iterable[dict]) -> list[tuple[int, dict[int, int]]]:
-    """Fraction-free sparse elimination: (pivot column, integer row) pairs.
+def _echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """Reduced integer basis of the span of integer rows: (pivot column,
+    row) pairs, pivots ascending.
 
-    Each row is cleared of denominators and kept primitive (content 1), in
-    the integer scheme of Bareiss.  Pivot columns are taken strictly left
-    to right, rows bucketed by leading column; in each bucket the sparsest
-    row is the pivot and the others become ``a*r - b*p``.  The pivots are
-    therefore those of the reduced row echelon form.  The rows are then
-    back-substituted bottom-up, so row k divided by its pivot entry is row
-    k of that (unique) form.
+    Each basis row is primitive, has a positive entry at its pivot column,
+    which is its leading column, and is zero on every other pivot column,
+    so dividing it by that entry gives the row of the (unique) reduced row
+    echelon form.  Rows are taken once each, by leading column and then
+    length.  A row is cleared of all its pivot columns in one pass with one
+    common multiplier, since a basis row holds no pivot column but its own.
+    A nonzero remainder becomes the basis row of its leading column c, and
+    only the basis rows that ``holding`` lists under c are cleared of c.
     """
-    buckets: dict[int, list[dict[int, int]]] = {}
-    for r in rows:
-        if r:
-            ints = _primitive(_scaled(r)[1])
-            buckets.setdefault(min(ints), []).append(ints)
-    heap = list(buckets)
-    heapify(heap)
-    echelon = []
-    while heap:
-        pc = heappop(heap)
-        bucket = buckets.pop(pc)
-        piv = min(bucket, key=len)
-        a = piv[pc]
-        for r in bucket:
-            if r is piv:
-                continue
-            g = gcd(a, r[pc])
-            fa, fb = a // g, r[pc] // g
-            new = {j: fa * v for j, v in r.items()} if fa != 1 else dict(r)
-            for j, v in piv.items():
-                w = new.get(j, 0) - fb * v
-                if w:
-                    new[j] = w
-                else:
-                    del new[j]
-            if new:
-                new = _primitive(new)
-                lead = min(new)
-                if lead not in buckets:
-                    buckets[lead] = []
-                    heappush(heap, lead)
-                buckets[lead].append(new)
-        echelon.append((pc, piv))
-    # rows below are already reduced, so clearing their pivot columns from a
-    # row brings in no other pivot column: one common multiplier m suffices
-    done: dict[int, dict[int, int]] = {}
-    for k in range(len(echelon) - 1, -1, -1):
-        pc, r = echelon[k]
-        above = [j for j in r if j != pc and j in done]
-        if above:
-            m = lcm(*(done[j][j] for j in above))
-            new = {j: m * v for j, v in r.items() if j not in done or j == pc}
-            for j in above:
-                f = m // done[j][j] * r[j]
-                for i, v in done[j].items():
-                    if i != j:
-                        w = new.get(i, 0) - f * v
-                        if w:
-                            new[i] = w
-                        else:
-                            del new[i]
-            r = _primitive(new)
-            echelon[k] = (pc, r)
-        done[pc] = r
-    return echelon
+    pivots: dict[int, dict[int, int]] = {}
+    holding: dict[int, set[int]] = {}  # column -> pivots whose rows may hold it
+    for r in sorted(filter(None, rows), key=lambda r: (min(r), len(r))):
+        hit = [(j, pivots[j]) for j in r if j in pivots]
+        m = lcm(*(p[j] // gcd(p[j], r[j]) for j, p in hit))
+        new = {j: m * v for j, v in r.items()}
+        for j, p in hit:
+            _sub(new, m * r[j] // p[j], p)
+        if not new:
+            continue
+        c = min(new)
+        new = _primitive(new, c)
+        for k in holding.pop(c, ()):
+            p = pivots[k]
+            if c in p:
+                g = gcd(new[c], p[c])
+                q = _sub({j: new[c] // g * v for j, v in p.items()}, p[c] // g, new)
+                pivots[k] = _primitive(q, k)
+                for j in new.keys() & q.keys():
+                    holding.setdefault(j, set()).add(k)
+        for j in new.keys() - {c}:
+            holding.setdefault(j, set()).add(c)
+        pivots[c] = new
+    return sorted(pivots.items())
 
 
 def rank(m: Matrix) -> int:
     """Exact rank via row reduction."""
-    return len(_echelon(m.data))
+    return len(_echelon(m.ints))
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -291,25 +311,30 @@ def kernel_basis(m: Matrix) -> Matrix:
 
     The row of f is the kernel vector of the reduced row echelon form: 1 at
     f and otherwise nonzero only on pivot columns left of f, so f is its
-    largest column.  Every row v satisfies m.mul_vector(v) == 0 exactly, and there
-    are cols - rank rows.
+    largest column.  Every row v satisfies m.mul_vector(v) == 0 exactly,
+    and there are cols - rank rows.
     """
-    reduced = _echelon(m.data)
+    reduced = _echelon(m.ints)
     pivots = {pc for pc, _ in reduced}
-    free = {f: {f: Fraction(1)} for f in range(m.cols) if f not in pivots}
+    free = {f: {f: (1, 1)} for f in range(m.cols) if f not in pivots}
     for pc, r in reduced:
-        a = r[pc]
         for f, v in r.items():
             if f != pc:
-                free[f][pc] = Fraction(-v, a)
-    return Matrix.from_sparse(len(free), m.cols, free.values())
+                free[f][pc] = (-v, r[pc])  # the entry -v / r[pc]
+    dens = [lcm(*(a for _, a in row.values())) for row in free.values()]
+    ints = [{j: v * (d // a) for j, (v, a) in row.items()} for row, d in zip(free.values(), dens)]
+    return Matrix.from_ints(len(ints), m.cols, ints, dens)
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     """Some x with m x = b, or None when b is outside the column space."""
     if len(b) != m.rows:
         raise DimensionMismatch(f"rhs length {len(b)} != rows {m.rows}")
-    aug = [{**r, m.cols: bv} if bv else r for r, bv in zip(m.data, vector(b))]
+    # row i is [ints[i] / dens[i] | x], scaled by dens[i] * x.denominator
+    aug = [
+        {**{j: v * x.denominator for j, v in r.items()}, m.cols: x.numerator * d} if x else r
+        for r, d, x in zip(m.ints, m.dens, vector(b))
+    ]
     x = [_ZERO] * m.cols
     for pc, r in _echelon(aug):
         if pc == m.cols:
@@ -337,28 +362,24 @@ def quotient_data(z: Matrix, b: Matrix) -> tuple[int, Matrix]:
     """
     if z.cols != b.cols:
         raise DimensionMismatch(f"cocycle length {z.cols} != coboundary length {b.cols}")
-    free = [max(r, default=-1) for r in z.data]
+    free = [max(r, default=-1) for r in z.ints]
     pos = {f: i for i, f in enumerate(free)}
     if free != sorted(pos) or any(
-        r.get(f) != 1 or sum(j in pos for j in r) != 1 for f, r in zip(free, z.data)
+        r.get(f) != d or sum(j in pos for j in r) != 1 for f, r, d in zip(free, z.ints, z.dens)
     ):
         raise DimensionMismatch("cocycle rows are not in kernel form")
-    scaled = [_scaled(r) for r in z.data]
     restricted = []
-    for row in b.data:
+    for row in b.ints:
         # b == sum of b[f] z_f, checked in integers over common denominators
-        w = _scaled(row)[1]
-        coords = {f: v for f, v in w.items() if f in pos}
-        m = lcm(*(scaled[pos[f]][0] for f in coords))
-        w = {j: m * v for j, v in w.items()}
+        coords = {f: v for f, v in row.items() if f in pos}
+        m = lcm(*(z.dens[pos[f]] for f in coords))
+        w = {j: m * v for j, v in row.items()}
         for f, c in coords.items():
-            zden, zrow = scaled[pos[f]]
-            c *= m // zden
-            for j, v in zrow.items():
-                w[j] = w.get(j, 0) - c * v
-        if any(w.values()):
+            _sub(w, c * (m // z.dens[pos[f]]), z.ints[pos[f]])
+        if w:
             raise SubspaceViolation("coboundary vector outside the cocycle span")
         restricted.append({len(free) - 1 - pos[f]: v for f, v in coords.items()})
     pivot_rows = {len(free) - 1 - pc for pc, _ in _echelon(restricted)}
-    reps = [r for i, r in enumerate(z.data) if i not in pivot_rows]
-    return len(reps), Matrix.from_sparse(len(reps), z.cols, reps)
+    reps = [i for i in range(len(free)) if i not in pivot_rows]
+    ints, dens = [z.ints[i] for i in reps], [z.dens[i] for i in reps]
+    return len(reps), Matrix.from_ints(len(reps), z.cols, ints, dens)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (
@@ -27,6 +28,7 @@ from .cochains import (
     coboundary_matrix_module,
     coboundary_matrix_self,
     cohomology,
+    eval_key_combo,
 )
 from .errors import (
     ArityMismatch,
@@ -260,53 +262,22 @@ class TripleComplex:
         cached = self._post_cache.get(m)
         if cached is not None:
             return cached
-        src_space = self.space_source(m)
-        keys = src_space.domain_keys
-        d, dp = self.phi.source.dim, self.phi.target.dim
-        rows = [
-            {pos * d + t: a for t, a in phi_row.items()}
-            for pos in range(len(keys))
-            for phi_row in self.phi.matrix.data
-        ]
-        out = Matrix.from_sparse(len(keys) * dp, len(keys) * d, rows)
+        keys = len(self.space_source(m).domain_keys)
+        d, phi = self.phi.source.dim, self.phi.matrix
+        rows = [{pos * d + t: a for t, a in r.items()} for pos in range(keys) for r in phi.ints]
+        out = Matrix.from_ints(keys * phi.rows, keys * d, rows, phi.dens * keys)
         self._post_cache[m] = out
         return out
 
-    def _pull_combo(self, key) -> dict:
+    def _pull_combo(self, m: int, key) -> dict:
         """Decompose a source domain key through mapped blocks and vectors."""
-        phi = self.phi
+        phi, col, d = self.phi, self.phi.matrix.column, self.phi.source.dim
+        space = self.space_target(m)
         if isinstance(key, int):
-            return {
-                j: c for j, c in enumerate(phi.matrix.column(key)) if c
-            }
-        n = phi.source.arity
-        blocks = key[:-1]
-        k = key[-1]
-        parts = []
-        for idx in blocks:
-            fo = wedge_image(phi, FundamentalObject.from_basis(phi.source.dim, idx))
-            parts.append(fo.decomposition())
-        kvecs = [phi.matrix.column(i) for i in k]
-        last = wedge_decompose(kvecs)  # over n-subsets of the target
-        out: dict = {}
-
-        def rec(i: int, prefix: tuple, coeff: Fraction) -> None:
-            if not coeff:
-                return
-            if i == len(parts):
-                for kkey, kc in last.items():
-                    full = prefix + (kkey,)
-                    cur = out.get(full, Fraction(0)) + coeff * kc
-                    if cur:
-                        out[full] = cur
-                    else:
-                        out.pop(full, None)
-                return
-            for bkey, bc in parts[i].items():
-                rec(i + 1, prefix + (bkey,), coeff * bc)
-
-        rec(0, (), Fraction(1))
-        return out
+            return eval_key_combo(space, [], None, col(key))
+        blocks = [wedge_image(phi, FundamentalObject.from_basis(d, w)) for w in key[:-1]]
+        last = FundamentalObject([col(i) for i in key[-1][:-1]], dim=phi.target.dim)
+        return eval_key_combo(space, blocks, last, col(key[-1][-1]))
 
     def pull_matrix(self, m: int) -> Matrix:
         """Pre-composition with mapped blocks, target-self to module cochains."""
@@ -317,11 +288,17 @@ class TripleComplex:
         tgt_space = self.space_target(m)
         dp = self.phi.target.dim
         rows: list[dict] = []
+        dens: list[int] = []
         for key in src_space.domain_keys:
-            combo = self._pull_combo(key)
-            cols = [(tgt_space._key_pos[dkey] * dp, c) for dkey, c in combo.items()]
+            combo = self._pull_combo(m, key)
+            den = lcm(*(c.denominator for c in combo.values()))
+            cols = [
+                (tgt_space._key_pos[k] * dp, c.numerator * (den // c.denominator))
+                for k, c in combo.items()
+            ]
             rows += [{base + s: c for base, c in cols} for s in range(dp)]
-        out = Matrix.from_sparse(len(rows), tgt_space.dim, rows)
+            dens += [den] * dp
+        out = Matrix.from_ints(len(rows), tgt_space.dim, rows, dens)
         self._pull_cache[m] = out
         return out
 
@@ -340,22 +317,23 @@ class TripleComplex:
             self.space_target(m).dim,
             self.space_module(m).dim if self.space_module(m) else 0,
         )
-        d_mod = (
-            coboundary_matrix_module(phi.source, phi.target, phi, m - 1)
-            if m >= 1
-            else None
-        )
-        sign = Fraction((-1) ** m)
+        sign = (-1) ** m
         off_tgt, off_mod = dims_in[0], dims_in[0] + dims_in[1]
-        rows = list(d_src.data)
-        rows += [{off_tgt + j: x for j, x in r.items()} for r in d_tgt.data]
+        rows = [*d_src.ints, *({off_tgt + j: v for j, v in r.items()} for r in d_tgt.ints)]
+        dens = [*d_src.dens, *d_tgt.dens]
+        blocks = [(post, 0, sign), (pull, off_tgt, -sign)]
+        if m >= 1:
+            d_mod = coboundary_matrix_module(phi.source, phi.target, phi, m - 1)
+            blocks.append((d_mod, off_mod, 1))
         for i in range(post.rows):
-            row = {j: sign * x for j, x in post.data[i].items()}
-            row.update((off_tgt + j, -sign * x) for j, x in pull.data[i].items())
-            if d_mod is not None:
-                row.update((off_mod + j, x) for j, x in d_mod.data[i].items())
+            den = lcm(*(b.dens[i] for b, _, _ in blocks))
+            row: dict[int, int] = {}
+            for b, off, s in blocks:
+                f = s * (den // b.dens[i])
+                row.update((off + j, f * v) for j, v in b.ints[i].items())
             rows.append(row)
-        out = Matrix.from_sparse(len(rows), sum(dims_in), rows)
+            dens.append(den)
+        out = Matrix.from_ints(len(rows), sum(dims_in), rows, dens)
         self._delta_cache[m] = out
         return out
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from nliecoh.cochains import coboundary_matrix_module, coboundary_matrix_self
 from nliecoh.errors import DimensionMismatch, SubspaceViolation
 from nliecoh.linalg import (
     Matrix,
+    _echelon,
     kernel_basis,
     quotient_data,
     rank,
@@ -185,6 +187,65 @@ def test_rref_matches_oracle_on_morphism_coboundaries(name):
         _assert_rref_matches_oracle(tc.delta_matrix(m))
 
 
+def _assert_reduced_basis(m: Matrix, want_rows, want_pivots):
+    """``_echelon`` and ``kernel_basis`` of m against an oracle RREF of the
+    same row space: ascending pivots, primitive rows with a positive pivot
+    entry, zero on every other pivot column, and each row over its pivot
+    entry equal to the oracle's row."""
+    reduced = _echelon(m.ints)
+    pivots = [pc for pc, _ in reduced]
+    assert pivots == list(want_pivots) == sorted(set(pivots))
+    for (pc, r), want in zip(reduced, want_rows):
+        assert gcd(*r.values()) == 1 and r[pc] > 0
+        assert not set(pivots) & (r.keys() - {pc})
+        assert [Fraction(r.get(j, 0), r[pc]) for j in range(m.cols)] == list(want)
+    kernel = []
+    for f in (f for f in range(m.cols) if f not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for pc, want in zip(pivots, want_rows):
+            v[pc] = -want[f]
+        kernel.append(tuple(v))
+    assert _dense_rows(kernel_basis(m)) == kernel
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_echelon_is_row_order_invariant(data):
+    """The reduced basis of a rational row space does not depend on the
+    order of its rows, on repeated, scaled or zero rows, or on whether the
+    rows come as Fractions or scaled to ints."""
+    n = data.draw(st.integers(1, 6), label="length")
+    vec = st.lists(_sparse_fractions, min_size=n, max_size=n)
+    base = data.draw(st.lists(vec, max_size=5), label="rows")
+    rows = list(base)
+    if base:
+        rows += data.draw(st.lists(st.sampled_from(base), max_size=2), label="repeated")
+        scaled = st.lists(st.tuples(st.sampled_from(base), fractions.filter(bool)), max_size=2)
+        rows += [[c * x for x in r] for r, c in data.draw(scaled, label="scaled")]
+    rows += [[Fraction(0)] * n] * data.draw(st.integers(0, 2), label="zero rows")
+    rows = data.draw(st.permutations(rows), label="order")
+    want_rows, want_pivots = oracle_rref(base)
+    int_rows = []
+    for r in rows:
+        d = lcm(*(x.denominator for x in r))
+        int_rows.append([int(x * d) for x in r])
+    for m in (Matrix(len(rows), n, rows), Matrix(len(rows), n, int_rows)):
+        _assert_reduced_basis(m, want_rows, want_pivots)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.ALGEBRA_FILES))
+def test_echelon_is_row_order_invariant_on_corpus_coboundaries(name):
+    rng = random.Random(name)
+    alg = corpus.algebra(name)
+    for p in range(3):
+        m = coboundary_matrix_self(alg, p)
+        rows = list(m.data)
+        rng.shuffle(rows)
+        want_rows, want_pivots = oracle_rref(_dense_rows(m))
+        _assert_reduced_basis(Matrix.from_sparse(m.rows, m.cols, rows), want_rows, want_pivots)
+
+
 def test_row_space_incremental_rank():
     space = RowSpace()
     assert space.add((1, 0, 0))
@@ -207,26 +268,70 @@ def test_sparse_rows_match_dense_construction():
         Matrix.from_sparse(3, 3, [{}, {}])
     with pytest.raises(TypeError):
         Matrix(1, 2, [[0.0, 1]])
+    # int, str, mixed and per-row-denominator rows: equal value, equal hash
+    want = Matrix.from_rows([[Fraction(1, 2), 0, -3], [Fraction(2, 3), Fraction(-1, 6), 0]])
+    for rows in (
+        [{0: "1/2", 2: -3}, {0: "4/6", 1: "-1/6"}],
+        [{0: Fraction(1, 2), 2: "-3", 1: 0}, {1: Fraction(-2, 12), 0: Fraction(2, 3)}],
+        [[Fraction(2, 4), 0, "-6/2"], ["2/3", Fraction(-1, 6), 0]],
+    ):
+        m = Matrix.from_sparse(2, 3, rows) if isinstance(rows[0], dict) else Matrix.from_rows(rows)
+        assert m == want and hash(m) == hash(want)
+    assert want.ints == ({0: 1, 2: -6}, {0: 4, 1: -1}) and want.dens == (2, 6)
+    ints = Matrix.from_sparse(2, 2, [{0: 3, 1: 0}, {1: -2}])
+    assert ints == Matrix.from_rows([[3, 0], [0, Fraction(-4, 2)]])
+    assert hash(ints) == hash(Matrix.from_rows([["3", 0], [0, "-2"]])) and ints.dens == (1, 1)
+    # kernel rows of the primitive row (4, 2, 1): -2/4 is stored as -1 over 2
+    z = kernel_basis(Matrix.from_rows([[4, 2, 1]]))
+    assert z.ints == ({0: -1, 1: 2}, {0: -1, 2: 4}) and z.dens == (2, 4)
+    want = Matrix.from_sparse(2, 3, [{0: Fraction(-2, 4), 1: 1}, {0: Fraction(-1, 4), 2: 1}])
+    assert z == want and hash(z) == hash(Matrix.from_rows([["-1/2", 1, 0], ["-1/4", 0, 1]]))
+
+
+def test_matrix_rejects_float_column_key():
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_sparse(1, 3, [{1.0: 1}])
+
+
+def test_matrix_rejects_bool_column_key():
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_sparse(1, 3, [{True: 1}])
+
+
+@pytest.mark.parametrize("j", [5, -1])
+def test_matrix_column_out_of_range(j):
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(IndexError):
+        m.column(j)
+    with pytest.raises(IndexError):
+        m.row(5)
 
 
 def test_matrix_rows_are_read_only():
-    m = Matrix.from_rows([[1, 0], [0, 2]])
-    before = hash(m)
-    row = m.data[0]
-    for mutate in (
-        lambda: row.__setitem__(1, Fraction(5)),
-        lambda: row.__delitem__(0),
-        lambda: row.update({1: Fraction(5)}),
-        lambda: row.setdefault(1, Fraction(5)),
-        lambda: row.pop(0),
-        row.popitem,
-        row.clear,
+    """Rows of Fraction input, of int input and of a kernel basis, in both
+    the stored integer form and the Fraction view."""
+    for m in (
+        Matrix.from_rows([[1, 0], [0, Fraction(1, 2)]]),
+        Matrix.from_sparse(2, 2, [{0: 1}, {1: 2}]),
+        kernel_basis(Matrix.from_rows([[1, 2, 0, 4], [0, 0, 1, 3]])),
     ):
+        before = hash(m)
+        for row in (m.data[0], m.ints[0]):
+            for mutate in (
+                lambda: row.__setitem__(1, Fraction(5)),
+                lambda: row.__delitem__(0),
+                lambda: row.update({1: Fraction(5)}),
+                lambda: row.setdefault(1, Fraction(5)),
+                lambda: row.pop(0),
+                row.popitem,
+                row.clear,
+            ):
+                with pytest.raises(TypeError):
+                    mutate()
         with pytest.raises(TypeError):
-            mutate()
-    with pytest.raises(TypeError):
-        m.data[1] |= {0: Fraction(1)}
-    assert m == Matrix.from_rows([[1, 0], [0, 2]]) and hash(m) == before
+            m.data[1] |= {0: Fraction(1)}
+        assert all(type(x) is Fraction for r in m.data for x in r.values())
+        assert hash(m) == before and m == Matrix.from_sparse(m.rows, m.cols, m.data)
 
 
 def _quotient_or_violation(quotient, z_basis, b_basis):
