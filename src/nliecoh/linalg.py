@@ -67,12 +67,6 @@ class _Row(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
 
-def _lowest(row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
-    """The integer row and positive denominator of row/den in lowest terms."""
-    g = gcd(den, *row.values()) if den != 1 else 1
-    return ({j: v // g for j, v in row.items()}, den // g) if g != 1 else (row, den)
-
-
 def _coerce(rows: int, cols: int, data: Iterable[dict]) -> tuple[list, list]:
     """Integer rows and denominators of {column: exact entry} rows."""
     ints, dens = [], []
@@ -84,7 +78,7 @@ def _coerce(rows: int, cols: int, data: Iterable[dict]) -> tuple[list, list]:
             r = {j: frac(x) for j, x in r.items()}
             den = lcm(*(x.denominator for x in r.values()))
             r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
-        ints.append({j: x for j, x in r.items() if x} if 0 in r.values() else r)
+        ints.append(_Row({j: x for j, x in r.items() if x} if 0 in r.values() else r))
         dens.append(den)
     if len(ints) != rows:
         raise DimensionMismatch(f"sparse rows do not fit {rows}x{cols}")
@@ -104,9 +98,8 @@ class Matrix:
             raise DimensionMismatch(f"matrix data does not fill {rows}x{cols}")
         self._set(rows, cols, *_coerce(rows, cols, [dict(enumerate(r)) for r in dense]))
 
-    def _set(self, rows: int, cols: int, ints: Iterable[dict], dens: Iterable[int]) -> None:
-        values = (rows, cols, tuple(map(_Row, ints)), tuple(dens), None)
-        for name, value in zip(self.__slots__, values):
+    def _set(self, rows: int, cols: int, ints: Iterable[_Row], dens: Iterable[int]) -> None:
+        for name, value in zip(self.__slots__, (rows, cols, tuple(ints), tuple(dens), None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -120,16 +113,20 @@ class Matrix:
         return m
 
     @classmethod
-    def from_ints(cls, rows: int, cols: int, ints: Sequence[dict], dens=None) -> "Matrix":
+    def from_ints(cls, rows: int, cols: int, ints: Iterable[dict], dens=None) -> "Matrix":
         """Build from integer rows of nonzero entries, as derived from other
         matrices' ``ints``, over positive denominators (all 1 when ``dens``
         is None); rows are put in lowest terms and not checked otherwise."""
         if dens is None:
-            dens = (1,) * rows
+            out, low = map(_Row, ints), (1,) * rows
         else:
-            ints, dens = tuple(zip(*map(_lowest, ints, dens))) or ((), ())
+            out, low = [], []
+            for r, d in zip(ints, dens):
+                g = gcd(d, *r.values()) if d != 1 else 1
+                out.append(_Row({j: v // g for j, v in r.items()} if g != 1 else r))
+                low.append(d // g)
         m = cls.__new__(cls)
-        m._set(rows, cols, ints, dens)
+        m._set(rows, cols, out, low)
         return m
 
     @classmethod
@@ -213,13 +210,15 @@ class Matrix:
         right = other.ints
         if d != 1:
             right = [{j: v * (d // e) for j, v in r.items()} for r, e in zip(right, other.dens)]
-        out = []
-        for r in self.ints:
+
+        def product(r: dict[int, int]) -> dict[int, int]:
             acc: dict[int, int] = {}
             for k, a in r.items():
                 for j, b in right[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-            out.append({j: v for j, v in acc.items() if v})
+            return {j: v for j, v in acc.items() if v}
+
+        out = map(product, self.ints)  # one row at a time, so no list of them
         return Matrix.from_ints(self.rows, other.cols, out, [e * d for e in self.dens])
 
     def add(self, other: "Matrix") -> "Matrix":

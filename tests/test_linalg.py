@@ -240,10 +240,11 @@ def test_echelon_is_row_order_invariant_on_corpus_coboundaries(name):
     alg = corpus.algebra(name)
     for p in range(3):
         m = coboundary_matrix_self(alg, p)
-        rows = list(m.data)
-        rng.shuffle(rows)
         want_rows, want_pivots = oracle_rref(_dense_rows(m))
-        _assert_reduced_basis(Matrix.from_sparse(m.rows, m.cols, rows), want_rows, want_pivots)
+        for rows in (list(m.data), list(m.ints)):
+            rng.shuffle(rows)
+            shuffled = Matrix.from_sparse(m.rows, m.cols, rows)
+            _assert_reduced_basis(shuffled, want_rows, want_pivots)
 
 
 def test_row_space_incremental_rank():
