@@ -8,8 +8,9 @@ Matrices store only their nonzero entries, as integer rows: row i is a
 read-only ``{column: int}`` dict ``ints[i]`` over one positive denominator
 ``dens[i]``, in lowest terms (the denominator is the lcm of the entries'
 reduced denominators), so equal matrices store equal rows.  Outside input
-is coerced and range-checked once, in :meth:`Matrix.from_sparse`; rows
-derived from integer rows are built as integers.  ``data`` is the
+(``Matrix(...)``, ``from_rows``, ``from_sparse``) is coerced and
+range-checked in one place; rows derived from integer rows are built as
+integers, through :meth:`Matrix.from_ints`.  ``data`` is the
 ``{column: Fraction}`` view of the rows, built on first read.  Row
 reduction runs in :func:`_echelon`, one fraction-free pass per row into a
 reduced integer basis.
