@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import combinations, product
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .algebra import FundamentalObject, NLieAlgebra, sort_sign
@@ -240,13 +241,10 @@ def eval_key_combo(
 # slot by skewness.  The self complex is the case phi = identity.
 
 
-def _exact(x: Fraction):
-    """x, as an int when integral: integral tables run on int arithmetic."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _sparse_bracket(alg: NLieAlgebra, idxs: tuple) -> dict:
-    return {t: _exact(x) for t, x in enumerate(alg.bracket_on_basis(idxs)) if x}
+def _sparse_bracket(alg: NLieAlgebra, scale: int, idxs: tuple) -> dict:
+    """Nonzero bracket constants times ``scale``, a multiple of their denominators."""
+    out = enumerate(alg.bracket_on_basis(idxs))
+    return {t: x.numerator * (scale // x.denominator) for t, x in out if x}
 
 
 def _derivation(sign, bracket, w: tuple, u: tuple) -> dict:
@@ -281,24 +279,37 @@ class _Tables:
     memoized for the life of one assembly.  The memoized functions close
     over each other, not over the instance, so no reference cycle keeps
     them alive after it.
+
+    The tables hold ints, so each coboundary entry is an int over ``den``.
+    With d_* the lcm of the denominators of the source constants, the target
+    constants and phi, an action term (n - 1 entries of phi times a target
+    constant) is an int over acted = d_tgt * d_phi^(n-1).  So den =
+    lcm(d_src, acted) scales the source constants, d_phi scales phi and
+    d_tgt * den / acted the target constants.
     """
 
     def __init__(self, src: NLieAlgebra, tgt: NLieAlgebra, phi: Matrix):
         self.src = src
         self.tgt = tgt
+        d_src, d_tgt = (lcm(*(x.denominator for _, v in a.structure for x in v)) for a in (src, tgt))
+        d_phi = lcm(*phi.dens)
+        acted = d_tgt * d_phi ** (src.arity - 1)
+        self.den = den = lcm(d_src, acted)
         phi_cols: list[dict] = [{} for _ in range(src.dim)]
-        for i, (row, den) in enumerate(zip(phi.ints, phi.dens)):
+        for i, (row, d) in enumerate(zip(phi.ints, phi.dens)):
             for j, v in row.items():
-                phi_cols[j][i] = v if den == 1 else Fraction(v, den)
+                phi_cols[j][i] = v * (d_phi // d)
         self.sign = cache(sort_sign)
-        self.src_bracket = cache(partial(_sparse_bracket, src))
-        tgt_bracket = self.src_bracket if tgt is src else cache(partial(_sparse_bracket, tgt))
+        self.src_bracket = cache(partial(_sparse_bracket, src, den))
+        tgt_scale = d_tgt * (den // acted)
+        same = tgt is src and tgt_scale == den
+        tgt_bracket = self.src_bracket if same else cache(partial(_sparse_bracket, tgt, tgt_scale))
         self.derivation = cache(partial(_derivation, self.sign, self.src_bracket))
         self.action = cache(partial(_action, phi_cols, tgt_bracket, tgt.dim))
 
     def delta_rows(self, space_in: CochainSpace, key: tuple) -> list[dict]:
-        """Rows of the coboundary out of ``space_in`` at one canonical key of
-        the next degree, one row per target coordinate."""
+        """Rows of the coboundary out of ``space_in`` at one canonical key of the
+        next degree, one per target coordinate: nonzero ints over ``den``."""
         p, n, d_T = space_in.degree, self.src.arity, self.tgt.dim
         ws, k = key[:-1], key[-1]
         scalar: dict = {}  # input key -> coefficient
@@ -342,13 +353,14 @@ class _Tables:
             for row, arow in zip(rows, action):
                 for t, a in arow.items():
                     row[base + t] = row.get(base + t, 0) + c * a
-        return rows
+        return [{j: v for j, v in r.items() if v} if 0 in r.values() else r for r in rows]
 
 
 def _assemble(space_in: CochainSpace, tables: _Tables) -> Matrix:
     space_out = CochainSpace(space_in.source, space_in.degree + 1, space_in.target_dim)
     rows = (row for key in space_out.domain_keys for row in tables.delta_rows(space_in, key))
-    return Matrix.from_sparse(space_out.dim, space_in.dim, rows)
+    dens = None if tables.den == 1 else [tables.den] * space_out.dim
+    return Matrix.from_ints(space_out.dim, space_in.dim, rows, dens)
 
 
 def _require_valid_algebra(alg: NLieAlgebra) -> None:
@@ -388,10 +400,14 @@ def coboundary_matrix_module(
     src: NLieAlgebra, tgt: NLieAlgebra, phi, m: int
 ) -> Matrix:
     """Matrix of the module-valued coboundary out of degree m via a morphism."""
+    return _assemble(CochainSpace(src, m, tgt.dim), _module_tables(src, tgt, phi))
+
+
+def _module_tables(src: NLieAlgebra, tgt: NLieAlgebra, phi) -> _Tables:
+    """Tables along ``phi``, once both algebras and the map are checked."""
     _require_valid_algebra(src)
     _require_valid_algebra(tgt)
-    tables = _Tables(src, tgt, _morphism_matrix(src, tgt, phi))
-    return _assemble(CochainSpace(src, m, tgt.dim), tables)
+    return _Tables(src, tgt, _morphism_matrix(src, tgt, phi))
 
 
 def _apply(tables: _Tables, f: Cochain, args: Sequence[FundamentalObject], z) -> Vector:
@@ -407,7 +423,7 @@ def _apply(tables: _Tables, f: Cochain, args: Sequence[FundamentalObject], z) ->
     for key, c in combo.items():
         for s, row in enumerate(tables.delta_rows(f.space, key)):
             out[s] += c * sum(a * flat[col] for col, a in row.items())
-    return tuple(out)
+    return tuple(x / tables.den for x in out)
 
 
 def coboundary_apply_self(
@@ -429,8 +445,7 @@ def coboundary_apply_module(
     z: Sequence,
 ) -> Vector:
     """Numeric coboundary value of a concrete module-valued cochain."""
-    mat = phi.matrix if hasattr(phi, "matrix") else phi
-    return _apply(_Tables(src, tgt, mat), f, args, z)
+    return _apply(_module_tables(src, tgt, phi), f, args, z)
 
 
 @dataclass(frozen=True)

@@ -197,9 +197,12 @@ class Matrix:
     def mul_vector(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
+        # integer products over one common denominator e of v
         v = vector(v)
+        e = lcm(*(x.denominator for x in v))
+        w = [x.numerator * (e // x.denominator) for x in v]
         rows = zip(self.ints, self.dens)
-        return tuple(sum((a * v[j] for j, a in r.items()), _ZERO) / d for r, d in rows)
+        return tuple(Fraction(sum(a * w[j] for j, a in r.items()), d * e) for r, d in rows)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
+from math import lcm
 
 import pytest
 
 from catalog import _random_invertible, conjugate
-from oracles import oracle_delta_eval, oracle_matrix
+from oracles import _canonical_input, _domain_keys, oracle_delta_eval, oracle_matrix
 
 from nliecoh.algebra import FundamentalObject, NLieAlgebra
 from nliecoh.corpus import MORPHISM_FILES, algebra, morphism
@@ -234,6 +236,19 @@ def test_apply_rejects_misshapen_arguments(alg_a1):
     with pytest.raises(DimensionMismatch):
         coboundary_apply_self(alg_a1, f, [good, FundamentalObject.from_basis(5, (0, 1))], unit(4, 2))
 
+@pytest.mark.parametrize("bad", ["2*id", "3x4 zero"])
+def test_apply_module_checks_its_map(alg_a1, alg_b1, bad):
+    """The applied coboundary refuses a map that is no morphism, as the
+    assembled one does."""
+    phi = Matrix.identity(4).scale(2) if bad == "2*id" else Matrix.zero(3, 4)
+    f = _random_cochain(random.Random(31), CochainSpace(alg_a1, 1, 4))
+    args = [FundamentalObject.from_basis(4, (0, 1)), FundamentalObject.from_basis(4, (1, 2))]
+    with pytest.raises(InvalidMorphism):
+        coboundary_matrix_module(alg_a1, alg_b1, phi, 1)
+    with pytest.raises(InvalidMorphism):
+        coboundary_apply_module(alg_a1, alg_b1, phi, f, args, unit(4, 3))
+
+
 @pytest.mark.parametrize("key", sorted(MORPHISM_FILES))
 def test_module_matrix_matches_bruteforce_degree_one(key):
     phi = morphism(key)
@@ -284,9 +299,9 @@ def _entries(m: Matrix):
 
 
 def test_coboundary_entries_are_fractions(corpus_algebras):
-    """Integral algebras assemble on int tables; every matrix and every
-    applied value still holds Fractions only, for rational structure
-    constants as well."""
+    """Every algebra assembles on int tables over one denominator, rational
+    structure constants included; every matrix's ``data`` view and every
+    applied value still holds Fractions only."""
     dense = _dense_conjugate_a1()
     assert any(x.denominator > 1 for _, val in dense.structure for x in val)
     phis = [morphism(key) for key in sorted(MORPHISM_FILES)] + [Morphism.identity(dense)]
@@ -314,3 +329,82 @@ def test_coboundary_entries_are_fractions(corpus_algebras):
             g = _random_cochain(rng, CochainSpace(phi.source, p, phi.target.dim))
             got = coboundary_apply_module(phi.source, phi.target, phi, g, args, z)
             assert all(type(x) is Fraction for x in got)
+
+
+def _denominator(values) -> int:
+    return lcm(*(x.denominator for x in values))
+
+
+@cache
+def _conjugated_morphism() -> Morphism:
+    """a1_b2_i1 carried along dense changes of basis P_A, P_B of its
+    algebras, phi' = P_B^-1 phi P_A: source constants, target constants and
+    phi' have the denominators 5, 9 and 3, so no two of the scalings an
+    integer assembly needs agree."""
+    phi = morphism("a1_b2_i1")
+    rng = random.Random(3)
+    pa, pa_inv = _random_invertible(rng, phi.source.dim)
+    pb, pb_inv = _random_invertible(rng, phi.target.dim)
+    src = conjugate(phi.source, pa, pa_inv, "a1~")
+    tgt = conjugate(phi.target, pb, pb_inv, "b2~")
+    return Morphism(src, tgt, pb_inv.mul(phi.matrix).mul(pa), "a1_b2_i1~")
+
+
+def test_conjugated_morphism_has_distinct_denominators():
+    phi = _conjugated_morphism()
+    dens = [_denominator(x for _, v in alg.structure for x in v) for alg in (phi.source, phi.target)]
+    assert dens + [lcm(*phi.matrix.dens)] == [5, 9, 3]
+    assert phi.is_valid
+
+
+def _assert_matches_oracle(mat, src, p, tgt=None, phi=None):
+    """``mat`` is the coboundary out of degree p.  Up to degree 1 it must
+    equal ``oracle_matrix``.  At degree 2, where that oracle builds 96
+    columns from 144 inputs each in Fraction arithmetic (over ten seconds
+    on these constants), ``mat`` times random rational cochains must equal
+    the oracle's value at every canonical input of the next degree, in row
+    order."""
+    if p < 2:
+        assert mat == oracle_matrix(src, p, tgt, phi)
+        return
+    space = CochainSpace(src, p, (tgt or src).dim)
+    rng = random.Random(f"{src.name}/{p}")
+    keys = _domain_keys(src.dim, src.arity, p + 1)
+    inputs = [_canonical_input(src.dim, src.arity, key) for key in keys]
+    for _ in range(3):
+        f = Cochain(space, {
+            (key, t): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for key in space.domain_keys
+            for t in range(space.target_dim)
+        })
+        want = [x for blocks, z in inputs for x in oracle_delta_eval(f, blocks, z, src, tgt, phi)]
+        assert mat.mul_vector(f.as_flat()) == tuple(want)
+        assert any(want)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_module_matrix_matches_oracle_on_rational_morphism(m):
+    phi = _conjugated_morphism()
+    got = coboundary_matrix_module(phi.source, phi.target, phi, m)
+    assert any(d > 1 for d in got.dens)
+    _assert_matches_oracle(got, phi.source, m, phi.target, phi.matrix)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_self_matrix_matches_oracle_on_rational_algebra(p):
+    alg = _dense_conjugate_a1()
+    got = coboundary_matrix_self(alg, p)
+    assert any(d > 1 for d in got.dens)
+    _assert_matches_oracle(got, alg, p)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_apply_module_matches_oracle_on_rational_morphism(p):
+    phi = _conjugated_morphism()
+    src, tgt = phi.source, phi.target
+    rng = random.Random(f"rational/{p}")
+    f = _random_cochain(rng, CochainSpace(src, p, tgt.dim))
+    blocks, z = _random_raw_blocks(rng, src.dim, src.arity, p + 1)
+    got = coboundary_apply_module(src, tgt, phi, f, [FundamentalObject(b) for b in blocks], z)
+    assert got == oracle_delta_eval(f, blocks, z, src, tgt, phi.matrix)
+    assert any(got)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catalog import _random_invertible, conjugate
@@ -30,6 +30,19 @@ small_matrices = st.integers(1, 5).flatmap(
         st.lists(fractions, min_size=c, max_size=c), min_size=1, max_size=5
     )
 ).map(Matrix.from_rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices, st.lists(fractions, min_size=5, max_size=5))
+@example(Matrix.zero(0, 3), [Fraction(1, 2)] * 5)
+@example(Matrix.zero(3, 0), [Fraction(1, 2)] * 5)
+def test_mul_vector_matches_fraction_sum(m, v):
+    v = v[: m.cols]
+    got = m.mul_vector(v)
+    assert got == tuple(sum((x * v[j] for j, x in r.items()), Fraction(0)) for r in m.data)
+    for x in got:
+        assert type(x) is Fraction
+        assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
 
 
 def test_rank_identity_and_zero():
