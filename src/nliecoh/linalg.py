@@ -9,11 +9,11 @@ read-only ``{column: int}`` dict ``ints[i]`` over one positive denominator
 ``dens[i]``, in lowest terms (the denominator is the lcm of the entries'
 reduced denominators), so equal matrices store equal rows.  Outside input
 (``Matrix(...)``, ``from_rows``, ``from_sparse``) is coerced and
-range-checked in one place; rows derived from integer rows are built as
-integers, through :meth:`Matrix.from_ints`.  ``data`` is the
-``{column: Fraction}`` view of the rows, built on first read.  Row
-reduction runs in :func:`_echelon`, one fraction-free pass per row into a
-reduced integer basis.
+range-checked in one place; rows derived from integer rows, and
+coboundaries assembled from integer tables, are built as integers, through
+:meth:`Matrix.from_ints`.  ``data`` is the ``{column: Fraction}`` view of
+the rows, built on first read.  Row reduction runs in :func:`_echelon`, one
+fraction-free pass per row into a reduced integer basis.
 """
 
 from __future__ import annotations
@@ -116,8 +116,9 @@ class Matrix:
     @classmethod
     def from_ints(cls, rows: int, cols: int, ints: Iterable[dict], dens=None) -> "Matrix":
         """Build from integer rows of nonzero entries, as derived from other
-        matrices' ``ints``, over positive denominators (all 1 when ``dens``
-        is None); rows are put in lowest terms and not checked otherwise."""
+        matrices' ``ints`` or assembled from integer tables, over positive
+        denominators (all 1 when ``dens`` is None); rows are put in lowest
+        terms and not checked otherwise."""
         if dens is None:
             out, low = map(_Row, ints), (1,) * rows
         else:
