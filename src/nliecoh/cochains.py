@@ -433,6 +433,7 @@ def coboundary_apply_self(
     z: Sequence,
 ) -> Vector:
     """Numeric coboundary value of a concrete self-valued cochain."""
+    _require_valid_algebra(alg)
     return _apply(_Tables(alg, alg, Matrix.identity(alg.dim)), f, args, z)
 
 

@@ -94,6 +94,9 @@ def test_coboundary_requires_valid_algebra():
     )
     with pytest.raises(InvalidAlgebra):
         coboundary_matrix_self(bad, 1)
+    args = [FundamentalObject.from_basis(4, (0, 1)), FundamentalObject.from_basis(4, (1, 2))]
+    with pytest.raises(InvalidAlgebra):
+        coboundary_apply_self(bad, CochainSpace(bad, 1, 4).zero(), args, unit(4, 3))
 
 
 def test_module_requires_morphism(alg_a1, alg_b1, phi_a1_b1):
@@ -331,10 +334,6 @@ def test_coboundary_entries_are_fractions(corpus_algebras):
             assert all(type(x) is Fraction for x in got)
 
 
-def _denominator(values) -> int:
-    return lcm(*(x.denominator for x in values))
-
-
 @cache
 def _conjugated_morphism() -> Morphism:
     """a1_b2_i1 carried along dense changes of basis P_A, P_B of its
@@ -352,7 +351,8 @@ def _conjugated_morphism() -> Morphism:
 
 def test_conjugated_morphism_has_distinct_denominators():
     phi = _conjugated_morphism()
-    dens = [_denominator(x for _, v in alg.structure for x in v) for alg in (phi.source, phi.target)]
+    algs = (phi.source, phi.target)
+    dens = [lcm(*(x.denominator for _, v in a.structure for x in v)) for a in algs]
     assert dens + [lcm(*phi.matrix.dens)] == [5, 9, 3]
     assert phi.is_valid
 
