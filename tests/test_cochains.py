@@ -239,6 +239,7 @@ def test_apply_rejects_misshapen_arguments(alg_a1):
     with pytest.raises(DimensionMismatch):
         coboundary_apply_self(alg_a1, f, [good, FundamentalObject.from_basis(5, (0, 1))], unit(4, 2))
 
+
 @pytest.mark.parametrize("bad", ["2*id", "3x4 zero"])
 def test_apply_module_checks_its_map(alg_a1, alg_b1, bad):
     """The applied coboundary refuses a map that is no morphism, as the
@@ -359,11 +360,11 @@ def test_conjugated_morphism_has_distinct_denominators():
 
 def _assert_matches_oracle(mat, src, p, tgt=None, phi=None):
     """``mat`` is the coboundary out of degree p.  Up to degree 1 it must
-    equal ``oracle_matrix``.  At degree 2, where that oracle builds 96
-    columns from 144 inputs each in Fraction arithmetic (over ten seconds
-    on these constants), ``mat`` times random rational cochains must equal
-    the oracle's value at every canonical input of the next degree, in row
-    order."""
+    equal ``oracle_matrix``.  At degree 2, where that oracle sums the
+    definition once per column and input (96 x 144) in Fraction arithmetic,
+    too slow on rational constants for this suite, ``mat`` times random
+    rational cochains must equal the oracle's value at every canonical
+    input of the next degree, in row order."""
     if p < 2:
         assert mat == oracle_matrix(src, p, tgt, phi)
         return
