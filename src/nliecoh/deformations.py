@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .algebra import NLieAlgebra, ValidationReport, sort_sign
@@ -133,15 +134,26 @@ class DeformedAlgebra:
         return cls(base, order, tuple(space.zero() for _ in range(order)))
 
     @cached_property
+    def den(self) -> int:
+        """Lcm of the denominators of the base constants and of every term."""
+        return lcm(
+            *(x.denominator for _, val in self.base.structure for x in val),
+            *(c.denominator for term in self.terms for c in term.coeffs.values()),
+        )
+
+    @cached_property
     def tables(self) -> tuple[dict, ...]:
-        """Bracket of each order 0..order as {increasing n-tuple: {t: c}}."""
+        """Bracket of each order 0..order as {increasing n-tuple: {t: c}}, the
+        values ints over ``den``."""
+        den = self.den
         tables = [
-            {key: {t: x for t, x in enumerate(val) if x} for key, val in self.base.structure}
+            {key: {t: x.numerator * (den // x.denominator) for t, x in enumerate(val) if x}
+             for key, val in self.base.structure}
         ]
         for term in self.terms:
             table: dict = {}
             for ((key,), t), c in term.coeffs.items():
-                table.setdefault(key, {})[t] = c
+                table.setdefault(key, {})[t] = c.numerator * (den // c.denominator)
             tables.append(table)
         return tuple(tables)
 
@@ -154,9 +166,11 @@ class DeformedAlgebra:
 def nambu_residual(da: DeformedAlgebra, s: int) -> Cochain:
     """Order-s coefficient of the fundamental-identity defect, as a cochain.
 
-    The zero cochain means the identity holds exactly at that order.
+    The zero cochain means the identity holds exactly at that order.  Each
+    summand is a product of two table entries, an int over ``den**2``.
     """
     alg = da.base
+    den2 = da.den**2
     space = CochainSpace(alg, 2, alg.dim)
     pairs = [
         (da.tables[k], da.tables[s - k])
@@ -176,7 +190,7 @@ def nambu_residual(da: DeformedAlgebra, s: int) -> Cochain:
                 for j, c in acted.items():
                     slot_sign, val = _basis(outer, kt[:i] + (j,) + kt[i + 1 :])
                     _add(total, val, -sign * slot_sign * c)
-        coeffs.update(((key, t), c) for t, c in total.items())
+        coeffs.update(((key, t), Fraction(c, den2)) for t, c in total.items() if c)
     return Cochain(space, coeffs)
 
 
@@ -252,23 +266,36 @@ class DeformedMorphism:
 
 
 def morphism_residual(dm: DeformedMorphism, s: int) -> Cochain:
-    """Order-s defect of the map equation, as a module-valued cochain."""
+    """Order-s defect of the map equation, as a module-valued cochain.
+
+    With the map columns ints over d_phi, a pulled term is an int over
+    d_phi * d_src and a target bracket an int over d_tgt * d_phi**n.
+    """
     src = dm.src_def.base
     space = CochainSpace(src, 1, dm.tgt_def.base.dim)
-    cols = [m.transpose().data for m in dm.phi_terms]
+    d_phi = lcm(*(d for m in dm.phi_terms for d in m.dens))
+    cols: list = [[{} for _ in range(src.dim)] for _ in dm.phi_terms]
+    for col, m in zip(cols, dm.phi_terms):
+        for t, (row, d) in enumerate(zip(m.ints, m.dens)):
+            for a, v in row.items():
+                col[a][t] = v * (d_phi // d)
+    pull_den = d_phi * dm.src_def.den
+    push_den = dm.tgt_def.den * d_phi**src.arity
+    den = lcm(pull_den, push_den)
+    pull, push = den // pull_den, -(den // push_den)
     src_tables, tgt_tables = dm.src_def.tables, dm.tgt_def.tables
     top = min(s, dm.order)
     coeffs = {}
     for key in src.bracket_keys():
         total: dict = {}
         for i in range(s - top, top + 1):
-            _add(total, _apply(cols[i], src_tables[s - i].get(key, {})))
+            _add(total, _apply(cols[i], src_tables[s - i].get(key, {})), pull)
         for j in range(top + 1):
             for split in _compositions(s - j, src.arity):
                 if max(split) <= dm.order:
                     imgs = [cols[i][a] for i, a in zip(split, key)]
-                    _add(total, _bracket(tgt_tables[j], imgs), -1)
-        coeffs.update((((key,), t), c) for t, c in total.items())
+                    _add(total, _bracket(tgt_tables[j], imgs), push)
+        coeffs.update((((key,), t), Fraction(c, den)) for t, c in total.items() if c)
     return Cochain(space, coeffs)
 
 
@@ -492,7 +519,8 @@ def _conjugate_brackets(
                     for split in _compositions(s - a - j, alg.arity):
                         args = [inv_cols[b][i] for b, i in zip(split, key)]
                         _add(total, _apply(psi_cols[a], _bracket(da.tables[j], args)))
-            coeffs.update((((key,), t), c) for t, c in total.items())
+            # one table factor per summand, so the total is over da.den
+            coeffs.update((((key,), t), Fraction(c, da.den)) for t, c in total.items() if c)
         new_terms.append(Cochain(space, coeffs))
     return DeformedAlgebra(alg, k, tuple(new_terms))
 

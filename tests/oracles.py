@@ -2,9 +2,10 @@
 
 Everything here re-derives evaluation from scratch: its own permutation
 signs, its own multilinear bracket expansion, its own cochain evaluation by
-full support enumeration, and column-by-column matrix construction from
-indicator cochains.  No canonicalization shortcuts from the package's
-assembly path are reused, so agreement is a genuine two-route check.
+full support enumeration as a linear form in the cochain's coefficients,
+and row-by-row matrix construction from those forms.  No canonicalization
+shortcuts from the package's assembly path are reused, so agreement is a
+genuine two-route check.
 """
 
 from bisect import insort
@@ -57,19 +58,15 @@ def oracle_ad(alg, block, z):
     return oracle_bracket(alg, list(block) + [z])
 
 
-def naive_eval(psi: Cochain, blocks, z):
-    """Evaluate a cochain on raw argument blocks by support enumeration."""
-    p = psi.space.degree
-    d_t = psi.space.target_dim
-    out = [Fraction(0)] * d_t
+def naive_form(p, blocks, z):
+    """Linear form of a degree-p cochain's value on raw argument blocks, by
+    support enumeration: {key: c} with f(blocks; z) = sum_key c * f(key)."""
+    form = {}
     if p == 0:
         for i, c in enumerate(z):
             if c:
-                for t in range(d_t):
-                    v = psi.coeffs.get((i, t))
-                    if v:
-                        out[t] += c * v
-        return tuple(out)
+                form[i] = c
+        return form
     assert len(blocks) == p
     slot_vectors = [v for b in blocks for v in b] + [z]
     widths = [len(b) for b in blocks]
@@ -96,11 +93,18 @@ def naive_eval(psi: Cochain, blocks, z):
         if not s:
             continue
         key = tuple(key_parts) + (part,)
-        total = sgn * s * coeff
-        for t in range(d_t):
+        form[key] = form.get(key, 0) + sgn * s * coeff
+    return form
+
+
+def naive_eval(psi: Cochain, blocks, z):
+    """Evaluate a cochain on raw argument blocks by support enumeration."""
+    out = [Fraction(0)] * psi.space.target_dim
+    for key, c in naive_form(psi.space.degree, blocks, z).items():
+        for t in range(len(out)):
             v = psi.coeffs.get((key, t))
             if v:
-                out[t] += total * v
+                out[t] += c * v
     return tuple(out)
 
 
@@ -119,20 +123,29 @@ def _unit(d, i):
     return tuple(Fraction(1 if j == i else 0) for j in range(d))
 
 
-def oracle_delta_eval(psi, args, z, src, tgt=None, phi=None):
-    """Numeric coboundary value straight from the defining sums.
+def oracle_delta_form(p, d_t, args, z, src, tgt=None, phi=None):
+    """Coboundary of a generic degree-p cochain f at raw arguments, straight
+    from the defining sums: row s is {(key, t): c} with
+    delta(f)(args; z)_s = sum c * f(key)_t.
 
     ``tgt``/``phi`` absent means the self-valued complex.
     """
-    p = psi.space.degree
     module = phi is not None
-    d_t = psi.space.target_dim
-    out = [Fraction(0)] * d_t
+    rows = [{} for _ in range(d_t)]
 
-    def add(vec, c):
-        for t, x in enumerate(vec):
-            if x:
-                out[t] += c * x
+    def add_value(form, c):
+        """c times the cochain's value with linear form ``form``."""
+        for key, x in form.items():
+            for s in range(d_t):
+                rows[s][(key, s)] = rows[s].get((key, s), 0) + c * x
+
+    def add_bracket(form, bracket, c):
+        """c times ``bracket`` (linear) of the value with linear form ``form``."""
+        for t in range(d_t):
+            for s, y in enumerate(bracket(_unit(d_t, t))):
+                if y:
+                    for key, x in form.items():
+                        rows[s][(key, t)] = rows[s].get((key, t), 0) + c * x * y
 
     def phi_v(v):
         return phi.mul_vector(v) if module else v
@@ -141,26 +154,39 @@ def oracle_delta_eval(psi, args, z, src, tgt=None, phi=None):
         for j in range(i + 1, p + 1):
             for c, nb in raw_fundamental_bracket(src, args[i], args[j]):
                 new_args = list(args[:i]) + list(args[i + 1 : j]) + [nb] + list(args[j + 1 :])
-                add(naive_eval(psi, new_args, z), Fraction((-1) ** (i + 1)) * c)
+                add_value(naive_form(p, new_args, z), Fraction((-1) ** (i + 1)) * c)
     for i in range(p + 1):
         rem = list(args[:i]) + list(args[i + 1 :])
         z2 = oracle_ad(src, args[i], z)
-        add(naive_eval(psi, rem, z2), Fraction((-1) ** (i + 1)))
+        add_value(naive_form(p, rem, z2), Fraction((-1) ** (i + 1)))
     bracket_alg = tgt if module else src
     for i in range(p + 1):
         rem = list(args[:i]) + list(args[i + 1 :])
-        w = naive_eval(psi, rem, z)
         imgs = [phi_v(v) for v in args[i]]
-        add(oracle_bracket(bracket_alg, imgs + [w]), Fraction((-1) ** i))
+        add_bracket(
+            naive_form(p, rem, z),
+            lambda w: oracle_bracket(bracket_alg, imgs + [w]),
+            Fraction((-1) ** i),
+        )
     last = args[-1]
     sign = Fraction((-1) ** p)
+    imgs = [phi_v(v) for v in last]
+    z_img = phi_v(z)
     for slot in range(len(last)):
-        w = naive_eval(psi, list(args[:-1]), last[slot])
-        imgs = [phi_v(v) for v in last]
-        bracket_args = list(imgs)
-        bracket_args[slot] = w
-        add(oracle_bracket(bracket_alg, bracket_args + [phi_v(z)]), sign)
-    return tuple(out)
+        add_bracket(
+            naive_form(p, list(args[:-1]), last[slot]),
+            lambda w: oracle_bracket(bracket_alg, imgs[:slot] + [w] + imgs[slot + 1 :] + [z_img]),
+            sign,
+        )
+    return rows
+
+
+def oracle_delta_eval(psi, args, z, src, tgt=None, phi=None):
+    """Numeric coboundary value: ``oracle_delta_form`` contracted with psi."""
+    rows = oracle_delta_form(psi.space.degree, psi.space.target_dim, args, z, src, tgt, phi)
+    return tuple(
+        sum((c * psi.coeffs.get(k, 0) for k, c in row.items()), Fraction(0)) for row in rows
+    )
 
 
 def _domain_keys(d, n, p):
@@ -183,28 +209,18 @@ def _canonical_input(d, n, key):
 
 
 def oracle_matrix(src, p, tgt=None, phi=None):
-    """Column-by-column coboundary matrix out of degree p."""
+    """Row-by-row coboundary matrix out of degree p: one ``oracle_delta_form``
+    per canonical input of degree p + 1."""
     d, n = src.dim, src.arity
     d_t = tgt.dim if tgt is not None else d
-    space = CochainSpace(src, p, d_t)
-    col_keys = _domain_keys(d, n, p)
+    col_pos = {key: i for i, key in enumerate(_domain_keys(d, n, p))}
     row_keys = _domain_keys(d, n, p + 1)
-    ncols = len(col_keys) * d_t
-    nrows = len(row_keys) * d_t
-    zero = Fraction(0)
-    data = [[zero] * ncols for _ in range(nrows)]
-    inputs = [_canonical_input(d, n, key) for key in row_keys]
-    for cpos, ckey in enumerate(col_keys):
-        for t in range(d_t):
-            col = cpos * d_t + t
-            psi = Cochain(space, {(ckey, t): Fraction(1)})
-            for rpos, (blocks, z) in enumerate(inputs):
-                val = oracle_delta_eval(psi, blocks, z, src, tgt, phi)
-                base = rpos * d_t
-                for s, x in enumerate(val):
-                    if x:
-                        data[base + s][col] = x
-    return Matrix(nrows, ncols, data)
+    rows = []
+    for key in row_keys:
+        blocks, z = _canonical_input(d, n, key)
+        for row in oracle_delta_form(p, d_t, blocks, z, src, tgt, phi):
+            rows.append({col_pos[k] * d_t + t: c for (k, t), c in row.items() if c})
+    return Matrix.from_sparse(len(rows), len(col_pos) * d_t, rows)
 
 
 def oracle_rref(rows):

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from catalog import full_catalog
+from catalog import _random_invertible, conjugate, conjugated_cases, full_catalog
 from oracles import (
     oracle_algebra_obstruction,
     oracle_morphism_obstruction,
@@ -206,6 +207,137 @@ def test_residuals_and_obstruction_match_dense_oracle(order, monkeypatch):
         parts = (ob.c1, ob.c2, ob.c3)
         nonzero_parts.update(i for i, c in enumerate(parts) if not c.is_zero())
     assert nonzero_parts == {0, 1, 2}
+
+
+def _rational_term(rng, alg, dens):
+    space = CochainSpace(alg, 1, alg.dim)
+    return Cochain(
+        space,
+        {
+            (key, t): Fraction(rng.randint(-2, 2), rng.choice(dens))
+            for key in space.domain_keys
+            for t in range(alg.dim)
+            if rng.random() < 0.5
+        },
+    )
+
+
+def _all_fractions(*cochains):
+    return all(type(c) is Fraction for f in cochains for c in f.coeffs.values())
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_residuals_and_obstruction_match_dense_oracle_on_rational_families(order, monkeypatch):
+    """Rational bracket terms on conjugated catalog algebras and rational map
+    terms, so the source, target and map denominators differ: the residuals
+    and the obstruction still agree with the dense loops, as Fractions."""
+    import nliecoh.deformations as dfm
+
+    monkeypatch.setattr(dfm, "_require_validated", lambda dm, through: None)
+    rng = random.Random(950 + order)
+    catalog = [a for a in conjugated_cases() if a.dim <= 4]
+    distinct = 0
+    for _ in range(4):
+        src = rng.choice(catalog)
+        tgt = rng.choice([a for a in catalog if a.arity == src.arity])
+        dm = DeformedMorphism(
+            DeformedAlgebra(src, order, tuple(_rational_term(rng, src, range(1, 5)) for _ in range(order))),
+            DeformedAlgebra(tgt, order, tuple(_rational_term(rng, tgt, range(1, 7)) for _ in range(order))),
+            tuple(
+                Matrix.from_rows(
+                    [
+                        [Fraction(rng.randint(-2, 2), rng.choice((1, 3, 7))) for _ in range(src.dim)]
+                        for _ in range(tgt.dim)
+                    ]
+                )
+                for _ in range(order + 1)
+            ),
+        )
+        d_phi = lcm(*(d for m in dm.phi_terms for d in m.dens))
+        distinct += len({dm.src_def.den, dm.tgt_def.den, d_phi}) == 3
+        for s in range(order + 2):
+            for da in (dm.src_def, dm.tgt_def):
+                got = nambu_residual(da, s)
+                assert got.coeffs == oracle_nambu_residual(da, s).coeffs
+                assert _all_fractions(got)
+            got = morphism_residual(dm, s)
+            assert got.coeffs == oracle_morphism_residual(dm, s).coeffs
+            assert _all_fractions(got)
+            assert not got.is_zero()
+        ob = obstruction(dm)
+        assert _same_triple(ob, _oracle_obstruction(dm))
+        assert _all_fractions(ob.c1, ob.c2, ob.c3)
+    assert distinct
+
+
+def _conjugate_family(dm, rng):
+    """The family carried along random rational changes of basis P of the
+    source and Q of the target: every bracket order mu becomes
+    P^-1 mu(P x1, ..., P xn) (Q for the target) and every map term
+    Q^-1 phi_i P.  Conjugation respects every order-by-order equation."""
+
+    def carry(da, p, p_inv):
+        base = conjugate(da.base, p, p_inv, da.base.name + "~")
+        space = CochainSpace(base, 1, base.dim)
+        terms = tuple(
+            Cochain(
+                space,
+                {
+                    ((key,), t): x
+                    for key in base.bracket_keys()
+                    for t, x in enumerate(
+                        p_inv.mul_vector(term.evaluate_vectors(*(p.column(i) for i in key)))
+                    )
+                },
+            )
+            for term in da.terms
+        )
+        return DeformedAlgebra(base, da.order, terms)
+
+    p, p_inv = _random_invertible(rng, dm.src_def.base.dim)
+    q, q_inv = _random_invertible(rng, dm.tgt_def.base.dim)
+    return DeformedMorphism(
+        carry(dm.src_def, p, p_inv),
+        carry(dm.tgt_def, q, q_inv),
+        tuple(q_inv.mul(m).mul(p) for m in dm.phi_terms),
+        dm.name,
+    )
+
+
+def test_apply_automorphism_on_rational_family(def_order2):
+    """A rational order-2 family transformed by a rational automorphism pair
+    stays valid, has the oracle's obstruction, comes back under the inverse
+    pair, and holds its new terms as Fractions in lowest terms."""
+    rng = random.Random(60)
+    dm = _conjugate_family(def_order2, rng)
+    d_phi = lcm(*(d for m in dm.phi_terms for d in m.dens))
+    assert (dm.src_def.den, dm.tgt_def.den, d_phi) == (10, 19, 38)
+    assert dm.report.is_valid
+
+    def rational_series(dim):
+        return FormalAutomorphism(
+            dim,
+            2,
+            tuple(
+                Matrix.from_rows(
+                    [[Fraction(rng.randint(-1, 1), rng.choice((1, 2, 5))) for _ in range(dim)] for _ in range(dim)]
+                )
+                for _ in range(2)
+            ),
+        )
+
+    psi_n, psi_t = rational_series(4), rational_series(4)
+    out = apply_automorphism(dm, psi_n, psi_t)
+    assert out.report.is_valid
+    assert _same_triple(obstruction(out), _oracle_obstruction(out))
+    new_terms = out.src_def.terms + out.tgt_def.terms
+    assert _all_fractions(*new_terms)
+    assert all(gcd(c.numerator, c.denominator) == 1 for f in new_terms for c in f.coeffs.values())
+    assert any(c.denominator > 1 for f in new_terms for c in f.coeffs.values())
+    back = apply_automorphism(out, formal_inverse(psi_n, 2), formal_inverse(psi_t, 2))
+    assert back.src_def.terms == dm.src_def.terms
+    assert back.tgt_def.terms == dm.tgt_def.terms
+    assert back.phi_terms == dm.phi_terms
 
 
 def test_obstruction_matches_dense_oracle_on_valid_families(
