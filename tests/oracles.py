@@ -97,17 +97,6 @@ def naive_form(p, blocks, z):
     return form
 
 
-def naive_eval(psi: Cochain, blocks, z):
-    """Evaluate a cochain on raw argument blocks by support enumeration."""
-    out = [Fraction(0)] * psi.space.target_dim
-    for key, c in naive_form(psi.space.degree, blocks, z).items():
-        for t in range(len(out)):
-            v = psi.coeffs.get((key, t))
-            if v:
-                out[t] += c * v
-    return tuple(out)
-
-
 def raw_fundamental_bracket(alg, x_block, y_block):
     """Pairwise block bracket as a list of raw wedge summands."""
     summands = []
