@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -321,7 +321,9 @@ def _truncation_order(text: str) -> int:
     return order
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nliecoh",
         description="Exact-arithmetic cohomology and deformation tools for "

@@ -379,7 +379,62 @@ def load_json(path: Union[str, Path]) -> dict:
 
 
 def dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte.
+
+    The stdlib's C encoder does not support ``indent``, so ``json.dumps``
+    with it runs a pure-Python generator per value; this writer checks
+    types in the same order and hands each string to the C escaper.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(o, nl: str, put) -> None:
+    if isinstance(o, str):
+        put(_encode_str(o))
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            put(sep)
+            sep = "," + inner
+            _write_json(v, inner, put)
+        put(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            put(sep + _encode_str(k if isinstance(k, str) else _json_key(k)) + ": ")
+            sep = "," + inner
+            _write_json(v, inner, put)
+        put(nl + "}")
+    else:  # floats, and whatever json.dumps rejects
+        put(json.dumps(o))
+
+
+def _json_key(k) -> str:
+    if isinstance(k, (int, float)) or k is None:
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def file_digest(path: Union[str, Path]) -> str:

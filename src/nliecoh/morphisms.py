@@ -206,26 +206,32 @@ class TripleComplex:
         self._delta_cache: dict[int, Matrix] = {}
         self._pull_cache: dict[int, Matrix] = {}
         self._post_cache: dict[int, Matrix] = {}
+        self._space_cache: dict[int, tuple] = {}
 
     # -- spaces -------------------------------------------------------------
+    def _spaces(self, m: int) -> tuple:
+        """Source, target and module spaces at triple degree m, built once."""
+        spaces = self._space_cache.get(m)
+        if spaces is None:
+            src, tgt = self.phi.source, self.phi.target
+            spaces = self._space_cache[m] = (
+                CochainSpace(src, m, src.dim),
+                CochainSpace(tgt, m, tgt.dim),
+                CochainSpace(src, m - 1, tgt.dim) if m else None,
+            )
+        return spaces
+
     def space_source(self, m: int) -> CochainSpace:
-        return CochainSpace(self.phi.source, m, self.phi.source.dim)
+        return self._spaces(m)[0]
 
     def space_target(self, m: int) -> CochainSpace:
-        return CochainSpace(self.phi.target, m, self.phi.target.dim)
+        return self._spaces(m)[1]
 
     def space_module(self, m: int) -> Optional[CochainSpace]:
-        if m == 0:
-            return None
-        return CochainSpace(self.phi.source, m - 1, self.phi.target.dim)
+        return self._spaces(m)[2]
 
     def dim(self, m: int) -> int:
-        mod = self.space_module(m)
-        return (
-            self.space_source(m).dim
-            + self.space_target(m).dim
-            + (mod.dim if mod else 0)
-        )
+        return sum(s.dim for s in self._spaces(m) if s)
 
     def zero_triple(self, m: int) -> CochainTriple:
         mod = self.space_module(m)
@@ -247,7 +253,7 @@ class TripleComplex:
         """Triple from flat coordinates: a dense sequence or a sparse {index: value}."""
         if not isinstance(flat, Mapping) and len(flat) != self.dim(m):
             raise DimensionMismatch(f"flat length {len(flat)} != {self.dim(m)}")
-        spaces = (self.space_source(m), self.space_target(m), self.space_module(m))
+        spaces = self._spaces(m)
         starts = (0, spaces[0].dim, spaces[0].dim + spaces[1].dim)
         parts: tuple[dict, ...] = ({}, {}, {})
         for i, x in flat.items() if isinstance(flat, Mapping) else enumerate(flat):
@@ -312,11 +318,7 @@ class TripleComplex:
         d_tgt = coboundary_matrix_self(phi.target, m)
         post = self.post_matrix(m)
         pull = self.pull_matrix(m)
-        dims_in = (
-            self.space_source(m).dim,
-            self.space_target(m).dim,
-            self.space_module(m).dim if self.space_module(m) else 0,
-        )
+        dims_in = [s.dim if s else 0 for s in self._spaces(m)]
         sign = (-1) ** m
         off_tgt, off_mod = dims_in[0], dims_in[0] + dims_in[1]
         rows = [*d_src.ints, *({off_tgt + j: v for j, v in r.items()} for r in d_tgt.ints)]

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nliecoh import jsonio
-from nliecoh.cli import main
+from nliecoh.cli import build_parser, main
 from nliecoh.corpus import algebra, deformation
 from nliecoh.deformations import FormalAutomorphism
 from nliecoh.errors import ParseError
@@ -113,6 +113,57 @@ def test_triple_roundtrip(def_order1):
     obj = jsonio.triple_to_json(theta)
     back = jsonio.triple_from_json(obj, phi)
     assert back.c1 == theta.c1 and back.c2 == theta.c2 and back.c3 == theta.c3
+
+
+# -- the report writer ------------------------------------------------------------
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+_JSON_LEAVES = (
+    _TEXT
+    | st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids)
+    | st.lists(kids).map(tuple)
+    | st.lists(kids).map(_List)
+    | st.dictionaries(_TEXT, kids)
+    | st.dictionaries(_TEXT | st.integers() | st.booleans() | st.none(), kids).map(_Dict),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_JSON_TREES)
+def test_dump_json_equals_stdlib_indent_2(obj):
+    assert jsonio.dump_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tests" / "golden").glob("*.json")), ids=lambda p: p.stem)
+def test_dump_json_rewrites_goldens_byte_for_byte(path):
+    text = path.read_text()
+    assert jsonio.dump_json(json.loads(text)) == text
+
+
+@pytest.mark.parametrize("obj", [{"a": object()}, [{1.5: {(1,): 2}}], {"s": {1, 2}}])
+def test_dump_json_rejects_what_stdlib_rejects(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError):
+        jsonio.dump_json(obj)
 
 
 # -- parse failures --------------------------------------------------------------
@@ -430,6 +481,58 @@ def test_deform_reports_match_golden(name, monkeypatch, capsys):
     assert main(["--output", "json", *args]) == 0
     golden = ROOT / "tests" / "golden" / f"{args[0]}_{name}.json"
     assert capsys.readouterr().out == golden.read_text(), f"golden drift for {name}"
+
+
+# One process runs each sequence through the shared parser; every step must
+# give the report, the stderr and the exit code it gives on a parser built
+# afresh.  Paths are relative to the repository root.
+_MOR = "src/nliecoh/data/mor_a3_b3.json"
+_DEF2 = "src/nliecoh/data/def_a3_b3_order2.json"
+_ALG = "src/nliecoh/data/alg_a3.json"
+PARSER_SEQUENCES = {
+    "basis_then_plain": [
+        (["--output", "json", "morphism-cohomology", "--morphism", _MOR, "--degree", "2",
+          "--basis"], 0),
+        (["--output", "json", "morphism-cohomology", "--morphism", _MOR, "--degree", "2"], 0),
+    ],
+    "order_then_full": [
+        (["--output", "json", "deform", "obstruction", _DEF2, "--order", "1"], 0),
+        (["--output", "json", "deform", "obstruction", _DEF2], 0),
+    ],
+    "usage_error_then_valid": [
+        (["--output", "json", "cohomology", "--degree", "2"], 2),
+        (["--output", "json", "cohomology", "--algebra", _ALG, "--degree", "0"], 2),
+        (["cohomology", "--algebra", _ALG, "--degree", "2", "--basis"], 0),
+    ],
+    "text_then_json": [
+        (["--output", "text", "cohomology", "--algebra", _ALG, "--degree", "2", "--basis"], 0),
+        (["--output", "json", "cohomology", "--algebra", _ALG, "--degree", "2"], 0),
+        (["cohomology", "--algebra", _ALG, "--degree", "2"], 0),
+    ],
+}
+
+
+def _run_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("name", PARSER_SEQUENCES)
+def test_shared_parser_carries_nothing_between_calls(name, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    steps = PARSER_SEQUENCES[name]
+    shared = [_run_main(argv, capsys) for argv, _ in steps]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv, _ in steps:
+        build_parser.cache_clear()
+        fresh.append(_run_main(argv, capsys))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [code for _, code in steps]
 
 
 # -- fuzzing the deformation and automorphism files ------------------------------------

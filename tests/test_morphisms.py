@@ -6,12 +6,13 @@ import pytest
 
 from nliecoh.algebra import FundamentalObject, NLieAlgebra, ad_action, fundamental_bracket
 from nliecoh.cochains import (
+    Cochain,
     CochainSpace,
     coboundary_matrix_module,
     coboundary_matrix_self,
     module_cohomology,
 )
-from nliecoh.corpus import morphism
+from nliecoh.corpus import MORPHISM_FILES, morphism
 from nliecoh.errors import ArityMismatch, DegreeMismatch, DimensionMismatch, NotCocycle
 from nliecoh.linalg import Matrix, basis_vector, rank
 from nliecoh.morphisms import (
@@ -210,6 +211,29 @@ def test_triple_shape_checks(phi_a3_b3):
         CochainTriple(0, tc.zero_triple(1).c1, tc.zero_triple(1).c2, None)
     with pytest.raises(DegreeMismatch):
         CochainTriple(1, tc.zero_triple(1).c1, tc.zero_triple(1).c2, None)
+
+
+@pytest.mark.parametrize("key", MORPHISM_FILES)
+def test_triple_complex_keeps_its_spaces(key):
+    tc = triple_complex(morphism(key))
+    rng = random.Random(key)
+    assert tc.space_module(0) is None
+    for m in range(4):
+        spaces = (tc.space_source(m), tc.space_target(m), tc.space_module(m))
+        assert spaces[0] is tc.space_source(m) and spaces[1] is tc.space_target(m)
+        assert m == 0 or spaces[2] is tc.space_module(m)
+        for _ in range(3):
+            t = CochainTriple(m, *(
+                Cochain(s, {
+                    (rng.choice(s.domain_keys), rng.randrange(s.target_dim)):
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                    for _ in range(rng.randint(0, 6))
+                }) if s else None
+                for s in spaces
+            ))
+            back = tc.unvectorize(m, tc.vectorize(t))
+            assert back == t
+            assert back.c1.space is spaces[0] and back.c2.space is spaces[1]
 
 
 def test_morphism_cohomology_h1(phi_a1_b1):
