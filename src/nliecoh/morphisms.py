@@ -234,13 +234,7 @@ class TripleComplex:
         return sum(s.dim for s in self._spaces(m) if s)
 
     def zero_triple(self, m: int) -> CochainTriple:
-        mod = self.space_module(m)
-        return CochainTriple(
-            m,
-            self.space_source(m).zero(),
-            self.space_target(m).zero(),
-            mod.zero() if mod else None,
-        )
+        return CochainTriple(m, *(s.zero() if s else None for s in self._spaces(m)))
 
     # -- coordinates ---------------------------------------------------------
     def vectorize(self, t: CochainTriple) -> Vector:
