@@ -239,6 +239,16 @@ def eval_key_combo(
 # on the extra vector.  The last joins the action on the cochain's value
 # with the value put into each slot of the final wedge, moved to the last
 # slot by skewness.  The self complex is the case phi = identity.
+#
+# For p >= 2 a key is a first block w_0 and a key q of one degree lower, in
+# that order, and so is an input key.  Every term but the i = 0 ones keeps
+# w_0 first and is the matching term of the coboundary out of degree p-1,
+# applied to f(w_0, .) at q, with one sign fewer: block i is block i-1 there,
+# and the bracket and rho(k without k_r) terms lose one from p.  With W the
+# number of (n-1)-wedges, that is delta_p = -(I_W (x) delta_(p-1)) + L_p,
+# where L_p holds the i = 0 terms: -D(w_0) on blocks 1..p-1 and on k, and
+# +rho(w_0) f(rest, k).  For p <= 1 there is no i >= 1 term and degree-1
+# keys are no pairs (w_0, degree-0 key), so all terms are summed directly.
 
 
 def _sparse_bracket(alg: NLieAlgebra, scale: int, idxs: tuple) -> dict:
@@ -276,9 +286,10 @@ class _Tables:
     """Sparse structure data of one coboundary, keyed on basis indices.
 
     Built from ``bracket_on_basis`` lookups and the columns of ``phi``, and
-    memoized for the life of one assembly.  The memoized functions close
-    over each other, not over the instance, so no reference cycle keeps
-    them alive after it.
+    memoized for the life of one requested matrix: the coboundaries of lower
+    degree that its split (see above) assembles first share them.  The
+    memoized functions close over each other, not over the instance, so no
+    reference cycle keeps them alive after it.
 
     The tables hold ints, so each coboundary entry is an int over ``den``.
     With d_* the lcm of the denominators of the source constants, the target
@@ -307,47 +318,47 @@ class _Tables:
         self.derivation = cache(partial(_derivation, self.sign, self.src_bracket))
         self.action = cache(partial(_action, phi_cols, tgt_bracket, tgt.dim))
 
-    def delta_rows(self, space_in: CochainSpace, key: tuple) -> list[dict]:
-        """Rows of the coboundary out of ``space_in`` at one canonical key of the
-        next degree, one per target coordinate: nonzero ints over ``den``."""
+    def delta_rows(self, space_in: CochainSpace, key: tuple, rows: Sequence[dict]) -> list[dict]:
+        """Adds to ``rows``, one int row over ``den`` per target coordinate,
+        the coboundary out of ``space_in`` at one canonical key of the next
+        degree: all of it at degree p <= 1, its i = 0 terms L_p at p >= 2.
+        Returns the rows with their zero entries dropped."""
         p, n, d_T = space_in.degree, self.src.arity, self.tgt.dim
         ws, k = key[:-1], key[-1]
         scalar: dict = {}  # input key -> coefficient
         acted: list = []  # (input key, coefficient, action rows)
-
-        def last(j: int):
-            """Input keys of f(w_0, ..., w_(p-1); e_j) with their signs."""
-            if not p:
-                return ((j, 1),)
-            sign, v = self.sign(ws[-1] + (j,))
-            return ((ws[:-1] + (v,), sign),) if sign else ()
-
-        for i in range(p):
-            s = 1 if i % 2 else -1
-            rest = ws[:i] + ws[i + 1 :]
-            for j in range(i + 1, p):
-                for v, c in self.derivation(ws[i], ws[j]).items():
+        if p:  # the i = 0 terms
+            rest = ws[1:]
+            for j in range(1, p):
+                for v, c in self.derivation(ws[0], ws[j]).items():
                     ikey = rest[: j - 1] + (v,) + rest[j:] + (k,)
-                    scalar[ikey] = scalar.get(ikey, 0) + s * c
-            for v, c in self.derivation(ws[i], k).items():
-                ikey = rest + (v,)
-                scalar[ikey] = scalar.get(ikey, 0) + s * c
-            acted.append((rest + (k,), -s, self.action(ws[i])))
-        s = 1 if p % 2 else -1
-        for j, c in self.src_bracket(k).items():
-            for ikey, sign in last(j):
-                scalar[ikey] = scalar.get(ikey, 0) + s * sign * c
-        for r in range(n):
-            sr = s if (n - 1 - r) % 2 else -s
-            for ikey, sign in last(k[r]):
-                acted.append((ikey, sr * sign, self.action(k[:r] + k[r + 1 :])))
+                    scalar[ikey] = scalar.get(ikey, 0) - c
+            for v, c in self.derivation(ws[0], k).items():
+                scalar[rest + (v,)] = scalar.get(rest + (v,), 0) - c
+            acted.append((rest + (k,), 1, self.action(ws[0])))
+        if p < 2:  # f(; [e_k]) and rho(k without k_r) f(; e_(k_r))
+            s = 1 if p else -1
+
+            def last(j: int):
+                """Input keys of f(w_0, ..., w_(p-1); e_j) with their signs."""
+                if not p:
+                    return ((j, 1),)
+                sign, v = self.sign(ws[0] + (j,))
+                return (((v,), sign),) if sign else ()
+
+            for j, c in self.src_bracket(k).items():
+                for ikey, sign in last(j):
+                    scalar[ikey] = scalar.get(ikey, 0) + s * sign * c
+            for r in range(n):
+                sr = s if (n - 1 - r) % 2 else -s
+                for ikey, sign in last(k[r]):
+                    acted.append((ikey, sr * sign, self.action(k[:r] + k[r + 1 :])))
 
         pos = space_in._key_pos
-        rows: list[dict] = [{} for _ in range(d_T)]
         for ikey, c in scalar.items():
             base = pos[ikey] * d_T
             for t, row in enumerate(rows):
-                row[base + t] = c
+                row[base + t] = row.get(base + t, 0) + c
         for ikey, c, action in acted:
             base = pos[ikey] * d_T
             for row, arow in zip(rows, action):
@@ -357,9 +368,21 @@ class _Tables:
 
 
 def _assemble(space_in: CochainSpace, tables: _Tables) -> Matrix:
-    space_out = CochainSpace(space_in.source, space_in.degree + 1, space_in.target_dim)
-    rows = (row for key in space_out.domain_keys for row in tables.delta_rows(space_in, key))
-    dens = None if tables.den == 1 else [tables.den] * space_out.dim
+    p, d_T, den = space_in.degree, space_in.target_dim, tables.den
+    space_out = CochainSpace(space_in.source, p + 1, d_T)
+    keys = space_out.domain_keys
+    if p < 2:
+        starts = ([{} for _ in range(d_T)] for _ in keys)
+    else:  # delta_p = -(I_W (x) delta_(p-1)) + L_p, see above _sparse_bracket
+        lower = _assemble(CochainSpace(space_in.source, p - 1, d_T), tables)
+        shifted = (
+            {a * lower.cols + j: v * -(den // d) for j, v in r.items()}
+            for a in range(space_out.dim // lower.rows)
+            for r, d in zip(lower.ints, lower.dens)
+        )
+        starts = zip(*[shifted] * d_T)  # the d_T rows of one key
+    rows = (row for key, start in zip(keys, starts) for row in tables.delta_rows(space_in, key, start))
+    dens = None if den == 1 else [den] * space_out.dim
     return Matrix.from_ints(space_out.dim, space_in.dim, rows, dens)
 
 
@@ -411,19 +434,14 @@ def _module_tables(src: NLieAlgebra, tgt: NLieAlgebra, phi) -> _Tables:
 
 
 def _apply(tables: _Tables, f: Cochain, args: Sequence[FundamentalObject], z) -> Vector:
-    """δf at raw arguments: decompose them over the next degree's canonical
-    keys, as for any cochain, and contract those keys' rows with f."""
+    """δf at raw arguments: the cochain δf, from the assembled coboundary,
+    evaluated there as any cochain is."""
     p = f.space.degree
     if len(args) != p + 1:
         raise DegreeMismatch(f"expected {p + 1} argument blocks, got {len(args)}")
     space_out = CochainSpace(f.space.source, p + 1, f.space.target_dim)
-    combo = eval_key_combo(space_out, list(args[:-1]), args[-1], vector(z))
-    flat = f.as_flat()
-    out = [Fraction(0)] * f.space.target_dim
-    for key, c in combo.items():
-        for s, row in enumerate(tables.delta_rows(f.space, key)):
-            out[s] += c * sum(a * flat[col] for col, a in row.items())
-    return tuple(x / tables.den for x in out)
+    flat = _assemble(f.space, tables).mul_vector(f.as_flat())
+    return Cochain.from_flat(space_out, flat).evaluate(args[:-1], args[-1], z)
 
 
 def coboundary_apply_self(

@@ -1,12 +1,13 @@
 import random
+import sys
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
-from math import lcm
+from itertools import combinations, permutations
+from math import comb, lcm
 
 import pytest
 
-from catalog import _random_invertible, conjugate
+from catalog import _random_invertible, base_algebras, conjugate
 from oracles import oracle_delta_eval, oracle_matrix
 
 from nliecoh.algebra import FundamentalObject, NLieAlgebra
@@ -29,7 +30,7 @@ from nliecoh.errors import (
     InvalidMorphism,
 )
 from nliecoh.linalg import Matrix, basis_vector, zero_vector
-from nliecoh.morphisms import Morphism, triple_complex
+from nliecoh.morphisms import Morphism, TripleComplex, triple_complex
 
 
 def unit(d, i):
@@ -43,6 +44,26 @@ def test_space_dimensions(alg_a1):
     assert CochainSpace(alg_a1, 2, 4).dim == 96
     assert CochainSpace(alg_a1, 3, 4).dim == 576
     assert CochainSpace(alg_a1, 1, 3).dim == 12
+
+
+@pytest.mark.parametrize("key", ["cross3", "a1"])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_keys_are_a_first_block_then_a_lower_key(key, p):
+    """The index facts the coboundary's split rests on: key a * N + q of
+    degree p is the a-th (n-1)-wedge followed by key q of degree p - 1, so a
+    cochain's flat index is a * dim C^(p-1) + its index one degree lower."""
+    alg = _algebra(key)
+    d, n = alg.dim, alg.arity
+    wedges = list(combinations(range(d), n - 1))
+    for t in (alg.dim, 2):
+        space, lower = CochainSpace(alg, p, t), CochainSpace(alg, p - 1, t)
+        big_n = len(lower.domain_keys)
+        assert len(space.domain_keys) == len(wedges) * big_n
+        for a, w in enumerate(wedges):
+            for q, rest in enumerate(lower.domain_keys):
+                assert space.domain_keys[a * big_n + q] == (w,) + rest
+        assert space.dim == comb(d, n - 1) ** (p - 1) * comb(d, n) * t
+        assert space.dim == len(wedges) * lower.dim
 
 
 def test_domain_key_order_is_deterministic(alg_a1):
@@ -202,8 +223,9 @@ def _random_raw_blocks(rng, d, n, count):
     return [tuple(vec() for _ in range(n - 1)) for _ in range(count)], vec()
 
 
-@pytest.mark.parametrize("p", [1, 2])
-@pytest.mark.parametrize("key", ["a1", "b1", "b2", "a3", "b3"])
+@pytest.mark.parametrize(
+    "key,p", [(key, p) for key in ["a1", "b1", "b2", "a3", "b3"] for p in (1, 2)] + [("b2", 3)]
+)
 def test_apply_self_matches_oracle_on_raw_arguments(corpus_algebras, key, p):
     """The basis rows contracted at raw (non-basis) arguments agree with the
     coboundary summed straight from its definition."""
@@ -216,8 +238,9 @@ def test_apply_self_matches_oracle_on_raw_arguments(corpus_algebras, key, p):
     assert any(got)
 
 
-@pytest.mark.parametrize("p", [1, 2])
-@pytest.mark.parametrize("key", sorted(MORPHISM_FILES))
+@pytest.mark.parametrize(
+    "key,p", [(key, p) for key in sorted(MORPHISM_FILES) for p in (1, 2)] + [("a1_b1", 3), ("a3_b3", 3)]
+)
 def test_apply_module_matches_oracle_on_raw_arguments(key, p):
     phi = morphism(key)
     src, tgt = phi.source, phi.target
@@ -260,8 +283,50 @@ def test_module_matrix_matches_bruteforce_degree_one(key):
     assert got == oracle_matrix(phi.source, 1, phi.target, phi.matrix)
 
 
-def test_self_matrix_matches_bruteforce_degree_two(alg_a1):
-    assert coboundary_matrix_self(alg_a1, 2) == oracle_matrix(alg_a1, 2)
+def _algebra(key: str) -> NLieAlgebra:
+    """A bundled algebra, or a classical one of the test catalog."""
+    return next(a for a in base_algebras() if a.name == key) if key in CLASSICAL else algebra(key)
+
+
+CLASSICAL = ("sl2", "heis3", "aff1", "cross3")  # binary, so W = C(d, 1) = d
+SPLIT_CASES = [("a1", 2), ("b3", 3)] + [(key, p) for key in CLASSICAL for p in (2, 3)]
+
+
+@pytest.mark.parametrize("key,p", SPLIT_CASES)
+def test_self_matrix_matches_bruteforce_where_the_split_stacks(key, p):
+    """From degree 2 up a coboundary is assembled from the one below it
+    (twice over at degree 3); the oracle sums every term at every key."""
+    alg = _algebra(key)
+    assert coboundary_matrix_self(alg, p) == oracle_matrix(alg, p)
+
+
+def _assembly_calls(monkeypatch) -> dict:
+    """Counts the calls of the two public assemblers, wrapped wherever a
+    module of the package holds them, as a tracer wraps them."""
+    calls = {}
+    for name in ("coboundary_matrix_self", "coboundary_matrix_module"):
+        original = getattr(sys.modules["nliecoh.cochains"], name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "nliecoh" and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_each_requested_matrix_is_one_assembler_call(monkeypatch, alg_b3, phi_a3_b3):
+    """The lower coboundaries a matrix is built from are assembled below
+    the public functions, so their calls still count requested matrices."""
+    calls = _assembly_calls(monkeypatch)
+    self_cohomology(alg_b3, 4)
+    assert calls == {"coboundary_matrix_self": 2, "coboundary_matrix_module": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    TripleComplex(phi_a3_b3).delta_matrix(3)
+    assert calls == {"coboundary_matrix_self": 2, "coboundary_matrix_module": 1}
 
 
 def test_cohomology_report_fields(alg_a3):
@@ -358,7 +423,7 @@ def test_conjugated_morphism_has_distinct_denominators():
     assert phi.is_valid
 
 
-@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_module_matrix_matches_oracle_on_rational_morphism(m):
     phi = _conjugated_morphism()
     got = coboundary_matrix_module(phi.source, phi.target, phi, m)
@@ -366,7 +431,7 @@ def test_module_matrix_matches_oracle_on_rational_morphism(m):
     assert got == oracle_matrix(phi.source, m, phi.target, phi.matrix)
 
 
-@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_self_matrix_matches_oracle_on_rational_algebra(p):
     alg = _dense_conjugate_a1()
     got = coboundary_matrix_self(alg, p)
