@@ -37,6 +37,14 @@ def unit(d, i):
     return basis_vector(d, i)
 
 
+CLASSICAL = ("sl2", "heis3", "aff1", "cross3")  # binary, so W = C(d, 1) = d
+
+
+def _algebra(key: str) -> NLieAlgebra:
+    """A bundled algebra, or a classical one of the test catalog."""
+    return next(a for a in base_algebras() if a.name == key) if key in CLASSICAL else algebra(key)
+
+
 def test_space_dimensions(alg_a1):
     # d_T * C(d, n-1)^(p-1) * C(d, n) for p >= 1, d_T * d for p = 0
     assert CochainSpace(alg_a1, 0, 4).dim == 16
@@ -227,8 +235,8 @@ def _random_raw_blocks(rng, d, n, count):
     "key,p", [(key, p) for key in ["a1", "b1", "b2", "a3", "b3"] for p in (1, 2)] + [("b2", 3)]
 )
 def test_apply_self_matches_oracle_on_raw_arguments(corpus_algebras, key, p):
-    """The basis rows contracted at raw (non-basis) arguments agree with the
-    coboundary summed straight from its definition."""
+    """The coboundary at raw (non-basis) arguments agrees with the one
+    summed straight from its definition."""
     alg = corpus_algebras[key]
     rng = random.Random(f"{key}/{p}")
     f = _random_cochain(rng, CochainSpace(alg, p, alg.dim))
@@ -283,12 +291,6 @@ def test_module_matrix_matches_bruteforce_degree_one(key):
     assert got == oracle_matrix(phi.source, 1, phi.target, phi.matrix)
 
 
-def _algebra(key: str) -> NLieAlgebra:
-    """A bundled algebra, or a classical one of the test catalog."""
-    return next(a for a in base_algebras() if a.name == key) if key in CLASSICAL else algebra(key)
-
-
-CLASSICAL = ("sl2", "heis3", "aff1", "cross3")  # binary, so W = C(d, 1) = d
 SPLIT_CASES = [("a1", 2), ("b3", 3)] + [(key, p) for key in CLASSICAL for p in (2, 3)]
 
 
