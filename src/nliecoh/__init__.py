@@ -12,8 +12,6 @@ from .algebra import (
     FundamentalObject,
     NLieAlgebra,
     ValidationReport,
-    ad_action,
-    fundamental_bracket,
     validate_algebra,
     wedge_decompose,
 )
@@ -50,12 +48,10 @@ from .morphisms import (
     Morphism,
     TripleComplex,
     cohomologous_check,
-    module_action,
     morphism_cohomology,
     triple_coboundary,
     triple_complex,
     validate_morphism,
-    wedge_image,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +70,6 @@ __all__ = [
     "NLieAlgebra",
     "TripleComplex",
     "ValidationReport",
-    "ad_action",
     "apply_automorphism",
     "coboundary_apply_module",
     "coboundary_apply_self",
@@ -86,11 +81,9 @@ __all__ = [
     "extend_order",
     "first_order_equivalence",
     "formal_inverse",
-    "fundamental_bracket",
     "infinitesimal",
     "kernel_basis",
     "linear_map_cochain",
-    "module_action",
     "module_cohomology",
     "morphism_cohomology",
     "nambu_residual",
@@ -105,5 +98,4 @@ __all__ = [
     "validate_deformation",
     "validate_morphism",
     "wedge_decompose",
-    "wedge_image",
 ]

@@ -13,23 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .linalg import Vector, frac, is_zero_vector, vector, zero_vector
-
-
-def sort_sign(idxs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Sign of the permutation sorting ``idxs``; 0 when an index repeats."""
-    n = len(idxs)
-    sign = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if idxs[i] == idxs[j]:
-                return 0, ()
-            if idxs[i] > idxs[j]:
-                sign = -sign
-    return sign, tuple(sorted(idxs))
+from .linalg import Vector, frac, is_zero_vector, vector
+from .tables import _bracket, dense, int_table, nambu_defects, sort_sign
 
 
 def wedge_decompose(vectors: Sequence[Vector]) -> dict[tuple[int, ...], Fraction]:
@@ -189,36 +178,15 @@ class NLieAlgebra:
         return cls.from_brackets(name, arity, dim, {})
 
     @cached_property
-    def _table(self) -> dict[tuple[int, ...], Vector]:
-        return dict(self.structure)
+    def den(self) -> int:
+        """Lcm of the denominators of the structure constants."""
+        return lcm(*(x.denominator for _, val in self.structure for x in val))
 
     @cached_property
-    def _basis_cache(self) -> dict[tuple[int, ...], Vector]:
-        return {}
-
-    def bracket_on_basis(self, idxs: Sequence[int]) -> Vector:
-        """Bracket of basis vectors in any order; repeats give zero."""
-        key = tuple(idxs)
-        cached = self._basis_cache.get(key)
-        if cached is not None:
-            return cached
-        if len(key) != self.arity:
-            raise DimensionMismatch(
-                f"bracket takes {self.arity} arguments, got {len(key)}"
-            )
-        sign, sorted_key = sort_sign(key)
-        if sign == 0:
-            out = zero_vector(self.dim)
-        else:
-            base = self._table.get(sorted_key)
-            if base is None:
-                out = zero_vector(self.dim)
-            elif sign == 1:
-                out = base
-            else:
-                out = tuple(-x for x in base)
-        self._basis_cache[key] = out
-        return out
+    def ints(self) -> dict[tuple[int, ...], dict[int, int]]:
+        """Structure constants as {increasing n-tuple: {t: int}} over ``den``,
+        shared by every reader and never mutated."""
+        return int_table(self.structure, self.den)
 
     def bracket(self, *vectors_in: Sequence) -> Vector:
         """Multilinear skew extension of the structure constants."""
@@ -227,37 +195,10 @@ class NLieAlgebra:
                 f"bracket takes {self.arity} arguments, got {len(vectors_in)}"
             )
         vs = [vector(v) for v in vectors_in]
-        for v in vs:
-            if len(v) != self.dim:
-                raise DimensionMismatch("bracket argument of wrong dimension")
-        out = [Fraction(0)] * self.dim
-        supports = [[(j, c) for j, c in enumerate(v) if c] for v in vs]
-
-        def rec(i: int, idxs: tuple[int, ...], coeff: Fraction) -> None:
-            if i == len(supports):
-                val = self.bracket_on_basis(idxs)
-                for t, x in enumerate(val):
-                    if x:
-                        out[t] += coeff * x
-                return
-            for j, c in supports[i]:
-                if j not in idxs:
-                    rec(i + 1, idxs + (j,), coeff * c)
-
-        rec(0, (), Fraction(1))
-        return tuple(out)
-
-    def bracket_basis_with_vector(self, idxs: Sequence[int], v: Sequence) -> Vector:
-        """Bracket with basis vectors in the first n-1 slots and v last."""
-        v = vector(v)
-        out = [Fraction(0)] * self.dim
-        for j, c in enumerate(v):
-            if c:
-                val = self.bracket_on_basis(tuple(idxs) + (j,))
-                for t, x in enumerate(val):
-                    if x:
-                        out[t] += c * x
-        return tuple(out)
+        if any(len(v) != self.dim for v in vs):
+            raise DimensionMismatch("bracket argument of wrong dimension")
+        out = _bracket(self.ints, [{j: c for j, c in enumerate(v) if c} for v in vs])
+        return tuple(Fraction(out.get(t, 0), self.den) for t in range(self.dim))
 
     @cached_property
     def _report(self) -> "ValidationReport":
@@ -268,63 +209,9 @@ class NLieAlgebra:
         """Fundamental identity verdict, computed once per algebra."""
         return self._report.is_valid
 
-    def wedge_keys(self) -> list[tuple[int, ...]]:
-        """All strictly increasing (n-1)-tuples of basis indices."""
-        return list(combinations(range(self.dim), self.arity - 1))
-
     def bracket_keys(self) -> list[tuple[int, ...]]:
         """All strictly increasing n-tuples of basis indices."""
         return list(combinations(range(self.dim), self.arity))
-
-
-def ad_action(alg: NLieAlgebra, x: FundamentalObject, z: Sequence) -> Vector:
-    """[x1, ..., x(n-1), z], extended linearly over the wedge decomposition."""
-    z = vector(z)
-    if x.dim != alg.dim or len(z) != alg.dim or x.width != alg.arity - 1:
-        raise DimensionMismatch("adjoint action shape mismatch")
-    if x.components is not None:
-        return alg.bracket(*x.components, z)
-    out = [Fraction(0)] * alg.dim
-    for key, coeff in x.decomposition().items():
-        val = alg.bracket_basis_with_vector(key, z)
-        for t, v in enumerate(val):
-            if v:
-                out[t] += coeff * v
-    return tuple(out)
-
-
-def fundamental_bracket(
-    alg: NLieAlgebra, x: FundamentalObject, y: FundamentalObject
-) -> FundamentalObject:
-    """Bracket on argument blocks: substitute the action of x into each y slot.
-
-    Returns sum_i  y1 ^ ... ^ (ad x . y_i) ^ ... ^ y(n-1) in canonical form.
-    """
-    if x.dim != alg.dim or y.dim != alg.dim:
-        raise DimensionMismatch("fundamental bracket dimension mismatch")
-    w = alg.arity - 1
-    combo: dict[tuple[int, ...], Fraction] = {}
-    for xkey, xc in x.decomposition().items():
-        for ykey, yc in y.decomposition().items():
-            outer = xc * yc
-            for i in range(w):
-                acted = alg.bracket_basis_with_vector(xkey, _basis(alg.dim, ykey[i]))
-                for j, c in enumerate(acted):
-                    if not c:
-                        continue
-                    slot_idxs = ykey[:i] + (j,) + ykey[i + 1 :]
-                    sign, skey = sort_sign(slot_idxs)
-                    if sign:
-                        cur = combo.get(skey, Fraction(0)) + sign * outer * c
-                        if cur:
-                            combo[skey] = cur
-                        else:
-                            combo.pop(skey, None)
-    return FundamentalObject.from_combination(alg.dim, w, combo)
-
-
-def _basis(dim: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
 
 
 @dataclass(frozen=True)
@@ -353,27 +240,12 @@ def validate_algebra(alg: NLieAlgebra) -> ValidationReport:
     """Check the fundamental identity on every basis tuple pair.
 
     Multilinearity and built-in skewness reduce the identity to x ranging
-    over increasing (n-1)-tuples and y over increasing n-tuples.
+    over increasing (n-1)-tuples and y over increasing n-tuples; the check
+    is the order-0 defect of :func:`~nliecoh.tables.nambu_defects`.
     """
     for key, _ in alg.structure:
         if any(not 0 <= i < alg.dim for i in key):
             raise IndexOutOfRange(f"structure key {key} outside basis range")
-    failures = []
-    for xt in alg.wedge_keys():
-        for yt in alg.bracket_keys():
-            inner = alg.bracket_on_basis(yt)
-            lhs = alg.bracket_basis_with_vector(xt, inner)
-            rhs = [Fraction(0)] * alg.dim
-            for i in range(alg.arity):
-                acted = alg.bracket_on_basis(xt + (yt[i],))
-                for j, c in enumerate(acted):
-                    if not c:
-                        continue
-                    term = alg.bracket_on_basis(yt[:i] + (j,) + yt[i + 1 :])
-                    for t, v in enumerate(term):
-                        if v:
-                            rhs[t] += c * v
-            residual = tuple(a - b for a, b in zip(lhs, rhs))
-            if not is_zero_vector(residual):
-                failures.append(NambuFailure(xt, yt, residual))
-    return ValidationReport(alg.name, "algebra", tuple(failures))
+    defects = nambu_defects(alg.dim, alg.arity, alg.den, (alg.ints,), 0)
+    failures = tuple(NambuFailure(x, y, dense(res, alg.dim)) for (x, y), res in defects)
+    return ValidationReport(alg.name, "algebra", failures)

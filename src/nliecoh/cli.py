@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import jsonio
-from .algebra import validate_algebra
+from .algebra import ValidationReport, validate_algebra
 from .cochains import Cochain, CochainSpace, CohomologyReport, module_cohomology, self_cohomology
 from .deformations import (
     apply_automorphism,
@@ -111,8 +111,6 @@ def cmd_validate(args, argv: list[str]) -> tuple[dict, int]:
         report = validate_deformation(jsonio.deformation_from_json(obj, base_dir, where=args.path))
     else:  # automorphism series: identity leading term is implicit, always valid
         jsonio.automorphism_from_json(obj, args.path)
-        from .algebra import ValidationReport
-
         report = ValidationReport(args.path, "automorphism", ())
     status = 0 if report.is_valid else 1
     out = {

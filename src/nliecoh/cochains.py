@@ -21,7 +21,7 @@ from itertools import combinations, product
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .algebra import FundamentalObject, NLieAlgebra, sort_sign
+from .algebra import FundamentalObject, NLieAlgebra
 from .errors import (
     ArityMismatch,
     BrokenComplex,
@@ -31,6 +31,7 @@ from .errors import (
     InvalidMorphism,
 )
 from .linalg import Matrix, Vector, frac, kernel_basis, quotient_data, vector
+from .tables import _basis, int_columns, sort_sign
 
 DomainKey = object  # int for degree 0, tuple of index tuples otherwise
 
@@ -251,10 +252,10 @@ def eval_key_combo(
 # keys are no pairs (w_0, degree-0 key), so all terms are summed directly.
 
 
-def _sparse_bracket(alg: NLieAlgebra, scale: int, idxs: tuple) -> dict:
-    """Nonzero bracket constants times ``scale``, a multiple of their denominators."""
-    out = enumerate(alg.bracket_on_basis(idxs))
-    return {t: x.numerator * (scale // x.denominator) for t, x in out if x}
+def _sparse_bracket(table: dict, scale: int, idxs: tuple) -> dict:
+    """Bracket of basis vectors in any order from an int table, times ``scale``."""
+    sign, val = _basis(table, idxs)
+    return {t: sign * scale * x for t, x in val.items()}
 
 
 def _derivation(sign, bracket, w: tuple, u: tuple) -> dict:
@@ -285,9 +286,10 @@ def _action(phi_cols: list, bracket, d_T: int, u: tuple) -> list[dict]:
 class _Tables:
     """Sparse structure data of one coboundary, keyed on basis indices.
 
-    Built from ``bracket_on_basis`` lookups and the columns of ``phi``, and
-    memoized for the life of one requested matrix: the coboundaries of lower
-    degree that its split (see above) assembles first share them.  The
+    Built from the algebras' int tables (``NLieAlgebra.ints``) and the
+    columns of ``phi``, and memoized for the life of one requested matrix:
+    the coboundaries of lower degree that its split (see above) assembles
+    first share them.  The
     memoized functions close over each other, not over the instance, so no
     reference cycle keeps them alive after it.
 
@@ -295,26 +297,21 @@ class _Tables:
     With d_* the lcm of the denominators of the source constants, the target
     constants and phi, an action term (n - 1 entries of phi times a target
     constant) is an int over acted = d_tgt * d_phi^(n-1).  So den =
-    lcm(d_src, acted) scales the source constants, d_phi scales phi and
-    d_tgt * den / acted the target constants.
+    lcm(d_src, acted), the source table is scaled by den / d_src, phi by
+    d_phi and the target table by den / acted.
     """
 
     def __init__(self, src: NLieAlgebra, tgt: NLieAlgebra, phi: Matrix):
         self.src = src
         self.tgt = tgt
-        d_src, d_tgt = (lcm(*(x.denominator for _, v in a.structure for x in v)) for a in (src, tgt))
         d_phi = lcm(*phi.dens)
-        acted = d_tgt * d_phi ** (src.arity - 1)
-        self.den = den = lcm(d_src, acted)
-        phi_cols: list[dict] = [{} for _ in range(src.dim)]
-        for i, (row, d) in enumerate(zip(phi.ints, phi.dens)):
-            for j, v in row.items():
-                phi_cols[j][i] = v * (d_phi // d)
+        acted = tgt.den * d_phi ** (src.arity - 1)
+        self.den = den = lcm(src.den, acted)
+        phi_cols = int_columns(phi, d_phi)
         self.sign = cache(sort_sign)
-        self.src_bracket = cache(partial(_sparse_bracket, src, den))
-        tgt_scale = d_tgt * (den // acted)
-        same = tgt is src and tgt_scale == den
-        tgt_bracket = self.src_bracket if same else cache(partial(_sparse_bracket, tgt, tgt_scale))
+        self.src_bracket = cache(partial(_sparse_bracket, src.ints, den // src.den))
+        same = tgt is src and acted == src.den
+        tgt_bracket = self.src_bracket if same else cache(partial(_sparse_bracket, tgt.ints, den // acted))
         self.derivation = cache(partial(_derivation, self.sign, self.src_bracket))
         self.action = cache(partial(_action, phi_cols, tgt_bracket, tgt.dim))
 

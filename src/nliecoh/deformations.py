@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
-from .algebra import NLieAlgebra, ValidationReport, sort_sign
+from .algebra import NLieAlgebra, ValidationReport
 from .cochains import Cochain, CochainSpace
 from .errors import (
     ArityMismatch,
@@ -27,6 +26,16 @@ from .errors import (
 )
 from .linalg import Matrix, Vector, solve
 from .morphisms import CochainTriple, Morphism, triple_complex
+from .tables import (
+    _add,
+    _apply,
+    _bracket,
+    _compositions,
+    dense,
+    int_table,
+    map_defects,
+    nambu_defects,
+)
 
 
 def degree1_space(alg: NLieAlgebra) -> CochainSpace:
@@ -50,62 +59,6 @@ def cochain_matrix(c: Cochain) -> Matrix:
     for (i, t), v in c.coeffs.items():
         data[t][i] = v
     return Matrix.from_sparse(c.space.target_dim, c.space.source.dim, data)
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-# ---------------------------------------------------------------------------
-# Order convolution.  Each order of a bracket family is read from a sparse
-# table {increasing n-tuple: {t: coefficient}}; vectors are sparse
-# {index: coefficient} dicts, and the images phi_i(e_a) are the sparse
-# columns of the map terms.
-
-
-def _basis(table: dict, idxs: tuple) -> tuple[int, dict]:
-    """One order's bracket of basis vectors given in any order: the sign
-    sorting them and the stored value, empty on a repeat or a missing key."""
-    sign, key = sort_sign(idxs)
-    return sign, table.get(key, {}) if sign else {}
-
-
-def _bracket(table: dict, args: Sequence[dict]) -> dict:
-    """One order's bracket of sparse vectors, multilinear over their supports."""
-    out: dict = {}
-    if not (table and all(args)):
-        return out
-    for choice in product(*(a.items() for a in args)):
-        idxs, cs = zip(*choice)
-        sign, val = _basis(table, idxs)
-        if val:
-            for c in cs:
-                sign *= c
-            _add(out, val, sign)
-    return {t: x for t, x in out.items() if x}
-
-
-def _apply(cols: Sequence[dict], v: dict) -> dict:
-    """Image of a sparse vector under the map with sparse columns ``cols``."""
-    out: dict = {}
-    for a, c in v.items():
-        _add(out, cols[a], c)
-    return out
-
-
-def _add(total: dict, v: dict, c: int = 1) -> None:
-    for t, x in v.items():
-        total[t] = total.get(t, 0) + c * x
 
 
 @dataclass(frozen=True)
@@ -137,7 +90,7 @@ class DeformedAlgebra:
     def den(self) -> int:
         """Lcm of the denominators of the base constants and of every term."""
         return lcm(
-            *(x.denominator for _, val in self.base.structure for x in val),
+            self.base.den,
             *(c.denominator for term in self.terms for c in term.coeffs.values()),
         )
 
@@ -146,10 +99,7 @@ class DeformedAlgebra:
         """Bracket of each order 0..order as {increasing n-tuple: {t: c}}, the
         values ints over ``den``."""
         den = self.den
-        tables = [
-            {key: {t: x.numerator * (den // x.denominator) for t, x in enumerate(val) if x}
-             for key, val in self.base.structure}
-        ]
+        tables = [int_table(self.base.structure, den)]
         for term in self.terms:
             table: dict = {}
             for ((key,), t), c in term.coeffs.items():
@@ -166,32 +116,12 @@ class DeformedAlgebra:
 def nambu_residual(da: DeformedAlgebra, s: int) -> Cochain:
     """Order-s coefficient of the fundamental-identity defect, as a cochain.
 
-    The zero cochain means the identity holds exactly at that order.  Each
-    summand is a product of two table entries, an int over ``den**2``.
+    The zero cochain means the identity holds exactly at that order.
     """
     alg = da.base
-    den2 = da.den**2
-    space = CochainSpace(alg, 2, alg.dim)
-    pairs = [
-        (da.tables[k], da.tables[s - k])
-        for k in range(max(0, s - da.order), min(s, da.order) + 1)
-        if da.tables[k] and da.tables[s - k]
-    ]
-    coeffs = {}
-    for key in space.domain_keys:
-        xt, kt = key
-        total: dict = {}
-        for inner, outer in pairs:
-            for j, c in inner.get(kt, {}).items():
-                sign, val = _basis(outer, xt + (j,))
-                _add(total, val, sign * c)
-            for i in range(alg.arity):
-                sign, acted = _basis(inner, xt + (kt[i],))
-                for j, c in acted.items():
-                    slot_sign, val = _basis(outer, kt[:i] + (j,) + kt[i + 1 :])
-                    _add(total, val, -sign * slot_sign * c)
-        coeffs.update(((key, t), Fraction(c, den2)) for t, c in total.items() if c)
-    return Cochain(space, coeffs)
+    defects = nambu_defects(alg.dim, alg.arity, da.den, da.tables, s)
+    coeffs = {(key, t): c for key, res in defects for t, c in res.items()}
+    return Cochain(CochainSpace(alg, 2, alg.dim), coeffs)
 
 
 @dataclass(frozen=True)
@@ -266,37 +196,17 @@ class DeformedMorphism:
 
 
 def morphism_residual(dm: DeformedMorphism, s: int) -> Cochain:
-    """Order-s defect of the map equation, as a module-valued cochain.
+    """Order-s defect of the map equation, as a module-valued cochain."""
+    coeffs = {((key,), t): c for key, res in _map_defects(dm, s) for t, c in res.items()}
+    return Cochain(CochainSpace(dm.src_def.base, 1, dm.tgt_def.base.dim), coeffs)
 
-    With the map columns ints over d_phi, a pulled term is an int over
-    d_phi * d_src and a target bracket an int over d_tgt * d_phi**n.
-    """
-    src = dm.src_def.base
-    space = CochainSpace(src, 1, dm.tgt_def.base.dim)
-    d_phi = lcm(*(d for m in dm.phi_terms for d in m.dens))
-    cols: list = [[{} for _ in range(src.dim)] for _ in dm.phi_terms]
-    for col, m in zip(cols, dm.phi_terms):
-        for t, (row, d) in enumerate(zip(m.ints, m.dens)):
-            for a, v in row.items():
-                col[a][t] = v * (d_phi // d)
-    pull_den = d_phi * dm.src_def.den
-    push_den = dm.tgt_def.den * d_phi**src.arity
-    den = lcm(pull_den, push_den)
-    pull, push = den // pull_den, -(den // push_den)
-    src_tables, tgt_tables = dm.src_def.tables, dm.tgt_def.tables
-    top = min(s, dm.order)
-    coeffs = {}
-    for key in src.bracket_keys():
-        total: dict = {}
-        for i in range(s - top, top + 1):
-            _add(total, _apply(cols[i], src_tables[s - i].get(key, {})), pull)
-        for j in range(top + 1):
-            for split in _compositions(s - j, src.arity):
-                if max(split) <= dm.order:
-                    imgs = [cols[i][a] for i, a in zip(split, key)]
-                    _add(total, _bracket(tgt_tables[j], imgs), push)
-        coeffs.update((((key,), t), Fraction(c, den)) for t, c in total.items() if c)
-    return Cochain(space, coeffs)
+
+def _map_defects(dm: DeformedMorphism, s: int):
+    """Order-s map-equation defects of ``dm``, key by key."""
+    src, tgt = dm.src_def, dm.tgt_def
+    return map_defects(
+        src.base.arity, dm.phi_terms, src.den, src.tables, tgt.den, tgt.tables, s
+    )
 
 
 def validate_deformation(dm: DeformedMorphism) -> ValidationReport:
@@ -304,31 +214,13 @@ def validate_deformation(dm: DeformedMorphism) -> ValidationReport:
     failures: list[DeformationFailure] = []
     for s in range(dm.order + 1):
         for part, da in (("source", dm.src_def), ("target", dm.tgt_def)):
-            res = nambu_residual(da, s)
-            for key in _failing_keys(res):
-                failures.append(
-                    DeformationFailure(part, s, key, _unit_residual(res, key))
-                )
-        res = morphism_residual(dm, s)
-        for key in _failing_keys(res):
-            failures.append(
-                DeformationFailure("morphism", s, key, _unit_residual(res, key))
-            )
+            alg = da.base
+            for key, res in nambu_defects(alg.dim, alg.arity, da.den, da.tables, s):
+                failures.append(DeformationFailure(part, s, key, dense(res, alg.dim)))
+        d_tgt = dm.tgt_def.base.dim
+        for key, res in _map_defects(dm, s):
+            failures.append(DeformationFailure("morphism", s, (key,), dense(res, d_tgt)))
     return ValidationReport(dm.name or "deformation", "deformation", tuple(failures))
-
-
-def _failing_keys(c: Cochain) -> list:
-    keys = sorted({key for (key, _t) in c.coeffs})
-    return keys
-
-
-def _unit_residual(c: Cochain, key) -> Vector:
-    out = [Fraction(0)] * c.space.target_dim
-    for t in range(c.space.target_dim):
-        v = c.coeffs.get((key, t))
-        if v:
-            out[t] = v
-    return tuple(out)
 
 
 def _require_validated(dm: DeformedMorphism, through: int) -> None:

@@ -10,17 +10,12 @@ morphism between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
+from itertools import combinations, product
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .algebra import (
-    FundamentalObject,
-    NLieAlgebra,
-    ValidationReport,
-    wedge_decompose,
-)
+from .algebra import NLieAlgebra, ValidationReport
 from .cochains import (
     Cochain,
     CochainSpace,
@@ -28,7 +23,6 @@ from .cochains import (
     coboundary_matrix_module,
     coboundary_matrix_self,
     cohomology,
-    eval_key_combo,
 )
 from .errors import (
     ArityMismatch,
@@ -37,7 +31,8 @@ from .errors import (
     InvalidMorphism,
     NotCocycle,
 )
-from .linalg import Matrix, Vector, solve, vector
+from .linalg import Matrix, Vector, solve
+from .tables import _bracket, dense, int_columns, map_defects
 
 
 @dataclass(frozen=True)
@@ -99,61 +94,18 @@ class Morphism:
 
 
 def validate_morphism(phi: Morphism) -> ValidationReport:
-    """Check structure preservation on every increasing basis tuple."""
+    """Check structure preservation on every increasing basis tuple: the
+    order-0 defect of :func:`~nliecoh.tables.map_defects`.  When an algebra
+    fails the fundamental identity, its failures are the report's."""
     src, tgt = phi.source, phi.target
     for alg in (src, tgt):
         if not alg.is_valid:
             return ValidationReport(
                 phi.name or "morphism", "morphism", alg._report.failures
             )
-    failures = []
-    for key in src.bracket_keys():
-        lhs = phi.apply(src.bracket_on_basis(key))
-        rhs = tgt.bracket(*(phi.matrix.column(i) for i in key))
-        residual = tuple(a - b for a, b in zip(lhs, rhs))
-        if any(residual):
-            failures.append(MorphismFailure(key, residual))
-    return ValidationReport(phi.name or "morphism", "morphism", tuple(failures))
-
-
-def module_action(phi: Morphism, x: FundamentalObject, z: Sequence) -> Vector:
-    """Action of a source block on the target through the morphism.
-
-    Computes the bracket of the mapped block components with z in the
-    target, extended linearly over the wedge decomposition of x.
-    """
-    z = vector(z)
-    if len(z) != phi.target.dim or x.dim != phi.source.dim:
-        raise DimensionMismatch("module action shape mismatch")
-    if x.components is not None:
-        imgs = [phi.apply(v) for v in x.components]
-        return phi.target.bracket(*imgs, z)
-    out = [Fraction(0)] * phi.target.dim
-    for key, c in x.decomposition().items():
-        imgs = [phi.matrix.column(i) for i in key]
-        val = phi.target.bracket(*imgs, z)
-        for t, a in enumerate(val):
-            if a:
-                out[t] += c * a
-    return tuple(out)
-
-
-def wedge_image(phi: Morphism, x: FundamentalObject) -> FundamentalObject:
-    """Image of an argument block under the morphism, component-wise."""
-    if x.components is not None:
-        return FundamentalObject(
-            [phi.apply(v) for v in x.components], dim=phi.target.dim
-        )
-    combo: dict[tuple[int, ...], Fraction] = {}
-    for key, c in x.decomposition().items():
-        imgs = [phi.matrix.column(i) for i in key]
-        for wkey, wc in wedge_decompose(imgs).items():
-            cur = combo.get(wkey, Fraction(0)) + c * wc
-            if cur:
-                combo[wkey] = cur
-            else:
-                combo.pop(wkey, None)
-    return FundamentalObject.from_combination(phi.target.dim, x.width, combo)
+    defects = map_defects(src.arity, (phi.matrix,), src.den, (src.ints,), tgt.den, (tgt.ints,), 0)
+    failures = tuple(MorphismFailure(key, dense(res, tgt.dim)) for key, res in defects)
+    return ValidationReport(phi.name or "morphism", "morphism", failures)
 
 
 @dataclass(frozen=True)
@@ -269,36 +221,40 @@ class TripleComplex:
         self._post_cache[m] = out
         return out
 
-    def _pull_combo(self, m: int, key) -> dict:
-        """Decompose a source domain key through mapped blocks and vectors."""
-        phi, col, d = self.phi, self.phi.matrix.column, self.phi.source.dim
-        space = self.space_target(m)
-        if isinstance(key, int):
-            return eval_key_combo(space, [], None, col(key))
-        blocks = [wedge_image(phi, FundamentalObject.from_basis(d, w)) for w in key[:-1]]
-        last = FundamentalObject([col(i) for i in key[-1][:-1]], dim=phi.target.dim)
-        return eval_key_combo(space, blocks, last, col(key[-1][-1]))
-
     def pull_matrix(self, m: int) -> Matrix:
-        """Pre-composition with mapped blocks, target-self to module cochains."""
+        """Pre-composition with the morphism, target-self to module cochains.
+
+        A key's arguments map to the product of the images of its wedges
+        under exterior powers of phi, so the matrix is the transpose of
+        (Lambda^(n-1) phi)^(x)(m-1) (x) Lambda^n phi, times I_(d_T) by
+        Kronecker product; at m = 0 the keys are basis indices and the
+        transpose is of phi itself.
+        """
         cached = self._pull_cache.get(m)
         if cached is not None:
             return cached
-        src_space = self.space_source(m)
-        tgt_space = self.space_target(m)
-        dp = self.phi.target.dim
+        phi = self.phi.matrix
+        n, dp = self.phi.source.arity, self.phi.target.dim
+        d_phi = lcm(*phi.dens)
+        cols = int_columns(phi, d_phi)
+        # phi e_w1 ^ ... ^ phi e_wk is the skew multilinear expansion that
+        # _bracket makes on the table taking each increasing k-tuple to itself
+        units = {k: {u: {u: 1} for u in combinations(range(dp), k)} for k in {1, n - 1, n}}
+        image = cache(lambda w: _bracket(units[len(w)], [cols[i] for i in w]))
+        tgt_pos = self.space_target(m)._key_pos
+        den = d_phi ** ((n - 1) * (m - 1) + n) if m else d_phi
         rows: list[dict] = []
-        dens: list[int] = []
-        for key in src_space.domain_keys:
-            combo = self._pull_combo(m, key)
-            den = lcm(*(c.denominator for c in combo.values()))
-            cols = [
-                (tgt_space._key_pos[k] * dp, c.numerator * (den // c.denominator))
-                for k, c in combo.items()
-            ]
-            rows += [{base + s: c for base, c in cols} for s in range(dp)]
-            dens += [den] * dp
-        out = Matrix.from_ints(len(rows), tgt_space.dim, rows, dens)
+        for key in self.space_source(m).domain_keys:
+            entries = []
+            wedges = key if m else ((key,),)
+            for choice in product(*(image(w).items() for w in wedges)):
+                c = 1
+                for _, x in choice:
+                    c *= x
+                tkey = tuple(v for v, _ in choice) if m else choice[0][0][0]
+                entries.append((tgt_pos[tkey] * dp, c))
+            rows += [{base + s: c for base, c in entries} for s in range(dp)]
+        out = Matrix.from_ints(len(rows), len(tgt_pos) * dp, rows, [den] * len(rows))
         self._pull_cache[m] = out
         return out
 

@@ -1,0 +1,182 @@
+"""Sparse integer tables of structure constants and the two identities on them.
+
+A bracket table maps each strictly increasing n-tuple of basis indices to
+its nonzero value {t: int}, every value an int over one denominator;
+vectors are sparse {index: int} dicts, and a linear map is given by its
+sparse integer columns.  On these the fundamental identity of a bracket
+family and the map equation of a series of maps are evaluated order by
+order.  At order 0 they validate an algebra and a morphism; at higher
+orders they are the residuals and obstructions of a deformation.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations, product
+from math import lcm
+from typing import Iterator, Sequence
+
+from .linalg import Matrix
+
+
+def sort_sign(idxs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Sign of the permutation sorting ``idxs``; 0 when an index repeats."""
+    n = len(idxs)
+    sign = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            if idxs[i] == idxs[j]:
+                return 0, ()
+            if idxs[i] > idxs[j]:
+                sign = -sign
+    return sign, tuple(sorted(idxs))
+
+
+def int_table(structure, den: int) -> dict:
+    """{increasing n-tuple: {t: int}} of (key, rational vector) items, the
+    values ints over ``den``, a multiple of their denominators."""
+    return {
+        key: {t: x.numerator * (den // x.denominator) for t, x in enumerate(val) if x}
+        for key, val in structure
+    }
+
+
+def int_columns(m: Matrix, den: int) -> list[dict]:
+    """Columns of ``m`` as sparse ints over ``den``, a multiple of its row
+    denominators."""
+    cols: list[dict] = [{} for _ in range(m.cols)]
+    for i, (row, d) in enumerate(zip(m.ints, m.dens)):
+        for j, v in row.items():
+            cols[j][i] = v * (den // d)
+    return cols
+
+
+def dense(res: dict, dim: int) -> tuple[Fraction, ...]:
+    """A sparse {t: Fraction} residual as a full vector."""
+    return tuple(res.get(t, Fraction(0)) for t in range(dim))
+
+
+def _basis(table: dict, idxs: tuple) -> tuple[int, dict]:
+    """One order's bracket of basis vectors given in any order: the sign
+    sorting them and the stored value, empty on a repeat or a missing key."""
+    sign, key = sort_sign(idxs)
+    return sign, table.get(key, {}) if sign else {}
+
+
+def _bracket(table: dict, args: Sequence[dict]) -> dict:
+    """One order's bracket of sparse vectors, multilinear over their supports."""
+    out: dict = {}
+    if not (table and all(args)):
+        return out
+    for choice in product(*(a.items() for a in args)):
+        idxs, cs = zip(*choice)
+        sign, val = _basis(table, idxs)
+        if val:
+            for c in cs:
+                sign *= c
+            _add(out, val, sign)
+    return {t: x for t, x in out.items() if x}
+
+
+def _apply(cols: Sequence[dict], v: dict) -> dict:
+    """Image of a sparse vector under the map with sparse columns ``cols``."""
+    out: dict = {}
+    for a, c in v.items():
+        _add(out, cols[a], c)
+    return out
+
+
+def _add(total: dict, v: dict, c: int = 1) -> None:
+    for t, x in v.items():
+        total[t] = total.get(t, 0) + c * x
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def nambu_defects(
+    d: int, n: int, den: int, tables: Sequence[dict], s: int
+) -> Iterator[tuple[tuple, dict]]:
+    """Order-s coefficient of the fundamental-identity defect
+
+        [x, [k]] - sum_i [k_1, ..., [x, k_i], ..., k_n]
+
+    of the family with one table per order (ints over ``den``), at each
+    basis (n-1)-tuple x and n-tuple k, increasing, x first: yields
+    ((x, k), {t: Fraction}) where it is nonzero.  Each summand is a product
+    of two table entries, an int over ``den**2``.
+    """
+    order = len(tables) - 1
+    pairs = [
+        (tables[k], tables[s - k])
+        for k in range(max(0, s - order), min(s, order) + 1)
+        if tables[k] and tables[s - k]
+    ]
+    if not pairs:
+        return
+    den2 = den**2
+    for xt in combinations(range(d), n - 1):
+        for kt in combinations(range(d), n):
+            total: dict = {}
+            for inner, outer in pairs:
+                for j, c in inner.get(kt, {}).items():
+                    sign, val = _basis(outer, xt + (j,))
+                    _add(total, val, sign * c)
+                for i in range(n):
+                    sign, acted = _basis(inner, xt + (kt[i],))
+                    for j, c in acted.items():
+                        slot_sign, val = _basis(outer, kt[:i] + (j,) + kt[i + 1 :])
+                        _add(total, val, -sign * slot_sign * c)
+            if any(total.values()):
+                yield (xt, kt), {t: Fraction(c, den2) for t, c in total.items() if c}
+
+
+def map_defects(
+    n: int,
+    terms: Sequence[Matrix],
+    src_den: int,
+    src_tables: Sequence[dict],
+    tgt_den: int,
+    tgt_tables: Sequence[dict],
+    s: int,
+) -> Iterator[tuple[tuple, dict]]:
+    """Order-s coefficient of the map-equation defect
+
+        phi [x_1, ..., x_n] - [phi x_1, ..., phi x_n]
+
+    of the series of maps ``terms`` between the families with one table per
+    order (ints over ``src_den`` and ``tgt_den``), at each increasing basis
+    n-tuple: yields (tuple, {t: Fraction}) where it is nonzero.  With the
+    map columns ints over d_phi, a pulled term is an int over
+    d_phi * src_den and a target bracket an int over tgt_den * d_phi**n.
+    """
+    d_phi = lcm(*(d for m in terms for d in m.dens))
+    cols = [int_columns(m, d_phi) for m in terms]
+    pull_den = d_phi * src_den
+    push_den = tgt_den * d_phi**n
+    den = lcm(pull_den, push_den)
+    pull, push = den // pull_den, -(den // push_den)
+    order = len(terms) - 1
+    top = min(s, order)
+    for key in combinations(range(terms[0].cols), n):
+        total: dict = {}
+        for i in range(s - top, top + 1):
+            _add(total, _apply(cols[i], src_tables[s - i].get(key, {})), pull)
+        for j in range(top + 1):
+            for split in _compositions(s - j, n):
+                if max(split) <= order:
+                    imgs = [cols[i][a] for i, a in zip(split, key)]
+                    _add(total, _bracket(tgt_tables[j], imgs), push)
+        if any(total.values()):
+            yield key, {t: Fraction(c, den) for t, c in total.items() if c}

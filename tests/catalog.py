@@ -10,8 +10,9 @@ import random
 from fractions import Fraction
 
 from nliecoh.algebra import NLieAlgebra
-from nliecoh.corpus import all_algebras
+from nliecoh.corpus import all_algebras, morphism
 from nliecoh.linalg import Matrix, solve
+from nliecoh.morphisms import Morphism
 
 
 def _unit(d, i):
@@ -76,3 +77,43 @@ def conjugated_cases(seed: int = 20240811, per_base: int = 7) -> list[NLieAlgebr
 
 def full_catalog() -> list[NLieAlgebra]:
     return base_algebras() + conjugated_cases()
+
+
+def planted_defects(algs, count: int, seed: int) -> list[NLieAlgebra]:
+    """``count`` copies of algebras drawn from ``algs``, each with the value
+    of one increasing n-tuple replaced by a random vector with entries in
+    thirds and halves; most of them break the fundamental identity."""
+    rng = random.Random(seed)
+    out = []
+    for k, alg in enumerate(rng.sample(algs, count)):
+        brackets = dict(alg.structure)
+        key = tuple(sorted(rng.sample(range(alg.dim), alg.arity)))
+        brackets[key] = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(alg.dim)]
+        out.append(NLieAlgebra.from_brackets(f"{alg.name}!{k}", alg.arity, alg.dim, brackets))
+    return out
+
+
+def conjugated_morphism() -> Morphism:
+    """a1_b2_i1 carried along dense changes of basis P_A, P_B of its
+    algebras, phi' = P_B^-1 phi P_A: source constants, target constants and
+    phi' have the denominators 5, 9 and 3, so no two of the scalings an
+    integer assembly needs agree."""
+    phi = morphism("a1_b2_i1")
+    rng = random.Random(3)
+    pa, pa_inv = _random_invertible(rng, phi.source.dim)
+    pb, pb_inv = _random_invertible(rng, phi.target.dim)
+    src = conjugate(phi.source, pa, pa_inv, "a1~")
+    tgt = conjugate(phi.target, pb, pb_inv, "b2~")
+    return Morphism(src, tgt, pb_inv.mul(phi.matrix).mul(pa), "a1_b2_i1~")
+
+
+def conjugated_isomorphism(alg: NLieAlgebra, seed: int) -> Morphism:
+    """The identity of ``alg`` read between two dense changes of basis,
+    P_B^-1 P_A from alg~A to alg~B: a rational map of full rank, so every
+    exterior power of it is nonzero."""
+    rng = random.Random(seed)
+    pa, pa_inv = _random_invertible(rng, alg.dim)
+    pb, pb_inv = _random_invertible(rng, alg.dim)
+    src = conjugate(alg, pa, pa_inv, f"{alg.name}~A")
+    tgt = conjugate(alg, pb, pb_inv, f"{alg.name}~B")
+    return Morphism(src, tgt, pb_inv.mul(pa), f"{alg.name}~iso")

@@ -12,9 +12,10 @@ from bisect import insort
 from fractions import Fraction
 from itertools import combinations, product
 
-from nliecoh.cochains import Cochain, CochainSpace
-from nliecoh.errors import SubspaceViolation
-from nliecoh.linalg import Matrix
+from nliecoh.algebra import FundamentalObject, sort_sign, wedge_decompose
+from nliecoh.cochains import Cochain, CochainSpace, eval_key_combo
+from nliecoh.errors import DimensionMismatch, SubspaceViolation
+from nliecoh.linalg import Matrix, vector
 
 
 def perm_sort_sign(idxs):
@@ -307,7 +308,7 @@ def oracle_quotient(z_basis, b_basis):
 # -- deformation equations --------------------------------------------------
 # Dense reference loops for the order-by-order deformation equations: every
 # bracket is evaluated on dense vectors, the base one through
-# ``NLieAlgebra.bracket`` and the higher orders through
+# ``oracle_bracket`` and the higher orders through
 # ``Cochain.evaluate_vectors``.
 
 
@@ -318,7 +319,7 @@ def _compositions(total, parts):
 def oracle_bracket_order(da, i, *vectors):
     """Coefficient of the i-th parameter power on dense vectors."""
     if i == 0:
-        return da.base.bracket(*vectors)
+        return oracle_bracket(da.base, vectors)
     if i <= da.order:
         return da.terms[i - 1].evaluate_vectors(*vectors)
     return tuple(Fraction(0) for _ in range(da.base.dim))
@@ -449,3 +450,99 @@ def oracle_morphism_obstruction(dm, big_n):
                     total[t] -= c
         coeffs.update(_coeffs((key,), total))
     return Cochain(space, coeffs)
+
+
+# -- dense block evaluation ---------------------------------------------------
+# References on dense Fraction vectors for what the package reads from its
+# integer tables: the action of an argument block (through
+# ``oracle_bracket``), the bracket of two blocks, a block's image under a
+# morphism, and the pull map built from those images through the
+# package's ``Cochain`` key decomposition.
+
+
+def ad_action(alg, x, z):
+    """[x1, ..., x(n-1), z], extended linearly over the wedge decomposition."""
+    z = vector(z)
+    if x.dim != alg.dim or len(z) != alg.dim or x.width != alg.arity - 1:
+        raise DimensionMismatch("adjoint action shape mismatch")
+    if x.components is not None:
+        return oracle_ad(alg, x.components, z)
+    out = [Fraction(0)] * alg.dim
+    for key, coeff in x.decomposition().items():
+        for t, v in enumerate(oracle_ad(alg, _units(alg.dim, key), z)):
+            if v:
+                out[t] += coeff * v
+    return tuple(out)
+
+
+def fundamental_bracket(alg, x, y):
+    """Bracket on argument blocks: substitute the action of x into each y slot.
+
+    Returns sum_i  y1 ^ ... ^ (ad x . y_i) ^ ... ^ y(n-1) in canonical form.
+    """
+    if x.dim != alg.dim or y.dim != alg.dim:
+        raise DimensionMismatch("fundamental bracket dimension mismatch")
+    w = alg.arity - 1
+    combo = {}
+    for xkey, xc in x.decomposition().items():
+        for ykey, yc in y.decomposition().items():
+            for i in range(w):
+                acted = oracle_ad(alg, _units(alg.dim, xkey), _unit(alg.dim, ykey[i]))
+                for j, c in enumerate(acted):
+                    if not c:
+                        continue
+                    sign, skey = sort_sign(ykey[:i] + (j,) + ykey[i + 1 :])
+                    if sign:
+                        combo[skey] = combo.get(skey, Fraction(0)) + sign * xc * yc * c
+    return FundamentalObject.from_combination(alg.dim, w, combo)
+
+
+def _units(d, idxs):
+    return [_unit(d, i) for i in idxs]
+
+
+def module_action(phi, x, z):
+    """Action of a source block on the target through the morphism: the
+    bracket of the mapped block components with z in the target."""
+    z = vector(z)
+    if len(z) != phi.target.dim or x.dim != phi.source.dim:
+        raise DimensionMismatch("module action shape mismatch")
+    if x.components is not None:
+        return oracle_ad(phi.target, [phi.apply(v) for v in x.components], z)
+    out = [Fraction(0)] * phi.target.dim
+    for key, c in x.decomposition().items():
+        val = oracle_ad(phi.target, [phi.matrix.column(i) for i in key], z)
+        for t, a in enumerate(val):
+            if a:
+                out[t] += c * a
+    return tuple(out)
+
+
+def wedge_image(phi, x):
+    """Image of an argument block under the morphism, component-wise."""
+    if x.components is not None:
+        return FundamentalObject([phi.apply(v) for v in x.components], dim=phi.target.dim)
+    combo = {}
+    for key, c in x.decomposition().items():
+        for wkey, wc in wedge_decompose([phi.matrix.column(i) for i in key]).items():
+            combo[wkey] = combo.get(wkey, Fraction(0)) + c * wc
+    return FundamentalObject.from_combination(phi.target.dim, x.width, combo)
+
+
+def oracle_pull_matrix(phi, m):
+    """Pre-composition with the morphism, C^m(B, B) to C^m(A, B): each source
+    key's blocks mapped by ``wedge_image``, its final block and vector by
+    the columns of phi, and the result decomposed over the target keys."""
+    src, tgt = phi.source, phi.target
+    src_space, tgt_space = CochainSpace(src, m, src.dim), CochainSpace(tgt, m, tgt.dim)
+    col = phi.matrix.column
+    rows = []
+    for key in src_space.domain_keys:
+        if m == 0:
+            combo = eval_key_combo(tgt_space, [], None, col(key))
+        else:
+            blocks = [wedge_image(phi, FundamentalObject.from_basis(src.dim, w)) for w in key[:-1]]
+            last = FundamentalObject([col(i) for i in key[-1][:-1]], dim=tgt.dim)
+            combo = eval_key_combo(tgt_space, blocks, last, col(key[-1][-1]))
+        rows += [{tgt_space.flat_index(k, s): c for k, c in combo.items()} for s in range(tgt.dim)]
+    return Matrix.from_sparse(len(rows), tgt_space.dim, rows)

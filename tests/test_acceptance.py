@@ -23,14 +23,9 @@ from pathlib import Path
 import pytest
 
 from catalog import full_catalog
-from oracles import RowSpace, oracle_matrix
+from oracles import RowSpace, ad_action, fundamental_bracket, oracle_matrix
 
-from nliecoh.algebra import (
-    FundamentalObject,
-    ad_action,
-    fundamental_bracket,
-    validate_algebra,
-)
+from nliecoh.algebra import FundamentalObject, validate_algebra
 from nliecoh.cochains import (
     Cochain,
     CochainSpace,

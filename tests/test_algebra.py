@@ -3,15 +3,19 @@ from itertools import combinations, permutations
 
 import pytest
 
+from catalog import full_catalog, planted_defects
+from oracles import ad_action, fundamental_bracket, oracle_nambu_residual
+
 from nliecoh.algebra import (
     FundamentalObject,
+    NambuFailure,
     NLieAlgebra,
-    ad_action,
-    fundamental_bracket,
+    ValidationReport,
     sort_sign,
     validate_algebra,
     wedge_decompose,
 )
+from nliecoh.deformations import DeformedAlgebra
 from nliecoh.errors import DimensionMismatch, IndexOutOfRange
 from nliecoh.linalg import basis_vector, zero_vector
 
@@ -64,6 +68,32 @@ def test_validate_rejects_planted_defect(alg_a1):
     report = validate_algebra(bad)
     assert not report.is_valid
     assert all(len(f.residual) == 4 for f in report.failures)
+
+
+def _oracle_report(alg):
+    """Order-0 fundamental-identity defect of the oracle, as a report."""
+    res = oracle_nambu_residual(DeformedAlgebra.trivial(alg, 0), 0)
+    failures = []
+    for key in res.space.domain_keys:
+        residual = tuple(res.coeffs.get((key, t), Fraction(0)) for t in range(alg.dim))
+        if any(residual):
+            failures.append(NambuFailure(key[0], key[1], residual))
+    return ValidationReport(alg.name, "algebra", tuple(failures))
+
+
+def test_validate_algebra_is_the_order0_defect():
+    """Entry for entry: the failing key pairs, their order and every residual
+    Fraction, on the catalog and on 40 copies with a planted rational value."""
+    catalog = full_catalog()
+    planted = planted_defects(catalog, 40, seed=7)
+    for alg in catalog + planted:
+        report = validate_algebra(alg)
+        assert report == _oracle_report(alg), alg.name
+        assert all(type(x) is Fraction for f in report.failures for x in f.residual)
+    assert all(validate_algebra(alg).is_valid for alg in catalog)
+    invalid = [validate_algebra(alg) for alg in planted if not alg.is_valid]
+    assert len(invalid) >= 15
+    assert any(x.denominator > 1 for r in invalid for f in r.failures for x in f.residual)
 
 
 def test_structure_key_validation():

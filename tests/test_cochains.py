@@ -7,7 +7,7 @@ from math import comb, lcm
 
 import pytest
 
-from catalog import _random_invertible, base_algebras, conjugate
+from catalog import _random_invertible, base_algebras, conjugate, conjugated_morphism
 from oracles import oracle_delta_eval, oracle_matrix
 
 from nliecoh.algebra import FundamentalObject, NLieAlgebra
@@ -403,22 +403,8 @@ def test_coboundary_entries_are_fractions(corpus_algebras):
 
 
 @cache
-def _conjugated_morphism() -> Morphism:
-    """a1_b2_i1 carried along dense changes of basis P_A, P_B of its
-    algebras, phi' = P_B^-1 phi P_A: source constants, target constants and
-    phi' have the denominators 5, 9 and 3, so no two of the scalings an
-    integer assembly needs agree."""
-    phi = morphism("a1_b2_i1")
-    rng = random.Random(3)
-    pa, pa_inv = _random_invertible(rng, phi.source.dim)
-    pb, pb_inv = _random_invertible(rng, phi.target.dim)
-    src = conjugate(phi.source, pa, pa_inv, "a1~")
-    tgt = conjugate(phi.target, pb, pb_inv, "b2~")
-    return Morphism(src, tgt, pb_inv.mul(phi.matrix).mul(pa), "a1_b2_i1~")
-
-
 def test_conjugated_morphism_has_distinct_denominators():
-    phi = _conjugated_morphism()
+    phi = conjugated_morphism()
     algs = (phi.source, phi.target)
     dens = [lcm(*(x.denominator for _, v in a.structure for x in v)) for a in algs]
     assert dens + [lcm(*phi.matrix.dens)] == [5, 9, 3]
@@ -427,7 +413,7 @@ def test_conjugated_morphism_has_distinct_denominators():
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_module_matrix_matches_oracle_on_rational_morphism(m):
-    phi = _conjugated_morphism()
+    phi = conjugated_morphism()
     got = coboundary_matrix_module(phi.source, phi.target, phi, m)
     assert any(d > 1 for d in got.dens)
     assert got == oracle_matrix(phi.source, m, phi.target, phi.matrix)
@@ -443,7 +429,7 @@ def test_self_matrix_matches_oracle_on_rational_algebra(p):
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_apply_module_matches_oracle_on_rational_morphism(p):
-    phi = _conjugated_morphism()
+    phi = conjugated_morphism()
     src, tgt = phi.source, phi.target
     rng = random.Random(f"rational/{p}")
     f = _random_cochain(rng, CochainSpace(src, p, tgt.dim))

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from nliecoh import jsonio
 from nliecoh.cli import build_parser, main
-from nliecoh.corpus import algebra, deformation
+from nliecoh.algebra import validate_algebra
+from nliecoh.corpus import algebra, deformation, morphism
 from nliecoh.deformations import FormalAutomorphism
 from nliecoh.errors import ParseError
 from nliecoh.linalg import Matrix
@@ -366,6 +367,28 @@ def test_cli_deform_subcommands(tmp_path):
     )
     report = json.loads(obs.stdout)
     assert report["artifacts"]["cocycle"] is True
+
+
+def test_cli_reports_the_invalid_algebra_of_a_morphism(tmp_path, capsys):
+    """A morphism file whose target breaks the fundamental identity gets the
+    target's failures as residuals, from ``validate`` and ``cohomology``."""
+    bad = dict(jsonio.algebra_to_json(algebra("b1")))
+    bad["brackets"] = bad["brackets"] + [{"args": [2, 3, 4], "value": {"1": "1/2"}}]
+    obj = jsonio.morphism_to_json(morphism("a1_b1"))
+    obj["target"] = bad
+    p = tmp_path / "bad_target.json"
+    p.write_text(jsonio.dump_json(obj))
+    failures = validate_algebra(jsonio.algebra_from_json(bad, str(p))).failures
+    want = [
+        {"x_tuple": [i + 1 for i in f.x_tuple], "y_tuple": [i + 1 for i in f.y_tuple],
+         "residual": [jsonio.format_rational(c) for c in f.residual]}
+        for f in failures
+    ]
+    assert want
+    for argv in (["validate", str(p)], ["cohomology", "--morphism", str(p), "--degree", "1"]):
+        code, out, _ = _run_main(["--output", "json", *argv], capsys)
+        assert code == 1
+        assert json.loads(out)["residuals"] == want
 
 
 def test_cli_validate_morphism_and_deformation_files():

@@ -4,7 +4,23 @@ from itertools import combinations
 
 import pytest
 
-from nliecoh.algebra import FundamentalObject, NLieAlgebra, ad_action, fundamental_bracket
+from catalog import base_algebras, conjugated_isomorphism, conjugated_morphism
+from oracles import (
+    ad_action,
+    fundamental_bracket,
+    module_action,
+    oracle_morphism_residual,
+    oracle_pull_matrix,
+    wedge_image,
+)
+
+from nliecoh.algebra import (
+    FundamentalObject,
+    NLieAlgebra,
+    ValidationReport,
+    validate_algebra,
+    wedge_decompose,
+)
 from nliecoh.cochains import (
     Cochain,
     CochainSpace,
@@ -12,18 +28,19 @@ from nliecoh.cochains import (
     coboundary_matrix_self,
     module_cohomology,
 )
-from nliecoh.corpus import MORPHISM_FILES, morphism
+from nliecoh.corpus import MORPHISM_FILES, algebra, morphism
+from nliecoh.deformations import DeformedMorphism
 from nliecoh.errors import ArityMismatch, DegreeMismatch, DimensionMismatch, NotCocycle
 from nliecoh.linalg import Matrix, basis_vector, rank
 from nliecoh.morphisms import (
     CochainTriple,
     Morphism,
+    MorphismFailure,
+    TripleComplex,
     cohomologous_check,
-    module_action,
     morphism_cohomology,
     triple_complex,
     validate_morphism,
-    wedge_image,
 )
 
 
@@ -45,6 +62,78 @@ def test_invalid_morphism_reports_failing_tuples(alg_a1, alg_b1):
     report = validate_morphism(bad)
     assert not report.is_valid
     assert all(len(f.bracket_tuple) == 3 for f in report.failures)
+
+
+def _oracle_report(phi):
+    """Order-0 map-equation defect of the oracle, as a report."""
+    res = oracle_morphism_residual(DeformedMorphism.trivial(phi, 0), 0)
+    failures = []
+    for key in phi.source.bracket_keys():
+        residual = tuple(res.coeffs.get(((key,), t), Fraction(0)) for t in range(phi.target.dim))
+        if any(residual):
+            failures.append(MorphismFailure(key, residual))
+    return ValidationReport(phi.name, "morphism", tuple(failures))
+
+
+CASES = (*MORPHISM_FILES, "a1_b2_i1~", "a1~iso", "sl2~iso")
+
+
+def _case(key):
+    """Every corpus map has rank at most 2, so for these ternary algebras its
+    pull vanishes from m = 1 on; the conjugated isomorphisms of ``a1`` and of
+    the binary ``sl2`` have full rank and the denominators 10 and 4."""
+    if key == "a1_b2_i1~":
+        return conjugated_morphism()
+    if key == "a1~iso":
+        return conjugated_isomorphism(algebra("a1"), 1)
+    if key == "sl2~iso":
+        return conjugated_isomorphism({a.name: a for a in base_algebras()}["sl2"], 4)
+    return morphism(key)
+
+
+def _maps():
+    """The corpus morphisms, the 5/9/3 conjugated one and the two conjugated
+    isomorphisms of full rank."""
+    return [_case(key) for key in CASES]
+
+
+def test_validate_morphism_is_the_order0_defect():
+    """Entry for entry, on the corpus and conjugated morphisms and on each of
+    them plus two random matrices with entries in halves and thirds."""
+    rng = random.Random(11)
+    perturbed = []
+    for phi in _maps():
+        for k in range(2):
+            noise = Matrix.from_rows(
+                [[Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(phi.matrix.cols)]
+                 for _ in range(phi.matrix.rows)]
+            )
+            perturbed.append(Morphism(phi.source, phi.target, phi.matrix.add(noise), f"{phi.name}+{k}"))
+    for phi in _maps() + perturbed:
+        report = validate_morphism(phi)
+        assert report == _oracle_report(phi), phi.name
+        assert all(type(x) is Fraction for f in report.failures for x in f.residual)
+    assert all(validate_morphism(phi).is_valid for phi in _maps())
+    invalid = [validate_morphism(phi) for phi in perturbed if not phi.is_valid]
+    assert len(invalid) >= 14
+    assert any(x.denominator > 1 for r in invalid for f in r.failures for x in f.residual)
+
+
+def test_validate_morphism_returns_an_invalid_algebras_failures(alg_a1):
+    """Either algebra failing the fundamental identity makes its failures the
+    morphism's report, the source's first."""
+    brackets = dict(alg_a1.structure)
+    brackets[(0, 1, 3)] = unit(4, 0)
+    bad = NLieAlgebra.from_brackets("bad", 3, 4, brackets)
+    brackets[(0, 2, 3)] = (Fraction(1, 2), 0, 0, 0)
+    worse = NLieAlgebra.from_brackets("worse", 3, 4, brackets)
+    bad_failures = validate_algebra(bad).failures
+    assert bad_failures and bad_failures != validate_algebra(worse).failures
+    for phi in (Morphism.zero(bad, alg_a1), Morphism.zero(alg_a1, bad), Morphism.identity(bad),
+                Morphism.zero(bad, worse)):
+        assert validate_morphism(phi) == ValidationReport(phi.name, "morphism", bad_failures)
+    unnamed = Morphism(alg_a1, bad, Matrix.zero(4, 4))
+    assert validate_morphism(unnamed) == ValidationReport("morphism", "morphism", bad_failures)
 
 
 def test_arity_mismatch():
@@ -97,9 +186,18 @@ def test_wedge_image(phi_a3_b3):
     fo = FundamentalObject.from_basis(4, (2, 3))
     img = wedge_image(phi_a3_b3, fo)
     vecs = [phi_a3_b3.matrix.column(2), phi_a3_b3.matrix.column(3)]
-    from nliecoh.algebra import wedge_decompose
-
     assert img.decomposition() == wedge_decompose(vecs)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("key", CASES)
+def test_pull_matrix_matches_reference(key, m):
+    phi = _case(key)
+    got = TripleComplex(phi).pull_matrix(m)
+    want = oracle_pull_matrix(phi, m)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got.ints == want.ints
+    assert got.dens == want.dens
 
 
 def test_triple_dd_zero_for_corpus_morphisms():
@@ -120,6 +218,23 @@ def test_naturality_identities(phi_a3_b3):
         assert dmod.mul(tc.pull_matrix(m)) == tc.pull_matrix(m + 1).mul(
             coboundary_matrix_self(tgt, m)
         )
+
+
+@pytest.mark.parametrize("key", ["a1~iso", "sl2~iso"])
+def test_pull_naturality_and_dd_at_full_rank(key):
+    """The pull of a rank-2 corpus map vanishes from m = 1 on, so the
+    identities above check it only at m = 0; a full-rank map checks it
+    where it is nonzero."""
+    phi = _case(key)
+    tc = TripleComplex(phi)
+    for m in (0, 1, 2):
+        dmod = coboundary_matrix_module(phi.source, phi.target, phi, m)
+        assert not tc.pull_matrix(m + 1).is_zero()
+        assert dmod.mul(tc.pull_matrix(m)) == tc.pull_matrix(m + 1).mul(
+            coboundary_matrix_self(phi.target, m)
+        )
+    for m in (0, 1):
+        assert tc.delta_matrix(m + 1).mul(tc.delta_matrix(m)).is_zero()
 
 
 def test_degree0_coupling_formula(phi_a3_b3):

@@ -11,14 +11,9 @@ from itertools import combinations
 import pytest
 
 from catalog import base_algebras, full_catalog
+from oracles import ad_action, fundamental_bracket
 
-from nliecoh.algebra import (
-    FundamentalObject,
-    ad_action,
-    fundamental_bracket,
-    sort_sign,
-    validate_algebra,
-)
+from nliecoh.algebra import FundamentalObject, sort_sign, validate_algebra
 from nliecoh.cochains import (
     Cochain,
     CochainSpace,
