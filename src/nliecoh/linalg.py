@@ -273,15 +273,20 @@ def _echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]
     Each basis row is primitive, has a positive entry at its pivot column,
     which is its leading column, and is zero on every other pivot column,
     so dividing it by that entry gives the row of the (unique) reduced row
-    echelon form.  Rows are taken once each, by leading column and then
-    length.  A row is cleared of all its pivot columns in one pass with one
-    common multiplier, since a basis row holds no pivot column but its own.
-    A nonzero remainder becomes the basis row of its leading column c, and
-    only the basis rows that ``holding`` lists under c are cleared of c.
+    echelon form.  Rows are taken once each, by descending leading column
+    and then length.  A row is cleared of all its pivot columns in one pass
+    with one common multiplier, since a basis row holds no pivot column but
+    its own.  A nonzero remainder becomes the basis row of its leading
+    column c, and only the basis rows that ``holding`` lists under c are
+    cleared of c.  A basis row can hold c only if its pivot lies left of c,
+    and in descending order every earlier pivot lies at or right of the
+    incoming row's leading column; so a basis row is rewritten only when
+    that leading column was already a pivot and the reduction moved the
+    lead further right.  ``holding`` keeps the result exact in any order.
     """
     pivots: dict[int, dict[int, int]] = {}
     holding: dict[int, set[int]] = {}  # column -> pivots whose rows may hold it
-    for r in sorted(filter(None, rows), key=lambda r: (min(r), len(r))):
+    for r in sorted(filter(None, rows), key=lambda r: (-min(r), len(r))):
         hit = [(j, pivots[j]) for j in r if j in pivots]
         m = lcm(*(p[j] // gcd(p[j], r[j]) for j, p in hit))
         new = {j: m * v for j, v in r.items()}

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catalog import _random_invertible, conjugate
+from catalog import _random_invertible, conjugate, conjugated_cases
 from oracles import RowSpace, oracle_quotient, oracle_rref
 
-from nliecoh import corpus
+from nliecoh import corpus, linalg
 from nliecoh.cochains import coboundary_matrix_module, coboundary_matrix_self
 from nliecoh.errors import DimensionMismatch, SubspaceViolation
 from nliecoh.linalg import (
@@ -198,6 +198,28 @@ def test_rref_matches_oracle_on_morphism_coboundaries(name):
     for m in range(3):
         _assert_rref_matches_oracle(coboundary_matrix_module(phi.source, phi.target, phi.matrix, m))
         _assert_rref_matches_oracle(tc.delta_matrix(m))
+
+
+def test_rref_matches_oracle_on_dense_conjugates():
+    """Dense rational coboundaries, where pivot rows do get rewritten."""
+    for alg in conjugated_cases():
+        for p in range(2):
+            _assert_rref_matches_oracle(coboundary_matrix_self(alg, p))
+
+
+def test_echelon_rarely_rewrites_pivot_rows(monkeypatch):
+    """Every call of ``_primitive`` makes a new pivot row or rewrites one.
+    Taking rows by descending leading column keeps the rewrites of the
+    dense p = 2 coboundary below (576x96, rank 85) at 102; taking them by
+    ascending leading column makes 836."""
+    p, p_inv = _random_invertible(random.Random(3), 4)
+    m = coboundary_matrix_self(conjugate(corpus.algebra("a1"), p, p_inv, "a1~dense"), 2)
+    calls = []
+    primitive = linalg._primitive
+    monkeypatch.setattr(linalg, "_primitive", lambda row, lead: calls.append(lead) or primitive(row, lead))
+    pivots = len(_echelon(m.ints))
+    assert (m.rows, m.cols, pivots) == (576, 96, 85)
+    assert len(calls) - pivots <= 2 * pivots
 
 
 def _assert_reduced_basis(m: Matrix, want_rows, want_pivots):
