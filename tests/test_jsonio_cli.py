@@ -506,6 +506,50 @@ def test_deform_reports_match_golden(name, monkeypatch, capsys):
     assert capsys.readouterr().out == golden.read_text(), f"golden drift for {name}"
 
 
+# The failure branches: invalid inputs under tests/golden/inputs (an algebra
+# that breaks the fundamental identity, a map that breaks the morphism
+# equation between valid algebras, a map into an invalid algebra, and a
+# deformation that fails at order 1), plus one usage error.  The golden file
+# is the key, with the extension of the output format; paths are relative
+# to the repository root, since they and their digests enter the reports.
+_BAD = "tests/golden/inputs/"
+_DATA = "src/nliecoh/data/"
+FAILURE_GOLDEN = {
+    "validate_alg_a1_bad.json": (["validate", _BAD + "alg_a1_bad.json"], 1),
+    "validate_mor_a1_b1_bad.json": (["validate", _BAD + "mor_a1_b1_bad.json"], 1),
+    "validate_def_a3_b3_1_bad.json": (["validate", _BAD + "def_a3_b3_1_bad.json"], 1),
+    "cohomology_alg_a1_bad_h2.json": (
+        ["cohomology", "--algebra", _BAD + "alg_a1_bad.json", "--degree", "2"], 1),
+    "cohomology_mor_a1_b1_bad_h2.json": (
+        ["cohomology", "--algebra", _DATA + "alg_a1.json", "--module", _DATA + "alg_b1.json",
+         "--morphism", _BAD + "mor_a1_b1_bad.json", "--degree", "2", "--basis"], 1),
+    "cohomology_mor_a1_b1_bad_h2.txt": (
+        ["cohomology", "--morphism", _BAD + "mor_a1_b1_bad.json", "--degree", "2"], 1),
+    "morphism-cohomology_a1_b1_bad_h2.json": (
+        ["morphism-cohomology", "--morphism", _BAD + "mor_a1_b1_bad.json", "--degree", "2",
+         "--basis"], 1),
+    "morphism-cohomology_a1_b1_bad_target_h1.json": (
+        ["morphism-cohomology", "--morphism", _BAD + "mor_a1_b1_bad_target.json",
+         "--degree", "1"], 1),
+    "deform_check_a3_b3_1_bad.json": (["deform", "check", _BAD + "def_a3_b3_1_bad.json"], 1),
+    "deform_infinitesimal_a3_b3_1_bad.json": (
+        ["deform", "infinitesimal", _BAD + "def_a3_b3_1_bad.json"], 1),
+    "cohomology_module_without_morphism.json": (
+        ["cohomology", "--algebra", _DATA + "alg_a1.json", "--module", _DATA + "alg_b1.json",
+         "--degree", "1"], 2),
+}
+
+
+@pytest.mark.parametrize("name", FAILURE_GOLDEN)
+def test_failure_reports_match_golden(name, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    argv, status = FAILURE_GOLDEN[name]
+    output = "json" if name.endswith(".json") else "text"
+    assert main(["--output", output, *argv]) == status
+    golden = ROOT / "tests" / "golden" / name
+    assert capsys.readouterr().out == golden.read_text(), f"golden drift for {name}"
+
+
 # One process runs each sequence through the shared parser; every step must
 # give the report, the stderr and the exit code it gives on a parser built
 # afresh.  Paths are relative to the repository root.
