@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import jsonio
 from .algebra import ValidationReport, validate_algebra
-from .cochains import Cochain, CochainSpace, CohomologyReport, module_cohomology, self_cohomology
+from .cochains import Cochain, CochainSpace, module_cohomology, self_cohomology
 from .deformations import (
     apply_automorphism,
     extend_deformation,
@@ -33,10 +33,6 @@ from .jsonio import (
     triple_to_json,
 )
 from .morphisms import morphism_cohomology, triple_complex, validate_morphism
-
-
-def _digest_inputs(paths: Sequence[str]) -> dict:
-    return {p: file_digest(p) for p in paths}
 
 
 def _residual_json(failures) -> list:
@@ -91,12 +87,14 @@ def _text_lines(report: dict) -> list[str]:
     return lines
 
 
-def _cohomology_dimensions(rep: CohomologyReport, r: int) -> dict:
-    return {
-        f"dim Z^{r}": rep.dim_z,
-        f"dim B^{r}": rep.dim_b,
-        f"dim H^{r}": rep.dim_h,
-    }
+def _report(argv, paths, verdict: dict, status: int, bases=None, **body) -> tuple[dict, int]:
+    """A report and its exit status.  Keys come in a fixed order: command,
+    inputs (each path's digest), verdict, the body, status, then any bases."""
+    inputs = {p: file_digest(p) for p in paths}
+    out = {"command": argv, "inputs": inputs, "verdict": verdict, **body, "status": status}
+    if bases is not None:
+        out["bases"] = bases
+    return out, status
 
 
 def cmd_validate(args, argv: list[str]) -> tuple[dict, int]:
@@ -112,101 +110,53 @@ def cmd_validate(args, argv: list[str]) -> tuple[dict, int]:
     else:  # automorphism series: identity leading term is implicit, always valid
         jsonio.automorphism_from_json(obj, args.path)
         report = ValidationReport(args.path, "automorphism", ())
-    status = 0 if report.is_valid else 1
-    out = {
-        "command": argv,
-        "inputs": _digest_inputs([args.path]),
-        "verdict": {"kind": kind, "valid": report.is_valid},
-        "residuals": _residual_json(report.failures),
-        "status": status,
-    }
-    return out, status
-
-
-def _basis_artifacts(rep: CohomologyReport, unflatten, to_json) -> dict:
-    """The report's sparse cocycle and representative rows, read as cochains."""
-    return {
-        "cocycle_basis": [to_json(unflatten(v)) for v in rep.cocycles.data],
-        "representatives": [to_json(unflatten(v)) for v in rep.classes.data],
-    }
+    verdict = {"kind": kind, "valid": report.is_valid}
+    return _report(argv, [args.path], verdict, int(not report.is_valid),
+                   residuals=_residual_json(report.failures))
 
 
 def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
-    paths = [args.algebra] if args.algebra else []
-    for extra in (args.module, args.morphism):
-        if extra:
-            paths.append(extra)
+    """H^r of an algebra (``cohomology --algebra``), of the module a morphism
+    makes of its target (``cohomology --morphism``) or of a morphism's complex
+    (``morphism-cohomology``).  They differ in the subject that must be
+    valid, the group computed and how a flat basis row reads as JSON."""
+    r = args.degree
+    paths = [p for p in (args.algebra, args.module, args.morphism) if p]
     if args.morphism:
-        phi = jsonio.load_morphism(args.morphism)
-        if args.algebra:
-            declared = jsonio.load_algebra(args.algebra)
-            if declared != phi.source:
-                raise ParseError("--algebra disagrees with the morphism's source")
-        if args.module:
-            declared = jsonio.load_algebra(args.module)
-            if declared != phi.target:
-                raise ParseError("--module disagrees with the morphism's target")
-        if not phi.is_valid:
-            out = {
-                "command": argv,
-                "inputs": _digest_inputs(paths),
-                "verdict": {"valid": False, "reason": "morphism fails validation"},
-                "residuals": _residual_json(validate_morphism(phi).failures),
-                "status": 1,
-            }
-            return out, 1
-        rep = module_cohomology(phi.source, phi.target, phi, args.degree)
-        space = CochainSpace(phi.source, args.degree - 1, phi.target.dim)
+        subject = phi = jsonio.load_morphism(args.morphism)
+        for option, path, side, name in (
+            ("--algebra", args.algebra, phi.source, "source"),
+            ("--module", args.module, phi.target, "target"),
+        ):
+            if path and jsonio.load_algebra(path) != side:
+                raise ParseError(f"{option} disagrees with the morphism's {name}")
+    elif args.module:
+        raise ParseError("--module requires --morphism")
     else:
-        if args.module:
-            raise ParseError("--module requires --morphism")
-        alg = jsonio.load_algebra(args.algebra)
-        if not alg.is_valid:
-            out = {
-                "command": argv,
-                "inputs": _digest_inputs(paths),
-                "verdict": {"valid": False, "reason": "algebra fails validation"},
-                "residuals": _residual_json(alg._report.failures),
-                "status": 1,
-            }
-            return out, 1
-        rep = self_cohomology(alg, args.degree)
-        space = CochainSpace(alg, args.degree - 1, alg.dim)
-    out = {
-        "command": argv,
-        "inputs": _digest_inputs(paths),
-        "verdict": {"valid": True},
-        "dimensions": _cohomology_dimensions(rep, args.degree),
-        "status": 0,
-    }
+        subject = jsonio.load_algebra(args.algebra)
+    if not subject.is_valid:
+        kind = "morphism" if args.morphism else "algebra"
+        verdict = {"valid": False, "reason": f"{kind} fails validation"}
+        return _report(argv, paths, verdict, 1, residuals=_residual_json(subject._report.failures))
+    if args.command == "morphism-cohomology":
+        rep = morphism_cohomology(phi, r)
+        unflatten, to_json = partial(triple_complex(phi).unvectorize, r - 1), triple_to_json
+    else:
+        if args.morphism:
+            rep = module_cohomology(phi.source, phi.target, phi, r)
+            space = CochainSpace(phi.source, r - 1, phi.target.dim)
+        else:
+            rep = self_cohomology(subject, r)
+            space = CochainSpace(subject, r - 1, subject.dim)
+        unflatten, to_json = partial(Cochain.from_flat, space), cochain_to_json
+    dims = {f"dim {g}^{r}": n for g, n in zip("ZBH", (rep.dim_z, rep.dim_b, rep.dim_h))}
+    bases = None
     if args.basis:
-        out["bases"] = _basis_artifacts(rep, partial(Cochain.from_flat, space), cochain_to_json)
-    return out, 0
-
-
-def cmd_morphism_cohomology(args, argv: list[str]) -> tuple[dict, int]:
-    phi = jsonio.load_morphism(args.morphism)
-    if not phi.is_valid:
-        out = {
-            "command": argv,
-            "inputs": _digest_inputs([args.morphism]),
-            "verdict": {"valid": False, "reason": "morphism fails validation"},
-            "residuals": _residual_json(validate_morphism(phi).failures),
-            "status": 1,
+        bases = {
+            name: [to_json(unflatten(v)) for v in rows.data]
+            for name, rows in (("cocycle_basis", rep.cocycles), ("representatives", rep.classes))
         }
-        return out, 1
-    rep = morphism_cohomology(phi, args.degree)
-    out = {
-        "command": argv,
-        "inputs": _digest_inputs([args.morphism]),
-        "verdict": {"valid": True},
-        "dimensions": _cohomology_dimensions(rep, args.degree),
-        "status": 0,
-    }
-    if args.basis:
-        unflatten = partial(triple_complex(phi).unvectorize, args.degree - 1)
-        out["bases"] = _basis_artifacts(rep, unflatten, triple_to_json)
-    return out, 0
+    return _report(argv, paths, {"valid": True}, 0, bases, dimensions=dims)
 
 
 def cmd_deform(args, argv: list[str]) -> tuple[dict, int]:
@@ -229,33 +179,16 @@ def cmd_deform(args, argv: list[str]) -> tuple[dict, int]:
             raise ParseError(f"--order {args.order} exceeds file order {dm.order}")
         dm = dm.truncated(args.order)
     report = dm.report
-    inputs = _digest_inputs(paths)
-    if args.subcommand == "check":
-        status = 0 if report.is_valid else 1
-        out = {
-            "command": argv,
-            "inputs": inputs,
-            "verdict": {"valid": report.is_valid, "order": dm.order},
-            "residuals": _residual_json(report.failures),
-            "status": status,
-        }
-        return out, status
-    if not report.is_valid:
-        out = {
-            "command": argv,
-            "inputs": inputs,
-            "verdict": {"valid": False, "order": dm.order},
-            "residuals": _residual_json(report.failures),
-            "status": 1,
-        }
-        return out, 1
-    artifacts: dict = {}
+    if args.subcommand == "check" or not report.is_valid:
+        verdict = {"valid": report.is_valid, "order": dm.order}
+        return _report(argv, paths, verdict, int(not report.is_valid),
+                       residuals=_residual_json(report.failures))
     status = 0
     if args.subcommand == "infinitesimal":
         theta, is_cocycle = infinitesimal(dm)
         artifacts = {"triple": triple_to_json(theta), "cocycle": is_cocycle}
         verdict = {"valid": True, "cocycle": is_cocycle}
-        status = 0 if is_cocycle else 1
+        status = int(not is_cocycle)
     elif args.subcommand == "obstruction":
         ob = obstruction(dm)
         tc = triple_complex(dm.base_morphism)
@@ -280,43 +213,28 @@ def cmd_deform(args, argv: list[str]) -> tuple[dict, int]:
                 "witness": triple_to_json(witness),
                 "extended": deformation_to_json(extended),
             }
-            status = 0 if revalidated else 1
+            status = int(not revalidated)
     else:  # transform
         transformed = apply_automorphism(dm, psi_n, psi_t)
         revalidated = validate_deformation(transformed).is_valid
         verdict = {"valid": True, "revalidated": revalidated}
         artifacts = {"deformation": deformation_to_json(transformed)}
-        status = 0 if revalidated else 1
-    out = {
-        "command": argv,
-        "inputs": inputs,
-        "verdict": verdict,
-        "artifacts": artifacts,
-        "status": status,
-    }
+        status = int(not revalidated)
+    out = _report(argv, paths, verdict, status, artifacts=artifacts)
     if args.emit:
         Path(args.emit).write_text(dump_json(artifacts))
-    return out, status
+    return out
 
 
-def _report_degree(text: str) -> int:
+def _int_at_least(low: int, message: str, text: str) -> int:
+    """An argparse int type: ``message`` names the value when it is below ``low``."""
     try:
-        r = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if r < 1:
-        raise argparse.ArgumentTypeError(f"report degree must be at least 1, got {r}")
-    return r
-
-
-def _truncation_order(text: str) -> int:
-    try:
-        order = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if order < 0:
-        raise argparse.ArgumentTypeError(f"order must be nonnegative, got {order}")
-    return order
+    if value < low:
+        raise argparse.ArgumentTypeError(message.format(value))
+    return value
 
 
 @cache
@@ -331,29 +249,35 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", choices=("text", "json"), default="text", help="report rendering"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    degree = partial(_int_at_least, 1, "report degree must be at least 1, got {}")
 
     p = sub.add_parser("validate", help="validate an algebra/morphism/deformation file")
     p.add_argument("path")
+    p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("cohomology", help="cohomology of an algebra or of a module map")
     p.add_argument("--algebra", help="algebra file (self-valued complex)")
     p.add_argument("--module", help="target algebra file (module-valued complex)")
     p.add_argument("--morphism", help="morphism file defining the module structure")
-    p.add_argument("--degree", type=_report_degree, required=True, help="report degree r >= 1")
+    p.add_argument("--degree", type=degree, required=True, help="report degree r >= 1")
     p.add_argument("--basis", action="store_true", help="include representative bases")
+    p.set_defaults(handler=cmd_cohomology)
 
     p = sub.add_parser("morphism-cohomology", help="cohomology of the morphism complex")
     p.add_argument("--morphism", required=True)
-    p.add_argument("--degree", type=_report_degree, required=True, help="report degree r >= 1")
+    p.add_argument("--degree", type=degree, required=True, help="report degree r >= 1")
     p.add_argument("--basis", action="store_true")
+    p.set_defaults(handler=cmd_cohomology, algebra=None, module=None)
 
     p = sub.add_parser("deform", help="deformation tools")
     p.add_argument("subcommand", choices=("check", "infinitesimal", "obstruction", "extend", "transform"))
     p.add_argument("deformation", help="deformation file")
-    p.add_argument("--order", type=_truncation_order, help="truncate to this order first")
+    p.add_argument("--order", type=partial(_int_at_least, 0, "order must be nonnegative, got {}"),
+                   help="truncate to this order first")
     p.add_argument("--psi-source", help="automorphism series file for the source")
     p.add_argument("--psi-target", help="automorphism series file for the target")
     p.add_argument("--emit", help="write the main artifact JSON to this path")
+    p.set_defaults(handler=cmd_deform)
     return parser
 
 
@@ -367,14 +291,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not (args.psi_source and args.psi_target):
             parser.error("transform needs --psi-source and --psi-target")
     try:
-        if args.command == "validate":
-            report, status = cmd_validate(args, argv)
-        elif args.command == "cohomology":
-            report, status = cmd_cohomology(args, argv)
-        elif args.command == "morphism-cohomology":
-            report, status = cmd_morphism_cohomology(args, argv)
-        else:
-            report, status = cmd_deform(args, argv)
+        report, status = args.handler(args, argv)
     except (ParseError, OSError) as exc:
         _print_report({"command": argv, "error": str(exc), "status": 2}, args.output)
         return 2

@@ -76,6 +76,18 @@ class CochainSpace:
         return Cochain(self, {})
 
 
+def flat_items(flat, dim: int):
+    """(index, value) pairs of flat coordinates in a space of dimension
+    ``dim``: a dense sequence of that length or a sparse {index: value}."""
+    if isinstance(flat, Mapping):
+        if flat and not (0 <= min(flat) and max(flat) < dim):
+            raise DimensionMismatch(f"flat index outside 0..{dim - 1}")
+        return flat.items()
+    if len(flat) != dim:
+        raise DimensionMismatch(f"flat length {len(flat)} != {dim}")
+    return enumerate(flat)
+
+
 class Cochain:
     """Coefficient table over a :class:`CochainSpace` canonical basis."""
 
@@ -97,11 +109,8 @@ class Cochain:
     @classmethod
     def from_flat(cls, space: CochainSpace, flat) -> "Cochain":
         """From flat coordinates: a dense sequence or a sparse {index: value}."""
-        if not isinstance(flat, Mapping) and len(flat) != space.dim:
-            raise DimensionMismatch(f"flat length {len(flat)} != {space.dim}")
-        items = flat.items() if isinstance(flat, Mapping) else enumerate(flat)
         keys, d_T = space.domain_keys, space.target_dim
-        return cls(space, {(keys[i // d_T], i % d_T): c for i, c in items})
+        return cls(space, {(keys[i // d_T], i % d_T): c for i, c in flat_items(flat, space.dim)})
 
     def as_flat(self) -> Vector:
         out = [Fraction(0)] * self.space.dim

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import combinations, product
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import NLieAlgebra, ValidationReport
 from .cochains import (
@@ -23,6 +23,7 @@ from .cochains import (
     coboundary_matrix_module,
     coboundary_matrix_self,
     cohomology,
+    flat_items,
 )
 from .errors import (
     ArityMismatch,
@@ -156,8 +157,6 @@ class TripleComplex:
             raise InvalidMorphism("the morphism fails structure preservation")
         self.phi = phi
         self._delta_cache: dict[int, Matrix] = {}
-        self._pull_cache: dict[int, Matrix] = {}
-        self._post_cache: dict[int, Matrix] = {}
         self._space_cache: dict[int, tuple] = {}
 
     # -- spaces -------------------------------------------------------------
@@ -197,12 +196,10 @@ class TripleComplex:
 
     def unvectorize(self, m: int, flat) -> CochainTriple:
         """Triple from flat coordinates: a dense sequence or a sparse {index: value}."""
-        if not isinstance(flat, Mapping) and len(flat) != self.dim(m):
-            raise DimensionMismatch(f"flat length {len(flat)} != {self.dim(m)}")
         spaces = self._spaces(m)
         starts = (0, spaces[0].dim, spaces[0].dim + spaces[1].dim)
         parts: tuple[dict, ...] = ({}, {}, {})
-        for i, x in flat.items() if isinstance(flat, Mapping) else enumerate(flat):
+        for i, x in flat_items(flat, self.dim(m)):
             k = (i >= starts[1]) + (i >= starts[2])
             parts[k][i - starts[k]] = x
         c1, c2, c3 = (Cochain.from_flat(s, p) if s else None for s, p in zip(spaces, parts))
@@ -211,15 +208,10 @@ class TripleComplex:
     # -- structure matrices ---------------------------------------------------
     def post_matrix(self, m: int) -> Matrix:
         """Post-composition with the morphism, source-self to module cochains."""
-        cached = self._post_cache.get(m)
-        if cached is not None:
-            return cached
         keys = len(self.space_source(m).domain_keys)
         d, phi = self.phi.source.dim, self.phi.matrix
         rows = [{pos * d + t: a for t, a in r.items()} for pos in range(keys) for r in phi.ints]
-        out = Matrix.from_ints(keys * phi.rows, keys * d, rows, phi.dens * keys)
-        self._post_cache[m] = out
-        return out
+        return Matrix.from_ints(keys * phi.rows, keys * d, rows, phi.dens * keys)
 
     def pull_matrix(self, m: int) -> Matrix:
         """Pre-composition with the morphism, target-self to module cochains.
@@ -230,9 +222,6 @@ class TripleComplex:
         Kronecker product; at m = 0 the keys are basis indices and the
         transpose is of phi itself.
         """
-        cached = self._pull_cache.get(m)
-        if cached is not None:
-            return cached
         phi = self.phi.matrix
         n, dp = self.phi.source.arity, self.phi.target.dim
         d_phi = lcm(*phi.dens)
@@ -254,9 +243,7 @@ class TripleComplex:
                 tkey = tuple(v for v, _ in choice) if m else choice[0][0][0]
                 entries.append((tgt_pos[tkey] * dp, c))
             rows += [{base + s: c for base, c in entries} for s in range(dp)]
-        out = Matrix.from_ints(len(rows), len(tgt_pos) * dp, rows, [den] * len(rows))
-        self._pull_cache[m] = out
-        return out
+        return Matrix.from_ints(len(rows), len(tgt_pos) * dp, rows, [den] * len(rows))
 
     def delta_matrix(self, m: int) -> Matrix:
         """Block differential out of triple degree m."""

@@ -104,6 +104,15 @@ def test_flat_roundtrip(alg_a1):
             Cochain.from_flat(space, wrong)
 
 
+@pytest.mark.parametrize("flat", [{-1: 1}, {16: 1}, {0: 1, 16: 1}, {-17: 1}])
+def test_from_flat_rejects_sparse_index_out_of_range(alg_a1, flat):
+    space = CochainSpace(alg_a1, 1, 4)
+    assert space.dim == 16
+    with pytest.raises(DimensionMismatch):
+        Cochain.from_flat(space, flat)
+    assert Cochain.from_flat(space, {15: 1}).coeffs == {(((1, 2, 3),), 3): 1}
+
+
 def test_abelian_coboundary_is_zero():
     alg = NLieAlgebra.abelian("ab", 3, 4)
     for p in (0, 1, 2):

@@ -328,6 +328,16 @@ def test_triple_shape_checks(phi_a3_b3):
         CochainTriple(1, tc.zero_triple(1).c1, tc.zero_triple(1).c2, None)
 
 
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_unvectorize_rejects_sparse_index_out_of_range(phi_a3_b3, m):
+    tc = triple_complex(phi_a3_b3)
+    for index in (-1, tc.dim(m), 37 + tc.dim(m)):
+        with pytest.raises(DimensionMismatch):
+            tc.unvectorize(m, {index: 7})
+    last = tc.unvectorize(m, {tc.dim(m) - 1: 7})
+    assert list(tc.vectorize(last)) == [0] * (tc.dim(m) - 1) + [7]
+
+
 @pytest.mark.parametrize("key", MORPHISM_FILES)
 def test_triple_complex_keeps_its_spaces(key):
     tc = triple_complex(morphism(key))
