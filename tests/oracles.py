@@ -452,6 +452,102 @@ def oracle_morphism_obstruction(dm, big_n):
     return Cochain(space, coeffs)
 
 
+# -- equivalent deformations ------------------------------------------------
+# Series of matrices as lists of dense Fraction rows, one matrix per order.
+# A formal automorphism is read straight off its ``terms``, and its inverse
+# is the Neumann series sum_j (-(psi - 1))^j, not the package's recursion.
+
+
+def _dense(m):
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def _zeros(rows, cols):
+    return [[Fraction(0)] * cols for _ in range(rows)]
+
+
+def _matadd(a, b):
+    return [[x + y for x, y in zip(r, q)] for r, q in zip(a, b)]
+
+
+def _matmul(a, b):
+    return [
+        [sum((r[l] * b[l][j] for l in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for r in a
+    ]
+
+
+def _series_mul(a, b, k):
+    out = []
+    for s in range(k + 1):
+        acc = _zeros(len(a[0]), len(b[0][0]))
+        for i in range(s + 1):
+            acc = _matadd(acc, _matmul(a[i], b[s - i]))
+        out.append(acc)
+    return out
+
+
+def oracle_series(psi, k):
+    """Terms 0..k of a formal automorphism as dense matrices."""
+    d = psi.dim
+    eye = [list(_unit(d, i)) for i in range(d)]
+    return [eye] + [_dense(psi.terms[i - 1]) if i <= psi.order else _zeros(d, d) for i in range(1, k + 1)]
+
+
+def oracle_inverse(psi, k):
+    """Terms 0..k of psi^-1 as the truncated Neumann series of 1 - psi."""
+    ps = oracle_series(psi, k)
+    minus = [_zeros(psi.dim, psi.dim)] + [[[-x for x in r] for r in m] for m in ps[1:]]
+    power, total = ps[:1] + minus[:1] * k, ps[:1] + minus[:1] * k
+    for _ in range(k):
+        power = _series_mul(power, minus, k)
+        total = [_matadd(x, y) for x, y in zip(total, power)]
+    return total
+
+
+def oracle_compose(a, b, k):
+    """Terms 0..k of the composition a o b of two formal automorphisms."""
+    return _series_mul(oracle_series(a, k), oracle_series(b, k), k)
+
+
+def oracle_transform(dm, psi_src, psi_tgt):
+    """The deformation equivalent to ``dm`` under the pair, order by order:
+    the bracket terms psi mu (psi^-1 x ... x psi^-1) of the source and of the
+    target, each {((key,), t): c} for orders 1..N, and the map terms
+    psi_tgt phi psi_src^-1 as dense rows for orders 0..N."""
+    k = dm.order
+
+    def brackets(da, psi):
+        d = da.base.dim
+        ps, inv = oracle_series(psi, k), oracle_inverse(psi, k)
+        out = []
+        for s in range(1, k + 1):
+            coeffs = {}
+            for key in da.base.bracket_keys():
+                total = [Fraction(0)] * d
+                for a in range(s + 1):
+                    for j in range(s - a + 1):
+                        for split in _compositions(s - a - j, len(key)):
+                            args = [tuple(row[i] for row in inv[b]) for b, i in zip(split, key)]
+                            val = oracle_bracket_order(da, j, *args)
+                            for t in range(d):
+                                total[t] += sum(ps[a][t][r] * val[r] for r in range(d))
+                coeffs.update(_coeffs((key,), total))
+            out.append(coeffs)
+        return out
+
+    pt, inv = oracle_series(psi_tgt, k), oracle_inverse(psi_src, k)
+    phi = [_dense(m) for m in dm.phi_terms]
+    maps = []
+    for s in range(k + 1):
+        acc = _zeros(dm.tgt_def.base.dim, dm.src_def.base.dim)
+        for a in range(s + 1):
+            for i in range(s - a + 1):
+                acc = _matadd(acc, _matmul(_matmul(pt[a], phi[i]), inv[s - a - i]))
+        maps.append(acc)
+    return brackets(dm.src_def, psi_src), brackets(dm.tgt_def, psi_tgt), maps
+
+
 # -- dense block evaluation ---------------------------------------------------
 # References on dense Fraction vectors for what the package reads from its
 # integer tables: the action of an argument block (through

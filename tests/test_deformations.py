@@ -7,9 +7,13 @@ import pytest
 from catalog import _random_invertible, conjugate, conjugated_cases, full_catalog
 from oracles import (
     oracle_algebra_obstruction,
+    oracle_compose,
+    oracle_inverse,
     oracle_morphism_obstruction,
     oracle_morphism_residual,
     oracle_nambu_residual,
+    oracle_series,
+    oracle_transform,
 )
 
 from nliecoh.algebra import NLieAlgebra
@@ -304,6 +308,19 @@ def _conjugate_family(dm, rng):
     )
 
 
+def _rational_series(rng, dim, order=2):
+    return FormalAutomorphism(
+        dim,
+        order,
+        tuple(
+            Matrix.from_rows(
+                [[Fraction(rng.randint(-1, 1), rng.choice((1, 2, 5))) for _ in range(dim)] for _ in range(dim)]
+            )
+            for _ in range(order)
+        ),
+    )
+
+
 def test_apply_automorphism_on_rational_family(def_order2):
     """A rational order-2 family transformed by a rational automorphism pair
     stays valid, has the oracle's obstruction, comes back under the inverse
@@ -313,20 +330,7 @@ def test_apply_automorphism_on_rational_family(def_order2):
     d_phi = lcm(*(d for m in dm.phi_terms for d in m.dens))
     assert (dm.src_def.den, dm.tgt_def.den, d_phi) == (10, 19, 38)
     assert dm.report.is_valid
-
-    def rational_series(dim):
-        return FormalAutomorphism(
-            dim,
-            2,
-            tuple(
-                Matrix.from_rows(
-                    [[Fraction(rng.randint(-1, 1), rng.choice((1, 2, 5))) for _ in range(dim)] for _ in range(dim)]
-                )
-                for _ in range(2)
-            ),
-        )
-
-    psi_n, psi_t = rational_series(4), rational_series(4)
+    psi_n, psi_t = _rational_series(rng, 4), _rational_series(rng, 4)
     out = apply_automorphism(dm, psi_n, psi_t)
     assert out.report.is_valid
     assert _same_triple(obstruction(out), _oracle_obstruction(out))
@@ -338,6 +342,61 @@ def test_apply_automorphism_on_rational_family(def_order2):
     assert back.src_def.terms == dm.src_def.terms
     assert back.tgt_def.terms == dm.tgt_def.terms
     assert back.phi_terms == dm.phi_terms
+
+
+def _dense_rows(m):
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def _matches_oracle_transform(dm, psi_n, psi_t):
+    out = apply_automorphism(dm, psi_n, psi_t)
+    src, tgt, maps = oracle_transform(dm, psi_n, psi_t)
+    assert [t.coeffs for t in out.src_def.terms] == src
+    assert [t.coeffs for t in out.tgt_def.terms] == tgt
+    assert [_dense_rows(m) for m in out.phi_terms] == maps
+    return any(src) and any(tgt) and any(any(r) for m in maps[1:] for r in m)
+
+
+def test_transform_matches_oracle_on_corpus(def_order1, def_order2):
+    """Both corpus deformations under the bundled pair, term for term."""
+    psi_n, psi_t = automorphism("a3_scaling"), automorphism("b3_identity")
+    for dm in (def_order1, def_order2):
+        _matches_oracle_transform(dm, psi_n, psi_t)
+
+
+def test_transform_matches_oracle_on_random_rational_pairs(def_order2):
+    """The order-2 corpus deformation under random rational pairs of orders
+    1-3, so that a pair's order differs from the deformation's."""
+    rng = random.Random(61)
+    for order in (2, 2, 1, 3):
+        assert _matches_oracle_transform(
+            def_order2, _rational_series(rng, 4, order), _rational_series(rng, 4, order)
+        )
+
+
+def test_transform_matches_oracle_on_rational_family(def_order2):
+    """The rational conjugated family, with distinct source, target and map
+    denominators, under a rational pair."""
+    rng = random.Random(60)
+    dm = _conjugate_family(def_order2, rng)
+    assert _matches_oracle_transform(dm, _rational_series(rng, 4), _rational_series(rng, 4))
+
+
+def test_inverse_and_composition_match_oracle():
+    """formal_inverse and compose_series at k = 3, for series of order 3 and
+    of order 1 read past their end."""
+    rng = random.Random(62)
+    for order in (3, 3, 1):
+        a, b = _rational_series(rng, 4, order), _rational_series(rng, 4, order)
+        got = formal_inverse(a, 3)
+        assert [_dense_rows(got.term(i)) for i in range(4)] == oracle_inverse(a, 3)
+        got = compose_series(a, b, 3)
+        assert [_dense_rows(got.term(i)) for i in range(1, 4)] == oracle_compose(a, b, 3)[1:]
+        assert oracle_compose(a, _inverse_series(a), 3) == oracle_series(FormalAutomorphism.identity(4), 3)
+
+
+def _inverse_series(a):
+    return FormalAutomorphism(4, 3, tuple(Matrix.from_rows(m) for m in oracle_inverse(a, 3)[1:]))
 
 
 def test_obstruction_matches_dense_oracle_on_valid_families(
