@@ -54,8 +54,6 @@ def _residual_json(failures) -> list:
 
 
 def _key_json(key):
-    if isinstance(key, int):
-        return [key + 1]
     return [[i + 1 for i in part] for part in key]
 
 

@@ -202,34 +202,18 @@ def eval_key_combo(
         raise DegreeMismatch(f"degree {p} needs {p - 1} blocks plus a final one")
     if any(b.dim != d or b.width != space.source.arity - 1 for b in (*blocks, last)):
         raise DimensionMismatch("argument block has the wrong shape")
-    last_combo: dict[tuple[int, ...], Fraction] = {}
-    for wkey, wc in last.decomposition().items():
-        for j, zc in enumerate(z):
-            if zc:
-                sign, skey = sort_sign(wkey + (j,))
-                if sign:
-                    cur = last_combo.get(skey, Fraction(0)) + sign * wc * zc
-                    if cur:
-                        last_combo[skey] = cur
-                    else:
-                        last_combo.pop(skey, None)
     out: dict = {}
-
-    def rec(i: int, prefix: tuple, coeff: Fraction) -> None:
-        if i == len(blocks):
-            for kkey, kc in last_combo.items():
-                key = prefix + (kkey,)
-                cur = out.get(key, Fraction(0)) + coeff * kc
-                if cur:
-                    out[key] = cur
-                else:
-                    out.pop(key, None)
-            return
-        for bkey, bc in blocks[i].decomposition().items():
-            rec(i + 1, prefix + (bkey,), coeff * bc)
-
-    rec(0, (), Fraction(1))
-    return out
+    decomps = [b.decomposition().items() for b in blocks]
+    zs = [(j, zc) for j, zc in enumerate(z) if zc]
+    for *picked, (wkey, wc), (j, zc) in product(*decomps, last.decomposition().items(), zs):
+        sign, skey = sort_sign(wkey + (j,))
+        if sign:
+            c = sign * wc * zc
+            for _, bc in picked:
+                c *= bc
+            key = tuple(bkey for bkey, _ in picked) + (skey,)
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -514,21 +498,20 @@ def cohomology(delta_in: Optional[Matrix], delta_out: Matrix) -> CohomologyRepor
     return CohomologyReport(z.rows, z.rows - dim_h, dim_h, z, classes)
 
 
-def self_cohomology(alg: NLieAlgebra, r: int) -> CohomologyReport:
-    """Classically labelled group H^r of the self-valued complex (r >= 1)."""
+def _cohomology_at(delta, r: int) -> CohomologyReport:
+    """Classically labelled group H^r (r >= 1) of the complex whose degree-p
+    differential is ``delta(p)``."""
     if r < 1:
         raise DegreeMismatch("report degree starts at 1")
-    p = r - 1
-    delta_out = coboundary_matrix_self(alg, p)
-    delta_in = coboundary_matrix_self(alg, p - 1) if p >= 1 else None
-    return cohomology(delta_in, delta_out)
+    delta_out = delta(r - 1)
+    return cohomology(delta(r - 2) if r >= 2 else None, delta_out)
+
+
+def self_cohomology(alg: NLieAlgebra, r: int) -> CohomologyReport:
+    """Classically labelled group H^r of the self-valued complex (r >= 1)."""
+    return _cohomology_at(partial(coboundary_matrix_self, alg), r)
 
 
 def module_cohomology(src: NLieAlgebra, tgt: NLieAlgebra, phi, r: int) -> CohomologyReport:
     """Classically labelled group H^r of the morphism-twisted complex."""
-    if r < 1:
-        raise DegreeMismatch("report degree starts at 1")
-    m = r - 1
-    delta_out = coboundary_matrix_module(src, tgt, phi, m)
-    delta_in = coboundary_matrix_module(src, tgt, phi, m - 1) if m >= 1 else None
-    return cohomology(delta_in, delta_out)
+    return _cohomology_at(partial(coboundary_matrix_module, src, tgt, phi), r)

@@ -9,10 +9,9 @@ truncated at the working order, so no convergence questions arise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
-from typing import Optional
+from typing import Optional, Sequence
 
 from .algebra import NLieAlgebra, ValidationReport
 from .cochains import Cochain, CochainSpace
@@ -27,14 +26,12 @@ from .errors import (
 from .linalg import Matrix, Vector, solve
 from .morphisms import CochainTriple, Morphism, triple_complex
 from .tables import (
-    _add,
-    _apply,
-    _bracket,
-    _compositions,
     dense,
+    int_columns,
     int_table,
     map_defects,
     nambu_defects,
+    series_bracket,
 )
 
 
@@ -330,91 +327,79 @@ class FormalAutomorphism:
             return self.terms[i - 1]
         return Matrix.zero(self.dim, self.dim)
 
+    def series(self, k: int) -> list[Matrix]:
+        """Terms 0..k."""
+        return [self.term(i) for i in range(k + 1)]
+
+
+def _product_term(a: Sequence[Matrix], b: Sequence[Matrix], s: int) -> Matrix:
+    """Order-s term sum_i a[i] b[s - i] of the product of two series of
+    matrices, a term past the end of either list counting as zero."""
+    lo, hi = max(0, s - len(b) + 1), min(s, len(a) - 1)
+    return reduce(Matrix.add, (a[i].mul(b[s - i]) for i in range(lo, hi + 1)))
+
 
 def formal_inverse(psi: FormalAutomorphism, k: int) -> FormalAutomorphism:
-    """Series inverse modulo the (k+1)-st power of the parameter."""
-    inv: list[Matrix] = []
+    """Series inverse modulo the (k+1)-st power of the parameter:
+    inv_m = -sum_(i >= 1) psi_i inv_(m-i)."""
+    terms, inv = psi.series(k), [Matrix.identity(psi.dim)]
     for m in range(1, k + 1):
-        acc = Matrix.zero(psi.dim, psi.dim)
-        for i in range(1, m + 1):
-            chi = inv[m - i - 1] if m - i >= 1 else Matrix.identity(psi.dim)
-            acc = acc.add(psi.term(i).mul(chi))
-        inv.append(acc.scale(-1))
-    return FormalAutomorphism(psi.dim, k, tuple(inv))
+        inv.append(_product_term(terms, inv, m).scale(-1))
+    return FormalAutomorphism(psi.dim, k, tuple(inv[1:]))
 
 
-def compose_series(
-    a: FormalAutomorphism, b: FormalAutomorphism, k: int
-) -> FormalAutomorphism:
+def compose_series(a: FormalAutomorphism, b: FormalAutomorphism, k: int) -> FormalAutomorphism:
     """Truncated composition a o b of endomorphism series."""
     if a.dim != b.dim:
         raise DimensionMismatch("series dimensions differ")
-    terms = []
-    for s in range(1, k + 1):
-        acc = Matrix.zero(a.dim, a.dim)
-        for i in range(s + 1):
-            acc = acc.add(a.term(i).mul(b.term(s - i)))
-        terms.append(acc)
-    return FormalAutomorphism(a.dim, k, tuple(terms))
+    a_terms, b_terms = a.series(k), b.series(k)
+    terms = tuple(_product_term(a_terms, b_terms, s) for s in range(1, k + 1))
+    return FormalAutomorphism(a.dim, k, terms)
 
 
 def apply_automorphism(
-    dm: DeformedMorphism,
-    psi_src: FormalAutomorphism,
-    psi_tgt: FormalAutomorphism,
-    k: Optional[int] = None,
+    dm: DeformedMorphism, psi_src: FormalAutomorphism, psi_tgt: FormalAutomorphism
 ) -> DeformedMorphism:
     """Equivalent deformation obtained by conjugating with the given pair.
 
     The source bracket is conjugated by psi_src, the target bracket by
     psi_tgt, and the map series becomes psi_tgt o phi o psi_src^{-1}, all
-    truncated at order k (the deformation's own order by default).
+    truncated at the deformation's order.
     """
-    if k is None:
-        k = dm.order
-    if k > dm.order:
-        raise OrderMismatch("cannot transform beyond the validated order")
     if psi_src.dim != dm.src_def.base.dim or psi_tgt.dim != dm.tgt_def.base.dim:
         raise DimensionMismatch("automorphism dimensions do not fit")
-    inv_src = formal_inverse(psi_src, k)
-    new_src = _conjugate_brackets(dm.src_def, psi_src, inv_src, k)
-    inv_tgt = formal_inverse(psi_tgt, k)
-    new_tgt = _conjugate_brackets(dm.tgt_def, psi_tgt, inv_tgt, k)
-    phi_terms = []
-    for s in range(k + 1):
-        acc = Matrix.zero(dm.tgt_def.base.dim, dm.src_def.base.dim)
-        for a in range(s + 1):
-            for i in range(s - a + 1):
-                b = s - a - i
-                acc = acc.add(psi_tgt.term(a).mul(dm.phi_terms[i]).mul(inv_src.term(b)))
-        phi_terms.append(acc)
-    return DeformedMorphism(new_src, new_tgt, tuple(phi_terms), dm.name)
+    k = dm.order
+    inv_src, inv_tgt = formal_inverse(psi_src, k).series(k), formal_inverse(psi_tgt, k).series(k)
+    tgt_terms = psi_tgt.series(k)
+    pulled = [_product_term(dm.phi_terms, inv_src, s) for s in range(k + 1)]
+    return DeformedMorphism(
+        _conjugate_brackets(dm.src_def, psi_src.series(k), inv_src),
+        _conjugate_brackets(dm.tgt_def, tgt_terms, inv_tgt),
+        tuple(_product_term(tgt_terms, pulled, s) for s in range(k + 1)),
+        dm.name,
+    )
 
 
 def _conjugate_brackets(
-    da: DeformedAlgebra,
-    psi: FormalAutomorphism,
-    inv: FormalAutomorphism,
-    k: int,
+    da: DeformedAlgebra, psi: list[Matrix], inv: list[Matrix]
 ) -> DeformedAlgebra:
-    alg = da.base
+    """The family psi o mu o (psi^-1)^(x n), each order a matrix with one
+    column per basis n-tuple."""
+    alg, keys = da.base, da.base.bracket_keys()
+    d_inv = lcm(*(d for m in inv for d in m.dens))
+    cols = [int_columns(m, d_inv) for m in inv]
+    # one table factor and n inverse columns per summand
+    dens = [da.den * d_inv**alg.arity] * len(keys)
+    pushed = []
+    for s in range(da.order + 1):
+        rows = [series_bracket(da.tables, cols, key, s) for key in keys]
+        pushed.append(Matrix.from_ints(len(keys), alg.dim, rows, dens).transpose())
+    terms = []
+    for s in range(1, da.order + 1):
+        rows = enumerate(_product_term(psi, pushed, s).data)
+        terms.append({((keys[j],), t): c for t, row in rows for j, c in row.items()})
     space = degree1_space(alg)
-    psi_cols = [psi.term(a).transpose().data for a in range(k + 1)]
-    inv_cols = [inv.term(b).transpose().data for b in range(k + 1)]
-    new_terms = []
-    for s in range(1, k + 1):
-        coeffs = {}
-        for key in alg.bracket_keys():
-            total: dict = {}
-            for a in range(s + 1):
-                for j in range(min(s - a, da.order) + 1):
-                    for split in _compositions(s - a - j, alg.arity):
-                        args = [inv_cols[b][i] for b, i in zip(split, key)]
-                        _add(total, _apply(psi_cols[a], _bracket(da.tables[j], args)))
-            # one table factor per summand, so the total is over da.den
-            coeffs.update((((key,), t), Fraction(c, da.den)) for t, c in total.items() if c)
-        new_terms.append(Cochain(space, coeffs))
-    return DeformedAlgebra(alg, k, tuple(new_terms))
+    return DeformedAlgebra(alg, da.order, tuple(Cochain(space, c) for c in terms))
 
 
 def first_order_equivalence(

@@ -20,9 +20,9 @@ from .cochains import (
     Cochain,
     CochainSpace,
     CohomologyReport,
+    _cohomology_at,
     coboundary_matrix_module,
     coboundary_matrix_self,
-    cohomology,
     flat_items,
 )
 from .errors import (
@@ -285,12 +285,7 @@ class TripleComplex:
         return self.coboundary(t).is_zero()
 
     def cohomology(self, r: int) -> CohomologyReport:
-        if r < 1:
-            raise DegreeMismatch("report degree starts at 1")
-        m = r - 1
-        delta_out = self.delta_matrix(m)
-        delta_in = self.delta_matrix(m - 1) if m >= 1 else None
-        return cohomology(delta_in, delta_out)
+        return _cohomology_at(self.delta_matrix, r)
 
     def cohomologous(
         self, a: CochainTriple, b: CochainTriple

@@ -105,6 +105,18 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def series_bracket(tables: Sequence[dict], cols: Sequence, key: tuple, s: int) -> dict:
+    """Order-s coefficient {t: c} of [g e_k1, ..., g e_kn] for the family with
+    one table per order and the map series g with sparse columns ``cols[i]``
+    per order: the sum of [g_i1 e_k1, ..., g_in e_kn]_j over j + i_1 + ... = s."""
+    total: dict = {}
+    for j in range(min(s, len(tables) - 1) + 1):
+        for split in _compositions(s - j, len(key)):
+            if max(split) < len(cols):
+                _add(total, _bracket(tables[j], [cols[i][a] for i, a in zip(split, key)]))
+    return {t: x for t, x in total.items() if x}
+
+
 def nambu_defects(
     d: int, n: int, den: int, tables: Sequence[dict], s: int
 ) -> Iterator[tuple[tuple, dict]]:
@@ -167,16 +179,11 @@ def map_defects(
     push_den = tgt_den * d_phi**n
     den = lcm(pull_den, push_den)
     pull, push = den // pull_den, -(den // push_den)
-    order = len(terms) - 1
-    top = min(s, order)
+    top = min(s, len(terms) - 1)
     for key in combinations(range(terms[0].cols), n):
         total: dict = {}
         for i in range(s - top, top + 1):
             _add(total, _apply(cols[i], src_tables[s - i].get(key, {})), pull)
-        for j in range(top + 1):
-            for split in _compositions(s - j, n):
-                if max(split) <= order:
-                    imgs = [cols[i][a] for i, a in zip(split, key)]
-                    _add(total, _bracket(tgt_tables[j], imgs), push)
+        _add(total, series_bracket(tgt_tables, cols, key, s), push)
         if any(total.values()):
             yield key, {t: Fraction(c, den) for t, c in total.items() if c}

@@ -652,13 +652,6 @@ def test_first_order_equivalence_search(def_order1):
 
 def test_order_mismatch_guard(def_order1):
     with pytest.raises(OrderMismatch):
-        apply_automorphism(
-            def_order1,
-            FormalAutomorphism.identity(4, 1),
-            FormalAutomorphism.identity(4, 1),
-            k=2,
-        )
-    with pytest.raises(OrderMismatch):
         DeformedMorphism(
             def_order1.src_def,
             DeformedAlgebra.trivial(def_order1.tgt_def.base, 2),
