@@ -8,19 +8,11 @@ cohomology, and order-by-order deformation tools (infinitesimals,
 obstructions, extensions, and equivalence by automorphism series).
 """
 
-from .algebra import (
-    FundamentalObject,
-    NLieAlgebra,
-    ValidationReport,
-    validate_algebra,
-    wedge_decompose,
-)
+from .algebra import NLieAlgebra, ValidationReport, validate_algebra
 from .cochains import (
     Cochain,
     CochainSpace,
     CohomologyReport,
-    coboundary_apply_module,
-    coboundary_apply_self,
     coboundary_matrix_module,
     coboundary_matrix_self,
     cohomology,
@@ -64,15 +56,12 @@ __all__ = [
     "DeformedAlgebra",
     "DeformedMorphism",
     "FormalAutomorphism",
-    "FundamentalObject",
     "Matrix",
     "Morphism",
     "NLieAlgebra",
     "TripleComplex",
     "ValidationReport",
     "apply_automorphism",
-    "coboundary_apply_module",
-    "coboundary_apply_self",
     "coboundary_matrix_module",
     "coboundary_matrix_self",
     "cohomologous_check",
@@ -97,5 +86,4 @@ __all__ = [
     "validate_algebra",
     "validate_deformation",
     "validate_morphism",
-    "wedge_decompose",
 ]

@@ -17,104 +17,8 @@ from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .linalg import Vector, frac, is_zero_vector, vector
-from .tables import _bracket, dense, int_table, nambu_defects, sort_sign
-
-
-def wedge_decompose(vectors: Sequence[Vector]) -> dict[tuple[int, ...], Fraction]:
-    """Expand v1 ^ ... ^ vk over increasing basis wedges, sign-normalised."""
-    out: dict[tuple[int, ...], Fraction] = {}
-
-    def rec(i: int, chosen: tuple[int, ...], coeff: Fraction) -> None:
-        if i == len(vectors):
-            sign, key = sort_sign(chosen)
-            if sign:
-                cur = out.get(key, Fraction(0)) + sign * coeff
-                if cur:
-                    out[key] = cur
-                else:
-                    out.pop(key, None)
-            return
-        for j, c in enumerate(vectors[i]):
-            if c and j not in chosen:
-                rec(i + 1, chosen + (j,), coeff * c)
-
-    rec(0, (), Fraction(1))
-    return out
-
-
-class FundamentalObject:
-    """An argument block x1 ^ ... ^ x(n-1) for brackets and cochains.
-
-    Stored as the raw component tuple when one is known (needed by the
-    bracket actions, which address individual slots) and decomposed lazily
-    over the increasing-wedge basis for cochain evaluation.  Linear
-    combinations of wedges carry only the decomposition.
-    """
-
-    __slots__ = ("dim", "width", "components", "_decomp")
-
-    def __init__(self, components: Sequence[Sequence], dim: Optional[int] = None):
-        comps = tuple(vector(v) for v in components)
-        if not comps and dim is None:
-            raise DimensionMismatch("empty wedge needs an explicit dimension")
-        d = dim if dim is not None else len(comps[0])
-        if any(len(v) != d for v in comps):
-            raise DimensionMismatch("wedge components of unequal dimension")
-        self.dim = d
-        self.width = len(comps)
-        self.components: Optional[tuple[Vector, ...]] = comps
-        self._decomp: Optional[dict[tuple[int, ...], Fraction]] = None
-
-    @classmethod
-    def from_basis(cls, dim: int, idxs: Sequence[int]) -> "FundamentalObject":
-        if any(not 0 <= i < dim for i in idxs):
-            raise IndexOutOfRange(f"wedge indices {idxs} outside 0..{dim - 1}")
-        fo = cls.__new__(cls)
-        fo.dim = dim
-        fo.width = len(idxs)
-        fo.components = tuple(
-            tuple(Fraction(1 if j == i else 0) for j in range(dim)) for i in idxs
-        )
-        sign, key = sort_sign(tuple(idxs))
-        fo._decomp = {key: Fraction(sign)} if sign else {}
-        return fo
-
-    @classmethod
-    def from_combination(
-        cls, dim: int, width: int, combo: Mapping[tuple[int, ...], Fraction]
-    ) -> "FundamentalObject":
-        fo = cls.__new__(cls)
-        fo.dim = dim
-        fo.width = width
-        fo.components = None
-        fo._decomp = {k: frac(v) for k, v in combo.items() if v}
-        return fo
-
-    def decomposition(self) -> dict[tuple[int, ...], Fraction]:
-        if self._decomp is None:
-            assert self.components is not None
-            self._decomp = wedge_decompose(self.components)
-        return self._decomp
-
-    def is_zero(self) -> bool:
-        return not self.decomposition()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FundamentalObject)
-            and self.dim == other.dim
-            and self.width == other.width
-            and self.decomposition() == other.decomposition()
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.dim, self.width, tuple(sorted(self.decomposition().items())))
-        )
-
-    def __repr__(self) -> str:
-        return f"FundamentalObject(dim={self.dim}, {self.decomposition()!r})"
+from .linalg import Vector, is_zero_vector, vector
+from .tables import _bracket, dense, int_table, nambu_defects
 
 
 @dataclass(frozen=True)

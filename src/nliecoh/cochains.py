@@ -21,7 +21,7 @@ from itertools import combinations, product
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .algebra import FundamentalObject, NLieAlgebra
+from .algebra import NLieAlgebra
 from .errors import (
     ArityMismatch,
     BrokenComplex,
@@ -30,7 +30,7 @@ from .errors import (
     InvalidAlgebra,
     InvalidMorphism,
 )
-from .linalg import Matrix, Vector, frac, kernel_basis, quotient_data, vector
+from .linalg import Matrix, Vector, frac, kernel_basis, quotient_data
 from .tables import _basis, int_columns, sort_sign
 
 DomainKey = object  # int for degree 0, tuple of index tuples otherwise
@@ -148,72 +148,6 @@ class Cochain:
 
     def __repr__(self) -> str:
         return f"Cochain(degree={self.space.degree}, nnz={len(self.coeffs)})"
-
-    def evaluate(
-        self,
-        blocks: Sequence[FundamentalObject],
-        last: Optional[FundamentalObject],
-        z: Sequence,
-    ) -> Vector:
-        """Value on (p-1) free blocks, a final block, and the extra vector.
-
-        Degree-0 cochains take ``blocks=[]`` and ``last=None``.
-        """
-        z = vector(z)
-        combo = eval_key_combo(self.space, list(blocks), last, z)
-        out = [Fraction(0)] * self.space.target_dim
-        for key, c in combo.items():
-            for t in range(self.space.target_dim):
-                v = self.coeffs.get((key, t))
-                if v:
-                    out[t] += c * v
-        return tuple(out)
-
-    def evaluate_vectors(self, *vectors_in: Sequence) -> Vector:
-        """Degree-1 convenience: evaluate the skew n-linear map on vectors."""
-        if self.space.degree != 1:
-            raise DegreeMismatch("evaluate_vectors applies to degree-1 cochains")
-        n = self.space.source.arity
-        if len(vectors_in) != n:
-            raise DimensionMismatch(f"expected {n} vector arguments")
-        last = FundamentalObject(vectors_in[:-1], dim=self.space.source.dim)
-        return self.evaluate([], last, vectors_in[-1])
-
-
-def eval_key_combo(
-    space: CochainSpace,
-    blocks: Sequence[FundamentalObject],
-    last: Optional[FundamentalObject],
-    z: Vector,
-) -> dict:
-    """Decompose cochain arguments over the canonical domain basis.
-
-    Returns {domain key: coefficient}; zero on any repeated index.
-    """
-    p = space.degree
-    d = space.source.dim
-    if len(z) != d:
-        raise DimensionMismatch("argument vector has wrong dimension")
-    if p == 0:
-        if blocks or last is not None:
-            raise DegreeMismatch("degree-0 cochains take no blocks")
-        return {i: c for i, c in enumerate(z) if c}
-    if last is None or len(blocks) != p - 1:
-        raise DegreeMismatch(f"degree {p} needs {p - 1} blocks plus a final one")
-    if any(b.dim != d or b.width != space.source.arity - 1 for b in (*blocks, last)):
-        raise DimensionMismatch("argument block has the wrong shape")
-    out: dict = {}
-    decomps = [b.decomposition().items() for b in blocks]
-    zs = [(j, zc) for j, zc in enumerate(z) if zc]
-    for *picked, (wkey, wc), (j, zc) in product(*decomps, last.decomposition().items(), zs):
-        sign, skey = sort_sign(wkey + (j,))
-        if sign:
-            c = sign * wc * zc
-            for _, bc in picked:
-                c *= bc
-            key = tuple(bkey for bkey, _ in picked) + (skey,)
-            out[key] = out.get(key, 0) + c
-    return {key: c for key, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -413,48 +347,10 @@ def coboundary_matrix_module(
     src: NLieAlgebra, tgt: NLieAlgebra, phi, m: int
 ) -> Matrix:
     """Matrix of the module-valued coboundary out of degree m via a morphism."""
-    return _assemble(CochainSpace(src, m, tgt.dim), _module_tables(src, tgt, phi))
-
-
-def _module_tables(src: NLieAlgebra, tgt: NLieAlgebra, phi) -> _Tables:
-    """Tables along ``phi``, once both algebras and the map are checked."""
     _require_valid_algebra(src)
     _require_valid_algebra(tgt)
-    return _Tables(src, tgt, _morphism_matrix(src, tgt, phi))
-
-
-def _apply(tables: _Tables, f: Cochain, args: Sequence[FundamentalObject], z) -> Vector:
-    """δf at raw arguments: the cochain δf, from the assembled coboundary,
-    evaluated there as any cochain is."""
-    p = f.space.degree
-    if len(args) != p + 1:
-        raise DegreeMismatch(f"expected {p + 1} argument blocks, got {len(args)}")
-    space_out = CochainSpace(f.space.source, p + 1, f.space.target_dim)
-    flat = _assemble(f.space, tables).mul_vector(f.as_flat())
-    return Cochain.from_flat(space_out, flat).evaluate(args[:-1], args[-1], z)
-
-
-def coboundary_apply_self(
-    alg: NLieAlgebra,
-    f: Cochain,
-    args: Sequence[FundamentalObject],
-    z: Sequence,
-) -> Vector:
-    """Numeric coboundary value of a concrete self-valued cochain."""
-    _require_valid_algebra(alg)
-    return _apply(_Tables(alg, alg, Matrix.identity(alg.dim)), f, args, z)
-
-
-def coboundary_apply_module(
-    src: NLieAlgebra,
-    tgt: NLieAlgebra,
-    phi,
-    f: Cochain,
-    args: Sequence[FundamentalObject],
-    z: Sequence,
-) -> Vector:
-    """Numeric coboundary value of a concrete module-valued cochain."""
-    return _apply(_module_tables(src, tgt, phi), f, args, z)
+    tables = _Tables(src, tgt, _morphism_matrix(src, tgt, phi))
+    return _assemble(CochainSpace(src, m, tgt.dim), tables)
 
 
 @dataclass(frozen=True)

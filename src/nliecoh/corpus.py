@@ -1,6 +1,5 @@
 """Bundled demonstration corpus: five 4-dimensional ternary algebras, the
-morphisms between them, representative 2-cocycles, deformation instances,
-and an automorphism pair.
+morphisms between them, deformation instances, and an automorphism pair.
 
 The parameterized families these objects come from have free coefficients;
 every file here fixes concrete rational values, and the test suite records
@@ -14,7 +13,6 @@ from importlib import resources
 from pathlib import Path
 
 from .algebra import NLieAlgebra
-from .cochains import Cochain, CochainSpace
 from .deformations import DeformedMorphism, FormalAutomorphism
 from .jsonio import load_algebra, load_automorphism, load_deformation, load_morphism
 from .morphisms import Morphism
@@ -73,65 +71,3 @@ def automorphism(key: str) -> FormalAutomorphism:
 
 def all_algebras() -> dict[str, NLieAlgebra]:
     return {k: algebra(k) for k in ALGEBRA_FILES}
-
-
-# Representative 2-cocycle tables, 1-based indices: {bracket tuple: {target: c}}.
-COCYCLE_TABLES: dict[str, list[dict]] = {
-    "a1": [
-        {(1, 2, 3): {1: 1, 3: -1}, (1, 2, 4): {4: 1}, (2, 3, 4): {4: 1}},
-        {(1, 2, 3): {2: 1}},
-        {(1, 2, 4): {2: 1}, (1, 3, 4): {1: 1, 3: -1}, (2, 3, 4): {2: 1}},
-    ],
-    "b1": [
-        {(1, 2, 4): {2: 1}},
-        {(1, 3, 4): {2: 1}},
-    ],
-    "b2": [
-        {(1, 3, 4): {1: 1}},
-        {(1, 3, 4): {3: 1, 4: -1}},
-        {(2, 3, 4): {1: 1}},
-    ],
-    "a3": [
-        {(1, 3, 4): {1: 1}},
-        {(1, 3, 4): {2: 1}},
-        {(1, 2, 4): {3: 1}},
-        {(2, 3, 4): {3: 1}},
-        {(1, 2, 3): {1: 1}},
-        {(1, 2, 3): {4: 1}},
-        {(1, 2, 4): {2: 1}, (1, 3, 4): {3: -1}},
-        {(1, 3, 4): {4: 1}, (1, 2, 3): {2: 1}},
-        {(1, 2, 4): {4: -1}, (1, 2, 3): {3: 1}},
-    ],
-}
-
-
-def degree1_cochain(alg: NLieAlgebra, table: dict) -> Cochain:
-    """Build a skew n-linear cochain from a 1-based value table."""
-    space = CochainSpace(alg, 1, alg.dim)
-    coeffs = {}
-    for key, values in table.items():
-        key0 = tuple(i - 1 for i in key)
-        for t, c in values.items():
-            coeffs[((key0,), t - 1)] = c
-    return Cochain(space, coeffs)
-
-
-def listed_cocycles(key: str) -> list[Cochain]:
-    alg = algebra(key)
-    return [degree1_cochain(alg, table) for table in COCYCLE_TABLES[key]]
-
-
-def identity_pair_deformation() -> DeformedMorphism:
-    """Both copies of the first demo algebra deformed by the same 2-cocycle,
-    linked by the identity map: a valid order-1 instance used by the
-    obstruction examples."""
-    from .deformations import DeformedAlgebra
-
-    alg = algebra("a1")
-    term = degree1_cochain(alg, COCYCLE_TABLES["a1"][1])
-    da = DeformedAlgebra(alg, 1, (term,))
-    from .linalg import Matrix
-
-    return DeformedMorphism(
-        da, da, (Matrix.identity(alg.dim), Matrix.zero(alg.dim, alg.dim)), "a1_id_def"
-    )

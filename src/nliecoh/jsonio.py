@@ -23,7 +23,8 @@ from .errors import ArityMismatch, DimensionMismatch, ParseError
 from .linalg import Matrix
 from .morphisms import CochainTriple, Morphism
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INDEX_RE = re.compile(r"[0-9]+")
 
 
 def parse_rational(text, where: str = "") -> Fraction:
@@ -31,14 +32,17 @@ def parse_rational(text, where: str = "") -> Fraction:
     prefix = f"{where}: " if where else ""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ParseError(f"{prefix}malformed rational literal {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
+    num, _, den = text.partition("/")
+    try:
+        if not den:
+            return Fraction(int(num))
         if int(den) == 0:
             raise ParseError(f"{prefix}zero denominator in {text!r}")
         return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"{prefix}rational literal too long ({exc})") from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -48,6 +52,8 @@ def format_rational(q: Fraction) -> str:
 
 
 def _expect(obj, key, kind, where):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object")
     if key not in obj:
         raise ParseError(f"{where}: missing key {key!r}")
     value = obj[key]
@@ -99,11 +105,11 @@ def algebra_from_json(obj: dict, where: str = "algebra") -> NLieAlgebra:
         value = [Fraction(0)] * dim
         for k, raw in _expect(entry, "value", dict, spot).items():
             try:
-                pos = int(k)
-            except ValueError:
-                raise ParseError(f"{spot}: value key {k!r} is not a basis index")
+                pos = int(k) if _INDEX_RE.fullmatch(k) else 0
+            except ValueError:  # more digits than int() converts
+                pos = 0
             if not 1 <= pos <= dim:
-                raise ParseError(f"{spot}: value index {pos} outside 1..{dim}")
+                raise ParseError(f"{spot}: value key {k!r} is not a basis index in 1..{dim}")
             value[pos - 1] = parse_rational(raw, f"{spot}: value key {k!r}")
         brackets[args] = tuple(value)
     try:
@@ -371,7 +377,8 @@ def load_json(path: Union[str, Path]) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer too long to convert, or too deep nesting
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top level must be an object")

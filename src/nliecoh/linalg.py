@@ -44,14 +44,6 @@ def vector(entries: Iterable) -> Vector:
     return tuple(frac(x) for x in entries)
 
 
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
-def basis_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
 def is_zero_vector(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
@@ -176,11 +168,6 @@ class Matrix:
         r = self.data[i]
         return tuple(r.get(j, _ZERO) for j in range(self.cols))
 
-    def column(self, j: int) -> Vector:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} outside 0..{self.cols - 1}")
-        return tuple(r.get(j, _ZERO) for r in self.data)
-
     def transpose(self) -> "Matrix":
         out: list[dict] = [{} for _ in range(self.cols)]
         for i, r in enumerate(self.ints):
@@ -237,14 +224,6 @@ class Matrix:
         c = frac(c)
         out = [{j: c.numerator * v for j, v in r.items()} if c else {} for r in self.ints]
         return Matrix.from_ints(self.rows, self.cols, out, [d * c.denominator for d in self.dens])
-
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form (pivot rows first) and its pivot columns."""
-        reduced = _echelon(self.ints)
-        pad = self.rows - len(reduced)
-        ints = [r for _, r in reduced] + [{}] * pad
-        dens = [r[pc] for pc, r in reduced] + [1] * pad
-        return Matrix.from_ints(self.rows, self.cols, ints, dens), tuple(pc for pc, _ in reduced)
 
 
 def _sub(acc: dict[int, int], f: int, row: dict[int, int]) -> dict[int, int]:

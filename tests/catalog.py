@@ -3,20 +3,22 @@
 Cases are valid algebras across arities 2 and 3 and dimensions up to 4:
 the bundled corpus, classical small Lie algebras, abelian structures, and
 seeded dense conjugates of all of these (change of basis preserves
-validity while producing dense structure constants).
+validity while producing dense structure constants).  The transcribed
+representative 2-cocycles of the corpus, and an order-1 deformation built
+from one of them, close the file.
 """
 
 import random
 from fractions import Fraction
 
+from oracles import column, unit
+
 from nliecoh.algebra import NLieAlgebra
-from nliecoh.corpus import all_algebras, morphism
+from nliecoh.cochains import Cochain, CochainSpace
+from nliecoh.corpus import algebra, all_algebras, morphism
+from nliecoh.deformations import DeformedAlgebra, DeformedMorphism
 from nliecoh.linalg import Matrix, solve
 from nliecoh.morphisms import Morphism
-
-
-def _unit(d, i):
-    return tuple(Fraction(1 if j == i else 0) for j in range(d))
 
 
 def _named(name, arity, dim, brackets):
@@ -47,7 +49,7 @@ def _random_invertible(rng: random.Random, d: int) -> Matrix:
         cols = []
         ok = True
         for j in range(d):
-            x = solve(m, _unit(d, j))
+            x = solve(m, unit(d, j))
             if x is None:
                 ok = False
                 break
@@ -60,7 +62,7 @@ def conjugate(alg: NLieAlgebra, p: Matrix, p_inv: Matrix, name: str) -> NLieAlge
     """Transport the bracket along a change of basis; stays valid."""
     brackets = {}
     for key in alg.bracket_keys():
-        val = p_inv.mul_vector(alg.bracket(*(p.column(i) for i in key)))
+        val = p_inv.mul_vector(alg.bracket(*(column(p, i) for i in key)))
         brackets[key] = val
     return NLieAlgebra.from_brackets(name, alg.arity, alg.dim, brackets)
 
@@ -117,3 +119,59 @@ def conjugated_isomorphism(alg: NLieAlgebra, seed: int) -> Morphism:
     src = conjugate(alg, pa, pa_inv, f"{alg.name}~A")
     tgt = conjugate(alg, pb, pb_inv, f"{alg.name}~B")
     return Morphism(src, tgt, pb_inv.mul(pa), f"{alg.name}~iso")
+
+
+# Representative 2-cocycle tables, 1-based indices: {bracket tuple: {target: c}}.
+COCYCLE_TABLES: dict[str, list[dict]] = {
+    "a1": [
+        {(1, 2, 3): {1: 1, 3: -1}, (1, 2, 4): {4: 1}, (2, 3, 4): {4: 1}},
+        {(1, 2, 3): {2: 1}},
+        {(1, 2, 4): {2: 1}, (1, 3, 4): {1: 1, 3: -1}, (2, 3, 4): {2: 1}},
+    ],
+    "b1": [
+        {(1, 2, 4): {2: 1}},
+        {(1, 3, 4): {2: 1}},
+    ],
+    "b2": [
+        {(1, 3, 4): {1: 1}},
+        {(1, 3, 4): {3: 1, 4: -1}},
+        {(2, 3, 4): {1: 1}},
+    ],
+    "a3": [
+        {(1, 3, 4): {1: 1}},
+        {(1, 3, 4): {2: 1}},
+        {(1, 2, 4): {3: 1}},
+        {(2, 3, 4): {3: 1}},
+        {(1, 2, 3): {1: 1}},
+        {(1, 2, 3): {4: 1}},
+        {(1, 2, 4): {2: 1}, (1, 3, 4): {3: -1}},
+        {(1, 3, 4): {4: 1}, (1, 2, 3): {2: 1}},
+        {(1, 2, 4): {4: -1}, (1, 2, 3): {3: 1}},
+    ],
+}
+
+
+def degree1_cochain(alg: NLieAlgebra, table: dict) -> Cochain:
+    """Build a skew n-linear cochain from a 1-based value table."""
+    coeffs = {
+        ((tuple(i - 1 for i in key),), t - 1): c
+        for key, values in table.items()
+        for t, c in values.items()
+    }
+    return Cochain(CochainSpace(alg, 1, alg.dim), coeffs)
+
+
+def listed_cocycles(key: str) -> list[Cochain]:
+    alg = algebra(key)
+    return [degree1_cochain(alg, table) for table in COCYCLE_TABLES[key]]
+
+
+def identity_pair_deformation() -> DeformedMorphism:
+    """Both copies of the first demo algebra deformed by the same 2-cocycle,
+    linked by the identity map: a valid order-1 instance used by the
+    obstruction examples."""
+    alg = algebra("a1")
+    da = DeformedAlgebra(alg, 1, (degree1_cochain(alg, COCYCLE_TABLES["a1"][1]),))
+    return DeformedMorphism(
+        da, da, (Matrix.identity(alg.dim), Matrix.zero(alg.dim, alg.dim)), "a1_id_def"
+    )

@@ -1,12 +1,8 @@
 import pytest
 
-from nliecoh.corpus import (
-    algebra,
-    all_algebras,
-    deformation,
-    identity_pair_deformation,
-    morphism,
-)
+from catalog import identity_pair_deformation
+
+from nliecoh.corpus import algebra, all_algebras, deformation, morphism
 
 
 @pytest.fixture(scope="session")

@@ -12,10 +12,19 @@ from bisect import insort
 from fractions import Fraction
 from itertools import combinations, product
 
-from nliecoh.algebra import FundamentalObject, sort_sign, wedge_decompose
-from nliecoh.cochains import Cochain, CochainSpace, eval_key_combo
+from nliecoh.cochains import Cochain, CochainSpace
 from nliecoh.errors import DimensionMismatch, SubspaceViolation
 from nliecoh.linalg import Matrix, vector
+
+
+def unit(d, i):
+    """The i-th standard basis vector of length d."""
+    return tuple(Fraction(1 if j == i else 0) for j in range(d))
+
+
+def column(m, j):
+    """Column j of a package ``Matrix``."""
+    return m.mul_vector(unit(m.cols, j))
 
 
 def perm_sort_sign(idxs):
@@ -59,43 +68,54 @@ def oracle_ad(alg, block, z):
     return oracle_bracket(alg, list(block) + [z])
 
 
+def wedge_decompose(vectors):
+    """Expand v1 ^ ... ^ vk over increasing basis wedges: {key: c}."""
+    out = {}
+    for choice in product(*([(i, c) for i, c in enumerate(v) if c] for v in vectors)):
+        sign, key = perm_sort_sign(i for i, _ in choice)
+        if sign:
+            coeff = Fraction(sign)
+            for _, c in choice:
+                coeff *= c
+            out[key] = out.get(key, 0) + coeff
+    return {key: c for key, c in out.items() if c}
+
+
 def naive_form(p, blocks, z):
-    """Linear form of a degree-p cochain's value on raw argument blocks, by
-    support enumeration: {key: c} with f(blocks; z) = sum_key c * f(key)."""
-    form = {}
+    """Linear form of a degree-p cochain's value on raw argument blocks:
+    {key: c} with f(blocks; z) = sum_key c * f(key).  Each free block, and
+    the final block with z, is expanded over increasing wedges by support
+    enumeration, and the key is one wedge from each."""
     if p == 0:
-        for i, c in enumerate(z):
-            if c:
-                form[i] = c
-        return form
+        return {i: c for i, c in enumerate(z) if c}
     assert len(blocks) == p
-    slot_vectors = [v for b in blocks for v in b] + [z]
-    widths = [len(b) for b in blocks]
-    supports = [[(i, c) for i, c in enumerate(v) if c] for v in slot_vectors]
-    for choice in product(*supports):
-        idxs = [i for i, _ in choice]
+    groups = [list(b) for b in blocks[:-1]] + [list(blocks[-1]) + [z]]
+    form = {}
+    for choice in product(*(wedge_decompose(g).items() for g in groups)):
         coeff = Fraction(1)
         for _, c in choice:
             coeff *= c
-        pos = 0
-        key_parts = []
-        sgn = 1
-        for w in widths[:-1]:
-            s, part = perm_sort_sign(idxs[pos : pos + w])
-            pos += w
-            if s == 0:
-                sgn = 0
-                break
-            sgn *= s
-            key_parts.append(part)
-        if not sgn:
-            continue
-        s, part = perm_sort_sign(idxs[pos:])
-        if not s:
-            continue
-        key = tuple(key_parts) + (part,)
-        form[key] = form.get(key, 0) + sgn * s * coeff
+        key = tuple(k for k, _ in choice)
+        form[key] = form.get(key, 0) + coeff
     return form
+
+
+def cochain_value(f, blocks, z):
+    """f(blocks; z) of a ``Cochain`` on raw blocks of vectors: its
+    coefficients contracted with ``naive_form``."""
+    form = naive_form(f.space.degree, blocks, z)
+    return tuple(
+        sum((c * f.coeffs.get((key, t), 0) for key, c in form.items()), Fraction(0))
+        for t in range(f.space.target_dim)
+    )
+
+
+def delta_value(delta, f, blocks, z):
+    """(delta f)(blocks; z) for an assembled coboundary matrix ``delta``: its
+    product with f's flat coordinates, read back as a cochain one degree up
+    and evaluated on raw arguments."""
+    space = CochainSpace(f.space.source, f.space.degree + 1, f.space.target_dim)
+    return cochain_value(Cochain.from_flat(space, delta.mul_vector(f.as_flat())), blocks, z)
 
 
 def raw_fundamental_bracket(alg, x_block, y_block):
@@ -107,10 +127,6 @@ def raw_fundamental_bracket(alg, x_block, y_block):
             nb = tuple(y_block[:slot]) + (acted,) + tuple(y_block[slot + 1 :])
             summands.append((Fraction(1), nb))
     return summands
-
-
-def _unit(d, i):
-    return tuple(Fraction(1 if j == i else 0) for j in range(d))
 
 
 def oracle_delta_form(p, d_t, args, z, src, tgt=None, phi=None):
@@ -132,7 +148,7 @@ def oracle_delta_form(p, d_t, args, z, src, tgt=None, phi=None):
     def add_bracket(form, bracket, c):
         """c times ``bracket`` (linear) of the value with linear form ``form``."""
         for t in range(d_t):
-            for s, y in enumerate(bracket(_unit(d_t, t))):
+            for s, y in enumerate(bracket(unit(d_t, t))):
                 if y:
                     for key, x in form.items():
                         rows[s][(key, t)] = rows[s].get((key, t), 0) + c * x * y
@@ -192,10 +208,10 @@ def _domain_keys(d, n, p):
 
 
 def _canonical_input(d, n, key):
-    blocks = [tuple(_unit(d, i) for i in idx) for idx in key[:-1]]
+    blocks = [tuple(unit(d, i) for i in idx) for idx in key[:-1]]
     k = key[-1]
-    blocks.append(tuple(_unit(d, i) for i in k[: n - 1]))
-    return blocks, _unit(d, k[-1])
+    blocks.append(tuple(unit(d, i) for i in k[: n - 1]))
+    return blocks, unit(d, k[-1])
 
 
 def oracle_matrix(src, p, tgt=None, phi=None):
@@ -308,8 +324,7 @@ def oracle_quotient(z_basis, b_basis):
 # -- deformation equations --------------------------------------------------
 # Dense reference loops for the order-by-order deformation equations: every
 # bracket is evaluated on dense vectors, the base one through
-# ``oracle_bracket`` and the higher orders through
-# ``Cochain.evaluate_vectors``.
+# ``oracle_bracket`` and the higher orders through ``cochain_value``.
 
 
 def _compositions(total, parts):
@@ -321,7 +336,7 @@ def oracle_bracket_order(da, i, *vectors):
     if i == 0:
         return oracle_bracket(da.base, vectors)
     if i <= da.order:
-        return da.terms[i - 1].evaluate_vectors(*vectors)
+        return cochain_value(da.terms[i - 1], [vectors[:-1]], vectors[-1])
     return tuple(Fraction(0) for _ in range(da.base.dim))
 
 
@@ -342,8 +357,8 @@ def oracle_nambu_residual(da, s):
     space = CochainSpace(alg, 2, d)
     coeffs = {}
     for key in space.domain_keys:
-        xs = [_unit(d, i) for i in key[0]]
-        ys = [_unit(d, i) for i in key[1]]
+        xs = [unit(d, i) for i in key[0]]
+        ys = [unit(d, i) for i in key[1]]
         total = [Fraction(0)] * d
         for k in range(s + 1):
             l = s - k
@@ -369,7 +384,7 @@ def oracle_morphism_residual(dm, s):
     space = CochainSpace(src, 1, tgt.dim)
     coeffs = {}
     for key in src.bracket_keys():
-        args = [_unit(src.dim, i) for i in key]
+        args = [unit(src.dim, i) for i in key]
         total = [Fraction(0)] * tgt.dim
         for i in range(s + 1):
             j = s - i
@@ -399,10 +414,10 @@ def oracle_algebra_obstruction(da, big_n):
     space = CochainSpace(alg, 2, d)
     coeffs = {}
     for key in space.domain_keys:
-        x1 = [_unit(d, i) for i in key[0]]
+        x1 = [unit(d, i) for i in key[0]]
         kt = key[1]
-        x2 = [_unit(d, i) for i in kt[: n - 1]]
-        z = _unit(d, kt[n - 1])
+        x2 = [unit(d, i) for i in kt[: n - 1]]
+        z = unit(d, kt[n - 1])
         total = [Fraction(0)] * d
         for k in range(1, big_n + 1):
             l = big_n + 1 - k
@@ -429,7 +444,7 @@ def oracle_morphism_obstruction(dm, big_n):
     space = CochainSpace(src, 1, tgt.dim)
     coeffs = {}
     for key in src.bracket_keys():
-        args = [_unit(src.dim, i) for i in key]
+        args = [unit(src.dim, i) for i in key]
         total = [Fraction(0)] * tgt.dim
         for i in range(1, big_n + 1):
             j = big_n + 1 - i
@@ -490,7 +505,7 @@ def _series_mul(a, b, k):
 def oracle_series(psi, k):
     """Terms 0..k of a formal automorphism as dense matrices."""
     d = psi.dim
-    eye = [list(_unit(d, i)) for i in range(d)]
+    eye = [list(unit(d, i)) for i in range(d)]
     return [eye] + [_dense(psi.terms[i - 1]) if i <= psi.order else _zeros(d, d) for i in range(1, k + 1)]
 
 
@@ -550,10 +565,49 @@ def oracle_transform(dm, psi_src, psi_tgt):
 
 # -- dense block evaluation ---------------------------------------------------
 # References on dense Fraction vectors for what the package reads from its
-# integer tables: the action of an argument block (through
-# ``oracle_bracket``), the bracket of two blocks, a block's image under a
-# morphism, and the pull map built from those images through the
-# package's ``Cochain`` key decomposition.
+# integer tables: argument blocks, expanded by ``wedge_decompose``, the
+# action of a block (through ``oracle_bracket``), the bracket of two blocks,
+# a block's image under a morphism, and the pull map, whose mapped
+# arguments are expanded over the target keys by ``naive_form``.
+
+
+class FundamentalObject:
+    """An argument block x1 ^ ... ^ x(n-1): its raw components, which the
+    actions address slot by slot, and its expansion over increasing basis
+    wedges, built on first use.  A linear combination of wedges carries
+    only the expansion."""
+
+    def __init__(self, components, dim=None):
+        self.components = tuple(vector(v) for v in components)
+        self.dim = len(self.components[0]) if dim is None else dim
+        self.width = len(self.components)
+        self._decomp = None
+
+    @classmethod
+    def from_basis(cls, dim, idxs):
+        return cls([unit(dim, i) for i in idxs], dim)
+
+    @classmethod
+    def from_combination(cls, dim, width, combo):
+        fo = cls.__new__(cls)
+        fo.dim, fo.width, fo.components = dim, width, None
+        fo._decomp = {key: Fraction(c) for key, c in combo.items() if c}
+        return fo
+
+    def decomposition(self):
+        if self._decomp is None:
+            self._decomp = wedge_decompose(self.components)
+        return self._decomp
+
+    def is_zero(self):
+        return not self.decomposition()
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FundamentalObject)
+            and (self.dim, self.width) == (other.dim, other.width)
+            and self.decomposition() == other.decomposition()
+        )
 
 
 def ad_action(alg, x, z):
@@ -583,18 +637,18 @@ def fundamental_bracket(alg, x, y):
     for xkey, xc in x.decomposition().items():
         for ykey, yc in y.decomposition().items():
             for i in range(w):
-                acted = oracle_ad(alg, _units(alg.dim, xkey), _unit(alg.dim, ykey[i]))
+                acted = oracle_ad(alg, _units(alg.dim, xkey), unit(alg.dim, ykey[i]))
                 for j, c in enumerate(acted):
                     if not c:
                         continue
-                    sign, skey = sort_sign(ykey[:i] + (j,) + ykey[i + 1 :])
+                    sign, skey = perm_sort_sign(ykey[:i] + (j,) + ykey[i + 1 :])
                     if sign:
                         combo[skey] = combo.get(skey, Fraction(0)) + sign * xc * yc * c
     return FundamentalObject.from_combination(alg.dim, w, combo)
 
 
 def _units(d, idxs):
-    return [_unit(d, i) for i in idxs]
+    return [unit(d, i) for i in idxs]
 
 
 def module_action(phi, x, z):
@@ -607,7 +661,7 @@ def module_action(phi, x, z):
         return oracle_ad(phi.target, [phi.apply(v) for v in x.components], z)
     out = [Fraction(0)] * phi.target.dim
     for key, c in x.decomposition().items():
-        val = oracle_ad(phi.target, [phi.matrix.column(i) for i in key], z)
+        val = oracle_ad(phi.target, [column(phi.matrix, i) for i in key], z)
         for t, a in enumerate(val):
             if a:
                 out[t] += c * a
@@ -620,25 +674,20 @@ def wedge_image(phi, x):
         return FundamentalObject([phi.apply(v) for v in x.components], dim=phi.target.dim)
     combo = {}
     for key, c in x.decomposition().items():
-        for wkey, wc in wedge_decompose([phi.matrix.column(i) for i in key]).items():
+        for wkey, wc in wedge_decompose([column(phi.matrix, i) for i in key]).items():
             combo[wkey] = combo.get(wkey, Fraction(0)) + c * wc
     return FundamentalObject.from_combination(phi.target.dim, x.width, combo)
 
 
 def oracle_pull_matrix(phi, m):
     """Pre-composition with the morphism, C^m(B, B) to C^m(A, B): each source
-    key's blocks mapped by ``wedge_image``, its final block and vector by
-    the columns of phi, and the result decomposed over the target keys."""
+    key's canonical input mapped by phi, vector by vector, and expanded over
+    the target keys by ``naive_form``."""
     src, tgt = phi.source, phi.target
     src_space, tgt_space = CochainSpace(src, m, src.dim), CochainSpace(tgt, m, tgt.dim)
-    col = phi.matrix.column
     rows = []
     for key in src_space.domain_keys:
-        if m == 0:
-            combo = eval_key_combo(tgt_space, [], None, col(key))
-        else:
-            blocks = [wedge_image(phi, FundamentalObject.from_basis(src.dim, w)) for w in key[:-1]]
-            last = FundamentalObject([col(i) for i in key[-1][:-1]], dim=tgt.dim)
-            combo = eval_key_combo(tgt_space, blocks, last, col(key[-1][-1]))
-        rows += [{tgt_space.flat_index(k, s): c for k, c in combo.items()} for s in range(tgt.dim)]
+        blocks, z = _canonical_input(src.dim, src.arity, key) if m else ([], unit(src.dim, key))
+        form = naive_form(m, [[phi.apply(v) for v in b] for b in blocks], phi.apply(z))
+        rows += [{tgt_space.flat_index(k, s): c for k, c in form.items()} for s in range(tgt.dim)]
     return Matrix.from_sparse(len(rows), tgt_space.dim, rows)

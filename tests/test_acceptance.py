@@ -22,26 +22,27 @@ from pathlib import Path
 
 import pytest
 
-from catalog import full_catalog
-from oracles import RowSpace, ad_action, fundamental_bracket, oracle_matrix
+from catalog import full_catalog, identity_pair_deformation, listed_cocycles
+from oracles import (
+    FundamentalObject,
+    RowSpace,
+    ad_action,
+    column,
+    delta_value,
+    fundamental_bracket,
+    oracle_matrix,
+    unit,
+)
 
-from nliecoh.algebra import FundamentalObject, validate_algebra
+from nliecoh.algebra import validate_algebra
 from nliecoh.cochains import (
     Cochain,
     CochainSpace,
-    coboundary_apply_self,
     coboundary_matrix_module,
     coboundary_matrix_self,
     self_cohomology,
 )
-from nliecoh.corpus import (
-    algebra,
-    automorphism,
-    deformation,
-    identity_pair_deformation,
-    listed_cocycles,
-    morphism,
-)
+from nliecoh.corpus import algebra, automorphism, deformation, morphism
 from nliecoh.deformations import (
     apply_automorphism,
     extend_deformation,
@@ -51,7 +52,7 @@ from nliecoh.deformations import (
     obstruction,
     validate_deformation,
 )
-from nliecoh.linalg import basis_vector, kernel_basis, rank
+from nliecoh.linalg import kernel_basis, rank
 from nliecoh.morphisms import CochainTriple, triple_complex
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -163,7 +164,7 @@ def test_criterion_3_claimed_cocycles_that_fail(key, i):
 def _independent_mod_coboundaries(key: str) -> int:
     alg = algebra(key)
     d1 = coboundary_matrix_self(alg, 0)
-    space = RowSpace(d1.column(j) for j in range(d1.cols))
+    space = RowSpace(column(d1, j) for j in range(d1.cols))
     added = 0
     for psi in listed_cocycles(key):
         if space.add(psi.as_flat()):
@@ -278,7 +279,7 @@ def test_criterion_6_property_sweep():
         for x in wedges:
             for y in wedges:
                 xy = fundamental_bracket(alg, x, y)
-                z = basis_vector(alg.dim, 0)
+                z = unit(alg.dim, 0)
                 lhs = ad_action(alg, xy, z)
                 rhs1 = ad_action(alg, x, ad_action(alg, y, z))
                 rhs2 = ad_action(alg, y, ad_action(alg, x, z))
@@ -295,24 +296,13 @@ def test_criterion_6_property_sweep():
             {(key, t): rng.randint(-2, 2) for key in space.domain_keys for t in range(d)},
         )
         blocks = [
-            FundamentalObject(
-                [
-                    tuple(Fraction(rng.randint(-2, 2)) for _ in range(d))
-                    for _ in range(n - 1)
-                ]
-            )
+            [tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)) for _ in range(n - 1)]
             for _ in range(2)
         ]
         vs = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)) for _ in range(n)]
-        base = coboundary_apply_self(
-            alg, f, blocks + [FundamentalObject(vs[:-1])], vs[-1]
-        )
-        swapped = coboundary_apply_self(
-            alg,
-            f,
-            blocks + [FundamentalObject(vs[:-2] + [vs[-1]])],
-            vs[-2],
-        )
+        delta = coboundary_matrix_self(alg, 2)
+        base = delta_value(delta, f, blocks + [vs[:-1]], vs[-1])
+        swapped = delta_value(delta, f, blocks + [vs[:-2] + [vs[-1]]], vs[-2])
         assert swapped == tuple(-x for x in base)
     for key in ("a1_b1", "a3_b3", "a1_b2_i1"):
         phi = morphism(key)
@@ -392,10 +382,10 @@ def test_criterion_7d_transform_morphism_formulas():
     # e3 -> f4 exactly (the first-order corrections cancel), and
     # e4 -> f2 + f3 - t f3.
     assert base == deformation("a3_b3_1").phi_terms[0]
-    assert first.column(0) == (0, 0, 0, 0)
-    assert first.column(1) == (0, 0, 0, 0)
-    assert first.column(2) == (0, 0, 0, 0)
-    assert first.column(3) == (0, 0, -1, 0)
+    assert column(first, 0) == (0, 0, 0, 0)
+    assert column(first, 1) == (0, 0, 0, 0)
+    assert column(first, 2) == (0, 0, 0, 0)
+    assert column(first, 3) == (0, 0, -1, 0)
     record("criterion 7d-morphism (transformed map matches closed form)", True)
 
 

@@ -8,18 +8,17 @@ from math import comb, lcm
 import pytest
 
 from catalog import _random_invertible, base_algebras, conjugate, conjugated_morphism
-from oracles import oracle_delta_eval, oracle_matrix
+from oracles import cochain_value, delta_value, oracle_delta_eval, oracle_matrix, unit
 
-from nliecoh.algebra import FundamentalObject, NLieAlgebra
+from nliecoh.algebra import NLieAlgebra
 from nliecoh.corpus import MORPHISM_FILES, algebra, morphism
 from nliecoh.cochains import (
     Cochain,
     CochainSpace,
-    coboundary_apply_module,
-    coboundary_apply_self,
     coboundary_matrix_module,
     coboundary_matrix_self,
     cohomology,
+    module_cohomology,
     self_cohomology,
 )
 from nliecoh.errors import (
@@ -29,12 +28,9 @@ from nliecoh.errors import (
     InvalidAlgebra,
     InvalidMorphism,
 )
-from nliecoh.linalg import Matrix, basis_vector, zero_vector
+from nliecoh.linalg import Matrix
 from nliecoh.morphisms import Morphism, TripleComplex, triple_complex
-
-
-def unit(d, i):
-    return basis_vector(d, i)
+from nliecoh.tables import sort_sign
 
 
 CLASSICAL = ("sl2", "heis3", "aff1", "cross3")  # binary, so W = C(d, 1) = d
@@ -83,13 +79,15 @@ def test_domain_key_order_is_deterministic(alg_a1):
 
 
 def test_eval_cochain_signs(alg_a1):
+    """The value on raw arguments, which the raw-argument tests read through
+    ``oracles.cochain_value``, is skew in the final block and vector."""
     space = CochainSpace(alg_a1, 1, 4)
     psi = Cochain(space, {(((0, 1, 2),), 1): 1})
-    last = FundamentalObject.from_basis(4, (1, 0))
-    assert psi.evaluate([], last, unit(4, 2)) == tuple(-x for x in unit(4, 1))
-    repeated = FundamentalObject.from_basis(4, (0, 1))
-    assert psi.evaluate([], repeated, unit(4, 1)) == zero_vector(4)
-    assert space.zero().evaluate([], repeated, unit(4, 2)) == zero_vector(4)
+    swapped = [(unit(4, 1), unit(4, 0))]
+    assert cochain_value(psi, swapped, unit(4, 2)) == tuple(-x for x in unit(4, 1))
+    repeated = [(unit(4, 0), unit(4, 1))]
+    assert cochain_value(psi, repeated, unit(4, 1)) == (0,) * 4
+    assert cochain_value(space.zero(), repeated, unit(4, 2)) == (0,) * 4
 
 
 def test_flat_roundtrip(alg_a1):
@@ -132,9 +130,6 @@ def test_coboundary_requires_valid_algebra():
     )
     with pytest.raises(InvalidAlgebra):
         coboundary_matrix_self(bad, 1)
-    args = [FundamentalObject.from_basis(4, (0, 1)), FundamentalObject.from_basis(4, (1, 2))]
-    with pytest.raises(InvalidAlgebra):
-        coboundary_apply_self(bad, CochainSpace(bad, 1, 4).zero(), args, unit(4, 3))
 
 
 def test_module_requires_morphism(alg_a1, alg_b1, phi_a1_b1):
@@ -187,21 +182,13 @@ def test_output_skewness_last_block(alg_a1, alg_b1, phi_a1_b1):
         for key in space.domain_keys
         for t in range(4)
     })
-    blocks = [
-        FundamentalObject.from_basis(4, (0, 1)),
-        FundamentalObject.from_basis(4, (0, 2)),
-    ]
+    blocks = [(unit(4, 0), unit(4, 1)), (unit(4, 0), unit(4, 2))]
     vs = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(4)) for _ in range(3)]
-    base = coboundary_apply_self(
-        alg_a1, f, blocks + [FundamentalObject(vs[:2])], vs[2]
-    )
+    delta = coboundary_matrix_self(alg_a1, 2)
+    base = delta_value(delta, f, blocks + [vs[:2]], vs[2])
     for perm in permutations(range(3)):
         arranged = [vs[i] for i in perm]
-        got = coboundary_apply_self(
-            alg_a1, f, blocks + [FundamentalObject(arranged[:2])], arranged[2]
-        )
-        from nliecoh.algebra import sort_sign
-
+        got = delta_value(delta, f, blocks + [arranged[:2]], arranged[2])
         sign, _ = sort_sign(perm)
         assert got == tuple(sign * x for x in base)
 
@@ -214,13 +201,10 @@ def test_module_skewness_and_oracle(phi_a1_b1):
         (key, t): rng.randint(-2, 2) for key in space.domain_keys for t in range(4)
     })
     vs = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(4)) for _ in range(3)]
-    lead = FundamentalObject.from_basis(4, (0, 2))
-    base = coboundary_apply_module(
-        src, tgt, phi_a1_b1.matrix, f, [lead, FundamentalObject(vs[:2])], vs[2]
-    )
-    swapped = coboundary_apply_module(
-        src, tgt, phi_a1_b1.matrix, f, [lead, FundamentalObject((vs[2], vs[1]))], vs[0]
-    )
+    lead = (unit(4, 0), unit(4, 2))
+    delta = coboundary_matrix_module(src, tgt, phi_a1_b1.matrix, 1)
+    base = delta_value(delta, f, [lead, vs[:2]], vs[2])
+    swapped = delta_value(delta, f, [lead, (vs[2], vs[1])], vs[0])
     assert swapped == tuple(-x for x in base)
     assert coboundary_matrix_module(src, tgt, phi_a1_b1.matrix, 0) == oracle_matrix(
         src, 0, tgt, phi_a1_b1.matrix
@@ -244,13 +228,13 @@ def _random_raw_blocks(rng, d, n, count):
     "key,p", [(key, p) for key in ["a1", "b1", "b2", "a3", "b3"] for p in (1, 2)] + [("b2", 3)]
 )
 def test_apply_self_matches_oracle_on_raw_arguments(corpus_algebras, key, p):
-    """The coboundary at raw (non-basis) arguments agrees with the one
-    summed straight from its definition."""
+    """The assembled coboundary of f, evaluated at raw (non-basis)
+    arguments, agrees with the value summed straight from its definition."""
     alg = corpus_algebras[key]
     rng = random.Random(f"{key}/{p}")
     f = _random_cochain(rng, CochainSpace(alg, p, alg.dim))
     blocks, z = _random_raw_blocks(rng, alg.dim, alg.arity, p + 1)
-    got = coboundary_apply_self(alg, f, [FundamentalObject(b) for b in blocks], z)
+    got = delta_value(coboundary_matrix_self(alg, p), f, blocks, z)
     assert got == oracle_delta_eval(f, blocks, z, alg)
     assert any(got)
 
@@ -264,33 +248,21 @@ def test_apply_module_matches_oracle_on_raw_arguments(key, p):
     rng = random.Random(f"{key}/{p}")
     f = _random_cochain(rng, CochainSpace(src, p, tgt.dim))
     blocks, z = _random_raw_blocks(rng, src.dim, src.arity, p + 1)
-    got = coboundary_apply_module(src, tgt, phi, f, [FundamentalObject(b) for b in blocks], z)
+    got = delta_value(coboundary_matrix_module(src, tgt, phi, p), f, blocks, z)
     assert got == oracle_delta_eval(f, blocks, z, src, tgt, phi.matrix)
 
 
 
-def test_apply_rejects_misshapen_arguments(alg_a1):
-    f = CochainSpace(alg_a1, 1, 4).zero()
-    good = FundamentalObject.from_basis(4, (0, 1))
-    with pytest.raises(DegreeMismatch):
-        coboundary_apply_self(alg_a1, f, [good], unit(4, 2))
-    with pytest.raises(DimensionMismatch):
-        coboundary_apply_self(alg_a1, f, [FundamentalObject.from_basis(4, (0,)), good], unit(4, 2))
-    with pytest.raises(DimensionMismatch):
-        coboundary_apply_self(alg_a1, f, [good, FundamentalObject.from_basis(5, (0, 1))], unit(4, 2))
-
-
 @pytest.mark.parametrize("bad", ["2*id", "3x4 zero"])
 def test_apply_module_checks_its_map(alg_a1, alg_b1, bad):
-    """The applied coboundary refuses a map that is no morphism, as the
-    assembled one does."""
+    """The module coboundary that the raw-argument tests apply refuses a map
+    that is no morphism, at every degree and in its cohomology."""
     phi = Matrix.identity(4).scale(2) if bad == "2*id" else Matrix.zero(3, 4)
-    f = _random_cochain(random.Random(31), CochainSpace(alg_a1, 1, 4))
-    args = [FundamentalObject.from_basis(4, (0, 1)), FundamentalObject.from_basis(4, (1, 2))]
+    for m in (1, 2):
+        with pytest.raises(InvalidMorphism):
+            coboundary_matrix_module(alg_a1, alg_b1, phi, m)
     with pytest.raises(InvalidMorphism):
-        coboundary_matrix_module(alg_a1, alg_b1, phi, 1)
-    with pytest.raises(InvalidMorphism):
-        coboundary_apply_module(alg_a1, alg_b1, phi, f, args, unit(4, 3))
+        module_cohomology(alg_a1, alg_b1, phi, 2)
 
 
 @pytest.mark.parametrize("key", sorted(MORPHISM_FILES))
@@ -381,7 +353,8 @@ def _entries(m: Matrix):
 def test_coboundary_entries_are_fractions(corpus_algebras):
     """Every algebra assembles on int tables over one denominator, rational
     structure constants included; every matrix's ``data`` view and every
-    applied value still holds Fractions only."""
+    product with a cochain still holds Fractions only.  On raw arguments the
+    products agree with the oracle, the dense conjugate included."""
     dense = _dense_conjugate_a1()
     assert any(x.denominator > 1 for _, val in dense.structure for x in val)
     phis = [morphism(key) for key in sorted(MORPHISM_FILES)] + [Morphism.identity(dense)]
@@ -403,12 +376,14 @@ def test_coboundary_entries_are_fractions(corpus_algebras):
         for p in (1, 2):
             f = _random_cochain(rng, CochainSpace(alg, p, alg.dim))
             blocks, z = _random_raw_blocks(rng, alg.dim, alg.arity, p + 1)
-            args = [FundamentalObject(b) for b in blocks]
-            got = coboundary_apply_self(alg, f, args, z)
-            assert all(type(x) is Fraction for x in got)
+            delta = coboundary_matrix_self(alg, p)
+            assert all(type(x) is Fraction for x in delta.mul_vector(f.as_flat()))
+            assert delta_value(delta, f, blocks, z) == oracle_delta_eval(f, blocks, z, alg)
             g = _random_cochain(rng, CochainSpace(phi.source, p, phi.target.dim))
-            got = coboundary_apply_module(phi.source, phi.target, phi, g, args, z)
-            assert all(type(x) is Fraction for x in got)
+            delta = coboundary_matrix_module(phi.source, phi.target, phi, p)
+            assert all(type(x) is Fraction for x in delta.mul_vector(g.as_flat()))
+            want = oracle_delta_eval(g, blocks, z, phi.source, phi.target, phi.matrix)
+            assert delta_value(delta, g, blocks, z) == want
 
 
 @cache
@@ -443,6 +418,6 @@ def test_apply_module_matches_oracle_on_rational_morphism(p):
     rng = random.Random(f"rational/{p}")
     f = _random_cochain(rng, CochainSpace(src, p, tgt.dim))
     blocks, z = _random_raw_blocks(rng, src.dim, src.arity, p + 1)
-    got = coboundary_apply_module(src, tgt, phi, f, [FundamentalObject(b) for b in blocks], z)
+    got = delta_value(coboundary_matrix_module(src, tgt, phi, p), f, blocks, z)
     assert got == oracle_delta_eval(f, blocks, z, src, tgt, phi.matrix)
     assert any(got)

@@ -4,8 +4,10 @@ from math import gcd, lcm
 
 import pytest
 
-from catalog import _random_invertible, conjugate, conjugated_cases, full_catalog
+from catalog import _random_invertible, conjugate, conjugated_cases, degree1_cochain, full_catalog
 from oracles import (
+    cochain_value,
+    column,
     oracle_algebra_obstruction,
     oracle_compose,
     oracle_inverse,
@@ -14,11 +16,12 @@ from oracles import (
     oracle_nambu_residual,
     oracle_series,
     oracle_transform,
+    unit,
 )
 
 from nliecoh.algebra import NLieAlgebra
 from nliecoh.cochains import Cochain, CochainSpace
-from nliecoh.corpus import automorphism, degree1_cochain
+from nliecoh.corpus import automorphism
 from nliecoh.deformations import (
     DeformedAlgebra,
     DeformedMorphism,
@@ -37,12 +40,8 @@ from nliecoh.deformations import (
     validate_deformation,
 )
 from nliecoh.errors import ArityMismatch, NotValidated, ObstructionNotCocycle, OrderMismatch
-from nliecoh.linalg import Matrix, basis_vector, zero_vector
+from nliecoh.linalg import Matrix
 from nliecoh.morphisms import CochainTriple, Morphism, triple_complex
-
-
-def unit(i):
-    return basis_vector(4, i)
 
 
 def test_nambu_residual_base_order(corpus_algebras):
@@ -70,13 +69,14 @@ def test_nambu_residual_second_order_matches_direct_expansion(alg_a1):
     res = nambu_residual(da, 2)
     space = CochainSpace(alg_a1, 2, 4)
     for key in space.domain_keys:
-        xs = [unit(i) for i in key[0]]
-        ys = [unit(i) for i in key[1]]
-        lhs = term.evaluate_vectors(*xs, term.evaluate_vectors(*ys))
-        rhs = list(zero_vector(4))
+        xs = [unit(4, i) for i in key[0]]
+        ys = [unit(4, i) for i in key[1]]
+        lhs = cochain_value(term, [xs], cochain_value(term, [ys[:-1]], ys[-1]))
+        rhs = [0] * 4
         for i in range(3):
-            inner = term.evaluate_vectors(*xs, ys[i])
-            out = term.evaluate_vectors(*ys[:i], inner, *ys[i + 1 :])
+            inner = cochain_value(term, [xs], ys[i])
+            args = ys[:i] + [inner] + ys[i + 1 :]
+            out = cochain_value(term, [args[:-1]], args[-1])
             rhs = [a + b for a, b in zip(rhs, out)]
         expected = tuple(a - b for a, b in zip(lhs, rhs))
         got = tuple(res.coeffs.get((key, t), Fraction(0)) for t in range(4))
@@ -283,16 +283,15 @@ def _conjugate_family(dm, rng):
     def carry(da, p, p_inv):
         base = conjugate(da.base, p, p_inv, da.base.name + "~")
         space = CochainSpace(base, 1, base.dim)
+
+        def value(term, key):
+            cols = [column(p, i) for i in key]
+            return p_inv.mul_vector(cochain_value(term, [cols[:-1]], cols[-1]))
+
         terms = tuple(
             Cochain(
                 space,
-                {
-                    ((key,), t): x
-                    for key in base.bracket_keys()
-                    for t, x in enumerate(
-                        p_inv.mul_vector(term.evaluate_vectors(*(p.column(i) for i in key)))
-                    )
-                },
+                {((key,), t): x for key in base.bracket_keys() for t, x in enumerate(value(term, key))},
             )
             for term in da.terms
         )
@@ -575,8 +574,8 @@ def test_apply_automorphism_corpus_values(def_order1):
     assert out.src_def.terms[0].coeffs == def_order1.src_def.terms[0].coeffs
     # map series: images of the third and fourth generators
     assert out.phi_terms[0] == def_order1.phi_terms[0]
-    assert out.phi_terms[1].column(2) == zero_vector(4)
-    assert out.phi_terms[1].column(3) == (0, 0, -1, 0)
+    assert column(out.phi_terms[1], 2) == (0,) * 4
+    assert column(out.phi_terms[1], 3) == (0, 0, -1, 0)
 
 
 def test_transform_roundtrip(def_order2):

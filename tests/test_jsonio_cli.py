@@ -44,7 +44,19 @@ def test_parse_rational_accepts(text, value):
     assert jsonio.parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["1/0", "3.5", "a", "1/-2", "", "1 /2"])
+LONG = "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1/0", "3.5", "a", "1/-2", "", "1 /2"]
+    + [
+        pytest.param(LONG, id="long-integer"),
+        pytest.param(f"1/{LONG}", id="long-denominator"),
+        pytest.param("\u0661", id="arabic-indic-digit"),
+        pytest.param("1\n", id="trailing-newline"),
+    ],
+)
 def test_parse_rational_rejects(text):
     with pytest.raises(ParseError):
         jsonio.parse_rational(text)
@@ -73,7 +85,7 @@ def test_morphism_roundtrip(phi_a3_b3):
 
 
 def test_cochain_roundtrip(alg_a1):
-    from nliecoh.corpus import degree1_cochain
+    from catalog import degree1_cochain
 
     c = degree1_cochain(alg_a1, {(1, 2, 3): {1: 1, 3: -1}, (2, 3, 4): {4: 1}})
     obj = jsonio.cochain_to_json(c)
@@ -195,6 +207,16 @@ def test_rejects_out_of_range_value_key():
         jsonio.algebra_from_json(obj)
 
 
+@pytest.mark.parametrize("key", [" 1", "+1", "1_0", "\u0661", "", LONG])
+def test_rejects_malformed_value_key(key):
+    """Value keys are plain ASCII digits; int() reads the first four of
+    these, "1_0" as 10."""
+    obj = base_algebra_obj()
+    obj["brackets"][0]["value"] = {key: "1"}
+    with pytest.raises(ParseError, match="is not a basis index"):
+        jsonio.algebra_from_json(obj)
+
+
 def test_rejects_zero_denominator():
     obj = base_algebra_obj()
     obj["brackets"][0]["value"] = {"1": "1/0"}
@@ -220,6 +242,55 @@ def test_cli_rejects_json_booleans(tmp_path, mutate, key):
     out = run_cli("validate", str(p))
     assert out.returncode == 2
     assert key in out.stdout
+
+
+def _assert_one_line_parse_error(out):
+    """Exit 2, nothing on stderr, and the error on one line of the report."""
+    assert out.returncode == 2
+    assert out.stderr == ""
+    command, error, status = out.stdout.splitlines()
+    assert error.startswith("error: ") and status == "status: 2"
+    return error
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology"])
+@pytest.mark.parametrize("spot", ["dimension", "bracket-value"])
+def test_cli_rejects_numbers_too_long_to_convert(tmp_path, command, spot):
+    obj = base_algebra_obj()
+    if spot == "dimension":
+        text = json.dumps(obj).replace('"dimension": 4', f'"dimension": {LONG}')
+    else:
+        obj["brackets"][0]["value"] = {"1": LONG}
+        text = json.dumps(obj)
+    p = tmp_path / "long.json"
+    p.write_text(text)
+    args = [str(p)] if command == "validate" else ["--algebra", str(p), "--degree", "2"]
+    _assert_one_line_parse_error(run_cli(command, *args))
+
+
+def test_cli_rejects_json_nested_too_deep(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text('{"brackets": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert "invalid JSON" in _assert_one_line_parse_error(run_cli("validate", str(p)))
+
+
+@pytest.mark.parametrize(
+    "kind,mutate,spot",
+    [
+        ("algebra", lambda obj: obj.update(brackets=[5]), "brackets[0]"),
+        ("algebra", lambda obj: obj.update(brackets=["args"]), "brackets[0]"),
+        ("deformation", lambda obj: obj.update(source_terms=[7]), "source_terms[0]"),
+        ("deformation", lambda obj: obj["source_terms"][0].update(entries=[3]), "entries[0]"),
+    ],
+    ids=["bracket-number", "bracket-string", "term-number", "entry-number"],
+)
+def test_cli_rejects_entries_that_are_no_object(tmp_path, kind, mutate, spot):
+    obj = base_algebra_obj() if kind == "algebra" else jsonio.deformation_to_json(deformation("a3_b3_1"))
+    mutate(obj)
+    p = tmp_path / f"{kind}.json"
+    p.write_text(json.dumps(obj))
+    error = _assert_one_line_parse_error(run_cli("validate", str(p)))
+    assert f"{spot}: expected an object" in error
 
 
 # -- CLI -------------------------------------------------------------------------

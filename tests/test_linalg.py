@@ -148,10 +148,7 @@ def test_solve_detects_inconsistency(m, data):
 
 
 def _assert_rref_matches_oracle(m: Matrix):
-    reduced, pivots = m.rref()
-    want_rows, want_pivots = oracle_rref([list(m.row(i)) for i in range(m.rows)])
-    assert pivots == tuple(want_pivots)
-    assert [list(reduced.row(i)) for i in range(m.rows)] == want_rows
+    _assert_reduced_basis(m, *oracle_rref(_dense_rows(m)))
 
 
 def test_rref_matches_dense_oracle():
@@ -297,7 +294,9 @@ def test_sparse_rows_match_dense_construction():
     sparse = Matrix.from_sparse(2, 3, [{0: Fraction(1), 2: Fraction(1, 2), 1: Fraction(0)}, {}])
     assert sparse == dense and hash(sparse) == hash(dense)
     assert sparse.data == ({0: 1, 2: Fraction(1, 2)}, {})
-    assert sparse.row(1) == (0, 0, 0) and sparse.column(2) == (Fraction(1, 2), 0)
+    assert sparse.row(1) == (0, 0, 0) and sparse.row(0) == (1, 0, Fraction(1, 2))
+    with pytest.raises(IndexError):
+        sparse.row(2)
     with pytest.raises(DimensionMismatch):
         Matrix.from_sparse(2, 3, [{3: Fraction(1)}, {}])
     with pytest.raises(DimensionMismatch):
@@ -332,15 +331,6 @@ def test_matrix_rejects_float_column_key():
 def test_matrix_rejects_bool_column_key():
     with pytest.raises(DimensionMismatch):
         Matrix.from_sparse(1, 3, [{True: 1}])
-
-
-@pytest.mark.parametrize("j", [5, -1])
-def test_matrix_column_out_of_range(j):
-    m = Matrix.from_rows([[1, 2], [3, 4]])
-    with pytest.raises(IndexError):
-        m.column(j)
-    with pytest.raises(IndexError):
-        m.row(5)
 
 
 def test_matrix_rows_are_read_only():

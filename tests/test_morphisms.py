@@ -6,21 +6,19 @@ import pytest
 
 from catalog import base_algebras, conjugated_isomorphism, conjugated_morphism
 from oracles import (
+    FundamentalObject,
     ad_action,
+    column,
     fundamental_bracket,
     module_action,
     oracle_morphism_residual,
     oracle_pull_matrix,
+    unit,
+    wedge_decompose,
     wedge_image,
 )
 
-from nliecoh.algebra import (
-    FundamentalObject,
-    NLieAlgebra,
-    ValidationReport,
-    validate_algebra,
-    wedge_decompose,
-)
+from nliecoh.algebra import NLieAlgebra, ValidationReport, validate_algebra
 from nliecoh.cochains import (
     Cochain,
     CochainSpace,
@@ -31,7 +29,7 @@ from nliecoh.cochains import (
 from nliecoh.corpus import MORPHISM_FILES, algebra, morphism
 from nliecoh.deformations import DeformedMorphism
 from nliecoh.errors import ArityMismatch, DegreeMismatch, DimensionMismatch, NotCocycle
-from nliecoh.linalg import Matrix, basis_vector, rank
+from nliecoh.linalg import Matrix, rank
 from nliecoh.morphisms import (
     CochainTriple,
     Morphism,
@@ -42,10 +40,6 @@ from nliecoh.morphisms import (
     triple_complex,
     validate_morphism,
 )
-
-
-def unit(d, i):
-    return basis_vector(d, i)
 
 
 def test_zero_and_corpus_morphisms_validate(corpus_algebras, phi_a1_b1, phi_a3_b3):
@@ -158,7 +152,7 @@ def test_module_action_cases(alg_a1, phi_a1_b1, phi_a3_b3):
     x = FundamentalObject.from_basis(4, (2, 3))
     tgt = phi_a3_b3.target
     expected = tgt.bracket(
-        phi_a3_b3.matrix.column(2), phi_a3_b3.matrix.column(3), unit(4, 0)
+        column(phi_a3_b3.matrix, 2), column(phi_a3_b3.matrix, 3), unit(4, 0)
     )
     assert module_action(phi_a3_b3, x, unit(4, 0)) == expected
 
@@ -185,7 +179,7 @@ def test_module_action_operator_identity(phi_a3_b3, phi_a1_b1):
 def test_wedge_image(phi_a3_b3):
     fo = FundamentalObject.from_basis(4, (2, 3))
     img = wedge_image(phi_a3_b3, fo)
-    vecs = [phi_a3_b3.matrix.column(2), phi_a3_b3.matrix.column(3)]
+    vecs = [column(phi_a3_b3.matrix, 2), column(phi_a3_b3.matrix, 3)]
     assert img.decomposition() == wedge_decompose(vecs)
 
 

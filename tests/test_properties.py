@@ -11,19 +11,14 @@ from itertools import combinations
 import pytest
 
 from catalog import base_algebras, full_catalog
-from oracles import ad_action, fundamental_bracket
+from oracles import FundamentalObject, ad_action, delta_value, fundamental_bracket, unit
 
-from nliecoh.algebra import FundamentalObject, sort_sign, validate_algebra
-from nliecoh.cochains import (
-    Cochain,
-    CochainSpace,
-    coboundary_apply_self,
-    coboundary_matrix_module,
-    coboundary_matrix_self,
-)
+from nliecoh.algebra import validate_algebra
+from nliecoh.cochains import Cochain, CochainSpace, coboundary_matrix_module, coboundary_matrix_self
 from nliecoh.corpus import morphism
-from nliecoh.linalg import basis_vector, kernel_basis, rank
+from nliecoh.linalg import kernel_basis, rank
 from nliecoh.morphisms import Morphism, triple_complex
+from nliecoh.tables import sort_sign
 
 CATALOG = full_catalog()
 IDS = [a.name for a in CATALOG]
@@ -57,7 +52,7 @@ def test_block_action_commutator_identity(alg):
         for y in wedges:
             xy = fundamental_bracket(alg, x, y)
             for j in range(alg.dim):
-                z = basis_vector(alg.dim, j)
+                z = unit(alg.dim, j)
                 lhs = ad_action(alg, xy, z)
                 rhs1 = ad_action(alg, x, ad_action(alg, y, z))
                 rhs2 = ad_action(alg, y, ad_action(alg, x, z))
@@ -99,20 +94,17 @@ def test_output_skewness_random_cochain(alg):
         },
     )
     blocks = [
-        FundamentalObject(
-            [tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)) for _ in range(n - 1)]
-        )
+        [tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)) for _ in range(n - 1)]
         for _ in range(2)
     ]
     vs = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)) for _ in range(n)]
-    base = coboundary_apply_self(alg, f, blocks + [FundamentalObject(vs[:-1])], vs[-1])
+    delta = coboundary_matrix_self(alg, 2)
+    base = delta_value(delta, f, blocks + [vs[:-1]], vs[-1])
     perm = list(range(n))
     rng.shuffle(perm)
     sign, _ = sort_sign(tuple(perm))
     arranged = [vs[i] for i in perm]
-    got = coboundary_apply_self(
-        alg, f, blocks + [FundamentalObject(arranged[:-1])], arranged[-1]
-    )
+    got = delta_value(delta, f, blocks + [arranged[:-1]], arranged[-1])
     assert got == tuple(sign * x for x in base)
 
 
