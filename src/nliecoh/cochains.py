@@ -30,7 +30,7 @@ from .errors import (
     InvalidAlgebra,
     InvalidMorphism,
 )
-from .linalg import Matrix, Vector, frac, kernel_basis, quotient_data
+from .linalg import Matrix, Vector, _Row, frac, kernel_basis, quotient_data
 from .tables import _basis, int_columns, sort_sign
 
 DomainKey = object  # int for degree 0, tuple of index tuples otherwise
@@ -168,15 +168,27 @@ class Cochain:
 # with the value put into each slot of the final wedge, moved to the last
 # slot by skewness.  The self complex is the case phi = identity.
 #
-# For p >= 2 a key is a first block w_0 and a key q of one degree lower, in
+# The i = 0 terms are the action A_p(w_0) of e_w0 on the degree-p cochains,
+# read at the rest of the key: -D(w_0) on each block and on the n-wedge,
+# +rho(w_0) on the value.  With D(w)[u][v] the coefficient of e_v in
+# D(w) e_u, on (n-1)- or n-wedges, and W the number of (n-1)-wedges,
+#
+#   A_1(w) = -D_n(w) (x) I_(d_T) + I (x) rho(w),
+#   A_p(w) = -D_(n-1)(w) (x) I + I_W (x) A_(p-1)(w)   (p >= 2).
+#
+# For p >= 2 a key is a first block w_0 and a key of one degree lower, in
 # that order, and so is an input key.  Every term but the i = 0 ones keeps
 # w_0 first and is the matching term of the coboundary out of degree p-1,
-# applied to f(w_0, .) at q, with one sign fewer: block i is block i-1 there,
-# and the bracket and rho(k without k_r) terms lose one from p.  With W the
-# number of (n-1)-wedges, that is delta_p = -(I_W (x) delta_(p-1)) + L_p,
-# where L_p holds the i = 0 terms: -D(w_0) on blocks 1..p-1 and on k, and
-# +rho(w_0) f(rest, k).  For p <= 1 there is no i >= 1 term and degree-1
-# keys are no pairs (w_0, degree-0 key), so all terms are summed directly.
+# applied to f(w_0, .), with one sign fewer.  So delta_p = -(I_W (x)
+# delta_(p-1)) + L_p, where block w of L_p is A_p(w), and row (w, u, q) of
+# delta_p is -delta_(p-1)[(u, q)] in column block w, plus -D_(n-1)(w)[u][v]
+# at (v, q), plus A_(p-1)(w)[q] in column block u: the n-Lie complex read
+# as the Leibniz complex of Lambda^(n-1) g with coefficients in Hom(g, V)
+# (Daletskii-Takhtajan 1997, Gautheron 1996).  So each degree is built
+# from the int rows of delta_(p-1) and of the A_(p-1)(w), over
+# ``_Tables.den``; the A_p of the requested degree are never stored.  At
+# p = 1 the same L_1 comes with the other terms, summed per key, and at
+# p = 0 there is no i = 0 term.
 
 
 def _sparse_bracket(table: dict, scale: int, idxs: tuple) -> dict:
@@ -193,7 +205,7 @@ def _derivation(sign, bracket, w: tuple, u: tuple) -> dict:
             s, v = sign(u[:slot] + (j,) + u[slot + 1 :])
             if s:
                 out[v] = out.get(v, 0) + s * c
-    return out
+    return {v: c for v, c in out.items() if c}
 
 
 def _action(phi_cols: list, bracket, d_T: int, u: tuple) -> list[dict]:
@@ -207,18 +219,17 @@ def _action(phi_cols: list, bracket, d_T: int, u: tuple) -> list[dict]:
         for t in range(d_T):
             for s, x in bracket(idxs + (t,)).items():
                 out[s][t] = out[s].get(t, 0) + coeff * x
-    return out
+    return [{t: x for t, x in r.items() if x} for r in out]
 
 
 class _Tables:
     """Sparse structure data of one coboundary, keyed on basis indices.
 
     Built from the algebras' int tables (``NLieAlgebra.ints``) and the
-    columns of ``phi``, and memoized for the life of one requested matrix:
-    the coboundaries of lower degree that its split (see above) assembles
-    first share them.  The
-    memoized functions close over each other, not over the instance, so no
-    reference cycle keeps them alive after it.
+    columns of ``phi``, for the life of one requested matrix: the lower
+    degrees of its tower (see above) share them.  The memoized functions
+    close over each other, not over the instance, so no reference cycle
+    keeps them alive after it.
 
     The tables hold ints, so each coboundary entry is an int over ``den``.
     With d_* the lcm of the denominators of the source constants, the target
@@ -241,73 +252,114 @@ class _Tables:
         tgt_bracket = self.src_bracket if same else cache(partial(_sparse_bracket, tgt.ints, den // acted))
         self.derivation = cache(partial(_derivation, self.sign, self.src_bracket))
         self.action = cache(partial(_action, phi_cols, tgt_bracket, tgt.dim))
+        self.wedges = list(combinations(range(src.dim), src.arity - 1))
+
+    def minus_d(self, size: int) -> list[list[list]]:
+        """-D(w) on the ``size``-wedges for each (n-1)-wedge w: its rows u as
+        (v, c) pairs, wedges by position."""
+        wedges = list(combinations(range(self.src.dim), size))
+        pos = {u: a for a, u in enumerate(wedges)}
+        return [
+            [[(pos[v], -c) for v, c in self.derivation(w, u).items()] for u in wedges]
+            for w in self.wedges
+        ]
 
     def delta_rows(self, space_in: CochainSpace, key: tuple, rows: Sequence[dict]) -> list[dict]:
         """Adds to ``rows``, one int row over ``den`` per target coordinate,
-        the coboundary out of ``space_in`` at one canonical key of the next
-        degree: all of it at degree p <= 1, its i = 0 terms L_p at p >= 2.
+        the terms of the coboundary out of ``space_in``, of degree p <= 1, at
+        one canonical key of the next degree that L_p leaves out: the
+        bracket f(; [e_k]) and the actions rho(k without k_r) f(; e_(k_r)).
         Returns the rows with their zero entries dropped."""
-        p, n, d_T = space_in.degree, self.src.arity, self.tgt.dim
-        ws, k = key[:-1], key[-1]
-        scalar: dict = {}  # input key -> coefficient
-        acted: list = []  # (input key, coefficient, action rows)
-        if p:  # the i = 0 terms
-            rest = ws[1:]
-            for j in range(1, p):
-                for v, c in self.derivation(ws[0], ws[j]).items():
-                    ikey = rest[: j - 1] + (v,) + rest[j:] + (k,)
-                    scalar[ikey] = scalar.get(ikey, 0) - c
-            for v, c in self.derivation(ws[0], k).items():
-                scalar[rest + (v,)] = scalar.get(rest + (v,), 0) - c
-            acted.append((rest + (k,), 1, self.action(ws[0])))
-        if p < 2:  # f(; [e_k]) and rho(k without k_r) f(; e_(k_r))
-            s = 1 if p else -1
+        p, n, pos = space_in.degree, self.src.arity, space_in._key_pos
+        ws, k, s = key[:-1], key[-1], 1 if p else -1
 
-            def last(j: int):
-                """Input keys of f(w_0, ..., w_(p-1); e_j) with their signs."""
-                if not p:
-                    return ((j, 1),)
-                sign, v = self.sign(ws[0] + (j,))
-                return (((v,), sign),) if sign else ()
+        def last(j: int) -> tuple[int, int]:
+            """Flat offset and sign of f(w_0, ..., w_(p-1); e_j)."""
+            if not p:
+                return pos[j] * self.tgt.dim, 1
+            sign, v = self.sign(ws[0] + (j,))
+            return (pos[(v,)] * self.tgt.dim, sign) if sign else (0, 0)
 
-            for j, c in self.src_bracket(k).items():
-                for ikey, sign in last(j):
-                    scalar[ikey] = scalar.get(ikey, 0) + s * sign * c
-            for r in range(n):
-                sr = s if (n - 1 - r) % 2 else -s
-                for ikey, sign in last(k[r]):
-                    acted.append((ikey, sr * sign, self.action(k[:r] + k[r + 1 :])))
-
-        pos = space_in._key_pos
-        for ikey, c in scalar.items():
-            base = pos[ikey] * d_T
-            for t, row in enumerate(rows):
-                row[base + t] = row.get(base + t, 0) + c
-        for ikey, c, action in acted:
-            base = pos[ikey] * d_T
-            for row, arow in zip(rows, action):
+        for j, c in self.src_bracket(k).items():
+            base, sign = last(j)
+            for t, row in enumerate(rows if sign else ()):
+                row[base + t] = row.get(base + t, 0) + s * sign * c
+        for r in range(n):
+            base, sign = last(k[r])
+            c = sign * s if (n - 1 - r) % 2 else -sign * s
+            for row, arow in zip(rows if sign else (), self.action(k[:r] + k[r + 1 :])):
                 for t, a in arow.items():
                     row[base + t] = row.get(base + t, 0) + c * a
         return [{j: v for j, v in r.items() if v} if 0 in r.values() else r for r in rows]
 
 
+def _add(row: dict, j: int, x: int) -> None:
+    """row[j] += x for a nonzero x, dropping the entry when it cancels."""
+    y = row.get(j, 0) + x
+    if y:
+        row[j] = y
+    else:
+        del row[j]
+
+
+def _action_rows(action: list, minus_d: list, block: int, lower=(), off: int = 0):
+    """Rows (u, q) of -D(w) (x) I_block + I (x) A(w), from the rows u of
+    -D(w) and the rows q of A(w), ``block`` wide: A_1(w) from rho(w) and
+    -D_n(w), and A_p(w) from A_(p-1)(w) and -D_(n-1)(w).  Given the rows
+    of ``lower`` = delta_(p-1), each gets -delta_(p-1)[(u, q)] in the
+    column block from ``off``: the rows of block w of delta_p."""
+    for u, du in enumerate(minus_d):
+        cu = u * block
+        du = [(v * block, c) for v, c in du]
+        lows = lower[cu : cu + block]
+        # the row meets the column block of lower only where u or some v is w
+        clash = cu == off or any(b == off for b, _ in du)
+        for q, arow in enumerate(action):
+            row = {cu + j: x for j, x in arow.items()} if arow else {}
+            for b, c in du:
+                _add(row, b + q, c)
+            lo = lows[q] if lows else None
+            if lo and not clash:
+                row.update({off + j: -x for j, x in lo.items()})
+            elif lo:
+                for j, x in lo.items():
+                    _add(row, off + j, -x)
+            yield row
+
+
+def _tower(space_in: CochainSpace, tables: _Tables, keep: bool = False):
+    """Int rows over ``den`` of the coboundary out of ``space_in``, and with
+    ``keep`` the rows of A_p(w) for each (n-1)-wedge w, p >= 1, as lists.
+    Without ``keep`` the rows come one by one and no A_p is built."""
+    p, d_T = space_in.degree, space_in.target_dim
+    actions = None
+    if p < 2:  # every term at once, key by key
+        keys = CochainSpace(space_in.source, p + 1, d_T).domain_keys
+        if p == 0:
+            starts = ([{} for _ in range(d_T)] for _ in keys)
+        else:  # L_1: key (w, k) starts from rows k of A_1(w)
+            d_n = tables.minus_d(space_in.source.arity)
+            rhos = map(tables.action, tables.wedges)
+            actions = [list(_action_rows(rho, d_w, d_T)) for rho, d_w in zip(rhos, d_n)]
+            starts = ([dict(r) for r in a[i : i + d_T]] for a in actions for i in range(0, len(a), d_T))
+        rows = (row for key, s in zip(keys, starts) for row in tables.delta_rows(space_in, key, s))
+    else:  # delta_p = -(I_W (x) delta_(p-1)) + L_p, block by block
+        below = CochainSpace(space_in.source, p - 1, d_T)
+        lower, lower_actions = _tower(below, tables, keep=True)
+        pairs = list(zip(lower_actions, tables.minus_d(space_in.source.arity - 1)))
+        b = below.dim
+        rows = (r for w, (a, d_w) in enumerate(pairs) for r in _action_rows(a, d_w, b, lower, w * b))
+        if keep:
+            actions = [list(_action_rows(a, d_w, b)) for a, d_w in pairs]
+    return (list(rows), actions) if keep else (rows, None)
+
+
 def _assemble(space_in: CochainSpace, tables: _Tables) -> Matrix:
-    p, d_T, den = space_in.degree, space_in.target_dim, tables.den
-    space_out = CochainSpace(space_in.source, p + 1, d_T)
-    keys = space_out.domain_keys
-    if p < 2:
-        starts = ([{} for _ in range(d_T)] for _ in keys)
-    else:  # delta_p = -(I_W (x) delta_(p-1)) + L_p, see above _sparse_bracket
-        lower = _assemble(CochainSpace(space_in.source, p - 1, d_T), tables)
-        shifted = (
-            {a * lower.cols + j: v * -(den // d) for j, v in r.items()}
-            for a in range(space_out.dim // lower.rows)
-            for r, d in zip(lower.ints, lower.dens)
-        )
-        starts = zip(*[shifted] * d_T)  # the d_T rows of one key
-    rows = (row for key, start in zip(keys, starts) for row in tables.delta_rows(space_in, key, start))
-    dens = None if den == 1 else [den] * space_out.dim
-    return Matrix.from_ints(space_out.dim, space_in.dim, rows, dens)
+    rows, _ = _tower(space_in, tables)
+    out = CochainSpace(space_in.source, space_in.degree + 1, space_in.target_dim).dim
+    if tables.den == 1:  # rows in lowest terms already: each is made once, here
+        return Matrix.from_ints(out, space_in.dim, map(_Row, rows))
+    return Matrix.from_ints(out, space_in.dim, rows, [tables.den] * out)
 
 
 def _require_valid_algebra(alg: NLieAlgebra) -> None:

@@ -6,7 +6,7 @@ class NliecohError(Exception):
 
 
 class ParseError(NliecohError):
-    """Malformed input file or rational literal."""
+    """Malformed input file, or a rational too long to read or write."""
 
 
 class DimensionMismatch(NliecohError):

@@ -46,9 +46,12 @@ def parse_rational(text, where: str = "") -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # more digits than str() converts
+        raise ParseError(f"a number is too long to write ({q.numerator.bit_length()} bits)") from None
 
 
 def _expect(obj, key, kind, where):

@@ -110,14 +110,17 @@ class Matrix:
         """Build from integer rows of nonzero entries, as derived from other
         matrices' ``ints`` or assembled from integer tables, over positive
         denominators (all 1 when ``dens`` is None); rows are put in lowest
-        terms and not checked otherwise."""
+        terms and not checked otherwise.  A row that is already a ``_Row``
+        in lowest terms is kept as it is, any other row is copied."""
         if dens is None:
-            out, low = map(_Row, ints), (1,) * rows
+            out, low = (r if type(r) is _Row else _Row(r) for r in ints), (1,) * rows
         else:
             out, low = [], []
             for r, d in zip(ints, dens):
                 g = gcd(d, *r.values()) if d != 1 else 1
-                out.append(_Row({j: v // g for j, v in r.items()} if g != 1 else r))
+                if g != 1 and r:
+                    r = _Row({j: v // g for j, v in r.items()})
+                out.append(r if type(r) is _Row else _Row(r))
                 low.append(d // g)
         m = cls.__new__(cls)
         m._set(rows, cols, out, low)

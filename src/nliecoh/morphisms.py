@@ -32,7 +32,7 @@ from .errors import (
     InvalidMorphism,
     NotCocycle,
 )
-from .linalg import Matrix, Vector, solve
+from .linalg import Matrix, Vector, _Row, solve
 from .tables import _bracket, dense, int_columns, map_defects
 
 
@@ -258,7 +258,9 @@ class TripleComplex:
         dims_in = [s.dim if s else 0 for s in self._spaces(m)]
         sign = (-1) ** m
         off_tgt, off_mod = dims_in[0], dims_in[0] + dims_in[1]
-        rows = [*d_src.ints, *({off_tgt + j: v for j, v in r.items()} for r in d_tgt.ints)]
+        # from_ints keeps rows that are _Rows in lowest terms: d_src's are
+        # shared, d_tgt's are built once with their offset
+        rows = [*d_src.ints, *(_Row({off_tgt + j: v for j, v in r.items()}) for r in d_tgt.ints)]
         dens = [*d_src.dens, *d_tgt.dens]
         blocks = [(post, 0, sign), (pull, off_tgt, -sign)]
         if m >= 1:

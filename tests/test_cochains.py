@@ -53,7 +53,7 @@ def test_space_dimensions(alg_a1):
 @pytest.mark.parametrize("key", ["cross3", "a1"])
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_keys_are_a_first_block_then_a_lower_key(key, p):
-    """The index facts the coboundary's split rests on: key a * N + q of
+    """The index facts the coboundary's tower rests on: key a * N + q of
     degree p is the a-th (n-1)-wedge followed by key q of degree p - 1, so a
     cochain's flat index is a * dim C^(p-1) + its index one degree lower."""
     alg = _algebra(key)
@@ -267,18 +267,24 @@ def test_apply_module_checks_its_map(alg_a1, alg_b1, bad):
 
 @pytest.mark.parametrize("key", sorted(MORPHISM_FILES))
 def test_module_matrix_matches_bruteforce_degree_one(key):
+    """At m = 1 and, through one level of the action tower with phi != id,
+    at m = 2."""
     phi = morphism(key)
-    got = coboundary_matrix_module(phi.source, phi.target, phi, 1)
-    assert got == oracle_matrix(phi.source, 1, phi.target, phi.matrix)
+    for m in (1, 2):
+        got = coboundary_matrix_module(phi.source, phi.target, phi, m)
+        assert got == oracle_matrix(phi.source, m, phi.target, phi.matrix), m
 
 
+# at p = 4 the actions A_3(w) of the tower are built from A_2(w) and A_1(w)
 SPLIT_CASES = [("a1", 2), ("b3", 3)] + [(key, p) for key in CLASSICAL for p in (2, 3)]
+SPLIT_CASES += [(key, 4) for key in ("sl2", "heis3", "cross3")]
 
 
 @pytest.mark.parametrize("key,p", SPLIT_CASES)
 def test_self_matrix_matches_bruteforce_where_the_split_stacks(key, p):
-    """From degree 2 up a coboundary is assembled from the one below it
-    (twice over at degree 3); the oracle sums every term at every key."""
+    """From degree 2 up a coboundary is built from the one below it and
+    the actions A_(p-1)(w) (two levels deep at degree 3, three at degree 4);
+    the oracle sums every term at every key."""
     alg = _algebra(key)
     assert coboundary_matrix_self(alg, p) == oracle_matrix(alg, p)
 

@@ -268,6 +268,20 @@ def test_cli_rejects_numbers_too_long_to_convert(tmp_path, command, spot):
     _assert_one_line_parse_error(run_cli(command, *args))
 
 
+def test_cli_rejects_a_report_number_too_long_to_write(tmp_path):
+    """Every literal is short enough to read, but the residual of the added
+    bracket multiplies 3000-digit constants past what str() converts."""
+    obj = base_algebra_obj()
+    big = "7" * 3000
+    for entry in obj["brackets"]:
+        entry["value"] = {k: ("-" if v.startswith("-") else "") + big for k, v in entry["value"].items()}
+    obj["brackets"].append({"args": [1, 2, 4], "value": {"1": big, "3": "1"}})
+    p = tmp_path / "long_residual.json"
+    p.write_text(json.dumps(obj))
+    out = run_cli("validate", str(p))
+    assert "too long to write" in _assert_one_line_parse_error(out)
+
+
 def test_cli_rejects_json_nested_too_deep(tmp_path):
     p = tmp_path / "deep.json"
     p.write_text('{"brackets": ' + "[" * 100000 + "]" * 100000 + "}")

@@ -456,3 +456,24 @@ def test_kernel_form_on_corpus_and_dense_complexes():
         for m in range(3):
             _assert_kernel_form(coboundary_matrix_module(phi.source, phi.target, phi, m))
             _assert_kernel_form(tc.delta_matrix(m))
+
+
+def test_from_ints_keeps_rows_in_lowest_terms_and_copies_the_rest():
+    """A read-only row already in lowest terms is kept as the same object;
+    a plain dict, or a row that reduces, becomes a new read-only row."""
+    kept, plain, reducible = linalg._Row({0: 2, 2: 3}), {1: 4}, linalg._Row({0: 2, 1: 4})
+    for dens in (None, [5, 1, 2]):
+        ints = [kept, plain] if dens is None else [kept, plain, reducible]
+        m = Matrix.from_ints(len(ints), 3, ints, dens)
+        assert all(type(r) is linalg._Row for r in m.ints)
+        assert m.ints[0] is kept
+        assert m.ints[1] == plain and m.ints[1] is not plain
+        with pytest.raises(TypeError):
+            m.ints[1][0] = 1
+    assert (m.ints[2], m.dens) == ({0: 1, 1: 2}, (5, 1, 1))
+
+
+def test_assembled_rows_are_read_only_rows():
+    alg = corpus.algebra("b3")
+    for p in range(4):
+        assert all(type(r) is linalg._Row for r in coboundary_matrix_self(alg, p).ints)

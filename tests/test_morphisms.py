@@ -18,6 +18,7 @@ from oracles import (
     wedge_image,
 )
 
+from nliecoh import morphisms
 from nliecoh.algebra import NLieAlgebra, ValidationReport, validate_algebra
 from nliecoh.cochains import (
     Cochain,
@@ -29,7 +30,7 @@ from nliecoh.cochains import (
 from nliecoh.corpus import MORPHISM_FILES, algebra, morphism
 from nliecoh.deformations import DeformedMorphism
 from nliecoh.errors import ArityMismatch, DegreeMismatch, DimensionMismatch, NotCocycle
-from nliecoh.linalg import Matrix, rank
+from nliecoh.linalg import Matrix, _Row, rank
 from nliecoh.morphisms import (
     CochainTriple,
     Morphism,
@@ -360,3 +361,29 @@ def test_morphism_cohomology_h1(phi_a1_b1):
     tc = triple_complex(phi_a1_b1)
     assert rep.dim_z == tc.dim(0) - rank(tc.delta_matrix(0))
     assert rep.dim_h == rep.dim_z
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["a3_b3", "a1_b2_i1~"])
+def test_delta_matrix_shares_the_source_rows(conjugated, monkeypatch):
+    """The rows of the source block are the source coboundary's own row
+    objects; the target block's rows are its rows shifted past the source
+    columns, already read-only and in lowest terms."""
+    phi = conjugated_morphism() if conjugated else morphism("a3_b3")
+    built = []
+
+    def recorded(alg, m):
+        built.append(coboundary_matrix_self(alg, m))
+        return built[-1]
+
+    monkeypatch.setattr(morphisms, "coboundary_matrix_self", recorded)
+    tc = TripleComplex(phi)
+    for m in (0, 1, 2):
+        built.clear()
+        out = tc.delta_matrix(m)
+        d_src, d_tgt = built
+        assert all(a is b for a, b in zip(out.ints, d_src.ints))
+        off = tc.space_source(m).dim
+        tgt_rows = out.ints[d_src.rows : d_src.rows + d_tgt.rows]
+        assert all(type(r) is _Row for r in out.ints)
+        assert [{j - off: v for j, v in r.items()} for r in tgt_rows] == list(d_tgt.ints)
+        assert out.dens[: d_src.rows + d_tgt.rows] == d_src.dens + d_tgt.dens
