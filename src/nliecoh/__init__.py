@@ -39,9 +39,7 @@ from .morphisms import (
     CochainTriple,
     Morphism,
     TripleComplex,
-    cohomologous_check,
     morphism_cohomology,
-    triple_coboundary,
     triple_complex,
     validate_morphism,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "apply_automorphism",
     "coboundary_matrix_module",
     "coboundary_matrix_self",
-    "cohomologous_check",
     "cohomology",
     "extend_deformation",
     "extend_order",
@@ -81,7 +78,6 @@ __all__ = [
     "rank",
     "self_cohomology",
     "solve",
-    "triple_coboundary",
     "triple_complex",
     "validate_algebra",
     "validate_deformation",

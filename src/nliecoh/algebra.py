@@ -147,9 +147,6 @@ def validate_algebra(alg: NLieAlgebra) -> ValidationReport:
     over increasing (n-1)-tuples and y over increasing n-tuples; the check
     is the order-0 defect of :func:`~nliecoh.tables.nambu_defects`.
     """
-    for key, _ in alg.structure:
-        if any(not 0 <= i < alg.dim for i in key):
-            raise IndexOutOfRange(f"structure key {key} outside basis range")
     defects = nambu_defects(alg.dim, alg.arity, alg.den, (alg.ints,), 0)
     failures = tuple(NambuFailure(x, y, dense(res, alg.dim)) for (x, y), res in defects)
     return ValidationReport(alg.name, "algebra", failures)

@@ -141,7 +141,7 @@ def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
         unflatten, to_json = partial(triple_complex(phi).unvectorize, r - 1), triple_to_json
     else:
         if args.morphism:
-            rep = module_cohomology(phi.source, phi.target, phi, r)
+            rep = module_cohomology(phi, r)
             space = CochainSpace(phi.source, r - 1, phi.target.dim)
         else:
             rep = self_cohomology(subject, r)

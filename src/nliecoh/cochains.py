@@ -5,11 +5,11 @@ vector; the final block couples with that vector into a fully skew group of
 n slots.  Canonical bases enumerate strictly increasing index tuples in a
 fixed lexicographic order, so assembled matrices are identical across runs.
 
-Two coboundary operators are assembled here: the self-valued one on
-C^p(N, N) and the module-valued one on C^m(N, N') twisted by a morphism.
-One formula builds both; the self-valued complex is the module-valued one
-along the identity map.
-Reports use the classical labelling H^r with r = p + 1.
+Two coboundaries are assembled here: ``coboundary_matrix_self(alg, p)`` on
+C^p(N, N) and ``coboundary_matrix_module(phi, m)`` on C^m(N, N') along a
+``Morphism`` phi: N -> N'.  One formula builds both; the self-valued complex
+is the module-valued one along the identity map.  ``TripleComplex`` couples
+them.  Reports use the classical labelling H^r with r = p + 1.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import combinations, product
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .algebra import NLieAlgebra
 from .errors import (
-    ArityMismatch,
     BrokenComplex,
     DegreeMismatch,
     DimensionMismatch,
@@ -32,6 +31,9 @@ from .errors import (
 )
 from .linalg import Matrix, Vector, _Row, frac, kernel_basis, quotient_data
 from .tables import _basis, int_columns, sort_sign
+
+if TYPE_CHECKING:
+    from .morphisms import Morphism
 
 DomainKey = object  # int for degree 0, tuple of index tuples otherwise
 
@@ -120,17 +122,6 @@ class Cochain:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def add(self, other: "Cochain") -> "Cochain":
-        if other.space != self.space:
-            raise DegreeMismatch("cochain spaces differ")
-        coeffs = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, Fraction(0)) + c
-        return Cochain(self.space, coeffs)
-
-    def sub(self, other: "Cochain") -> "Cochain":
-        return self.add(other.scale(-1))
 
     def scale(self, c) -> "Cochain":
         c = frac(c)
@@ -367,24 +358,6 @@ def _require_valid_algebra(alg: NLieAlgebra) -> None:
         raise InvalidAlgebra(f"algebra {alg.name!r} fails the fundamental identity")
 
 
-def _morphism_matrix(src: NLieAlgebra, tgt: NLieAlgebra, phi) -> Matrix:
-    """Matrix of ``phi``, a Morphism or a Matrix, once it is checked to be a
-    morphism from ``src`` to ``tgt``; a Morphism's cached verdict is reused."""
-    from .morphisms import Morphism  # morphisms builds on this module
-
-    if not isinstance(phi, Morphism):
-        try:
-            phi = Morphism(src, tgt, phi)
-        except (ArityMismatch, DimensionMismatch) as exc:
-            raise InvalidMorphism(str(exc)) from None
-    elif (phi.source, phi.target) != (src, tgt):
-        raise InvalidMorphism("the morphism joins other algebras than the ones given")
-    if not phi.is_valid:
-        key = phi._report.failures[0].bracket_tuple
-        raise InvalidMorphism(f"morphism equation fails on basis tuple {key}")
-    return phi.matrix
-
-
 def coboundary_matrix_self(alg: NLieAlgebra, p: int) -> Matrix:
     """Matrix of the self-valued coboundary out of degree p, canonical bases.
 
@@ -395,14 +368,15 @@ def coboundary_matrix_self(alg: NLieAlgebra, p: int) -> Matrix:
     return _assemble(CochainSpace(alg, p, alg.dim), tables)
 
 
-def coboundary_matrix_module(
-    src: NLieAlgebra, tgt: NLieAlgebra, phi, m: int
-) -> Matrix:
-    """Matrix of the module-valued coboundary out of degree m via a morphism."""
+def coboundary_matrix_module(phi: Morphism, m: int) -> Matrix:
+    """Matrix of the module-valued coboundary out of degree m along ``phi``."""
+    src, tgt = phi.source, phi.target
     _require_valid_algebra(src)
     _require_valid_algebra(tgt)
-    tables = _Tables(src, tgt, _morphism_matrix(src, tgt, phi))
-    return _assemble(CochainSpace(src, m, tgt.dim), tables)
+    if not phi.is_valid:
+        key = phi._report.failures[0].bracket_tuple
+        raise InvalidMorphism(f"morphism equation fails on basis tuple {key}")
+    return _assemble(CochainSpace(src, m, tgt.dim), _Tables(src, tgt, phi.matrix))
 
 
 @dataclass(frozen=True)
@@ -460,6 +434,6 @@ def self_cohomology(alg: NLieAlgebra, r: int) -> CohomologyReport:
     return _cohomology_at(partial(coboundary_matrix_self, alg), r)
 
 
-def module_cohomology(src: NLieAlgebra, tgt: NLieAlgebra, phi, r: int) -> CohomologyReport:
-    """Classically labelled group H^r of the morphism-twisted complex."""
-    return _cohomology_at(partial(coboundary_matrix_module, src, tgt, phi), r)
+def module_cohomology(phi: Morphism, r: int) -> CohomologyReport:
+    """Classically labelled group H^r of the complex twisted by ``phi``."""
+    return _cohomology_at(partial(coboundary_matrix_module, phi), r)

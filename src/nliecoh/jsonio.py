@@ -202,11 +202,15 @@ def morphism_to_json(phi: Morphism) -> dict:
 
 
 def cochain_from_json(
-    obj: dict, source: NLieAlgebra, target_dim: int, where: str = "cochain"
+    obj: dict, source: NLieAlgebra, target_dim: int, degree: int, where: str = "cochain"
 ) -> Cochain:
-    degree = _expect(obj, "degree", int, where)
-    if degree < 0:
+    """A cochain of the given ``degree``; a file of another degree is
+    rejected before its space, which grows with the degree, is built."""
+    got = _expect(obj, "degree", int, where)
+    if got < 0:
         raise ParseError(f"{where}: cochain degree must be nonnegative")
+    if got != degree:
+        raise ParseError(f"{where}: expected cochain degree {degree}, got {got}")
     space = CochainSpace(source, degree, target_dim)
     n = source.arity
     coeffs: dict = {}
@@ -280,18 +284,16 @@ def deformation_from_json(
     target = _resolve_algebra(_expect(obj, "target", None, where), base_dir, where)
     order = _expect(obj, "order", int, where)
     src_terms = [
-        cochain_from_json(t, source, source.dim, f"{where}.source_terms[{i}]")
+        cochain_from_json(t, source, source.dim, 1, f"{where}.source_terms[{i}]")
         for i, t in enumerate(_expect(obj, "source_terms", list, where))
     ]
     tgt_terms = [
-        cochain_from_json(t, target, target.dim, f"{where}.target_terms[{i}]")
+        cochain_from_json(t, target, target.dim, 1, f"{where}.target_terms[{i}]")
         for i, t in enumerate(_expect(obj, "target_terms", list, where))
     ]
     phi_rows = _expect(obj, "morphism_terms", list, where)
     if len(src_terms) != order or len(tgt_terms) != order or len(phi_rows) != order + 1:
         raise ParseError(f"{where}: term counts disagree with order {order}")
-    if any(t.space.degree != 1 for t in src_terms + tgt_terms):
-        raise ParseError(f"{where}: bracket terms must have degree 1")
     phis = [
         matrix_from_json(m, (target.dim, source.dim), f"{where}.morphism_terms[{i}]")
         for i, m in enumerate(phi_rows)
@@ -357,16 +359,16 @@ def triple_to_json(t: CochainTriple) -> dict:
 
 
 def triple_from_json(obj: dict, phi: Morphism, where: str = "triple") -> CochainTriple:
-    degree = _expect(obj, "degree", int, where)
-    c1 = cochain_from_json(_expect(obj, "c1", dict, where), phi.source, phi.source.dim, where)
-    c2 = cochain_from_json(_expect(obj, "c2", dict, where), phi.target, phi.target.dim, where)
+    m = _expect(obj, "degree", int, where)
+    c1 = cochain_from_json(_expect(obj, "c1", dict, where), phi.source, phi.source.dim, m, where)
+    c2 = cochain_from_json(_expect(obj, "c2", dict, where), phi.target, phi.target.dim, m, where)
     c3_obj = obj.get("c3")
     c3 = (
-        cochain_from_json(c3_obj, phi.source, phi.target.dim, where)
+        cochain_from_json(c3_obj, phi.source, phi.target.dim, m - 1, where)
         if c3_obj is not None
         else None
     )
-    return CochainTriple(degree, c1, c2, c3)
+    return CochainTriple(m, c1, c2, c3)
 
 
 # -- files ---------------------------------------------------------------------

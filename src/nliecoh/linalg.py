@@ -30,12 +30,10 @@ _INT = frozenset((int,))
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like '-3/4', or Fractions to Fraction."""
+    """Coerce an int or a Fraction to Fraction; nothing else is exact."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot treat {x!r} as an exact rational")
 

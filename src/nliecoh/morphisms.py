@@ -2,9 +2,15 @@
 
 The complex attached to a morphism is a direct sum of three cochain spaces
 (self-valued on the source, self-valued on the target, module-valued one
-degree down) with a coupling term in the differential.  Cohomology of that
-complex classifies simultaneous deformations of source, target, and the
-morphism between them.
+degree down) with a coupling term in the differential: the mapping cone of
+post - pull.  Cohomology of that complex classifies simultaneous
+deformations of source, target, and the morphism between them.
+
+One way in: ``triple_complex(phi)`` is the morphism's ``TripleComplex``.
+``TripleComplex.coboundary`` applies the differential to a triple,
+``TripleComplex.cohomologous`` finds a witness that two cocycles are
+cohomologous, and ``morphism_cohomology(phi, r)`` reads H^r.  The module
+piece alone is ``cochains.coboundary_matrix_module(phi, m)``.
 """
 
 from __future__ import annotations
@@ -138,16 +144,6 @@ class CochainTriple:
             and (self.c3 is None or self.c3.is_zero())
         )
 
-    def sub(self, other: "CochainTriple") -> "CochainTriple":
-        if other.degree != self.degree:
-            raise DegreeMismatch("triple degrees differ")
-        return CochainTriple(
-            self.degree,
-            self.c1.sub(other.c1),
-            self.c2.sub(other.c2),
-            None if self.c3 is None else self.c3.sub(other.c3),
-        )
-
 
 class TripleComplex:
     """Matrices and coordinate helpers for the complex of one morphism."""
@@ -264,7 +260,7 @@ class TripleComplex:
         dens = [*d_src.dens, *d_tgt.dens]
         blocks = [(post, 0, sign), (pull, off_tgt, -sign)]
         if m >= 1:
-            d_mod = coboundary_matrix_module(phi.source, phi.target, phi, m - 1)
+            d_mod = coboundary_matrix_module(phi, m - 1)
             blocks.append((d_mod, off_mod, 1))
         for i in range(post.rows):
             den = lcm(*(b.dens[i] for b, _, _ in blocks))
@@ -292,18 +288,16 @@ class TripleComplex:
     def cohomologous(
         self, a: CochainTriple, b: CochainTriple
     ) -> Optional[CochainTriple]:
+        """Witness whose coboundary is a - b, or None when classes differ."""
         if a.degree != b.degree:
             raise DegreeMismatch("triples of different degree")
         if a.degree < 1:
             raise DegreeMismatch("no witnesses below degree 1")
         if not self.is_cocycle(a) or not self.is_cocycle(b):
             raise NotCocycle("cohomologous-class check needs cocycles")
-        m = a.degree
-        diff = self.vectorize(a.sub(b))
-        x = solve(self.delta_matrix(m - 1), diff)
-        if x is None:
-            return None
-        return self.unvectorize(m - 1, x)
+        diff = [x - y for x, y in zip(self.vectorize(a), self.vectorize(b))]
+        x = solve(self.delta_matrix(a.degree - 1), diff)
+        return None if x is None else self.unvectorize(a.degree - 1, x)
 
 
 # Morphism complexes kept alive at once.  Each holds its differentials, so
@@ -317,18 +311,6 @@ def triple_complex(phi: Morphism) -> TripleComplex:
     return TripleComplex(phi)
 
 
-def triple_coboundary(phi: Morphism, t: CochainTriple) -> CochainTriple:
-    """Differential of the morphism complex applied to one triple."""
-    return triple_complex(phi).coboundary(t)
-
-
 def morphism_cohomology(phi: Morphism, r: int) -> CohomologyReport:
     """Cohomology of the morphism complex in classical labelling (r >= 1)."""
     return triple_complex(phi).cohomology(r)
-
-
-def cohomologous_check(
-    phi: Morphism, a: CochainTriple, b: CochainTriple
-) -> Optional[CochainTriple]:
-    """Witness whose coboundary is a - b, or None when classes differ."""
-    return triple_complex(phi).cohomologous(a, b)

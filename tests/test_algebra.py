@@ -1,5 +1,7 @@
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -21,15 +23,37 @@ from nliecoh.tables import sort_sign
 
 def test_public_surface():
     """Every exported name resolves; the raw-argument layer, now a test
-    reference in ``tests/oracles.py``, is not exported."""
+    reference in ``tests/oracles.py``, is not exported, and neither are the
+    wrappers that restated ``TripleComplex``."""
     import nliecoh
-    from nliecoh import algebra, cochains
+    from nliecoh import algebra, cochains, morphisms
 
     assert all(hasattr(nliecoh, name) for name in nliecoh.__all__)
-    removed = {"FundamentalObject", "wedge_decompose", "coboundary_apply_self", "coboundary_apply_module"}
+    removed = {"FundamentalObject", "wedge_decompose", "coboundary_apply_self", "coboundary_apply_module",
+               "triple_coboundary", "cohomologous_check"}
     assert not removed & set(nliecoh.__all__)
-    for module in (nliecoh, algebra, cochains):
+    for module in (nliecoh, algebra, cochains, morphisms):
         assert not any(hasattr(module, name) for name in removed), module.__name__
+    assert not hasattr(cochains, "_morphism_matrix")
+    assert not any(hasattr(cls, "sub") for cls in (cochains.Cochain, morphisms.CochainTriple))
+    assert not hasattr(cochains.Cochain, "add")
+
+
+def test_readme_entry_points_are_exported():
+    """Each name in the README's "Key entry points" paragraph resolves in
+    ``nliecoh``, and its first part is in ``__all__``."""
+    import nliecoh
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = text.split("Key entry points:", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"`([A-Za-z_][\w.]*)(?:\([^`]*\))?`", paragraph)
+    assert len(names) >= 20
+    for name in names:
+        head, *rest = name.split(".")
+        assert head in nliecoh.__all__, name
+        obj = nliecoh
+        for part in (head, *rest):
+            obj = getattr(obj, part)
 
 
 def test_sort_sign():

@@ -51,7 +51,7 @@ def _morphisms() -> list:
 
 def _module_digests() -> dict:
     return {
-        f"module/{phi.name}/{m}": digest(coboundary_matrix_module(phi.source, phi.target, phi, m))
+        f"module/{phi.name}/{m}": digest(coboundary_matrix_module(phi, m))
         for phi in _morphisms()
         for m in range(4)
     }

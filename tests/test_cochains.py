@@ -22,6 +22,7 @@ from nliecoh.cochains import (
     self_cohomology,
 )
 from nliecoh.errors import (
+    ArityMismatch,
     BrokenComplex,
     DegreeMismatch,
     DimensionMismatch,
@@ -117,7 +118,7 @@ def test_abelian_coboundary_is_zero():
         assert coboundary_matrix_self(alg, p).is_zero()
 
 
-def test_coboundary_requires_valid_algebra():
+def test_coboundary_requires_valid_algebra(alg_a1):
     bad = NLieAlgebra.from_brackets(
         "bad",
         3,
@@ -130,36 +131,36 @@ def test_coboundary_requires_valid_algebra():
     )
     with pytest.raises(InvalidAlgebra):
         coboundary_matrix_self(bad, 1)
+    # an invalid side is named before the map, which fails along with it
+    for phi in (Morphism.identity(bad), Morphism.zero(bad, alg_a1), Morphism.zero(alg_a1, bad)):
+        assert not phi.is_valid
+        with pytest.raises(InvalidAlgebra):
+            coboundary_matrix_module(phi, 1)
 
 
-def test_module_requires_morphism(alg_a1, alg_b1, phi_a1_b1):
-    not_morphism = Matrix.identity(4)
+def test_module_requires_morphism(alg_a1, alg_b1):
+    """The module coboundary takes a Morphism: one whose map breaks the
+    morphism equation is refused there, and a map of the wrong arity or
+    shape is refused when the Morphism is built."""
     with pytest.raises(InvalidMorphism):
-        coboundary_matrix_module(alg_a1, alg_b1, not_morphism, 0)
-    lie = NLieAlgebra.abelian("ab", 2, 4)
-    for src, tgt, phi in [
-        (alg_a1, lie, Matrix.identity(4)),  # arity
-        (alg_a1, alg_b1, Matrix.identity(3)),  # shape
-        (alg_b1, alg_a1, phi_a1_b1),  # a morphism between other algebras
-    ]:
-        with pytest.raises(InvalidMorphism):
-            coboundary_matrix_module(src, tgt, phi, 0)
+        coboundary_matrix_module(Morphism(alg_a1, alg_b1, Matrix.identity(4)), 0)
+    with pytest.raises(ArityMismatch):
+        Morphism(alg_a1, NLieAlgebra.abelian("ab", 2, 4), Matrix.identity(4))
+    with pytest.raises(DimensionMismatch):
+        Morphism(alg_a1, alg_b1, Matrix.identity(3))
 
 
 def test_identity_module_equals_self(corpus_algebras):
     for alg in corpus_algebras.values():
-        eye = Matrix.identity(alg.dim)
         for p in (0, 1):
-            assert coboundary_matrix_module(alg, alg, eye, p) == coboundary_matrix_self(alg, p)
+            assert coboundary_matrix_module(Morphism.identity(alg), p) == coboundary_matrix_self(alg, p)
 
 
 def test_zero_morphism_into_abelian_kernel(alg_a1):
     """With a zero map into an abelian target the differential reduces to
     the pullback of the bracket, so its kernel is the maps killing the
     derived span (e2 and e4 for this algebra)."""
-    ab = NLieAlgebra.abelian("ab", 3, 4)
-    zero = Matrix.zero(4, 4)
-    delta = coboundary_matrix_module(alg_a1, ab, zero, 0)
+    delta = coboundary_matrix_module(Morphism.zero(alg_a1, NLieAlgebra.abelian("ab", 3, 4)), 0)
     rep = cohomology(None, delta)
     assert rep.dim_z == rep.cocycles.rows == 8
     for v in (rep.cocycles.row(i) for i in range(rep.cocycles.rows)):
@@ -202,11 +203,11 @@ def test_module_skewness_and_oracle(phi_a1_b1):
     })
     vs = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(4)) for _ in range(3)]
     lead = (unit(4, 0), unit(4, 2))
-    delta = coboundary_matrix_module(src, tgt, phi_a1_b1.matrix, 1)
+    delta = coboundary_matrix_module(phi_a1_b1, 1)
     base = delta_value(delta, f, [lead, vs[:2]], vs[2])
     swapped = delta_value(delta, f, [lead, (vs[2], vs[1])], vs[0])
     assert swapped == tuple(-x for x in base)
-    assert coboundary_matrix_module(src, tgt, phi_a1_b1.matrix, 0) == oracle_matrix(
+    assert coboundary_matrix_module(phi_a1_b1, 0) == oracle_matrix(
         src, 0, tgt, phi_a1_b1.matrix
     )
 
@@ -248,21 +249,26 @@ def test_apply_module_matches_oracle_on_raw_arguments(key, p):
     rng = random.Random(f"{key}/{p}")
     f = _random_cochain(rng, CochainSpace(src, p, tgt.dim))
     blocks, z = _random_raw_blocks(rng, src.dim, src.arity, p + 1)
-    got = delta_value(coboundary_matrix_module(src, tgt, phi, p), f, blocks, z)
+    got = delta_value(coboundary_matrix_module(phi, p), f, blocks, z)
     assert got == oracle_delta_eval(f, blocks, z, src, tgt, phi.matrix)
 
 
 
 @pytest.mark.parametrize("bad", ["2*id", "3x4 zero"])
 def test_apply_module_checks_its_map(alg_a1, alg_b1, bad):
-    """The module coboundary that the raw-argument tests apply refuses a map
-    that is no morphism, at every degree and in its cohomology."""
-    phi = Matrix.identity(4).scale(2) if bad == "2*id" else Matrix.zero(3, 4)
+    """The module coboundary that the raw-argument tests apply refuses a
+    Morphism whose map is no morphism, at every degree and in its
+    cohomology; a map of the wrong shape makes no Morphism."""
+    if bad == "3x4 zero":
+        with pytest.raises(DimensionMismatch):
+            Morphism(alg_a1, alg_b1, Matrix.zero(3, 4))
+        return
+    phi = Morphism(alg_a1, alg_b1, Matrix.identity(4).scale(2))
     for m in (1, 2):
         with pytest.raises(InvalidMorphism):
-            coboundary_matrix_module(alg_a1, alg_b1, phi, m)
+            coboundary_matrix_module(phi, m)
     with pytest.raises(InvalidMorphism):
-        module_cohomology(alg_a1, alg_b1, phi, 2)
+        module_cohomology(phi, 2)
 
 
 @pytest.mark.parametrize("key", sorted(MORPHISM_FILES))
@@ -271,7 +277,7 @@ def test_module_matrix_matches_bruteforce_degree_one(key):
     at m = 2."""
     phi = morphism(key)
     for m in (1, 2):
-        got = coboundary_matrix_module(phi.source, phi.target, phi, m)
+        got = coboundary_matrix_module(phi, m)
         assert got == oracle_matrix(phi.source, m, phi.target, phi.matrix), m
 
 
@@ -373,7 +379,7 @@ def test_coboundary_entries_are_fractions(corpus_algebras):
     for phi in phis:
         tc = triple_complex(phi)
         for m in (0, 1, 2):
-            for mat in (coboundary_matrix_module(phi.source, phi.target, phi, m),
+            for mat in (coboundary_matrix_module(phi, m),
                         tc.delta_matrix(m)):
                 assert all(type(x) is Fraction for x in _entries(mat)), (phi.name, m)
     assert seen_rational
@@ -386,7 +392,7 @@ def test_coboundary_entries_are_fractions(corpus_algebras):
             assert all(type(x) is Fraction for x in delta.mul_vector(f.as_flat()))
             assert delta_value(delta, f, blocks, z) == oracle_delta_eval(f, blocks, z, alg)
             g = _random_cochain(rng, CochainSpace(phi.source, p, phi.target.dim))
-            delta = coboundary_matrix_module(phi.source, phi.target, phi, p)
+            delta = coboundary_matrix_module(phi, p)
             assert all(type(x) is Fraction for x in delta.mul_vector(g.as_flat()))
             want = oracle_delta_eval(g, blocks, z, phi.source, phi.target, phi.matrix)
             assert delta_value(delta, g, blocks, z) == want
@@ -404,7 +410,7 @@ def test_conjugated_morphism_has_distinct_denominators():
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_module_matrix_matches_oracle_on_rational_morphism(m):
     phi = conjugated_morphism()
-    got = coboundary_matrix_module(phi.source, phi.target, phi, m)
+    got = coboundary_matrix_module(phi, m)
     assert any(d > 1 for d in got.dens)
     assert got == oracle_matrix(phi.source, m, phi.target, phi.matrix)
 
@@ -424,6 +430,6 @@ def test_apply_module_matches_oracle_on_rational_morphism(p):
     rng = random.Random(f"rational/{p}")
     f = _random_cochain(rng, CochainSpace(src, p, tgt.dim))
     blocks, z = _random_raw_blocks(rng, src.dim, src.arity, p + 1)
-    got = delta_value(coboundary_matrix_module(src, tgt, phi, p), f, blocks, z)
+    got = delta_value(coboundary_matrix_module(phi, p), f, blocks, z)
     assert got == oracle_delta_eval(f, blocks, z, src, tgt, phi.matrix)
     assert any(got)

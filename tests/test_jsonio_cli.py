@@ -89,7 +89,7 @@ def test_cochain_roundtrip(alg_a1):
 
     c = degree1_cochain(alg_a1, {(1, 2, 3): {1: 1, 3: -1}, (2, 3, 4): {4: 1}})
     obj = jsonio.cochain_to_json(c)
-    back = jsonio.cochain_from_json(obj, alg_a1, 4)
+    back = jsonio.cochain_from_json(obj, alg_a1, 4, 1)
     assert back == c
 
 
@@ -100,7 +100,7 @@ def test_degree0_cochain_roundtrip(alg_a1):
     c = linear_map_cochain(
         CochainSpace(alg_a1, 0, 4), Matrix.from_rows([[1, 0, 0, 2]] + [[0] * 4] * 3)
     )
-    back = jsonio.cochain_from_json(jsonio.cochain_to_json(c), alg_a1, 4)
+    back = jsonio.cochain_from_json(jsonio.cochain_to_json(c), alg_a1, 4, 0)
     assert back == c
 
 
@@ -552,6 +552,55 @@ def test_cli_rejects_negative_cochain_degree(tmp_path):
     out = run_cli("deform", "check", str(p))
     assert out.returncode == 2
     assert "source_terms[0]: cochain degree must be nonnegative" in out.stdout
+
+
+def _term(degree):
+    """A bracket term of the given degree on a3 with one entry."""
+    entry = {"blocks": [[1, 2]] * (degree - 1), "last": [1, 2, 3], "target_index": 1, "value": "1"}
+    return {"degree": degree, "target": "self", "entries": [entry]}
+
+
+def test_cochain_degree_is_checked_before_its_space_is_built(monkeypatch):
+    """A degree-7 bracket term, whose space on a 4-dim ternary algebra has
+    6^6 * 4 keys, is rejected before any space of its degree is built."""
+    from nliecoh.cochains import CochainSpace
+
+    degrees, check = [], CochainSpace.__post_init__
+
+    def record(space):
+        degrees.append(space.degree)
+        check(space)
+
+    monkeypatch.setattr(CochainSpace, "__post_init__", record)
+    obj = _deformation_obj()
+    obj["target_terms"][0] = _term(7)
+    with pytest.raises(ParseError) as exc:
+        jsonio.deformation_from_json(obj)
+    assert degrees == [1]
+    assert "target_terms[0]: expected cochain degree 1, got 7" in str(exc.value)
+
+
+def test_cli_rejects_a_cochain_degree_too_large_to_enumerate(tmp_path):
+    """A 2 KB file asking for a degree-40 term (6^39 * 4 keys) exits 2 at
+    once.  The address space of the child is capped, so a reader that
+    enumerated the space first would fail fast instead of exhausting memory."""
+    import resource
+
+    obj = _deformation_obj()
+    obj["source_terms"][0] = _term(40)
+    p = tmp_path / "degree40.json"
+    p.write_text(json.dumps(obj))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    out = subprocess.run(
+        [sys.executable, "-m", "nliecoh", "deform", "check", str(p)], capture_output=True,
+        text=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        preexec_fn=cap, timeout=60,
+    )
+    error = _assert_one_line_parse_error(out)
+    assert "source_terms[0]: expected cochain degree 1, got 40" in error
 
 
 # Every README deform command (the transform without --emit, whose path

@@ -193,7 +193,7 @@ def test_rref_matches_oracle_on_morphism_coboundaries(name):
     phi = corpus.morphism(name)
     tc = triple_complex(phi)
     for m in range(3):
-        _assert_rref_matches_oracle(coboundary_matrix_module(phi.source, phi.target, phi.matrix, m))
+        _assert_rref_matches_oracle(coboundary_matrix_module(phi, m))
         _assert_rref_matches_oracle(tc.delta_matrix(m))
 
 
@@ -301,26 +301,30 @@ def test_sparse_rows_match_dense_construction():
         Matrix.from_sparse(2, 3, [{3: Fraction(1)}, {}])
     with pytest.raises(DimensionMismatch):
         Matrix.from_sparse(3, 3, [{}, {}])
-    with pytest.raises(TypeError):
-        Matrix(1, 2, [[0.0, 1]])
-    # int, str, mixed and per-row-denominator rows: equal value, equal hash
+    # only ints and Fractions are exact; rational text is the JSON reader's
+    for bad in (0.0, "1/2", "3"):
+        with pytest.raises(TypeError):
+            Matrix(1, 2, [[bad, 1]])
+        with pytest.raises(TypeError):
+            linalg.frac(bad)
+    # int, Fraction, mixed and per-row-denominator rows: equal value, equal hash
     want = Matrix.from_rows([[Fraction(1, 2), 0, -3], [Fraction(2, 3), Fraction(-1, 6), 0]])
     for rows in (
-        [{0: "1/2", 2: -3}, {0: "4/6", 1: "-1/6"}],
-        [{0: Fraction(1, 2), 2: "-3", 1: 0}, {1: Fraction(-2, 12), 0: Fraction(2, 3)}],
-        [[Fraction(2, 4), 0, "-6/2"], ["2/3", Fraction(-1, 6), 0]],
+        [{0: Fraction(1, 2), 2: -3}, {0: Fraction(4, 6), 1: Fraction(-1, 6)}],
+        [{0: Fraction(1, 2), 2: Fraction(-3), 1: 0}, {1: Fraction(-2, 12), 0: Fraction(2, 3)}],
+        [[Fraction(2, 4), 0, Fraction(-6, 2)], [Fraction(2, 3), Fraction(-1, 6), 0]],
     ):
         m = Matrix.from_sparse(2, 3, rows) if isinstance(rows[0], dict) else Matrix.from_rows(rows)
         assert m == want and hash(m) == hash(want)
     assert want.ints == ({0: 1, 2: -6}, {0: 4, 1: -1}) and want.dens == (2, 6)
     ints = Matrix.from_sparse(2, 2, [{0: 3, 1: 0}, {1: -2}])
     assert ints == Matrix.from_rows([[3, 0], [0, Fraction(-4, 2)]])
-    assert hash(ints) == hash(Matrix.from_rows([["3", 0], [0, "-2"]])) and ints.dens == (1, 1)
+    assert hash(ints) == hash(Matrix.from_rows([[Fraction(3), 0], [0, Fraction(-2)]])) and ints.dens == (1, 1)
     # kernel rows of the primitive row (4, 2, 1): -2/4 is stored as -1 over 2
     z = kernel_basis(Matrix.from_rows([[4, 2, 1]]))
     assert z.ints == ({0: -1, 1: 2}, {0: -1, 2: 4}) and z.dens == (2, 4)
     want = Matrix.from_sparse(2, 3, [{0: Fraction(-2, 4), 1: 1}, {0: Fraction(-1, 4), 2: 1}])
-    assert z == want and hash(z) == hash(Matrix.from_rows([["-1/2", 1, 0], ["-1/4", 0, 1]]))
+    assert z == want and hash(z) == hash(Matrix.from_rows([[Fraction(-1, 2), 1, 0], [Fraction(-1, 4), 0, 1]]))
 
 
 def test_matrix_rejects_float_column_key():
@@ -437,7 +441,7 @@ def test_quotient_matches_oracle_on_corpus_complexes(name):
 def test_quotient_matches_oracle_on_morphism_complexes(name):
     phi = corpus.morphism(name)
     tc = triple_complex(phi)
-    module = [coboundary_matrix_module(phi.source, phi.target, phi, m) for m in range(3)]
+    module = [coboundary_matrix_module(phi, m) for m in range(3)]
     for pair in _consecutive_pairs(module):
         _assert_quotient_matches_oracle(*pair)
     for pair in _consecutive_pairs([tc.delta_matrix(m) for m in range(3)]):
@@ -454,7 +458,7 @@ def test_kernel_form_on_corpus_and_dense_complexes():
         phi = corpus.morphism(name)
         tc = triple_complex(phi)
         for m in range(3):
-            _assert_kernel_form(coboundary_matrix_module(phi.source, phi.target, phi, m))
+            _assert_kernel_form(coboundary_matrix_module(phi, m))
             _assert_kernel_form(tc.delta_matrix(m))
 
 

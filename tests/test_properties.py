@@ -120,10 +120,7 @@ for a, b in zip(CATALOG[19:24], CATALOG[24:29]):
 
 @pytest.mark.parametrize("label,phi", TRIPLE_CASES, ids=[c[0] for c in TRIPLE_CASES])
 def test_module_dd_zero(label, phi):
-    mats = [
-        coboundary_matrix_module(phi.source, phi.target, phi.matrix, m)
-        for m in (0, 1)
-    ]
+    mats = [coboundary_matrix_module(phi, m) for m in (0, 1)]
     assert mats[1].mul(mats[0]).is_zero()
     for mat in mats:
         assert rank(mat) + kernel_basis(mat).rows == mat.cols
