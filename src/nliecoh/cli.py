@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import jsonio
 from .algebra import ValidationReport, validate_algebra
-from .cochains import Cochain, CochainSpace, module_cohomology, self_cohomology
+from .cochains import CochainSpace, module_cohomology, self_cohomology
 from .deformations import (
     apply_automorphism,
     extend_deformation,
@@ -117,7 +117,9 @@ def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
     """H^r of an algebra (``cohomology --algebra``), of the module a morphism
     makes of its target (``cohomology --morphism``) or of a morphism's complex
     (``morphism-cohomology``).  They differ in the subject that must be
-    valid, the group computed and how a flat basis row reads as JSON."""
+    valid, the group computed and how a flat basis row reads as JSON: each
+    row of ``ints``/``dens`` is written from its integers, with no Fraction
+    or Cochain made on the way."""
     r = args.degree
     paths = [p for p in (args.algebra, args.module, args.morphism) if p]
     if args.morphism:
@@ -138,7 +140,7 @@ def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
         return _report(argv, paths, verdict, 1, residuals=_residual_json(subject._report.failures))
     if args.command == "morphism-cohomology":
         rep = morphism_cohomology(phi, r)
-        unflatten, to_json = partial(triple_complex(phi).unvectorize, r - 1), triple_to_json
+        to_json = partial(triple_to_json, triple_complex(phi)._spaces(r - 1))
     else:
         if args.morphism:
             rep = module_cohomology(phi, r)
@@ -146,13 +148,13 @@ def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
         else:
             rep = self_cohomology(subject, r)
             space = CochainSpace(subject, r - 1, subject.dim)
-        unflatten, to_json = partial(Cochain.from_flat, space), cochain_to_json
+        to_json = partial(cochain_to_json, space, "self")
     dims = {f"dim {g}^{r}": n for g, n in zip("ZBH", (rep.dim_z, rep.dim_b, rep.dim_h))}
     bases = None
     if args.basis:
         bases = {
-            name: [to_json(unflatten(v)) for v in rows.data]
-            for name, rows in (("cocycle_basis", rep.cocycles), ("representatives", rep.classes))
+            name: [to_json(row, den) for row, den in zip(m.ints, m.dens)]
+            for name, m in (("cocycle_basis", rep.cocycles), ("representatives", rep.classes))
         }
     return _report(argv, paths, {"valid": True}, 0, bases, dimensions=dims)
 

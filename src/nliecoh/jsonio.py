@@ -4,7 +4,10 @@ automorphism series, with strict parsing and deterministic serialization.
 Rationals travel as strings "p/q" or "p" with an optional leading sign;
 a zero denominator is rejected.  All index lists are 1-based and strictly
 increasing.  Serialization emits keys in a fixed order and sorted entries,
-so identical objects always produce identical bytes.
+so identical objects always produce identical bytes.  Numbers are written
+from integers over a positive denominator, as ``Matrix.ints``/``dens`` hold
+them, and cochains from integer flat rows: one writer serves a ``Cochain``
+and a row of a basis matrix.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 from typing import Optional, Union
 
@@ -45,13 +49,19 @@ def parse_rational(text, where: str = "") -> Fraction:
         raise ParseError(f"{prefix}rational literal too long ({exc})") from None
 
 
-def format_rational(q: Fraction) -> str:
+def format_ratio(num: int, den: int) -> str:
+    """num/den, with den > 0, in lowest terms as "p" or "p/q"."""
+    g = gcd(num, den)
     try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
+        if g == den:
+            return str(num // g)
+        return f"{num // g}/{den // g}"
     except ValueError:  # more digits than str() converts
-        raise ParseError(f"a number is too long to write ({q.numerator.bit_length()} bits)") from None
+        raise ParseError(f"a number is too long to write ({num.bit_length()} bits)") from None
+
+
+def format_rational(q: Fraction) -> str:
+    return format_ratio(q.numerator, q.denominator)
 
 
 def _expect(obj, key, kind, where):
@@ -168,7 +178,7 @@ def matrix_from_json(rows, shape: tuple[int, int], where: str) -> Matrix:
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
-    return [[format_rational(x) for x in m.row(i)] for i in range(m.rows)]
+    return [[format_ratio(r.get(j, 0), d) for j in range(m.cols)] for r, d in zip(m.ints, m.dens)]
 
 
 # -- morphisms ---------------------------------------------------------------
@@ -248,30 +258,47 @@ def cochain_from_json(
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def cochain_to_json(c: Cochain, target_label: str = "self") -> dict:
+def _int_row(*cochains):
+    """The spaces of the given cochains, None skipped, and the cochains laid
+    end to end as one integer flat row over a common denominator, the form
+    of a row of ``Matrix.ints``/``dens``."""
+    cochains = [c for c in cochains if c is not None]
+    den = lcm(*(q.denominator for c in cochains for q in c.coeffs.values()))
+    row, off = {}, 0
+    for c in cochains:
+        for (key, t), q in c.coeffs.items():
+            row[off + c.space.flat_index(key, t)] = q.numerator * (den // q.denominator)
+        off += c.space.dim
+    return [c.space for c in cochains], row, den
+
+
+def _cochain_json(space, label, row, den, off=0) -> dict:
+    """The one cochain writer: the cochain on ``space`` whose flat coordinates
+    are the entries ``off`` to ``off + space.dim - 1`` of the integer row
+    ``row``, each over ``den``.  Canonical keys are enumerated in
+    lexicographic order, so ascending index is key order and then target
+    index."""
+    keys, d_T, end = space.domain_keys, space.target_dim, off + space.dim
     entries = []
-    for (key, t), value in sorted(
-        c.coeffs.items(), key=lambda kv: (_key_sort(kv[0][0]), kv[0][1])
-    ):
-        if c.space.degree == 0:
-            blocks: list = []
-            last = [key + 1]
-        else:
-            blocks = [[i + 1 for i in b] for b in key[:-1]]
-            last = [i + 1 for i in key[-1]]
-        entries.append(
-            {
-                "blocks": blocks,
-                "last": last,
-                "target_index": t + 1,
-                "value": format_rational(value),
-            }
-        )
-    return {"degree": c.space.degree, "target": target_label, "entries": entries}
+    for j in sorted(row):
+        if off <= j < end:
+            pos, t = divmod(j - off, d_T)
+            key = keys[pos]  # an index at degree 0, else blocks and a last wedge
+            *blocks, last = [[key + 1]] if space.degree == 0 else [[i + 1 for i in b] for b in key]
+            value = format_ratio(row[j], den)
+            entries.append({"blocks": blocks, "last": last, "target_index": t + 1, "value": value})
+    return {"degree": space.degree, "target": label, "entries": entries}
 
 
-def _key_sort(key):
-    return (key,) if isinstance(key, int) else key
+def cochain_to_json(
+    c: Union[Cochain, CochainSpace], target_label: str = "self", row: Optional[dict] = None, den=1
+) -> dict:
+    """A ``Cochain`` as JSON.  Given ``row``, ``c`` is a ``CochainSpace``
+    and the cochain is the integer flat row over ``den``, as a row of a
+    basis matrix's ``ints``/``dens``, written without building a Cochain."""
+    if row is None:
+        (c,), row, den = _int_row(c)
+    return _cochain_json(c, target_label, row, den)
 
 
 # -- deformations -------------------------------------------------------------
@@ -349,13 +376,18 @@ def automorphism_to_json(psi: FormalAutomorphism) -> dict:
 # -- triples -------------------------------------------------------------------
 
 
-def triple_to_json(t: CochainTriple) -> dict:
-    return {
-        "degree": t.degree,
-        "c1": cochain_to_json(t.c1, "self"),
-        "c2": cochain_to_json(t.c2, "self"),
-        "c3": None if t.c3 is None else cochain_to_json(t.c3, "module"),
-    }
+def triple_to_json(t: Union[CochainTriple, tuple], row: Optional[dict] = None, den=1) -> dict:
+    """A ``CochainTriple`` as JSON.  Given ``row``, ``t`` is the (source,
+    target, module) spaces of ``TripleComplex._spaces(m)`` and the triple is
+    the integer flat row over ``den``, split at the spaces' offsets."""
+    if row is None:
+        t, row, den = _int_row(t.c1, t.c2, t.c3)
+    out, off = {"degree": t[0].degree, "c1": None, "c2": None, "c3": None}, 0
+    for name, label, space in zip(("c1", "c2", "c3"), ("self", "self", "module"), t):
+        if space is not None:
+            out[name] = _cochain_json(space, label, row, den, off)
+            off += space.dim
+    return out
 
 
 def triple_from_json(obj: dict, phi: Morphism, where: str = "triple") -> CochainTriple:
@@ -377,9 +409,11 @@ def triple_from_json(obj: dict, phi: Morphism, where: str = "triple") -> Cochain
 def load_json(path: Union[str, Path]) -> dict:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 ({exc})") from exc
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:

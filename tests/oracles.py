@@ -321,6 +321,55 @@ def oracle_quotient(z_basis, b_basis):
     return dim, reps
 
 
+# -- report bases ------------------------------------------------------------
+# The route ``--basis`` reports took before they were written from integer
+# rows: each row of ``Matrix.data`` as Fractions, a Cochain or CochainTriple
+# built from it, and its coefficients sorted by (domain key, target index).
+
+
+def _fraction_text(q):
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def oracle_cochain_json(c, target_label="self"):
+    """``jsonio.cochain_to_json``'s dict for the Cochain ``c``, by sorting."""
+
+    def order(item):
+        (key, t), _ = item
+        return ((key,) if isinstance(key, int) else key), t
+
+    entries = []
+    for (key, t), q in sorted(c.coeffs.items(), key=order):
+        if c.space.degree == 0:
+            blocks, last = [], [key + 1]
+        else:
+            blocks = [[i + 1 for i in b] for b in key[:-1]]
+            last = [i + 1 for i in key[-1]]
+        entries.append(
+            {"blocks": blocks, "last": last, "target_index": t + 1, "value": _fraction_text(q)}
+        )
+    return {"degree": c.space.degree, "target": target_label, "entries": entries}
+
+
+def oracle_triple_json(t):
+    """``jsonio.triple_to_json``'s dict for the CochainTriple ``t``."""
+    return {
+        "degree": t.degree,
+        "c1": oracle_cochain_json(t.c1, "self"),
+        "c2": oracle_cochain_json(t.c2, "self"),
+        "c3": None if t.c3 is None else oracle_cochain_json(t.c3, "module"),
+    }
+
+
+def oracle_basis_json(m, space):
+    """The report rows of the basis matrix ``m``: ``space`` is a CochainSpace
+    for the self and module complexes, or a TripleComplex and its degree."""
+    if isinstance(space, CochainSpace):
+        return [oracle_cochain_json(Cochain.from_flat(space, v)) for v in m.data]
+    tc, deg = space
+    return [oracle_triple_json(tc.unvectorize(deg, v)) for v in m.data]
+
+
 # -- deformation equations --------------------------------------------------
 # Dense reference loops for the order-by-order deformation equations: every
 # bracket is evaluated on dense vectors, the base one through

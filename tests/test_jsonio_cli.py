@@ -67,6 +67,42 @@ def test_format_rational_roundtrip():
         assert jsonio.parse_rational(jsonio.format_rational(q)) == q
 
 
+@pytest.mark.parametrize(
+    "num,den,text",
+    [(0, 7, "0"), (6, 3, "2"), (-6, 4, "-3/2"), (5, 1, "5"), (-4, 10, "-2/5"), (3, 9, "1/3")],
+)
+def test_format_ratio_writes_lowest_terms(num, den, text):
+    assert jsonio.format_ratio(num, den) == text
+    assert jsonio.format_rational(Fraction(num, den)) == text
+
+
+def test_format_ratio_rejects_a_number_too_long_to_write():
+    with pytest.raises(ParseError, match="too long to write"):
+        jsonio.format_ratio(10**5000, 3)
+    with pytest.raises(ParseError, match="too long to write"):
+        jsonio.format_ratio(1, 10**5000 + 1)
+
+
+def _count_data_reads(monkeypatch) -> list:
+    """Record every read of the ``Matrix.data`` Fraction view from now on."""
+    reads: list = []
+    view = Matrix.data
+    monkeypatch.setattr(Matrix, "data", property(lambda m: reads.append(m) or view.fget(m)))
+    return reads
+
+
+def test_matrix_to_json_writes_from_the_integer_rows(monkeypatch):
+    """Rows of ints over a denominator, reduced per entry, zeros written as "0";
+    the Fraction view is never read."""
+    m = Matrix.from_ints(3, 4, [{0: 2, 2: -3}, {}, {1: 5, 3: 10}], [6, 1, 15])
+    rows = [[Fraction(1, 3), 0, Fraction(-1, 2), 0], [0] * 4, [0, Fraction(1, 3), 0, Fraction(2, 3)]]
+    reads = _count_data_reads(monkeypatch)
+    out = jsonio.matrix_to_json(m)
+    assert reads == []
+    assert out == [["1/3", "0", "-1/2", "0"], ["0"] * 4, ["0", "1/3", "0", "2/3"]]
+    assert out == [[jsonio.format_rational(Fraction(x)) for x in r] for r in rows]
+
+
 # -- object round-trips ---------------------------------------------------------
 
 
@@ -280,6 +316,16 @@ def test_cli_rejects_a_report_number_too_long_to_write(tmp_path):
     p.write_text(json.dumps(obj))
     out = run_cli("validate", str(p))
     assert "too long to write" in _assert_one_line_parse_error(out)
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology"])
+def test_cli_rejects_input_that_is_not_utf8(tmp_path, command):
+    """A 0xff byte in the algebra's name: exit 2, not a decoding traceback."""
+    p = tmp_path / "latin1.json"
+    text = json.dumps(base_algebra_obj()).encode()
+    p.write_bytes(text.replace(b'"name": "', b'"name": "\xff', 1))
+    args = [str(p)] if command == "validate" else ["--algebra", str(p), "--degree", "1"]
+    assert "not UTF-8" in _assert_one_line_parse_error(run_cli(command, *args))
 
 
 def test_cli_rejects_json_nested_too_deep(tmp_path):
@@ -682,6 +728,91 @@ def test_failure_reports_match_golden(name, monkeypatch, capsys):
     assert main(["--output", output, *argv]) == status
     golden = ROOT / "tests" / "golden" / name
     assert capsys.readouterr().out == golden.read_text(), f"golden drift for {name}"
+
+
+# A basis report on the dense rational conjugate of a1, recorded before the
+# rows were written from integers: the five corpus *_basis goldens hold
+# integers only, so they would not see a wrong reduction of p/q.
+_DENSE_A1 = _BAD + "alg_a1_dense.json"
+
+
+def test_fractional_basis_report_matches_golden(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    argv = ["--output", "json", "cohomology", "--algebra", _DENSE_A1, "--degree", "2", "--basis"]
+    assert main(argv) == 0
+    golden = (ROOT / "tests" / "golden" / "cohomology_alg_a1_dense_h2_basis.json").read_text()
+    assert capsys.readouterr().out == golden
+    values = [e["value"] for rows in json.loads(golden)["bases"].values()
+              for c in rows for e in c["entries"]]
+    assert any("/" in v for v in values)
+
+
+def test_basis_reports_never_read_the_fraction_view(monkeypatch, capsys):
+    """Basis rows are written from ``ints``/``dens``: no ``Matrix.data``."""
+    monkeypatch.chdir(ROOT)
+    reads = _count_data_reads(monkeypatch)
+    for args in (
+        ["morphism-cohomology", "--morphism", _DATA + "mor_a3_b3.json", "--degree", "2"],
+        ["cohomology", "--algebra", _DENSE_A1, "--degree", "2"],
+        ["cohomology", "--morphism", _DATA + "mor_a1_b2_i1.json", "--degree", "2"],
+    ):
+        assert main(["--output", "json", *args, "--basis"]) == 0
+        assert '"bases"' in capsys.readouterr().out
+    assert reads == []
+
+
+def _basis_subjects():
+    """(id, report, writer of one int row, reference space) for the self,
+    module and morphism complexes of the corpus and of two dense rational
+    cases, at r = 1..3."""
+    from catalog import conjugated_morphism
+    from nliecoh.cochains import CochainSpace, module_cohomology, self_cohomology
+    from nliecoh.corpus import MORPHISM_FILES, all_algebras
+    from nliecoh.morphisms import morphism_cohomology, triple_complex
+
+    algs = dict(all_algebras(), a1_dense=jsonio.load_algebra(ROOT / _DENSE_A1))
+    phis = {key: morphism(key) for key in MORPHISM_FILES}
+    phis["a1_b2_i1~"] = conjugated_morphism()
+    for r in (1, 2, 3):
+        for key, alg in algs.items():
+            space = CochainSpace(alg, r - 1, alg.dim)
+            yield f"self-{key}-{r}", self_cohomology(alg, r), space
+        for key, phi in phis.items():
+            space = CochainSpace(phi.source, r - 1, phi.target.dim)
+            yield f"module-{key}-{r}", module_cohomology(phi, r), space
+            tc = triple_complex(phi)
+            yield f"triple-{key}-{r}", morphism_cohomology(phi, r), (tc, r - 1)
+
+
+def test_basis_rows_match_the_fraction_route():
+    """The integer-row writers give the dicts of the old route, Matrix.data
+    to Cochain/CochainTriple to a sorted writer, on every row; so do the
+    writers of whole cochains and triples that deform artifacts use."""
+    from oracles import oracle_basis_json, oracle_cochain_json, oracle_triple_json
+
+    from nliecoh.cochains import Cochain
+
+    seen = set()
+    for name, rep, space in _basis_subjects():
+        for m in (rep.cocycles, rep.classes):
+            expected = oracle_basis_json(m, space)
+            if isinstance(space, tuple):
+                tc, deg = space
+                got = [jsonio.triple_to_json(tc._spaces(deg), r, d) for r, d in zip(m.ints, m.dens)]
+                whole = [jsonio.triple_to_json(tc.unvectorize(deg, v)) for v in m.data]
+                assert whole == [oracle_triple_json(tc.unvectorize(deg, v)) for v in m.data]
+            else:
+                got = [jsonio.cochain_to_json(space, "self", r, d) for r, d in zip(m.ints, m.dens)]
+                whole = [jsonio.cochain_to_json(Cochain.from_flat(space, v)) for v in m.data]
+            assert got == expected, name
+            assert whole == expected, name
+            seen.update(e["value"] for row in expected for e in _entries_of(row))
+    assert any("/" in v for v in seen)
+
+
+def _entries_of(obj):
+    parts = [obj] if "entries" in obj else [obj[c] for c in ("c1", "c2", "c3") if obj[c]]
+    return [e for part in parts for e in part["entries"]]
 
 
 # One process runs each sequence through the shared parser; every step must
