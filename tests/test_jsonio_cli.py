@@ -95,7 +95,8 @@ def test_matrix_to_json_writes_from_the_integer_rows(monkeypatch):
     """Rows of ints over a denominator, reduced per entry, zeros written as "0";
     the Fraction view is never read."""
     m = Matrix.from_ints(3, 4, [{0: 2, 2: -3}, {}, {1: 5, 3: 10}], [6, 1, 15])
-    rows = [[Fraction(1, 3), 0, Fraction(-1, 2), 0], [0] * 4, [0, Fraction(1, 3), 0, Fraction(2, 3)]]
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    rows = [[third, 0, -half, 0], [0] * 4, [0, third, 0, 2 * third]]
     reads = _count_data_reads(monkeypatch)
     out = jsonio.matrix_to_json(m)
     assert reads == []
@@ -733,7 +734,7 @@ def test_failure_reports_match_golden(name, monkeypatch, capsys):
 # A basis report on the dense rational conjugate of a1, recorded before the
 # rows were written from integers: the five corpus *_basis goldens hold
 # integers only, so they would not see a wrong reduction of p/q.
-_DENSE_A1 = _BAD + "alg_a1_dense.json"
+_DENSE_A1 = "tests/golden/inputs/alg_a1_dense.json"
 
 
 def test_fractional_basis_report_matches_golden(monkeypatch, capsys):
