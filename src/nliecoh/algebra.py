@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange
 from .linalg import Vector, is_zero_vector, vector
-from .tables import _bracket, dense, int_table, nambu_defects
+from .tables import SignedTable, _bracket, dense, int_table, nambu_defects
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,11 @@ class NLieAlgebra:
         return lcm(*(x.denominator for _, val in self.structure for x in val))
 
     @cached_property
-    def ints(self) -> dict[tuple[int, ...], dict[int, int]]:
-        """Structure constants as {increasing n-tuple: {t: int}} over ``den``,
-        shared by every reader and never mutated."""
+    def ints(self) -> SignedTable:
+        """Structure constants as a signed table over ``den``: {increasing
+        n-tuple: {t: int}}, read at any ordering of the indices.  Shared by
+        every reader; a read stores its ordering, and never changes the value
+        under an increasing key."""
         return int_table(self.structure, self.den)
 
     def bracket(self, *vectors_in: Sequence) -> Vector:

@@ -30,7 +30,7 @@ from .errors import (
     InvalidMorphism,
 )
 from .linalg import Matrix, Vector, _Row, frac, kernel_basis, quotient_data
-from .tables import _basis, int_columns, sort_sign
+from .tables import SignedTable, int_columns, sort_sign
 
 if TYPE_CHECKING:
     from .morphisms import Morphism
@@ -182,10 +182,9 @@ class Cochain:
 # p = 0 there is no i = 0 term.
 
 
-def _sparse_bracket(table: dict, scale: int, idxs: tuple) -> dict:
-    """Bracket of basis vectors in any order from an int table, times ``scale``."""
-    sign, val = _basis(table, idxs)
-    return {t: sign * scale * x for t, x in val.items()}
+def _sparse_bracket(table: SignedTable, scale: int, idxs: tuple) -> dict:
+    """Bracket of basis vectors in any order from a signed table, times ``scale``."""
+    return {t: scale * x for t, x in table[idxs].items()}
 
 
 def _derivation(sign, bracket, w: tuple, u: tuple) -> dict:
@@ -216,11 +215,12 @@ def _action(phi_cols: list, bracket, d_T: int, u: tuple) -> list[dict]:
 class _Tables:
     """Sparse structure data of one coboundary, keyed on basis indices.
 
-    Built from the algebras' int tables (``NLieAlgebra.ints``) and the
-    columns of ``phi``, for the life of one requested matrix: the lower
-    degrees of its tower (see above) share them.  The memoized functions
-    close over each other, not over the instance, so no reference cycle
-    keeps them alive after it.
+    Built from the algebras' signed tables (``NLieAlgebra.ints``), which
+    read a bracket at any ordering of its indices, and the columns of
+    ``phi``, for the life of one requested matrix: the lower degrees of its
+    tower (see above) share them.  The memoized functions close over each
+    other, not over the instance, so no reference cycle keeps them alive
+    after it.
 
     The tables hold ints, so each coboundary entry is an int over ``den``.
     With d_* the lcm of the denominators of the source constants, the target

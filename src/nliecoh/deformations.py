@@ -26,6 +26,7 @@ from .errors import (
 from .linalg import Matrix, Vector, solve
 from .morphisms import CochainTriple, Morphism, triple_complex
 from .tables import (
+    SignedTable,
     dense,
     int_columns,
     int_table,
@@ -92,13 +93,13 @@ class DeformedAlgebra:
         )
 
     @cached_property
-    def tables(self) -> tuple[dict, ...]:
-        """Bracket of each order 0..order as {increasing n-tuple: {t: c}}, the
-        values ints over ``den``."""
+    def tables(self) -> tuple[SignedTable, ...]:
+        """Bracket of each order 0..order as a signed table, the values ints
+        over ``den``."""
         den = self.den
         tables = [int_table(self.base.structure, den)]
         for term in self.terms:
-            table: dict = {}
+            table = SignedTable()
             for ((key,), t), c in term.coeffs.items():
                 table.setdefault(key, {})[t] = c.numerator * (den // c.denominator)
             tables.append(table)

@@ -217,9 +217,13 @@ class Matrix:
     def add(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        rows = zip(self.data, other.data)
-        out = [{j: r1.get(j, _ZERO) + r2.get(j, _ZERO) for j in {**r1, **r2}} for r1, r2 in rows]
-        return Matrix.from_sparse(self.rows, self.cols, out)
+        # integer sums over the lcm of each pair of row denominators
+        dens = [lcm(a, b) for a, b in zip(self.dens, other.dens)]
+        out = [
+            _sub({j: v * (d // a) for j, v in r1.items()}, -(d // b), r2)
+            for r1, a, r2, b, d in zip(self.ints, self.dens, other.ints, other.dens, dens)
+        ]
+        return Matrix.from_ints(self.rows, self.cols, out, dens)
 
     def scale(self, c) -> "Matrix":
         c = frac(c)

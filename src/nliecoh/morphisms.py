@@ -39,7 +39,7 @@ from .errors import (
     NotCocycle,
 )
 from .linalg import Matrix, Vector, _Row, solve
-from .tables import _bracket, dense, int_columns, map_defects
+from .tables import SignedTable, _bracket, dense, int_columns, map_defects
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,9 @@ class TripleComplex:
         cols = int_columns(phi, d_phi)
         # phi e_w1 ^ ... ^ phi e_wk is the skew multilinear expansion that
         # _bracket makes on the table taking each increasing k-tuple to itself
-        units = {k: {u: {u: 1} for u in combinations(range(dp), k)} for k in {1, n - 1, n}}
+        units = {
+            k: SignedTable((u, {u: 1}) for u in combinations(range(dp), k)) for k in {1, n - 1, n}
+        }
         image = cache(lambda w: _bracket(units[len(w)], [cols[i] for i in w]))
         tgt_pos = self.space_target(m)._key_pos
         den = d_phi ** ((n - 1) * (m - 1) + n) if m else d_phi

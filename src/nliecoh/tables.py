@@ -1,19 +1,21 @@
 """Sparse integer tables of structure constants and the two identities on them.
 
-A bracket table maps each strictly increasing n-tuple of basis indices to
-its nonzero value {t: int}, every value an int over one denominator;
-vectors are sparse {index: int} dicts, and a linear map is given by its
-sparse integer columns.  On these the fundamental identity of a bracket
-family and the map equation of a series of maps are evaluated order by
-order.  At order 0 they validate an algebra and a morphism; at higher
-orders they are the residuals and obstructions of a deformation.
+A bracket table (:class:`SignedTable`) holds each strictly increasing
+n-tuple of basis indices with its nonzero value {t: int}, every value an
+int over one denominator, and reads the bracket at any ordering of its
+arguments as ``table[idxs]``, sign included.  Vectors are sparse
+{index: int} dicts, and a linear map is given by its sparse integer
+columns.  On these the fundamental identity of a bracket family and the
+map equation of a series of maps are evaluated order by order.  At order 0
+they validate an algebra and a morphism; at higher orders they are the
+residuals and obstructions of a deformation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import lcm, prod
 from typing import Iterator, Sequence
 
 from .linalg import Matrix
@@ -32,13 +34,42 @@ def sort_sign(idxs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(sorted(idxs))
 
 
-def int_table(structure, den: int) -> dict:
-    """{increasing n-tuple: {t: int}} of (key, rational vector) items, the
-    values ints over ``den``, a multiple of their denominators."""
-    return {
-        key: {t: x.numerator * (den // x.denominator) for t, x in enumerate(val) if x}
+_NONE: dict = {}  # the value of every vanishing read; never mutated
+
+
+class SignedTable(dict):
+    """{increasing n-tuple: {t: int}} that reads any ordering of an index
+    tuple as the signed bracket: ``table[idxs]`` is the stored value times
+    the sign of the permutation sorting ``idxs``, and empty when an index
+    repeats or the sorted key is absent.
+
+    An ordering is sorted on its first read only and then stored, so later
+    reads are one dict lookup; the entries grow with the orderings read,
+    never with all n! of them.  No read changes the bracket under an
+    increasing key, and a table with no bracket stores nothing, so it stays
+    falsy.  Values are shared between readers and never mutated.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, idxs: tuple) -> dict:
+        if not self:
+            return _NONE
+        sign, key = sort_sign(idxs)
+        val = self.get(key, _NONE) if sign else _NONE
+        if sign < 0 and val:
+            val = {t: -x for t, x in val.items()}
+        self[idxs] = val
+        return val
+
+
+def int_table(structure, den: int) -> SignedTable:
+    """Signed table of (key, rational vector) items, the values ints over
+    ``den``, a multiple of their denominators."""
+    return SignedTable(
+        (key, {t: x.numerator * (den // x.denominator) for t, x in enumerate(val) if x})
         for key, val in structure
-    }
+    )
 
 
 def int_columns(m: Matrix, den: int) -> list[dict]:
@@ -56,25 +87,16 @@ def dense(res: dict, dim: int) -> tuple[Fraction, ...]:
     return tuple(res.get(t, Fraction(0)) for t in range(dim))
 
 
-def _basis(table: dict, idxs: tuple) -> tuple[int, dict]:
-    """One order's bracket of basis vectors given in any order: the sign
-    sorting them and the stored value, empty on a repeat or a missing key."""
-    sign, key = sort_sign(idxs)
-    return sign, table.get(key, {}) if sign else {}
-
-
-def _bracket(table: dict, args: Sequence[dict]) -> dict:
+def _bracket(table: SignedTable, args: Sequence[dict]) -> dict:
     """One order's bracket of sparse vectors, multilinear over their supports."""
     out: dict = {}
     if not (table and all(args)):
         return out
     for choice in product(*(a.items() for a in args)):
         idxs, cs = zip(*choice)
-        sign, val = _basis(table, idxs)
+        val = table[idxs]
         if val:
-            for c in cs:
-                sign *= c
-            _add(out, val, sign)
+            _add(out, val, prod(cs))
     return {t: x for t, x in out.items() if x}
 
 
@@ -105,7 +127,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def series_bracket(tables: Sequence[dict], cols: Sequence, key: tuple, s: int) -> dict:
+def series_bracket(tables: Sequence[SignedTable], cols: Sequence, key: tuple, s: int) -> dict:
     """Order-s coefficient {t: c} of [g e_k1, ..., g e_kn] for the family with
     one table per order and the map series g with sparse columns ``cols[i]``
     per order: the sum of [g_i1 e_k1, ..., g_in e_kn]_j over j + i_1 + ... = s."""
@@ -118,7 +140,7 @@ def series_bracket(tables: Sequence[dict], cols: Sequence, key: tuple, s: int) -
 
 
 def nambu_defects(
-    d: int, n: int, den: int, tables: Sequence[dict], s: int
+    d: int, n: int, den: int, tables: Sequence[SignedTable], s: int
 ) -> Iterator[tuple[tuple, dict]]:
     """Order-s coefficient of the fundamental-identity defect
 
@@ -142,14 +164,11 @@ def nambu_defects(
         for kt in combinations(range(d), n):
             total: dict = {}
             for inner, outer in pairs:
-                for j, c in inner.get(kt, {}).items():
-                    sign, val = _basis(outer, xt + (j,))
-                    _add(total, val, sign * c)
+                for j, c in inner[kt].items():
+                    _add(total, outer[xt + (j,)], c)
                 for i in range(n):
-                    sign, acted = _basis(inner, xt + (kt[i],))
-                    for j, c in acted.items():
-                        slot_sign, val = _basis(outer, kt[:i] + (j,) + kt[i + 1 :])
-                        _add(total, val, -sign * slot_sign * c)
+                    for j, c in inner[xt + (kt[i],)].items():
+                        _add(total, outer[kt[:i] + (j,) + kt[i + 1 :]], -c)
             if any(total.values()):
                 yield (xt, kt), {t: Fraction(c, den2) for t, c in total.items() if c}
 
@@ -158,9 +177,9 @@ def map_defects(
     n: int,
     terms: Sequence[Matrix],
     src_den: int,
-    src_tables: Sequence[dict],
+    src_tables: Sequence[SignedTable],
     tgt_den: int,
-    tgt_tables: Sequence[dict],
+    tgt_tables: Sequence[SignedTable],
     s: int,
 ) -> Iterator[tuple[tuple, dict]]:
     """Order-s coefficient of the map-equation defect
@@ -183,7 +202,7 @@ def map_defects(
     for key in combinations(range(terms[0].cols), n):
         total: dict = {}
         for i in range(s - top, top + 1):
-            _add(total, _apply(cols[i], src_tables[s - i].get(key, {})), pull)
+            _add(total, _apply(cols[i], src_tables[s - i][key]), pull)
         _add(total, series_bracket(tgt_tables, cols, key, s), push)
         if any(total.values()):
             yield key, {t: Fraction(c, den) for t, c in total.items() if c}

@@ -42,6 +42,16 @@ def perm_sort_sign(idxs):
     return sign, tuple(arr)
 
 
+def oracle_basis(table, idxs):
+    """The bracket of basis vectors given in any order, read from the
+    increasing keys of an int table by sorting them on every read: the sign
+    of the sorting permutation times the stored value, empty on a repeated
+    index or an absent key."""
+    sign, key = perm_sort_sign(idxs)
+    val = dict.get(table, key, {}) if sign else {}
+    return {t: sign * x for t, x in val.items()}
+
+
 def oracle_bracket(alg, vectors):
     """Multilinear bracket by full expansion over the structure table."""
     table = dict(alg.structure)

@@ -45,6 +45,40 @@ def test_mul_vector_matches_fraction_sum(m, v):
         assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_add_matches_fraction_sum(data):
+    a = data.draw(small_matrices)
+    entries = st.lists(fractions, min_size=a.cols, max_size=a.cols)
+    b = Matrix.from_rows(data.draw(st.lists(entries, min_size=a.rows, max_size=a.rows)))
+    rows = zip(a.data, b.data)
+    want = [{j: r1.get(j, 0) + r2.get(j, 0) for j in {**r1, **r2}} for r1, r2 in rows]
+    want = Matrix.from_sparse(a.rows, a.cols, want)
+    # fresh copies of the operands, whose Fraction view is not built yet
+    a, b = (Matrix.from_ints(m.rows, m.cols, m.ints, m.dens) for m in (a, b))
+    got = a.add(b)
+    assert got == want and (got.ints, got.dens) == (want.ints, want.dens)
+    assert a._data is b._data is got._data is None  # the Fraction view is never built
+
+
+def test_add_mixed_denominators_and_cancelling_rows():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    a = Matrix.from_rows([[half, 1, 0], [third, 0, -half], [0, 0, 0]])
+    b = Matrix.from_rows([[half, -1, third], [-third, 0, half], [0, 0, third]])
+    got = a.add(b)
+    assert [dict(r) for r in got.ints] == [{0: 3, 2: 1}, {}, {2: 1}]
+    assert got.dens == (3, 1, 3)
+    assert got.add(got.scale(-1)) == Matrix.zero(3, 3)
+    assert got.add(got.scale(-1)).dens == (1, 1, 1)
+
+
+def test_add_rejects_shape_mismatch():
+    with pytest.raises(DimensionMismatch):
+        Matrix.identity(2).add(Matrix.zero(2, 3))
+    with pytest.raises(DimensionMismatch):
+        Matrix.identity(2).add(Matrix.zero(3, 2))
+
+
 def test_rank_identity_and_zero():
     assert rank(Matrix.identity(3)) == 3
     assert rank(Matrix.zero(2, 3)) == 0
