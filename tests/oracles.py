@@ -48,7 +48,7 @@ def oracle_basis(table, idxs):
     of the sorting permutation times the stored value, empty on a repeated
     index or an absent key."""
     sign, key = perm_sort_sign(idxs)
-    val = dict.get(table, key, {}) if sign else {}
+    val = table.get(key, {}) if sign else {}
     return {t: sign * x for t, x in val.items()}
 
 
