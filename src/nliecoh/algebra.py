@@ -17,7 +17,7 @@ from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .linalg import Vector, is_zero_vector, vector
+from .linalg import Vector, vector
 from .tables import SignedTable, _bracket, dense, int_table, nambu_defects
 
 
@@ -72,7 +72,7 @@ class NLieAlgebra:
         items = []
         for key, value in brackets.items():
             vec = vector(value)
-            if not is_zero_vector(vec):
+            if any(vec):
                 items.append((tuple(key), vec))
         items.sort(key=lambda kv: kv[0])
         return cls(name, arity, dim, names, tuple(items))
@@ -149,6 +149,6 @@ def validate_algebra(alg: NLieAlgebra) -> ValidationReport:
     over increasing (n-1)-tuples and y over increasing n-tuples; the check
     is the order-0 defect of :func:`~nliecoh.tables.nambu_defects`.
     """
-    defects = nambu_defects(alg.dim, alg.arity, alg.den, (alg.ints,), 0)
-    failures = tuple(NambuFailure(x, y, dense(res, alg.dim)) for (x, y), res in defects)
+    den, defects = nambu_defects(alg.dim, alg.arity, alg.den, (alg.ints,), 0)
+    failures = tuple(NambuFailure(x, y, dense(res, den, alg.dim)) for (x, y), res in defects)
     return ValidationReport(alg.name, "algebra", failures)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import jsonio
 from .algebra import ValidationReport, validate_algebra
-from .cochains import CochainSpace, module_cohomology, self_cohomology
+from .cochains import Cochain, CochainSpace, module_cohomology, self_cohomology
 from .deformations import (
     apply_automorphism,
     extend_deformation,
@@ -32,7 +32,7 @@ from .jsonio import (
     format_rational,
     triple_to_json,
 )
-from .morphisms import morphism_cohomology, triple_complex, validate_morphism
+from .morphisms import CochainTriple, morphism_cohomology, triple_complex, validate_morphism
 
 
 def _residual_json(failures) -> list:
@@ -118,8 +118,8 @@ def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
     makes of its target (``cohomology --morphism``) or of a morphism's complex
     (``morphism-cohomology``).  They differ in the subject that must be
     valid, the group computed and how a flat basis row reads as JSON: each
-    row of ``ints``/``dens`` is written from its integers, with no Fraction
-    or Cochain made on the way."""
+    row of ``ints``/``dens`` is taken as the integer row of a Cochain or a
+    CochainTriple as it is, with no copy, and written from its integers."""
     r = args.degree
     paths = [p for p in (args.algebra, args.module, args.morphism) if p]
     if args.morphism:
@@ -140,7 +140,7 @@ def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
         return _report(argv, paths, verdict, 1, residuals=_residual_json(subject._report.failures))
     if args.command == "morphism-cohomology":
         rep = morphism_cohomology(phi, r)
-        to_json = partial(triple_to_json, triple_complex(phi)._spaces(r - 1))
+        wrap, write = partial(CochainTriple.from_row, triple_complex(phi)._spaces(r - 1)), triple_to_json
     else:
         if args.morphism:
             rep = module_cohomology(phi, r)
@@ -148,12 +148,12 @@ def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
         else:
             rep = self_cohomology(subject, r)
             space = CochainSpace(subject, r - 1, subject.dim)
-        to_json = partial(cochain_to_json, space, "self")
+        wrap, write = partial(Cochain.from_row, space), cochain_to_json
     dims = {f"dim {g}^{r}": n for g, n in zip("ZBH", (rep.dim_z, rep.dim_b, rep.dim_h))}
     bases = None
     if args.basis:
         bases = {
-            name: [to_json(row, den) for row, den in zip(m.ints, m.dens)]
+            name: [write(wrap(row, den)) for row, den in zip(m.ints, m.dens)]
             for name, m in (("cocycle_basis", rep.cocycles), ("representatives", rep.classes))
         }
     return _report(argv, paths, {"valid": True}, 0, bases, dimensions=dims)
@@ -178,6 +178,8 @@ def cmd_deform(args, argv: list[str]) -> tuple[dict, int]:
         if args.order > dm.order:
             raise ParseError(f"--order {args.order} exceeds file order {dm.order}")
         dm = dm.truncated(args.order)
+    if args.subcommand == "infinitesimal" and dm.order < 1:
+        raise ParseError(f"deform infinitesimal needs order at least 1, got {dm.order}")
     report = dm.report
     if args.subcommand == "check" or not report.is_valid:
         verdict = {"valid": report.is_valid, "order": dm.order}

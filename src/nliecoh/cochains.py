@@ -5,6 +5,10 @@ vector; the final block couples with that vector into a fully skew group of
 n slots.  Canonical bases enumerate strictly increasing index tuples in a
 fixed lexicographic order, so assembled matrices are identical across runs.
 
+A :class:`Cochain` is one integer row over its space's flat coordinates
+``position(key) * target_dim + t``, in the form of a row of
+``Matrix.ints``/``dens``, so equal cochains store equal rows.
+
 Two coboundaries are assembled here: ``coboundary_matrix_self(alg, p)`` on
 C^p(N, N) and ``coboundary_matrix_module(phi, m)`` on C^m(N, N') along a
 ``Morphism`` phi: N -> N'.  One formula builds both; the self-valued complex
@@ -15,11 +19,10 @@ them.  Reports use the classical labelling H^r with r = p + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import combinations, product
 from math import lcm
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import NLieAlgebra
 from .errors import (
@@ -29,7 +32,7 @@ from .errors import (
     InvalidAlgebra,
     InvalidMorphism,
 )
-from .linalg import Matrix, Vector, _Row, frac, kernel_basis, quotient_data
+from .linalg import Matrix, _Row, frac, int_row, kernel_basis, lowest, quotient_data
 from .tables import SignedTable, int_columns, sort_sign
 
 if TYPE_CHECKING:
@@ -75,70 +78,58 @@ class CochainSpace:
         return self._key_pos[key] * self.target_dim + t
 
     def zero(self) -> "Cochain":
-        return Cochain(self, {})
-
-
-def flat_items(flat, dim: int):
-    """(index, value) pairs of flat coordinates in a space of dimension
-    ``dim``: a dense sequence of that length or a sparse {index: value}."""
-    if isinstance(flat, Mapping):
-        if flat and not (0 <= min(flat) and max(flat) < dim):
-            raise DimensionMismatch(f"flat index outside 0..{dim - 1}")
-        return flat.items()
-    if len(flat) != dim:
-        raise DimensionMismatch(f"flat length {len(flat)} != {dim}")
-    return enumerate(flat)
+        return Cochain.from_row(self, {})
 
 
 class Cochain:
-    """Coefficient table over a :class:`CochainSpace` canonical basis."""
+    """A cochain on ``space``: the integer row ``row`` {flat index: int} over
+    the positive denominator ``den``, in lowest terms.  ``Cochain(space,
+    coeffs)`` coerces {(domain key, target index): exact value}, checking
+    every key and index, a zero value's too."""
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space", "row", "den")
 
     def __init__(self, space: CochainSpace, coeffs: dict):
-        self.space = space
-        clean = {}
+        flat = {}
         for (key, t), c in coeffs.items():
-            c = frac(c)
-            if c:
-                if key not in space._key_pos:
-                    raise DimensionMismatch(f"unknown domain key {key!r}")
-                if not 0 <= t < space.target_dim:
-                    raise DimensionMismatch(f"target index {t} out of range")
-                clean[(key, t)] = c
-        self.coeffs = clean
+            if key not in space._key_pos or not (type(t) is int and 0 <= t < space.target_dim):
+                raise DimensionMismatch(f"no coordinate ({key!r}, {t!r}) in the cochain space")
+            flat[space.flat_index(key, t)] = c
+        self.space = space
+        self.row, self.den = int_row(flat, space.dim)
 
     @classmethod
     def from_flat(cls, space: CochainSpace, flat) -> "Cochain":
-        """From flat coordinates: a dense sequence or a sparse {index: value}."""
-        keys, d_T = space.domain_keys, space.target_dim
-        return cls(space, {(keys[i // d_T], i % d_T): c for i, c in flat_items(flat, space.dim)})
+        """From exact flat coordinates: a dense sequence or a sparse {index: value}."""
+        return cls.from_row(space, *int_row(flat, space.dim))
 
-    def as_flat(self) -> Vector:
-        out = [Fraction(0)] * self.space.dim
-        for (key, t), c in self.coeffs.items():
-            out[self.space.flat_index(key, t)] = c
-        return tuple(out)
+    @classmethod
+    def from_row(cls, space: CochainSpace, row: dict, den: int = 1) -> "Cochain":
+        """The cochain of an integer row over ``den``, already in lowest terms
+        and in range: kept as it is, with no copy and no check."""
+        c = cls.__new__(cls)
+        c.space, c.row, c.den = space, row, den
+        return c
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.row
 
     def scale(self, c) -> "Cochain":
         c = frac(c)
-        return Cochain(self.space, {k: c * v for k, v in self.coeffs.items()})
+        row = {j: c.numerator * v for j, v in self.row.items()} if c else {}
+        return Cochain.from_row(self.space, *lowest(row, self.den * c.denominator))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Cochain)
-            and self.space == other.space
-            and self.coeffs == other.coeffs
+            and (self.space, self.den, self.row) == (other.space, other.den, other.row)
         )
 
     def __hash__(self) -> int:
-        return hash((self.space, tuple(sorted(self.coeffs.items()))))
+        return hash((self.space, self.den, frozenset(self.row.items())))
 
     def __repr__(self) -> str:
-        return f"Cochain(degree={self.space.degree}, nnz={len(self.coeffs)})"
+        return f"Cochain(degree={self.space.degree}, nnz={len(self.row)})"
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +376,7 @@ class CohomologyReport:
 
     ``cocycles`` holds a basis of Z as rows in the form of
     :func:`~nliecoh.linalg.kernel_basis`; ``classes`` holds the rows of it
-    that represent a basis of H.
+    that represent a basis of H.  Each row is a cochain's integer row.
     """
 
     dim_z: int
@@ -393,14 +384,6 @@ class CohomologyReport:
     dim_h: int
     cocycles: Matrix
     classes: Matrix
-
-    @cached_property
-    def cocycle_basis(self) -> tuple[Vector, ...]:
-        return tuple(self.cocycles.row(i) for i in range(self.cocycles.rows))
-
-    @cached_property
-    def representatives(self) -> tuple[Vector, ...]:
-        return tuple(self.classes.row(i) for i in range(self.classes.rows))
 
 
 def cohomology(delta_in: Optional[Matrix], delta_out: Matrix) -> CohomologyReport:

@@ -3,7 +3,8 @@
 A deformed algebra carries degree-1 cochain terms, one per power of the
 parameter; a deformed morphism couples two such families with a series of
 linear maps.  Everything here is order-by-order polynomial arithmetic
-truncated at the working order, so no convergence questions arise.
+truncated at the working order, so no convergence questions arise.  Terms,
+residuals, obstructions and witnesses are integer rows, as matrix rows are.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     ObstructionNotCocycle,
     OrderMismatch,
 )
-from .linalg import Matrix, Vector, solve
+from .linalg import Matrix, Vector, lowest, solve
 from .morphisms import CochainTriple, Morphism, triple_complex
 from .tables import (
     SignedTable,
@@ -41,22 +42,25 @@ def degree1_space(alg: NLieAlgebra) -> CochainSpace:
 
 
 def linear_map_cochain(space: CochainSpace, m: Matrix) -> Cochain:
-    """Degree-0 cochain wrapping a plain linear map."""
-    if space.degree != 0:
-        raise DegreeMismatch("expected a degree-0 space")
-    if (m.rows, m.cols) != (space.target_dim, space.source.dim):
+    """The cochain whose value at the j-th domain key is column j of ``m``:
+    at degree 0, the cochain of a plain linear map."""
+    den, d_T = lcm(*m.dens), space.target_dim
+    if (m.rows, m.cols) != (d_T, len(space.domain_keys)):
         raise DimensionMismatch("matrix shape does not fit the cochain space")
-    return Cochain(space, {(i, t): c for t, row in enumerate(m.data) for i, c in row.items()})
+    # rows in lowest terms stay so over the lcm of their denominators
+    rows = zip(m.ints, m.dens)
+    row = {j * d_T + t: v * (den // d) for t, (r, d) in enumerate(rows) for j, v in r.items()}
+    return Cochain.from_row(space, row, den)
 
 
 def cochain_matrix(c: Cochain) -> Matrix:
-    """Matrix of a degree-0 cochain (columns indexed by source basis)."""
-    if c.space.degree != 0:
-        raise DegreeMismatch("expected a degree-0 cochain")
-    data: list[dict] = [{} for _ in range(c.space.target_dim)]
-    for (i, t), v in c.coeffs.items():
-        data[t][i] = v
-    return Matrix.from_sparse(c.space.target_dim, c.space.source.dim, data)
+    """The matrix whose column j is the value of ``c`` at the j-th domain
+    key: at degree 0, the plain linear map."""
+    d_T = c.space.target_dim
+    ints: list[dict] = [{} for _ in range(d_T)]
+    for j, v in c.row.items():
+        ints[j % d_T][j // d_T] = v
+    return Matrix.from_ints(d_T, len(c.space.domain_keys), ints, [c.den] * d_T)
 
 
 @dataclass(frozen=True)
@@ -87,21 +91,18 @@ class DeformedAlgebra:
     @cached_property
     def den(self) -> int:
         """Lcm of the denominators of the base constants and of every term."""
-        return lcm(
-            self.base.den,
-            *(c.denominator for term in self.terms for c in term.coeffs.values()),
-        )
+        return lcm(self.base.den, *(term.den for term in self.terms))
 
     @cached_property
     def tables(self) -> tuple[SignedTable, ...]:
         """Bracket of each order 0..order as a signed table, the values ints
         over ``den``."""
-        den = self.den
+        den, d = self.den, self.base.dim
         tables = [int_table(self.base.structure, den)]
         for term in self.terms:
-            table = SignedTable()
-            for ((key,), t), c in term.coeffs.items():
-                table.setdefault(key, {})[t] = c.numerator * (den // c.denominator)
+            keys, f, table = term.space.domain_keys, den // term.den, SignedTable()
+            for j, v in term.row.items():
+                table.setdefault(keys[j // d][0], {})[j % d] = f * v
             tables.append(table)
         return tuple(tables)
 
@@ -117,9 +118,15 @@ def nambu_residual(da: DeformedAlgebra, s: int) -> Cochain:
     The zero cochain means the identity holds exactly at that order.
     """
     alg = da.base
-    defects = nambu_defects(alg.dim, alg.arity, da.den, da.tables, s)
-    coeffs = {(key, t): c for key, res in defects for t, c in res.items()}
-    return Cochain(CochainSpace(alg, 2, alg.dim), coeffs)
+    den, defects = nambu_defects(alg.dim, alg.arity, da.den, da.tables, s)
+    return _defect_cochain(CochainSpace(alg, 2, alg.dim), den, defects)
+
+
+def _defect_cochain(space: CochainSpace, den: int, defects) -> Cochain:
+    """The cochain of the integer defects (domain key, {t: int}) over ``den``."""
+    pos, d_T = space._key_pos, space.target_dim
+    row = {pos[key] * d_T + t: c for key, res in defects for t, c in res.items()}
+    return Cochain.from_row(space, *lowest(row, den))
 
 
 @dataclass(frozen=True)
@@ -195,8 +202,9 @@ class DeformedMorphism:
 
 def morphism_residual(dm: DeformedMorphism, s: int) -> Cochain:
     """Order-s defect of the map equation, as a module-valued cochain."""
-    coeffs = {((key,), t): c for key, res in _map_defects(dm, s) for t, c in res.items()}
-    return Cochain(CochainSpace(dm.src_def.base, 1, dm.tgt_def.base.dim), coeffs)
+    den, defects = _map_defects(dm, s)
+    space = CochainSpace(dm.src_def.base, 1, dm.tgt_def.base.dim)
+    return _defect_cochain(space, den, (((key,), res) for key, res in defects))
 
 
 def _map_defects(dm: DeformedMorphism, s: int):
@@ -213,11 +221,13 @@ def validate_deformation(dm: DeformedMorphism) -> ValidationReport:
     for s in range(dm.order + 1):
         for part, da in (("source", dm.src_def), ("target", dm.tgt_def)):
             alg = da.base
-            for key, res in nambu_defects(alg.dim, alg.arity, da.den, da.tables, s):
-                failures.append(DeformationFailure(part, s, key, dense(res, alg.dim)))
+            den, defects = nambu_defects(alg.dim, alg.arity, da.den, da.tables, s)
+            for key, res in defects:
+                failures.append(DeformationFailure(part, s, key, dense(res, den, alg.dim)))
         d_tgt = dm.tgt_def.base.dim
-        for key, res in _map_defects(dm, s):
-            failures.append(DeformationFailure("morphism", s, (key,), dense(res, d_tgt)))
+        den, defects = _map_defects(dm, s)
+        for key, res in defects:
+            failures.append(DeformationFailure("morphism", s, (key,), dense(res, den, d_tgt)))
     return ValidationReport(dm.name or "deformation", "deformation", tuple(failures))
 
 
@@ -276,10 +286,8 @@ def extend_order(dm: DeformedMorphism) -> Optional[CochainTriple]:
     tc = triple_complex(dm.base_morphism)
     if not tc.is_cocycle(ob):
         raise ObstructionNotCocycle("obstruction fails its cocycle identity")
-    x = solve(tc.delta_matrix(1), tc.vectorize(ob))
-    if x is None:
-        return None
-    return tc.unvectorize(1, x)
+    x = solve(tc.delta_matrix(1), ob.row, ob.den)
+    return None if x is None else CochainTriple.from_row(tc._spaces(1), *x)
 
 
 def extend_deformation(dm: DeformedMorphism, theta: CochainTriple) -> DeformedMorphism:
@@ -395,12 +403,9 @@ def _conjugate_brackets(
     for s in range(da.order + 1):
         rows = [series_bracket(da.tables, cols, key, s) for key in keys]
         pushed.append(Matrix.from_ints(len(keys), alg.dim, rows, dens).transpose())
-    terms = []
-    for s in range(1, da.order + 1):
-        rows = enumerate(_product_term(psi, pushed, s).data)
-        terms.append({((keys[j],), t): c for t, row in rows for j, c in row.items()})
     space = degree1_space(alg)
-    return DeformedAlgebra(alg, da.order, tuple(Cochain(space, c) for c in terms))
+    terms = (linear_map_cochain(space, _product_term(psi, pushed, s)) for s in range(1, da.order + 1))
+    return DeformedAlgebra(alg, da.order, tuple(terms))
 
 
 def first_order_equivalence(

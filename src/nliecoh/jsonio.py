@@ -6,8 +6,7 @@ a zero denominator is rejected.  All index lists are 1-based and strictly
 increasing.  Serialization emits keys in a fixed order and sorted entries,
 so identical objects always produce identical bytes.  Numbers are written
 from integers over a positive denominator, as ``Matrix.ints``/``dens`` hold
-them, and cochains from integer flat rows: one writer serves a ``Cochain``
-and a row of a basis matrix.
+them, and a cochain from its integer row.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from pathlib import Path
 from typing import Optional, Union
 
@@ -258,47 +257,19 @@ def cochain_from_json(
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def _int_row(*cochains):
-    """The spaces of the given cochains, None skipped, and the cochains laid
-    end to end as one integer flat row over a common denominator, the form
-    of a row of ``Matrix.ints``/``dens``."""
-    cochains = [c for c in cochains if c is not None]
-    den = lcm(*(q.denominator for c in cochains for q in c.coeffs.values()))
-    row, off = {}, 0
-    for c in cochains:
-        for (key, t), q in c.coeffs.items():
-            row[off + c.space.flat_index(key, t)] = q.numerator * (den // q.denominator)
-        off += c.space.dim
-    return [c.space for c in cochains], row, den
-
-
-def _cochain_json(space, label, row, den, off=0) -> dict:
-    """The one cochain writer: the cochain on ``space`` whose flat coordinates
-    are the entries ``off`` to ``off + space.dim - 1`` of the integer row
-    ``row``, each over ``den``.  Canonical keys are enumerated in
-    lexicographic order, so ascending index is key order and then target
-    index."""
-    keys, d_T, end = space.domain_keys, space.target_dim, off + space.dim
+def cochain_to_json(c: Cochain, target_label: str = "self") -> dict:
+    """A cochain written from its integer row.  Canonical keys are enumerated
+    in lexicographic order, so ascending flat index is key order and then
+    target index."""
+    keys, d_T, deg = c.space.domain_keys, c.space.target_dim, c.space.degree
     entries = []
-    for j in sorted(row):
-        if off <= j < end:
-            pos, t = divmod(j - off, d_T)
-            key = keys[pos]  # an index at degree 0, else blocks and a last wedge
-            *blocks, last = [[key + 1]] if space.degree == 0 else [[i + 1 for i in b] for b in key]
-            value = format_ratio(row[j], den)
-            entries.append({"blocks": blocks, "last": last, "target_index": t + 1, "value": value})
-    return {"degree": space.degree, "target": label, "entries": entries}
-
-
-def cochain_to_json(
-    c: Union[Cochain, CochainSpace], target_label: str = "self", row: Optional[dict] = None, den=1
-) -> dict:
-    """A ``Cochain`` as JSON.  Given ``row``, ``c`` is a ``CochainSpace``
-    and the cochain is the integer flat row over ``den``, as a row of a
-    basis matrix's ``ints``/``dens``, written without building a Cochain."""
-    if row is None:
-        (c,), row, den = _int_row(c)
-    return _cochain_json(c, target_label, row, den)
+    for j in sorted(c.row):
+        pos, t = divmod(j, d_T)
+        key = keys[pos]  # an index at degree 0, else blocks and a last wedge
+        *blocks, last = [[key + 1]] if deg == 0 else [[i + 1 for i in b] for b in key]
+        value = format_ratio(c.row[j], c.den)
+        entries.append({"blocks": blocks, "last": last, "target_index": t + 1, "value": value})
+    return {"degree": deg, "target": target_label, "entries": entries}
 
 
 # -- deformations -------------------------------------------------------------
@@ -376,18 +347,10 @@ def automorphism_to_json(psi: FormalAutomorphism) -> dict:
 # -- triples -------------------------------------------------------------------
 
 
-def triple_to_json(t: Union[CochainTriple, tuple], row: Optional[dict] = None, den=1) -> dict:
-    """A ``CochainTriple`` as JSON.  Given ``row``, ``t`` is the (source,
-    target, module) spaces of ``TripleComplex._spaces(m)`` and the triple is
-    the integer flat row over ``den``, split at the spaces' offsets."""
-    if row is None:
-        t, row, den = _int_row(t.c1, t.c2, t.c3)
-    out, off = {"degree": t[0].degree, "c1": None, "c2": None, "c3": None}, 0
-    for name, label, space in zip(("c1", "c2", "c3"), ("self", "self", "module"), t):
-        if space is not None:
-            out[name] = _cochain_json(space, label, row, den, off)
-            off += space.dim
-    return out
+def triple_to_json(t: CochainTriple) -> dict:
+    c3 = t.c3
+    c3 = None if c3 is None else cochain_to_json(c3, "module")
+    return {"degree": t.degree, "c1": cochain_to_json(t.c1), "c2": cochain_to_json(t.c2), "c3": c3}
 
 
 def triple_from_json(obj: dict, phi: Morphism, where: str = "triple") -> CochainTriple:

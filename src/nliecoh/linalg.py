@@ -4,16 +4,17 @@ Everything the cohomology machinery needs reduces to the primitives here:
 rank, right null space, particular solutions, and quotient-space data, all
 over arbitrary-precision rationals with no rounding anywhere.
 
-Matrices store only their nonzero entries, as integer rows: row i is a
-read-only ``{column: int}`` dict ``ints[i]`` over one positive denominator
-``dens[i]``, in lowest terms (the denominator is the lcm of the entries'
-reduced denominators), so equal matrices store equal rows.  Outside input
-(``Matrix(...)``, ``from_rows``, ``from_sparse``) is coerced and
-range-checked in one place; rows derived from integer rows, and
-coboundaries assembled from integer tables, are built as integers, through
-:meth:`Matrix.from_ints`.  ``data`` is the ``{column: Fraction}`` view of
-the rows, built on first read.  Row reduction runs in :func:`_echelon`, one
-fraction-free pass per row into a reduced integer basis.
+A vector is an integer row: a ``{index: int}`` dict of nonzero entries over
+one positive denominator, in lowest terms (the denominator is the lcm of the
+entries' reduced denominators), so equal vectors store equal rows.  Row i of
+a matrix is the read-only row ``ints[i]`` over ``dens[i]``, and a cochain or
+a triple is one such row.  Outside input is coerced and range-checked in one
+place, :func:`int_row`; rows derived from integer rows are built as
+integers, through :meth:`Matrix.from_ints` and :func:`lowest`, and
+:meth:`Matrix.mul_row` and :func:`solve` take and return them.  ``data`` is
+the ``{column: Fraction}`` view of the rows, built on first read.  Row
+reduction runs in :func:`_echelon`, one fraction-free pass per row into a
+reduced integer basis.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Iterable, Optional, Sequence
 from .errors import DimensionMismatch, SubspaceViolation
 
 Vector = tuple[Fraction, ...]
-_ZERO = Fraction(0)
 _INT = frozenset((int,))
 
 
@@ -42,10 +42,6 @@ def vector(entries: Iterable) -> Vector:
     return tuple(frac(x) for x in entries)
 
 
-def is_zero_vector(v: Vector) -> bool:
-    return all(a == 0 for a in v)
-
-
 class _Row(dict):
     """One matrix row, {column: nonzero entry}; mutating it raises."""
 
@@ -58,22 +54,38 @@ class _Row(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
 
-def _coerce(rows: int, cols: int, data: Iterable[dict]) -> tuple[list, list]:
-    """Integer rows and denominators of {column: exact entry} rows."""
-    ints, dens = [], []
-    for r in data:
-        if r and not (_INT.issuperset(map(type, r)) and min(r) >= 0 and max(r) < cols):
-            raise DimensionMismatch(f"sparse rows do not fit {rows}x{cols}")
-        den = 1
-        if not _INT.issuperset(map(type, r.values())):
-            r = {j: frac(x) for j, x in r.items()}
-            den = lcm(*(x.denominator for x in r.values()))
-            r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
-        ints.append(_Row({j: x for j, x in r.items() if x} if 0 in r.values() else r))
-        dens.append(den)
-    if len(ints) != rows:
+def int_row(entries, size: int) -> tuple[dict[int, int], int]:
+    """The integer row and denominator, in lowest terms, of exact entries: a
+    dense sequence of length ``size`` or a sparse {index: value} with every
+    index in 0..size-1.  All outside input is coerced here."""
+    if not isinstance(entries, dict):
+        if len(entries) != size:
+            raise DimensionMismatch(f"vector length {len(entries)} != {size}")
+        entries = dict(enumerate(entries))
+    elif entries and not (
+        _INT.issuperset(map(type, entries)) and 0 <= min(entries) <= max(entries) < size
+    ):
+        raise DimensionMismatch(f"vector index outside 0..{size - 1}")
+    den = 1
+    if not _INT.issuperset(map(type, entries.values())):
+        entries = {j: frac(x) for j, x in entries.items()}
+        den = lcm(*(x.denominator for x in entries.values()))
+        entries = {j: x.numerator * (den // x.denominator) for j, x in entries.items()}
+    return {j: x for j, x in entries.items() if x}, den
+
+
+def lowest(row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """An integer row of nonzero entries over ``den`` > 0 in lowest terms."""
+    g = gcd(den, *row.values()) if den != 1 else 1
+    return ({j: v // g for j, v in row.items()}, den // g) if g != 1 else (row, den)
+
+
+def _coerce(rows: int, cols: int, data: Iterable) -> tuple[list, list]:
+    """Integer rows and denominators of rows of exact entries."""
+    pairs = [int_row(r, cols) for r in data]
+    if len(pairs) != rows:
         raise DimensionMismatch(f"sparse rows do not fit {rows}x{cols}")
-    return ints, dens
+    return [_Row(r) for r, _ in pairs], [d for _, d in pairs]
 
 
 class Matrix:
@@ -87,7 +99,7 @@ class Matrix:
         dense = [list(r) for r in data]
         if len(dense) != rows or any(len(r) != cols for r in dense):
             raise DimensionMismatch(f"matrix data does not fill {rows}x{cols}")
-        self._set(rows, cols, *_coerce(rows, cols, [dict(enumerate(r)) for r in dense]))
+        self._set(rows, cols, *_coerce(rows, cols, dense))
 
     def _set(self, rows: int, cols: int, ints: Iterable[_Row], dens: Iterable[int]) -> None:
         for name, value in zip(self.__slots__, (rows, cols, tuple(ints), tuple(dens), None)):
@@ -115,11 +127,9 @@ class Matrix:
         else:
             out, low = [], []
             for r, d in zip(ints, dens):
-                g = gcd(d, *r.values()) if d != 1 else 1
-                if g != 1 and r:
-                    r = _Row({j: v // g for j, v in r.items()})
+                r, d = lowest(r, d)
                 out.append(r if type(r) is _Row else _Row(r))
-                low.append(d // g)
+                low.append(d)
         m = cls.__new__(cls)
         m._set(rows, cols, out, low)
         return m
@@ -165,10 +175,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
-    def row(self, i: int) -> Vector:
-        r = self.data[i]
-        return tuple(r.get(j, _ZERO) for j in range(self.cols))
-
     def transpose(self) -> "Matrix":
         out: list[dict] = [{} for _ in range(self.cols)]
         for i, r in enumerate(self.ints):
@@ -183,15 +189,21 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self.ints)
 
-    def mul_vector(self, v: Sequence) -> Vector:
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
-        # integer products over one common denominator e of v
-        v = vector(v)
-        e = lcm(*(x.denominator for x in v))
-        w = [x.numerator * (e // x.denominator) for x in v]
-        rows = zip(self.ints, self.dens)
-        return tuple(Fraction(sum(a * w[j] for j, a in r.items()), d * e) for r, d in rows)
+    def mul_row(self, row: dict[int, int], den: int = 1) -> tuple[dict[int, int], int]:
+        """The product with the integer row ``row`` over ``den``, as an
+        integer row in lowest terms: one integer per nonzero product, over
+        the lcm e of the row denominators times ``den``."""
+        if row and not (min(row) >= 0 and max(row) < self.cols):
+            raise DimensionMismatch(f"vector index outside 0..{self.cols - 1}")
+        w = [0] * self.cols
+        for j, v in row.items():
+            w[j] = v
+        e, out = lcm(*self.dens), {}
+        for i, (r, d) in enumerate(zip(self.ints, self.dens)):
+            x = sum(a * w[j] for j, a in r.items()) if r else 0
+            if x:
+                out[i] = x * (e // d)
+        return lowest(out, e * den)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -304,8 +316,8 @@ def kernel_basis(m: Matrix) -> Matrix:
 
     The row of f is the kernel vector of the reduced row echelon form: 1 at
     f and otherwise nonzero only on pivot columns left of f, so f is its
-    largest column.  Every row v satisfies m.mul_vector(v) == 0 exactly,
-    and there are cols - rank rows.
+    largest column.  m times every row is zero exactly, and there are
+    cols - rank rows.
     """
     reduced = _echelon(m.ints)
     pivots = {pc for pc, _ in reduced}
@@ -319,21 +331,22 @@ def kernel_basis(m: Matrix) -> Matrix:
     return Matrix.from_ints(len(ints), m.cols, ints, dens)
 
 
-def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
-    """Some x with m x = b, or None when b is outside the column space."""
-    if len(b) != m.rows:
-        raise DimensionMismatch(f"rhs length {len(b)} != rows {m.rows}")
-    # row i is [ints[i] / dens[i] | x], scaled by dens[i] * x.denominator
+def solve(m: Matrix, b: dict[int, int], den: int = 1) -> Optional[tuple[dict[int, int], int]]:
+    """Some x with m x = b / den, for an integer row b, as an integer row in
+    lowest terms; None when b is outside the column space."""
+    if b and not (min(b) >= 0 and max(b) < m.rows):
+        raise DimensionMismatch(f"rhs index outside 0..{m.rows - 1}")
+    # row i is [ints[i] / dens[i] | b[i] / den], scaled by dens[i] * den
     aug = [
-        {**{j: v * x.denominator for j, v in r.items()}, m.cols: x.numerator * d} if x else r
-        for r, d, x in zip(m.ints, m.dens, vector(b))
+        {**{j: v * den for j, v in r.items()}, m.cols: b[i] * d} if i in b else r
+        for i, (r, d) in enumerate(zip(m.ints, m.dens))
     ]
-    x = [_ZERO] * m.cols
-    for pc, r in _echelon(aug):
-        if pc == m.cols:
-            return None
-        x[pc] = Fraction(r.get(m.cols, 0), r[pc])
-    return tuple(x)
+    reduced = _echelon(aug)
+    if reduced and reduced[-1][0] == m.cols:
+        return None
+    # x[pc] = r[m.cols] / r[pc], over the lcm of the pivots
+    e = lcm(*(r[pc] for pc, r in reduced if m.cols in r))
+    return lowest({pc: r[m.cols] * (e // r[pc]) for pc, r in reduced if m.cols in r}, e)
 
 
 def quotient_data(z: Matrix, b: Matrix) -> tuple[int, Matrix]:

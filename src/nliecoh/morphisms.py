@@ -6,7 +6,8 @@ degree down) with a coupling term in the differential: the mapping cone of
 post - pull.  Cohomology of that complex classifies simultaneous
 deformations of source, target, and the morphism between them.
 
-One way in: ``triple_complex(phi)`` is the morphism's ``TripleComplex``.
+A triple is one integer row, as a cochain is.  One way in:
+``triple_complex(phi)`` is the morphism's ``TripleComplex``.
 ``TripleComplex.coboundary`` applies the differential to a triple,
 ``TripleComplex.cohomologous`` finds a witness that two cocycles are
 cohomologous, and ``morphism_cohomology(phi, r)`` reads H^r.  The module
@@ -29,7 +30,6 @@ from .cochains import (
     _cohomology_at,
     coboundary_matrix_module,
     coboundary_matrix_self,
-    flat_items,
 )
 from .errors import (
     ArityMismatch,
@@ -38,7 +38,7 @@ from .errors import (
     InvalidMorphism,
     NotCocycle,
 )
-from .linalg import Matrix, Vector, _Row, solve
+from .linalg import Matrix, Vector, _Row, _sub, int_row, lowest, solve
 from .tables import SignedTable, _bracket, dense, int_columns, map_defects
 
 
@@ -89,7 +89,9 @@ class Morphism:
         return cls(source, target, Matrix.zero(target.dim, source.dim), "0")
 
     def apply(self, v: Sequence) -> Vector:
-        return self.matrix.mul_vector(v)
+        """The image of a vector of exact entries, as Fractions."""
+        row, den = self.matrix.mul_row(*int_row(v, self.source.dim))
+        return dense(row, den, self.target.dim)
 
     @cached_property
     def _report(self) -> ValidationReport:
@@ -110,39 +112,76 @@ def validate_morphism(phi: Morphism) -> ValidationReport:
             return ValidationReport(
                 phi.name or "morphism", "morphism", alg._report.failures
             )
-    defects = map_defects(src.arity, (phi.matrix,), src.den, (src.ints,), tgt.den, (tgt.ints,), 0)
-    failures = tuple(MorphismFailure(key, dense(res, tgt.dim)) for key, res in defects)
+    den, defects = map_defects(src.arity, (phi.matrix,), src.den, (src.ints,), tgt.den, (tgt.ints,), 0)
+    failures = tuple(MorphismFailure(key, dense(res, den, tgt.dim)) for key, res in defects)
     return ValidationReport(phi.name or "morphism", "morphism", failures)
 
 
-@dataclass(frozen=True)
 class CochainTriple:
     """Element of the morphism complex: two self-valued cochains plus a
-    module-valued one a degree lower (absent at degree zero)."""
+    module-valued one a degree lower (absent at degree zero), held as one
+    integer row over the flat coordinates of ``spaces`` end to end, in the
+    form of a Cochain's; ``c1``, ``c2`` and ``c3`` read the parts."""
 
-    degree: int
-    c1: Cochain
-    c2: Cochain
-    c3: Optional[Cochain]
+    __slots__ = ("spaces", "row", "den")
 
-    def __post_init__(self):
-        if self.degree < 0:
+    def __init__(self, degree: int, c1: Cochain, c2: Cochain, c3: Optional[Cochain]):
+        if degree < 0:
             raise DegreeMismatch("triple degree must be nonnegative")
-        if self.c1.space.degree != self.degree or self.c2.space.degree != self.degree:
+        if c1.space.degree != degree or c2.space.degree != degree:
             raise DegreeMismatch("component degrees disagree with the triple degree")
-        if self.degree == 0:
-            if self.c3 is not None:
+        if degree == 0:
+            if c3 is not None:
                 raise DegreeMismatch("degree-0 triples have no third component")
-        else:
-            if self.c3 is None or self.c3.space.degree != self.degree - 1:
-                raise DegreeMismatch("third component must sit one degree lower")
+        elif c3 is None or c3.space.degree != degree - 1:
+            raise DegreeMismatch("third component must sit one degree lower")
+        # parts in lowest terms stay so over the lcm of their denominators
+        parts = [c for c in (c1, c2, c3) if c is not None]
+        den, row, off = lcm(*(c.den for c in parts)), {}, 0
+        for c in parts:
+            row.update((off + j, v * (den // c.den)) for j, v in c.row.items())
+            off += c.space.dim
+        self.spaces = (c1.space, c2.space, None if c3 is None else c3.space)
+        self.row, self.den = row, den
+
+    @classmethod
+    def from_row(cls, spaces: tuple, row: dict, den: int = 1) -> "CochainTriple":
+        """The triple of an integer row over ``den`` on ``spaces``, already in
+        lowest terms and in range: kept as it is, with no copy and no check."""
+        t = cls.__new__(cls)
+        t.spaces, t.row, t.den = spaces, row, den
+        return t
+
+    @property
+    def degree(self) -> int:
+        return self.spaces[0].degree
+
+    def _part(self, k: int) -> Optional[Cochain]:
+        space = self.spaces[k]
+        if space is None:
+            return None
+        lo = sum(s.dim for s in self.spaces[:k])
+        part = {j - lo: v for j, v in self.row.items() if lo <= j < lo + space.dim}
+        return Cochain.from_row(space, *lowest(part, self.den))
+
+    c1 = property(lambda self: self._part(0))
+    c2 = property(lambda self: self._part(1))
+    c3 = property(lambda self: self._part(2))
 
     def is_zero(self) -> bool:
+        return not self.row
+
+    def __eq__(self, other) -> bool:
         return (
-            self.c1.is_zero()
-            and self.c2.is_zero()
-            and (self.c3 is None or self.c3.is_zero())
+            isinstance(other, CochainTriple)
+            and (self.spaces, self.den, self.row) == (other.spaces, other.den, other.row)
         )
+
+    def __hash__(self) -> int:
+        return hash((self.spaces, self.den, frozenset(self.row.items())))
+
+    def __repr__(self) -> str:
+        return f"CochainTriple(degree={self.degree}, nnz={len(self.row)})"
 
 
 class TripleComplex:
@@ -181,25 +220,11 @@ class TripleComplex:
         return sum(s.dim for s in self._spaces(m) if s)
 
     def zero_triple(self, m: int) -> CochainTriple:
-        return CochainTriple(m, *(s.zero() if s else None for s in self._spaces(m)))
-
-    # -- coordinates ---------------------------------------------------------
-    def vectorize(self, t: CochainTriple) -> Vector:
-        parts = list(t.c1.as_flat()) + list(t.c2.as_flat())
-        if t.c3 is not None:
-            parts += list(t.c3.as_flat())
-        return tuple(parts)
+        return CochainTriple.from_row(self._spaces(m), {})
 
     def unvectorize(self, m: int, flat) -> CochainTriple:
-        """Triple from flat coordinates: a dense sequence or a sparse {index: value}."""
-        spaces = self._spaces(m)
-        starts = (0, spaces[0].dim, spaces[0].dim + spaces[1].dim)
-        parts: tuple[dict, ...] = ({}, {}, {})
-        for i, x in flat_items(flat, self.dim(m)):
-            k = (i >= starts[1]) + (i >= starts[2])
-            parts[k][i - starts[k]] = x
-        c1, c2, c3 = (Cochain.from_flat(s, p) if s else None for s, p in zip(spaces, parts))
-        return CochainTriple(m, c1, c2, c3)
+        """Triple from exact flat coordinates: dense, or sparse {index: value}."""
+        return CochainTriple.from_row(self._spaces(m), *int_row(flat, self.dim(m)))
 
     # -- structure matrices ---------------------------------------------------
     def post_matrix(self, m: int) -> Matrix:
@@ -278,8 +303,8 @@ class TripleComplex:
 
     # -- operations -----------------------------------------------------------
     def coboundary(self, t: CochainTriple) -> CochainTriple:
-        mat = self.delta_matrix(t.degree)
-        return self.unvectorize(t.degree + 1, mat.mul_vector(self.vectorize(t)))
+        row, den = self.delta_matrix(t.degree).mul_row(t.row, t.den)
+        return CochainTriple.from_row(self._spaces(t.degree + 1), row, den)
 
     def is_cocycle(self, t: CochainTriple) -> bool:
         return self.coboundary(t).is_zero()
@@ -297,9 +322,10 @@ class TripleComplex:
             raise DegreeMismatch("no witnesses below degree 1")
         if not self.is_cocycle(a) or not self.is_cocycle(b):
             raise NotCocycle("cohomologous-class check needs cocycles")
-        diff = [x - y for x, y in zip(self.vectorize(a), self.vectorize(b))]
-        x = solve(self.delta_matrix(a.degree - 1), diff)
-        return None if x is None else self.unvectorize(a.degree - 1, x)
+        den = lcm(a.den, b.den)
+        diff = _sub({j: v * (den // a.den) for j, v in a.row.items()}, den // b.den, b.row)
+        x = solve(self.delta_matrix(a.degree - 1), diff, den)
+        return None if x is None else CochainTriple.from_row(self._spaces(a.degree - 1), *x)
 
 
 # Morphism complexes kept alive at once.  Each holds its differentials, so

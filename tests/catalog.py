@@ -11,13 +11,13 @@ from one of them, close the file.
 import random
 from fractions import Fraction
 
-from oracles import column, unit
+from oracles import column, mul_vector, solve_vector, unit
 
 from nliecoh.algebra import NLieAlgebra
 from nliecoh.cochains import Cochain, CochainSpace
 from nliecoh.corpus import algebra, all_algebras, morphism
 from nliecoh.deformations import DeformedAlgebra, DeformedMorphism
-from nliecoh.linalg import Matrix, solve
+from nliecoh.linalg import Matrix
 from nliecoh.morphisms import Morphism
 
 
@@ -49,7 +49,7 @@ def _random_invertible(rng: random.Random, d: int) -> Matrix:
         cols = []
         ok = True
         for j in range(d):
-            x = solve(m, unit(d, j))
+            x = solve_vector(m, unit(d, j))
             if x is None:
                 ok = False
                 break
@@ -62,7 +62,7 @@ def conjugate(alg: NLieAlgebra, p: Matrix, p_inv: Matrix, name: str) -> NLieAlge
     """Transport the bracket along a change of basis; stays valid."""
     brackets = {}
     for key in alg.bracket_keys():
-        val = p_inv.mul_vector(alg.bracket(*(column(p, i) for i in key)))
+        val = mul_vector(p_inv, alg.bracket(*(column(p, i) for i in key)))
         brackets[key] = val
     return NLieAlgebra.from_brackets(name, alg.arity, alg.dim, brackets)
 

@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 from nliecoh.cochains import Cochain, CochainSpace
 from nliecoh.errors import DimensionMismatch, SubspaceViolation
-from nliecoh.linalg import Matrix, vector
+from nliecoh.linalg import Matrix, int_row, solve, vector
 
 
 def unit(d, i):
@@ -22,9 +22,79 @@ def unit(d, i):
     return tuple(Fraction(1 if j == i else 0) for j in range(d))
 
 
+# -- Fraction views of integer rows --------------------------------------------
+# The package holds every vector as an integer row {index: int} over one
+# positive denominator: a row of ``Matrix.ints``/``dens``, a ``Cochain`` and
+# a ``CochainTriple``.  The tests read them here as dense Fraction tuples, or
+# as {(domain key, target index): Fraction}, the coefficient tables a Cochain
+# held before.
+
+
+def dense(row, den, size):
+    """The integer row ``row`` over ``den`` as a dense Fraction tuple."""
+    zero = Fraction(0)
+    return tuple(Fraction(row[j], den) if j in row else zero for j in range(size))
+
+
+def dense_row(m, i):
+    """Row i of a ``Matrix`` as a dense Fraction tuple."""
+    return dense(m.ints[i], m.dens[i], m.cols)
+
+
+def dense_rows(m):
+    """Every row of a ``Matrix`` as a dense Fraction tuple."""
+    return [dense_row(m, i) for i in range(m.rows)]
+
+
 def column(m, j):
     """Column j of a package ``Matrix``."""
-    return m.mul_vector(unit(m.cols, j))
+    return tuple(Fraction(r.get(j, 0), d) for r, d in zip(m.ints, m.dens))
+
+
+def mul_vector(m, v):
+    """m v for a dense vector of exact entries, summed entry by entry in
+    Fractions; DimensionMismatch when the length is not m.cols."""
+    if len(v) != m.cols:
+        raise DimensionMismatch(f"vector length {len(v)} != cols {m.cols}")
+    v = vector(v)
+    return tuple(
+        sum((Fraction(a, d) * v[j] for j, a in r.items()), Fraction(0))
+        for r, d in zip(m.ints, m.dens)
+    )
+
+
+def solve_vector(m, b):
+    """``linalg.solve`` for a dense right-hand side of exact entries: a dense
+    Fraction solution, or None."""
+    x = solve(m, *int_row(b, m.rows))
+    return None if x is None else dense(*x, m.cols)
+
+
+def as_flat(c):
+    """A ``Cochain``'s flat coordinates as a dense Fraction tuple."""
+    return dense(c.row, c.den, c.space.dim)
+
+
+def coeffs(c):
+    """A ``Cochain`` as {(domain key, target index): nonzero Fraction}."""
+    keys, d_t = c.space.domain_keys, c.space.target_dim
+    return {(keys[j // d_t], j % d_t): Fraction(v, c.den) for j, v in c.row.items()}
+
+
+def vectorize(t):
+    """A ``CochainTriple``'s flat coordinates, source, target and module
+    parts end to end, as a dense Fraction tuple."""
+    return dense(t.row, t.den, sum(s.dim for s in t.spaces if s is not None))
+
+
+def cocycle_basis(rep):
+    """The cocycle rows of a ``CohomologyReport`` as dense Fraction tuples."""
+    return tuple(dense_rows(rep.cocycles))
+
+
+def representatives(rep):
+    """The representative rows of a ``CohomologyReport`` as dense tuples."""
+    return tuple(dense_rows(rep.classes))
 
 
 def perm_sort_sign(idxs):
@@ -113,9 +183,9 @@ def naive_form(p, blocks, z):
 def cochain_value(f, blocks, z):
     """f(blocks; z) of a ``Cochain`` on raw blocks of vectors: its
     coefficients contracted with ``naive_form``."""
-    form = naive_form(f.space.degree, blocks, z)
+    form, values = naive_form(f.space.degree, blocks, z), coeffs(f)
     return tuple(
-        sum((c * f.coeffs.get((key, t), 0) for key, c in form.items()), Fraction(0))
+        sum((c * values.get((key, t), 0) for key, c in form.items()), Fraction(0))
         for t in range(f.space.target_dim)
     )
 
@@ -125,7 +195,7 @@ def delta_value(delta, f, blocks, z):
     product with f's flat coordinates, read back as a cochain one degree up
     and evaluated on raw arguments."""
     space = CochainSpace(f.space.source, f.space.degree + 1, f.space.target_dim)
-    return cochain_value(Cochain.from_flat(space, delta.mul_vector(f.as_flat())), blocks, z)
+    return cochain_value(Cochain.from_flat(space, mul_vector(delta, as_flat(f))), blocks, z)
 
 
 def raw_fundamental_bracket(alg, x_block, y_block):
@@ -164,7 +234,7 @@ def oracle_delta_form(p, d_t, args, z, src, tgt=None, phi=None):
                         rows[s][(key, t)] = rows[s].get((key, t), 0) + c * x * y
 
     def phi_v(v):
-        return phi.mul_vector(v) if module else v
+        return mul_vector(phi, v) if module else v
 
     for i in range(p + 1):
         for j in range(i + 1, p + 1):
@@ -199,9 +269,10 @@ def oracle_delta_form(p, d_t, args, z, src, tgt=None, phi=None):
 
 def oracle_delta_eval(psi, args, z, src, tgt=None, phi=None):
     """Numeric coboundary value: ``oracle_delta_form`` contracted with psi."""
-    rows = oracle_delta_form(psi.space.degree, psi.space.target_dim, args, z, src, tgt, phi)
+    forms = oracle_delta_form(psi.space.degree, psi.space.target_dim, args, z, src, tgt, phi)
+    values = coeffs(psi)
     return tuple(
-        sum((c * psi.coeffs.get(k, 0) for k, c in row.items()), Fraction(0)) for row in rows
+        sum((c * values.get(k, 0) for k, c in form.items()), Fraction(0)) for form in forms
     )
 
 
@@ -333,7 +404,7 @@ def oracle_quotient(z_basis, b_basis):
 
 # -- report bases ------------------------------------------------------------
 # The route ``--basis`` reports took before they were written from integer
-# rows: each row of ``Matrix.data`` as Fractions, a Cochain or CochainTriple
+# rows: each row of a basis matrix as Fractions, a Cochain or CochainTriple
 # built from it, and its coefficients sorted by (domain key, target index).
 
 
@@ -349,7 +420,7 @@ def oracle_cochain_json(c, target_label="self"):
         return ((key,) if isinstance(key, int) else key), t
 
     entries = []
-    for (key, t), q in sorted(c.coeffs.items(), key=order):
+    for (key, t), q in sorted(coeffs(c).items(), key=order):
         if c.space.degree == 0:
             blocks, last = [], [key + 1]
         else:
@@ -375,9 +446,9 @@ def oracle_basis_json(m, space):
     """The report rows of the basis matrix ``m``: ``space`` is a CochainSpace
     for the self and module complexes, or a TripleComplex and its degree."""
     if isinstance(space, CochainSpace):
-        return [oracle_cochain_json(Cochain.from_flat(space, v)) for v in m.data]
+        return [oracle_cochain_json(Cochain.from_flat(space, v)) for v in dense_rows(m)]
     tc, deg = space
-    return [oracle_triple_json(tc.unvectorize(deg, v)) for v in m.data]
+    return [oracle_triple_json(tc.unvectorize(deg, v)) for v in dense_rows(m)]
 
 
 # -- deformation equations --------------------------------------------------
@@ -449,14 +520,14 @@ def oracle_morphism_residual(dm, s):
             j = s - i
             if i > dm.order or j > dm.order:
                 continue
-            val = _phi_order(dm, i).mul_vector(oracle_bracket_order(dm.src_def, j, *args))
+            val = mul_vector(_phi_order(dm, i), oracle_bracket_order(dm.src_def, j, *args))
             for t, c in enumerate(val):
                 total[t] += c
         for j in range(min(s, dm.order) + 1):
             for split in _compositions(s - j, n):
                 if any(i > dm.order for i in split):
                     continue
-                imgs = [_phi_order(dm, i).mul_vector(a) for i, a in zip(split, args)]
+                imgs = [mul_vector(_phi_order(dm, i), a) for i, a in zip(split, args)]
                 val = oracle_bracket_order(dm.tgt_def, j, *imgs)
                 for t, c in enumerate(val):
                     total[t] -= c
@@ -509,7 +580,7 @@ def oracle_morphism_obstruction(dm, big_n):
             j = big_n + 1 - i
             if j < 1 or i > dm.order or j > dm.order:
                 continue
-            val = _phi_order(dm, i).mul_vector(oracle_bracket_order(dm.src_def, j, *args))
+            val = mul_vector(_phi_order(dm, i), oracle_bracket_order(dm.src_def, j, *args))
             for t, c in enumerate(val):
                 total[t] += c
         for j in range(0, big_n + 1):
@@ -518,7 +589,7 @@ def oracle_morphism_obstruction(dm, big_n):
             for split in _compositions(big_n + 1 - j, n):
                 if any(i > big_n or i > dm.order for i in split):
                     continue
-                imgs = [_phi_order(dm, i).mul_vector(a) for i, a in zip(split, args)]
+                imgs = [mul_vector(_phi_order(dm, i), a) for i, a in zip(split, args)]
                 val = oracle_bracket_order(dm.tgt_def, j, *imgs)
                 for t, c in enumerate(val):
                     total[t] -= c
@@ -533,7 +604,7 @@ def oracle_morphism_obstruction(dm, big_n):
 
 
 def _dense(m):
-    return [list(m.row(i)) for i in range(m.rows)]
+    return [list(r) for r in dense_rows(m)]
 
 
 def _zeros(rows, cols):

@@ -9,6 +9,7 @@ from catalog import full_catalog, planted_defects
 from oracles import (
     FundamentalObject,
     ad_action,
+    coeffs,
     fundamental_bracket,
     oracle_nambu_residual,
     unit,
@@ -24,9 +25,12 @@ from nliecoh.tables import sort_sign
 def test_public_surface():
     """Every exported name resolves; the raw-argument layer, now a test
     reference in ``tests/oracles.py``, is not exported, and neither are the
-    wrappers that restated ``TripleComplex``."""
+    wrappers that restated ``TripleComplex``.  The dense ``Fraction`` views
+    of integer rows left the package for helpers in ``tests/oracles.py``
+    (``dense_row``, ``mul_vector``, ``as_flat``, ``coeffs``, ``vectorize``,
+    ``cocycle_basis``, ``representatives``)."""
     import nliecoh
-    from nliecoh import algebra, cochains, morphisms
+    from nliecoh import algebra, cochains, jsonio, linalg, morphisms
 
     assert all(hasattr(nliecoh, name) for name in nliecoh.__all__)
     removed = {"FundamentalObject", "wedge_decompose", "coboundary_apply_self", "coboundary_apply_module",
@@ -37,6 +41,36 @@ def test_public_surface():
     assert not hasattr(cochains, "_morphism_matrix")
     assert not any(hasattr(cls, "sub") for cls in (cochains.Cochain, morphisms.CochainTriple))
     assert not hasattr(cochains.Cochain, "add")
+    gone = {
+        linalg.Matrix: ("row", "mul_vector"),
+        cochains.Cochain: ("as_flat", "coeffs"),
+        cochains.CohomologyReport: ("cocycle_basis", "representatives"),
+        morphisms.TripleComplex: ("vectorize",),
+        cochains: ("flat_items",),
+        linalg: ("is_zero_vector",),
+        jsonio: ("_int_row",),
+    }
+    for owner, names in gone.items():
+        assert not any(hasattr(owner, name) for name in names), owner
+    assert hasattr(linalg.Matrix, "data")  # the tracer reads it
+
+
+@pytest.mark.parametrize("name", ["cochains", "morphisms", "deformations", "cli"])
+def test_fraction_stays_at_the_outside_boundary(name):
+    """Cochains, triples, deformation data and reports are integer rows: these
+    modules import no ``fractions``.  Fractions are made only where input is
+    parsed or coerced and output formatted (``jsonio``, ``linalg``), in
+    ``NLieAlgebra``'s structure, and in the failure vectors of
+    ``tables.dense``."""
+    import ast
+    import importlib
+
+    module = importlib.import_module(f"nliecoh.{name}")
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in imported
+    assert "Fraction" not in vars(module)
 
 
 def test_readme_entry_points_are_exported():
@@ -105,9 +139,9 @@ def test_validate_rejects_planted_defect(alg_a1):
 def _oracle_report(alg):
     """Order-0 fundamental-identity defect of the oracle, as a report."""
     res = oracle_nambu_residual(DeformedAlgebra.trivial(alg, 0), 0)
-    failures = []
+    failures, values = [], coeffs(res)
     for key in res.space.domain_keys:
-        residual = tuple(res.coeffs.get((key, t), Fraction(0)) for t in range(alg.dim))
+        residual = tuple(values.get((key, t), Fraction(0)) for t in range(alg.dim))
         if any(residual):
             failures.append(NambuFailure(key[0], key[1], residual))
     return ValidationReport(alg.name, "algebra", tuple(failures))

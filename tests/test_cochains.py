@@ -3,12 +3,25 @@ import sys
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
 from catalog import _random_invertible, base_algebras, conjugate, conjugated_morphism
-from oracles import cochain_value, delta_value, oracle_delta_eval, oracle_matrix, unit
+from oracles import (
+    as_flat,
+    cocycle_basis,
+    cochain_value,
+    coeffs,
+    delta_value,
+    dense,
+    dense_rows,
+    mul_vector,
+    oracle_delta_eval,
+    oracle_matrix,
+    representatives,
+    unit,
+)
 
 from nliecoh.algebra import NLieAlgebra
 from nliecoh.corpus import MORPHISM_FILES, algebra, morphism
@@ -91,12 +104,36 @@ def test_eval_cochain_signs(alg_a1):
     assert cochain_value(space.zero(), repeated, unit(4, 2)) == (0,) * 4
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {(("nonsense",), 99): 0},
+        {(((0, 2, 1),), 0): 0},  # a key that is not increasing
+        {(((0, 1, 2),), 4): 0},  # target index past the end
+        {(((0, 1, 2),), -1): 0},
+        {(((0, 1, 2),), 1.0): 0},
+        {(((0, 1, 2),), 1): 1, ((0, 1, 2), 1): 0},  # a key without its block tuple
+    ],
+)
+def test_cochain_checks_every_key_even_at_zero(alg_a1, coeffs):
+    """Like ``Matrix.from_sparse`` with an out-of-range column, the coercing
+    constructor rejects a key or target index outside the space whatever the
+    value, zero included."""
+    space = CochainSpace(alg_a1, 1, 4)
+    with pytest.raises(DimensionMismatch):
+        Cochain(space, coeffs)
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_sparse(1, 3, [{3: 0}])
+    zero = Cochain(space, {(((0, 1, 2),), 1): 0, (((1, 2, 3),), 3): Fraction(0, 5)})
+    assert zero.is_zero() and zero == space.zero() and (zero.row, zero.den) == ({}, 1)
+
+
 def test_flat_roundtrip(alg_a1):
     rng = random.Random(5)
     space = CochainSpace(alg_a1, 2, 4)
     flat = [Fraction(rng.randint(-3, 3)) for _ in range(space.dim)]
     c = Cochain.from_flat(space, flat)
-    assert list(c.as_flat()) == flat
+    assert list(as_flat(c)) == flat
     assert Cochain.from_flat(space, {i: x for i, x in enumerate(flat) if x}) == c
     for wrong in (flat[:-1], flat + [Fraction(0)]):
         with pytest.raises(DimensionMismatch):
@@ -109,7 +146,7 @@ def test_from_flat_rejects_sparse_index_out_of_range(alg_a1, flat):
     assert space.dim == 16
     with pytest.raises(DimensionMismatch):
         Cochain.from_flat(space, flat)
-    assert Cochain.from_flat(space, {15: 1}).coeffs == {(((1, 2, 3),), 3): 1}
+    assert coeffs(Cochain.from_flat(space, {15: 1})) == {(((1, 2, 3),), 3): 1}
 
 
 def test_abelian_coboundary_is_zero():
@@ -163,7 +200,7 @@ def test_zero_morphism_into_abelian_kernel(alg_a1):
     delta = coboundary_matrix_module(Morphism.zero(alg_a1, NLieAlgebra.abelian("ab", 3, 4)), 0)
     rep = cohomology(None, delta)
     assert rep.dim_z == rep.cocycles.rows == 8
-    for v in (rep.cocycles.row(i) for i in range(rep.cocycles.rows)):
+    for v in dense_rows(rep.cocycles):
         for col in (1, 3):  # coefficients on the killed generators
             for t in range(4):
                 assert v[col * 4 + t] == 0
@@ -327,11 +364,11 @@ def test_each_requested_matrix_is_one_assembler_call(monkeypatch, alg_b3, phi_a3
 def test_cohomology_report_fields(alg_a3):
     rep = self_cohomology(alg_a3, 2)
     assert (rep.dim_z, rep.dim_b, rep.dim_h) == (13, 4, 9)
-    assert len(rep.cocycle_basis) == rep.dim_z
-    assert len(rep.representatives) == rep.dim_h
+    assert len(cocycle_basis(rep)) == rep.dim_z
+    assert len(representatives(rep)) == rep.dim_h
     d2 = coboundary_matrix_self(alg_a3, 1)
-    for v in rep.cocycle_basis:
-        assert all(x == 0 for x in d2.mul_vector(v))
+    for v in cocycle_basis(rep):
+        assert all(x == 0 for x in mul_vector(d2, v))
 
 
 def test_broken_complex_detected():
@@ -362,11 +399,19 @@ def _entries(m: Matrix):
     return [x for row in m.data for x in row.values()]
 
 
+def _assert_int_product(delta: Matrix, f: Cochain):
+    row, den = delta.mul_row(f.row, f.den)
+    assert all(type(x) is int and x for x in row.values())
+    assert den > 0 and gcd(den, *row.values()) == 1
+    assert dense(row, den, delta.rows) == mul_vector(delta, as_flat(f))
+
+
 def test_coboundary_entries_are_fractions(corpus_algebras):
     """Every algebra assembles on int tables over one denominator, rational
-    structure constants included; every matrix's ``data`` view and every
-    product with a cochain still holds Fractions only.  On raw arguments the
-    products agree with the oracle, the dense conjugate included."""
+    structure constants included; every matrix's ``data`` view holds
+    Fractions only, and every product with a cochain is an integer row in
+    lowest terms equal to the Fraction sums.  On raw arguments the products
+    agree with the oracle, the dense conjugate included."""
     dense = _dense_conjugate_a1()
     assert any(x.denominator > 1 for _, val in dense.structure for x in val)
     phis = [morphism(key) for key in sorted(MORPHISM_FILES)] + [Morphism.identity(dense)]
@@ -389,11 +434,11 @@ def test_coboundary_entries_are_fractions(corpus_algebras):
             f = _random_cochain(rng, CochainSpace(alg, p, alg.dim))
             blocks, z = _random_raw_blocks(rng, alg.dim, alg.arity, p + 1)
             delta = coboundary_matrix_self(alg, p)
-            assert all(type(x) is Fraction for x in delta.mul_vector(f.as_flat()))
+            _assert_int_product(delta, f)
             assert delta_value(delta, f, blocks, z) == oracle_delta_eval(f, blocks, z, alg)
             g = _random_cochain(rng, CochainSpace(phi.source, p, phi.target.dim))
             delta = coboundary_matrix_module(phi, p)
-            assert all(type(x) is Fraction for x in delta.mul_vector(g.as_flat()))
+            _assert_int_product(delta, g)
             want = oracle_delta_eval(g, blocks, z, phi.source, phi.target, phi.matrix)
             assert delta_value(delta, g, blocks, z) == want
 

@@ -3,11 +3,16 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalog import _random_invertible, conjugate, conjugated_cases, degree1_cochain, full_catalog
 from oracles import (
     cochain_value,
+    coeffs,
     column,
+    dense_rows,
+    mul_vector,
     oracle_algebra_obstruction,
     oracle_compose,
     oracle_inverse,
@@ -16,7 +21,9 @@ from oracles import (
     oracle_nambu_residual,
     oracle_series,
     oracle_transform,
+    representatives,
     unit,
+    vectorize,
 )
 
 from nliecoh.algebra import NLieAlgebra
@@ -79,7 +86,7 @@ def test_nambu_residual_second_order_matches_direct_expansion(alg_a1):
             out = cochain_value(term, [args[:-1]], args[-1])
             rhs = [a + b for a, b in zip(rhs, out)]
         expected = tuple(a - b for a, b in zip(lhs, rhs))
-        got = tuple(res.coeffs.get((key, t), Fraction(0)) for t in range(4))
+        got = tuple(coeffs(res).get((key, t), Fraction(0)) for t in range(4))
         assert got == expected
 
 
@@ -135,7 +142,7 @@ def test_obstruction_vs_quadratic_residual(def_identity_pair, def_order1):
     for dm in (def_identity_pair, def_order1):
         ob = obstruction(dm)
         res = nambu_residual(dm.src_def, 2)
-        assert res.coeffs == ob.c1.scale(-1).coeffs
+        assert coeffs(res) == coeffs(ob.c1.scale(-1))
         tc = triple_complex(dm.base_morphism)
         assert tc.is_cocycle(ob)
 
@@ -188,7 +195,7 @@ def _oracle_obstruction(dm):
 
 
 def _same_triple(a, b):
-    return (a.c1.coeffs, a.c2.coeffs, a.c3.coeffs) == (b.c1.coeffs, b.c2.coeffs, b.c3.coeffs)
+    return (coeffs(a.c1), coeffs(a.c2), coeffs(a.c3)) == (coeffs(b.c1), coeffs(b.c2), coeffs(b.c3))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -204,8 +211,8 @@ def test_residuals_and_obstruction_match_dense_oracle(order, monkeypatch):
         dm = _random_deformation(rng, src, tgt, order)
         for s in range(order + 2):
             for da in (dm.src_def, dm.tgt_def):
-                assert nambu_residual(da, s).coeffs == oracle_nambu_residual(da, s).coeffs
-            assert morphism_residual(dm, s).coeffs == oracle_morphism_residual(dm, s).coeffs
+                assert coeffs(nambu_residual(da, s)) == coeffs(oracle_nambu_residual(da, s))
+            assert coeffs(morphism_residual(dm, s)) == coeffs(oracle_morphism_residual(dm, s))
         ob = obstruction(dm)
         assert _same_triple(ob, _oracle_obstruction(dm))
         parts = (ob.c1, ob.c2, ob.c3)
@@ -226,15 +233,21 @@ def _rational_term(rng, alg, dens):
     )
 
 
-def _all_fractions(*cochains):
-    return all(type(c) is Fraction for f in cochains for c in f.coeffs.values())
+def _lowest_terms(*cochains):
+    """Each cochain is an integer row of nonzero entries over a positive
+    denominator, in lowest terms."""
+    return all(
+        f.den > 0 and gcd(f.den, *f.row.values()) == 1
+        and all(type(v) is int and v for v in f.row.values())
+        for f in cochains
+    )
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_residuals_and_obstruction_match_dense_oracle_on_rational_families(order, monkeypatch):
     """Rational bracket terms on conjugated catalog algebras and rational map
     terms, so the source, target and map denominators differ: the residuals
-    and the obstruction still agree with the dense loops, as Fractions."""
+    and the obstruction still agree with the dense loops, in lowest terms."""
     import nliecoh.deformations as dfm
 
     monkeypatch.setattr(dfm, "_require_validated", lambda dm, through: None)
@@ -262,15 +275,15 @@ def test_residuals_and_obstruction_match_dense_oracle_on_rational_families(order
         for s in range(order + 2):
             for da in (dm.src_def, dm.tgt_def):
                 got = nambu_residual(da, s)
-                assert got.coeffs == oracle_nambu_residual(da, s).coeffs
-                assert _all_fractions(got)
+                assert coeffs(got) == coeffs(oracle_nambu_residual(da, s))
+                assert _lowest_terms(got)
             got = morphism_residual(dm, s)
-            assert got.coeffs == oracle_morphism_residual(dm, s).coeffs
-            assert _all_fractions(got)
+            assert coeffs(got) == coeffs(oracle_morphism_residual(dm, s))
+            assert _lowest_terms(got)
             assert not got.is_zero()
         ob = obstruction(dm)
         assert _same_triple(ob, _oracle_obstruction(dm))
-        assert _all_fractions(ob.c1, ob.c2, ob.c3)
+        assert _lowest_terms(ob.c1, ob.c2, ob.c3)
     assert distinct
 
 
@@ -286,7 +299,7 @@ def _conjugate_family(dm, rng):
 
         def value(term, key):
             cols = [column(p, i) for i in key]
-            return p_inv.mul_vector(cochain_value(term, [cols[:-1]], cols[-1]))
+            return mul_vector(p_inv, cochain_value(term, [cols[:-1]], cols[-1]))
 
         terms = tuple(
             Cochain(
@@ -323,7 +336,7 @@ def _rational_series(rng, dim, order=2):
 def test_apply_automorphism_on_rational_family(def_order2):
     """A rational order-2 family transformed by a rational automorphism pair
     stays valid, has the oracle's obstruction, comes back under the inverse
-    pair, and holds its new terms as Fractions in lowest terms."""
+    pair, and holds its new terms as integer rows in lowest terms."""
     rng = random.Random(60)
     dm = _conjugate_family(def_order2, rng)
     d_phi = lcm(*(d for m in dm.phi_terms for d in m.dens))
@@ -334,24 +347,76 @@ def test_apply_automorphism_on_rational_family(def_order2):
     assert out.report.is_valid
     assert _same_triple(obstruction(out), _oracle_obstruction(out))
     new_terms = out.src_def.terms + out.tgt_def.terms
-    assert _all_fractions(*new_terms)
-    assert all(gcd(c.numerator, c.denominator) == 1 for f in new_terms for c in f.coeffs.values())
-    assert any(c.denominator > 1 for f in new_terms for c in f.coeffs.values())
+    assert _lowest_terms(*new_terms)
+    assert any(f.den > 1 for f in new_terms)
     back = apply_automorphism(out, formal_inverse(psi_n, 2), formal_inverse(psi_t, 2))
     assert back.src_def.terms == dm.src_def.terms
     assert back.tgt_def.terms == dm.tgt_def.terms
     assert back.phi_terms == dm.phi_terms
 
 
+def test_library_rows_are_in_lowest_terms(def_order1, def_order2):
+    """Every cochain and triple the library returns is an integer row of
+    nonzero ints over a positive denominator, in lowest terms: residuals,
+    obstructions, infinitesimals, coboundaries, extension witnesses,
+    cohomologous-class witnesses, terms loaded from JSON and conjugated
+    terms, on the corpus families and on a rational conjugate of them."""
+    from nliecoh import jsonio
+
+    rng = random.Random(61)
+    psi_n, psi_t = _rational_series(rng, 4, order=1), _rational_series(rng, 4, order=1)
+    rational = _conjugate_family(def_order2, rng)
+    loaded = jsonio.deformation_from_json(jsonio.deformation_to_json(rational))
+    seen = []
+    for dm in (def_order1, def_order2, rational, loaded, loaded.truncated(1)):
+        tc = triple_complex(dm.base_morphism)
+        seen += dm.src_def.terms + dm.tgt_def.terms
+        for s in range(dm.order + 2):
+            seen += [nambu_residual(dm.src_def, s), nambu_residual(dm.tgt_def, s)]
+            seen.append(morphism_residual(dm, s))
+        theta, _ = infinitesimal(dm)
+        seen += [theta, tc.coboundary(theta), obstruction(dm), extend_order(dm)]
+        out = apply_automorphism(dm.truncated(1), psi_n, psi_t)
+        seen += out.src_def.terms + out.tgt_def.terms
+        seen.append(tc.cohomologous(infinitesimal(out)[0], theta))
+    seen = [x for x in seen if x is not None]
+    triples = [x for x in seen if isinstance(x, CochainTriple)]
+    assert len(triples) >= 20 and any(x.den > 1 for x in triples)
+    assert any(x.den > 1 and not isinstance(x, CochainTriple) for x in seen)
+    for x in seen + [c for t in triples for c in (t.c1, t.c2, t.c3) if c is not None]:
+        assert x.den > 0 and gcd(x.den, *x.row.values()) == 1, x
+        assert all(type(v) is int and v for v in x.row.values()), x
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_rationals, min_size=16, max_size=16), _rationals, _rationals)
+def test_scalings_of_one_cochain_are_equal_and_hash_equal(flat, p, q):
+    """A rational cochain scaled by p then q, by p*q, and coerced from its
+    scaled coefficients is one row over one denominator."""
+    from nliecoh.corpus import algebra
+
+    space = CochainSpace(algebra("a1"), 1, 4)
+    c = Cochain.from_flat(space, flat)
+    one, two = c.scale(p).scale(q), c.scale(p * q)
+    three = Cochain(space, {k: v * p * q for k, v in coeffs(c).items()})
+    assert one == two == three and hash(one) == hash(two) == hash(three)
+    assert (one.row, one.den) == (two.row, two.den) == (three.row, three.den)
+    assert one.den > 0 and gcd(one.den, *one.row.values()) == 1
+    assert one.is_zero() == (not any(flat) or p * q == 0)
+
+
 def _dense_rows(m):
-    return [list(m.row(i)) for i in range(m.rows)]
+    return [list(r) for r in dense_rows(m)]
 
 
 def _matches_oracle_transform(dm, psi_n, psi_t):
     out = apply_automorphism(dm, psi_n, psi_t)
     src, tgt, maps = oracle_transform(dm, psi_n, psi_t)
-    assert [t.coeffs for t in out.src_def.terms] == src
-    assert [t.coeffs for t in out.tgt_def.terms] == tgt
+    assert [coeffs(t) for t in out.src_def.terms] == src
+    assert [coeffs(t) for t in out.tgt_def.terms] == tgt
     assert [_dense_rows(m) for m in out.phi_terms] == maps
     return any(src) and any(tgt) and any(any(r) for m in maps[1:] for r in m)
 
@@ -442,7 +507,7 @@ def test_obstruction_identity_for_arbitrary_terms(alg_a1):
     res = nambu_residual(da, 2)
     ob = oracle_algebra_obstruction(da, 1)
     assert not ob.is_zero()
-    assert res.coeffs == ob.scale(-1).coeffs
+    assert coeffs(res) == coeffs(ob.scale(-1))
 
 
 def test_obstruction_morphism_part_is_next_order_residual():
@@ -454,7 +519,7 @@ def test_obstruction_morphism_part_is_next_order_residual():
             dm = _random_deformation(rng, src, tgt, order)
             ob = oracle_morphism_obstruction(dm, order)
             assert not ob.is_zero()
-            assert morphism_residual(dm, order + 1).coeffs == ob.coeffs
+            assert coeffs(morphism_residual(dm, order + 1)) == coeffs(ob)
 
 
 def test_arity_mismatch_rejected(phi_a3_b3):
@@ -482,7 +547,7 @@ def test_obstruction_equals_coboundary_of_discarded_terms(def_order2):
             CochainSpace(def_order2.src_def.base, 0, 4), def_order2.phi_terms[2]
         ),
     )
-    assert tc.vectorize(tc.coboundary(theta2)) == tc.vectorize(ob)
+    assert vectorize(tc.coboundary(theta2)) == vectorize(ob)
     assert tc.is_cocycle(ob)
 
 
@@ -510,7 +575,7 @@ def test_extension_blocked_by_nonzero_class(def_order1, monkeypatch):
     tc = triple_complex(def_order1.base_morphism)
     rep = tc.cohomology(3)
     assert rep.dim_h > 0, "corpus morphism complex is not rigid at this degree"
-    blocked = tc.unvectorize(2, rep.representatives[0])
+    blocked = tc.unvectorize(2, representatives(rep)[0])
     assert tc.is_cocycle(blocked)
     monkeypatch.setattr(dfm, "obstruction", lambda dm: blocked)
     assert dfm.extend_order(def_order1) is None
@@ -571,7 +636,7 @@ def test_apply_automorphism_corpus_values(def_order1):
     assert validate_deformation(out).is_valid
     # the degree-1 term of the scaling series is a derivation, so the
     # source bracket family is untouched
-    assert out.src_def.terms[0].coeffs == def_order1.src_def.terms[0].coeffs
+    assert coeffs(out.src_def.terms[0]) == coeffs(def_order1.src_def.terms[0])
     # map series: images of the third and fourth generators
     assert out.phi_terms[0] == def_order1.phi_terms[0]
     assert column(out.phi_terms[1], 2) == (0,) * 4
@@ -624,8 +689,8 @@ def test_equivalence_invariance_identity(def_order1, def_order2):
             linear_map_cochain(CochainSpace(phi.target, 0, 4), psi_t.term(1)),
             None,
         )
-        lhs = tuple(x - y for x, y in zip(tc.vectorize(theta_before), tc.vectorize(theta_after)))
-        rhs = tc.vectorize(tc.coboundary(alpha))
+        lhs = tuple(x - y for x, y in zip(vectorize(theta_before), vectorize(theta_after)))
+        rhs = vectorize(tc.coboundary(alpha))
         assert lhs == rhs
 
 
@@ -646,8 +711,8 @@ def test_first_order_equivalence_search(def_order1):
         linear_map_cochain(CochainSpace(phi.target, 0, 4), found_t.term(1)),
         None,
     )
-    diff = tuple(x - y for x, y in zip(tc.vectorize(theta_a), tc.vectorize(theta_b)))
-    assert tc.vectorize(tc.coboundary(alpha)) == diff
+    diff = tuple(x - y for x, y in zip(vectorize(theta_a), vectorize(theta_b)))
+    assert vectorize(tc.coboundary(alpha)) == diff
 
 
 def test_order_mismatch_guard(def_order1):

@@ -591,6 +591,26 @@ def test_cli_rejects_non_string_name(tmp_path, kind):
     assert "key 'name' has wrong type" in out.stdout
 
 
+@pytest.mark.parametrize("source", ["--order 0", "file of order 0"])
+def test_cli_infinitesimal_at_order_zero_is_a_usage_error(tmp_path, capsys, source):
+    """An order-0 family has no first-order triple: exit 2, not the
+    mathematical-failure status 1, whether truncated to 0 or loaded at 0."""
+    if source == "--order 0":
+        argv = [str(DATA / "def_a3_b3_1.json"), "--order", "0"]
+    else:
+        obj = _deformation_obj()
+        obj.update(order=0, source_terms=[], target_terms=[], morphism_terms=obj["morphism_terms"][:1])
+        p = tmp_path / "order0.json"
+        p.write_text(json.dumps(obj))
+        argv = [str(p)]
+    assert main(["--output", "json", "deform", "infinitesimal", *argv]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == 2 and set(report) == {"command", "error", "status"}
+    assert "infinitesimal needs order at least 1, got 0" in report["error"]
+    assert main(["deform", "check", *argv]) == 0  # the family itself is valid
+    capsys.readouterr()
+
+
 def test_cli_rejects_negative_cochain_degree(tmp_path):
     obj = _deformation_obj()
     obj["source_terms"][0]["degree"] = -1
@@ -748,17 +768,47 @@ def test_fractional_basis_report_matches_golden(monkeypatch, capsys):
     assert any("/" in v for v in values)
 
 
-def test_basis_reports_never_read_the_fraction_view(monkeypatch, capsys):
-    """Basis rows are written from ``ints``/``dens``: no ``Matrix.data``."""
+def _readme_commands(tmp_path):
+    """Every README command over every bundled file: validate on each file,
+    self and module cohomology at r = 1, 2 and the morphism complex at
+    r = 1..3 with bases, module H^1 without, and the five ``deform``
+    commands, ``--emit`` writing into ``tmp_path``."""
+    names = sorted(p.name for p in DATA.glob("*.json"))
+    cmds = [["validate", _DATA + name] for name in names]
+    for name in names:
+        for r in ("1", "2", "3"):
+            if name.startswith("alg_") and r != "3":
+                cmds.append(["cohomology", "--algebra", _DATA + name, "--degree", r, "--basis"])
+            if name.startswith("mor_") and r != "3":
+                cmds.append(["cohomology", "--morphism", _DATA + name, "--degree", r, "--basis"])
+            if name.startswith("mor_"):
+                cmds.append(["morphism-cohomology", "--morphism", _DATA + name, "--degree", r, "--basis"])
+        if name.startswith("mor_"):
+            cmds.append(["cohomology", "--morphism", _DATA + name, "--degree", "1"])
+    cmds += [
+        ["deform", "check", _DATA + "def_a3_b3_1.json"],
+        ["deform", "infinitesimal", _DATA + "def_a3_b3_1.json"],
+        ["deform", "obstruction", _DATA + "def_a3_b3_order2.json", "--order", "1"],
+        ["deform", "extend", _DATA + "def_a3_b3_order2.json", "--order", "1"],
+        ["deform", "transform", _DATA + "def_a3_b3_1.json", "--psi-source",
+         _DATA + "aut_a3_scaling.json", "--psi-target", _DATA + "aut_b3_identity.json",
+         "--emit", str(tmp_path / "out.json")],
+    ]
+    return cmds
+
+
+def test_basis_reports_never_read_the_fraction_view(monkeypatch, capsys, tmp_path):
+    """Every README command on the corpus, and a basis report with fractional
+    values, runs on integer rows from defect to report: no ``Matrix.data``."""
     monkeypatch.chdir(ROOT)
     reads = _count_data_reads(monkeypatch)
-    for args in (
-        ["morphism-cohomology", "--morphism", _DATA + "mor_a3_b3.json", "--degree", "2"],
-        ["cohomology", "--algebra", _DENSE_A1, "--degree", "2"],
-        ["cohomology", "--morphism", _DATA + "mor_a1_b2_i1.json", "--degree", "2"],
-    ):
-        assert main(["--output", "json", *args, "--basis"]) == 0
-        assert '"bases"' in capsys.readouterr().out
+    cmds = _readme_commands(tmp_path)
+    assert len(cmds) == 59
+    for args in [*cmds, ["cohomology", "--algebra", _DENSE_A1, "--degree", "2", "--basis"]]:
+        assert main(["--output", "json", *args]) == 0, args
+        out = capsys.readouterr().out
+        assert '"bases"' in out or "--basis" not in args
+    assert json.loads((tmp_path / "out.json").read_text())["deformation"]["order"] == 1
     assert reads == []
 
 
@@ -786,25 +836,27 @@ def _basis_subjects():
 
 
 def test_basis_rows_match_the_fraction_route():
-    """The integer-row writers give the dicts of the old route, Matrix.data
-    to Cochain/CochainTriple to a sorted writer, on every row; so do the
-    writers of whole cochains and triples that deform artifacts use."""
-    from oracles import oracle_basis_json, oracle_cochain_json, oracle_triple_json
+    """The writers, given each basis row wrapped as it is, give the dicts of
+    the old route, the row as Fractions to Cochain/CochainTriple to a sorted
+    writer; so they do for cochains and triples coerced from Fractions."""
+    from oracles import dense_rows, oracle_basis_json, oracle_triple_json
 
     from nliecoh.cochains import Cochain
+    from nliecoh.morphisms import CochainTriple
 
     seen = set()
     for name, rep, space in _basis_subjects():
         for m in (rep.cocycles, rep.classes):
             expected = oracle_basis_json(m, space)
+            rows = zip(m.ints, m.dens)
             if isinstance(space, tuple):
                 tc, deg = space
-                got = [jsonio.triple_to_json(tc._spaces(deg), r, d) for r, d in zip(m.ints, m.dens)]
-                whole = [jsonio.triple_to_json(tc.unvectorize(deg, v)) for v in m.data]
-                assert whole == [oracle_triple_json(tc.unvectorize(deg, v)) for v in m.data]
+                got = [jsonio.triple_to_json(CochainTriple.from_row(tc._spaces(deg), r, d)) for r, d in rows]
+                whole = [jsonio.triple_to_json(tc.unvectorize(deg, v)) for v in dense_rows(m)]
+                assert whole == [oracle_triple_json(tc.unvectorize(deg, v)) for v in dense_rows(m)]
             else:
-                got = [jsonio.cochain_to_json(space, "self", r, d) for r, d in zip(m.ints, m.dens)]
-                whole = [jsonio.cochain_to_json(Cochain.from_flat(space, v)) for v in m.data]
+                got = [jsonio.cochain_to_json(Cochain.from_row(space, r, d)) for r, d in rows]
+                whole = [jsonio.cochain_to_json(Cochain.from_flat(space, v)) for v in dense_rows(m)]
             assert got == expected, name
             assert whole == expected, name
             seen.update(e["value"] for row in expected for e in _entries_of(row))

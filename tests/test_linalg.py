@@ -7,7 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catalog import _random_invertible, conjugate, conjugated_cases
-from oracles import RowSpace, oracle_quotient, oracle_rref
+from oracles import (
+    RowSpace,
+    dense,
+    dense_row,
+    dense_rows,
+    mul_vector,
+    oracle_quotient,
+    oracle_rref,
+    solve_vector,
+)
 
 from nliecoh import corpus, linalg
 from nliecoh.cochains import coboundary_matrix_module, coboundary_matrix_self
@@ -15,6 +24,7 @@ from nliecoh.errors import DimensionMismatch, SubspaceViolation
 from nliecoh.linalg import (
     Matrix,
     _echelon,
+    int_row,
     kernel_basis,
     quotient_data,
     rank,
@@ -37,12 +47,13 @@ small_matrices = st.integers(1, 5).flatmap(
 @example(Matrix.zero(0, 3), [Fraction(1, 2)] * 5)
 @example(Matrix.zero(3, 0), [Fraction(1, 2)] * 5)
 def test_mul_vector_matches_fraction_sum(m, v):
+    """``Matrix.mul_row`` on the integer row of v gives the Fraction sums,
+    as one integer row of nonzero entries in lowest terms."""
     v = v[: m.cols]
-    got = m.mul_vector(v)
-    assert got == tuple(sum((x * v[j] for j, x in r.items()), Fraction(0)) for r in m.data)
-    for x in got:
-        assert type(x) is Fraction
-        assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+    row, den = m.mul_row(*int_row(v, m.cols))
+    assert dense(row, den, m.rows) == mul_vector(m, v)
+    assert all(type(x) is int and x for x in row.values())
+    assert den > 0 and gcd(den, *row.values()) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -85,10 +96,6 @@ def test_rank_identity_and_zero():
     assert rank(Matrix.from_rows([[1, 2], [2, 4]])) == 1
 
 
-def _dense_rows(m: Matrix) -> list:
-    return [m.row(i) for i in range(m.rows)]
-
-
 def test_kernel_basis_examples():
     assert kernel_basis(Matrix.identity(4)).rows == 0
     zero23 = Matrix.zero(2, 3)
@@ -97,17 +104,22 @@ def test_kernel_basis_examples():
     m = Matrix.from_rows([[1, 1, 0]])
     basis = kernel_basis(m)
     assert basis.rows == 2
-    for v in _dense_rows(basis):
-        assert all(x == 0 for x in m.mul_vector(v))
+    for v in dense_rows(basis):
+        assert all(x == 0 for x in mul_vector(m, v))
 
 
 def test_solve_examples():
     eye = Matrix.identity(3)
-    assert solve(eye, (1, 2, 3)) == (1, 2, 3)
-    assert solve(Matrix.zero(2, 2), (1, 0)) is None
+    assert solve_vector(eye, (1, 2, 3)) == (1, 2, 3)
+    assert solve_vector(Matrix.zero(2, 2), (1, 0)) is None
     m = Matrix.from_rows([[1, 0], [0, 0]])
-    x = solve(m, (3, 0))
-    assert x is not None and m.mul_vector(x) == (3, 0)
+    x = solve_vector(m, (3, 0))
+    assert x is not None and mul_vector(m, x) == (3, 0)
+    # integer rows in and out: x = b / 4 in lowest terms, zero left out
+    assert solve(eye, {0: 2, 2: 6}, 4) == ({0: 1, 2: 3}, 2)
+    assert solve(eye, {}) == ({}, 1)
+    with pytest.raises(DimensionMismatch):
+        solve(eye, {3: 1})
 
 
 def test_quotient_data_examples():
@@ -115,7 +127,7 @@ def test_quotient_data_examples():
     dim, reps = quotient_data(Matrix.from_rows([e1, e2]), Matrix.from_rows([e1]))
     assert dim == 1
     space = RowSpace([e1])
-    assert all(not space.contains(r) for r in _dense_rows(reps))
+    assert all(not space.contains(r) for r in dense_rows(reps))
     assert quotient_data(Matrix.from_rows([e1, e2]), Matrix.from_rows([e1, e2]))[0] == 0
     assert quotient_data(Matrix.identity(3), Matrix.zero(0, 3))[0] == 3
 
@@ -151,8 +163,8 @@ def test_quotient_data_rejects_length_mismatch():
 def test_rank_nullity_and_kernel_exactness(m):
     basis = kernel_basis(m)
     assert rank(m) + basis.rows == m.cols
-    for v in _dense_rows(basis):
-        assert all(x == 0 for x in m.mul_vector(v))
+    for v in dense_rows(basis):
+        assert all(x == 0 for x in mul_vector(m, v))
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,28 +173,28 @@ def test_solve_consistency(m, data):
     x = data.draw(
         st.lists(fractions, min_size=m.cols, max_size=m.cols), label="x"
     )
-    b = m.mul_vector(x)
-    got = solve(m, b)
+    b = mul_vector(m, x)
+    got = solve_vector(m, b)
     assert got is not None
-    assert m.mul_vector(got) == b
+    assert mul_vector(m, got) == b
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_matrices, st.data())
 def test_solve_detects_inconsistency(m, data):
     b = data.draw(st.lists(fractions, min_size=m.rows, max_size=m.rows))
-    got = solve(m, tuple(b))
+    got = solve_vector(m, tuple(b))
     if got is None:
         aug = Matrix.from_rows(
-            [list(m.row(i)) + [bv] for i, bv in enumerate(b)]
+            [list(dense_row(m, i)) + [bv] for i, bv in enumerate(b)]
         )
         assert rank(aug) == rank(m) + 1
     else:
-        assert m.mul_vector(got) == tuple(b)
+        assert mul_vector(m, got) == tuple(b)
 
 
 def _assert_rref_matches_oracle(m: Matrix):
-    _assert_reduced_basis(m, *oracle_rref(_dense_rows(m)))
+    _assert_reduced_basis(m, *oracle_rref(dense_rows(m)))
 
 
 def test_rref_matches_dense_oracle():
@@ -203,16 +215,17 @@ def test_rref_edge_shapes():
     m = Matrix.from_rows([[0, 0, 0, 0], [0, 2, 0, 4], [0, 0, 0, 0], [0, 1, 0, 2]])
     _assert_rref_matches_oracle(m)
     assert rank(m) == 1
-    assert _dense_rows(kernel_basis(m)) == [(1, 0, 0, 0), (0, 0, 1, 0), (0, -2, 0, 1)]
+    assert dense_rows(kernel_basis(m)) == [(1, 0, 0, 0), (0, 0, 1, 0), (0, -2, 0, 1)]
 
 
 def test_solve_rank_deficient_augmented():
     m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 0]])
-    x = solve(m, (2, 4, 0))
+    x = solve_vector(m, (2, 4, 0))
     assert x == (2, 0, 0)
-    assert solve(m, (2, 5, 0)) is None
-    assert solve(m, (2, 4, 1)) is None
-    assert solve(Matrix(0, 2, []), ()) == (0, 0)
+    assert solve(m, {0: 2, 1: 4}) == ({0: 2}, 1)
+    assert solve_vector(m, (2, 5, 0)) is None
+    assert solve_vector(m, (2, 4, 1)) is None
+    assert solve_vector(Matrix(0, 2, []), ()) == (0, 0)
 
 
 @pytest.mark.parametrize("name", sorted(corpus.ALGEBRA_FILES))
@@ -272,7 +285,7 @@ def _assert_reduced_basis(m: Matrix, want_rows, want_pivots):
         for pc, want in zip(pivots, want_rows):
             v[pc] = -want[f]
         kernel.append(tuple(v))
-    assert _dense_rows(kernel_basis(m)) == kernel
+    assert dense_rows(kernel_basis(m)) == kernel
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -306,7 +319,7 @@ def test_echelon_is_row_order_invariant_on_corpus_coboundaries(name):
     alg = corpus.algebra(name)
     for p in range(3):
         m = coboundary_matrix_self(alg, p)
-        want_rows, want_pivots = oracle_rref(_dense_rows(m))
+        want_rows, want_pivots = oracle_rref(dense_rows(m))
         for rows in (list(m.data), list(m.ints)):
             rng.shuffle(rows)
             shuffled = Matrix.from_sparse(m.rows, m.cols, rows)
@@ -328,9 +341,9 @@ def test_sparse_rows_match_dense_construction():
     sparse = Matrix.from_sparse(2, 3, [{0: Fraction(1), 2: Fraction(1, 2), 1: Fraction(0)}, {}])
     assert sparse == dense and hash(sparse) == hash(dense)
     assert sparse.data == ({0: 1, 2: Fraction(1, 2)}, {})
-    assert sparse.row(1) == (0, 0, 0) and sparse.row(0) == (1, 0, Fraction(1, 2))
+    assert dense_row(sparse, 1) == (0, 0, 0) and dense_row(sparse, 0) == (1, 0, Fraction(1, 2))
     with pytest.raises(IndexError):
-        sparse.row(2)
+        dense_row(sparse, 2)
     with pytest.raises(DimensionMismatch):
         Matrix.from_sparse(2, 3, [{3: Fraction(1)}, {}])
     with pytest.raises(DimensionMismatch):
@@ -410,7 +423,7 @@ _sparse_fractions = st.one_of(st.just(Fraction(0)), fractions)
 
 def _dense_quotient(z: Matrix, b: Matrix):
     dim, reps = quotient_data(z, b)
-    return dim, _dense_rows(reps)
+    return dim, dense_rows(reps)
 
 
 @settings(max_examples=200, deadline=None)
@@ -424,7 +437,7 @@ def test_quotient_matches_oracle(data):
     vec = st.lists(_sparse_fractions, min_size=n, max_size=n).map(tuple)
     delta_out = data.draw(st.lists(vec, max_size=5), label="delta_out")
     z = kernel_basis(Matrix(len(delta_out), n, delta_out))
-    z_basis = _dense_rows(z)
+    z_basis = dense_rows(z)
     coeffs = st.lists(st.integers(-2, 2), min_size=z.rows, max_size=z.rows)
 
     def combine(cs):
@@ -450,7 +463,7 @@ def _consecutive_pairs(matrices):
 def _assert_quotient_matches_oracle(delta_in, delta_out):
     z = kernel_basis(delta_out)
     b = Matrix.zero(0, delta_out.cols) if delta_in is None else delta_in.transpose()
-    assert _dense_quotient(z, b) == oracle_quotient(_dense_rows(z), _dense_rows(b))
+    assert _dense_quotient(z, b) == oracle_quotient(dense_rows(z), dense_rows(b))
 
 
 def _assert_kernel_form(delta: Matrix):

@@ -8,12 +8,15 @@ from catalog import base_algebras, conjugated_isomorphism, conjugated_morphism
 from oracles import (
     FundamentalObject,
     ad_action,
+    coeffs,
     column,
     fundamental_bracket,
     module_action,
     oracle_morphism_residual,
     oracle_pull_matrix,
+    representatives,
     unit,
+    vectorize,
     wedge_decompose,
     wedge_image,
 )
@@ -61,9 +64,9 @@ def test_invalid_morphism_reports_failing_tuples(alg_a1, alg_b1):
 def _oracle_report(phi):
     """Order-0 map-equation defect of the oracle, as a report."""
     res = oracle_morphism_residual(DeformedMorphism.trivial(phi, 0), 0)
-    failures = []
+    failures, values = [], coeffs(res)
     for key in phi.source.bracket_keys():
-        residual = tuple(res.coeffs.get(((key,), t), Fraction(0)) for t in range(phi.target.dim))
+        residual = tuple(values.get(((key,), t), Fraction(0)) for t in range(phi.target.dim))
         if any(residual):
             failures.append(MorphismFailure(key, residual))
     return ValidationReport(phi.name, "morphism", tuple(failures))
@@ -293,17 +296,17 @@ def test_cohomologous_check(phi_a3_b3):
     zero1 = tc.zero_triple(1)
     witness = tc.cohomologous(b, zero1)
     assert witness is not None
-    assert tc.vectorize(tc.coboundary(witness)) == tc.vectorize(b)
+    assert vectorize(tc.coboundary(witness)) == vectorize(b)
     # a genuine nonzero class has no witness
     rep = tc.cohomology(2)
     if rep.dim_h:
-        cls = tc.unvectorize(1, rep.representatives[0])
+        cls = tc.unvectorize(1, representatives(rep)[0])
         assert tc.cohomologous(cls, tc.zero_triple(1)) is None
         # a - b is taken in that order: cls + b against cls gives b's witness
-        shifted = tc.unvectorize(1, [x + y for x, y in zip(tc.vectorize(cls), tc.vectorize(b))])
+        shifted = tc.unvectorize(1, [x + y for x, y in zip(vectorize(cls), vectorize(b))])
         for a, c, sign in ((shifted, cls, 1), (cls, shifted, -1)):
             w = tc.cohomologous(a, c)
-            assert tc.vectorize(tc.coboundary(w)) == tuple(sign * x for x in tc.vectorize(b))
+            assert vectorize(tc.coboundary(w)) == tuple(sign * x for x in vectorize(b))
     with pytest.raises(NotCocycle):
         nb = tc.unvectorize(1, [1] * tc.dim(1))
         if not tc.is_cocycle(nb):
@@ -317,7 +320,7 @@ def test_triple_shape_checks(phi_a3_b3):
     for m in (0, 1, 2):
         flat = [Fraction(i % 5 - 2) for i in range(tc.dim(m))]
         t = tc.unvectorize(m, flat)
-        assert list(tc.vectorize(t)) == flat
+        assert list(vectorize(t)) == flat
         assert tc.unvectorize(m, {i: x for i, x in enumerate(flat) if x}) == t
         with pytest.raises(DimensionMismatch):
             tc.unvectorize(m, flat[:-1])
@@ -334,7 +337,7 @@ def test_unvectorize_rejects_sparse_index_out_of_range(phi_a3_b3, m):
         with pytest.raises(DimensionMismatch):
             tc.unvectorize(m, {index: 7})
     last = tc.unvectorize(m, {tc.dim(m) - 1: 7})
-    assert list(tc.vectorize(last)) == [0] * (tc.dim(m) - 1) + [7]
+    assert list(vectorize(last)) == [0] * (tc.dim(m) - 1) + [7]
 
 
 @pytest.mark.parametrize("key", MORPHISM_FILES)
@@ -355,7 +358,7 @@ def test_triple_complex_keeps_its_spaces(key):
                 }) if s else None
                 for s in spaces
             ))
-            back = tc.unvectorize(m, tc.vectorize(t))
+            back = tc.unvectorize(m, vectorize(t))
             assert back == t
             assert back.c1.space is spaces[0] and back.c2.space is spaces[1]
 
