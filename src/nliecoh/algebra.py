@@ -149,6 +149,6 @@ def validate_algebra(alg: NLieAlgebra) -> ValidationReport:
     over increasing (n-1)-tuples and y over increasing n-tuples; the check
     is the order-0 defect of :func:`~nliecoh.tables.nambu_defects`.
     """
-    den, defects = nambu_defects(alg.dim, alg.arity, alg.den, (alg.ints,), 0)
-    failures = tuple(NambuFailure(x, y, dense(res, den, alg.dim)) for (x, y), res in defects)
+    defects = nambu_defects(alg.dim, alg.arity, alg.den, (alg.ints,), 0)
+    failures = tuple(NambuFailure(x, y, dense(res, den, alg.dim)) for (x, y), res, den in defects)
     return ValidationReport(alg.name, "algebra", failures)

@@ -118,14 +118,15 @@ def nambu_residual(da: DeformedAlgebra, s: int) -> Cochain:
     The zero cochain means the identity holds exactly at that order.
     """
     alg = da.base
-    den, defects = nambu_defects(alg.dim, alg.arity, da.den, da.tables, s)
-    return _defect_cochain(CochainSpace(alg, 2, alg.dim), den, defects)
+    defects = nambu_defects(alg.dim, alg.arity, da.den, da.tables, s)
+    return _defect_cochain(CochainSpace(alg, 2, alg.dim), defects)
 
 
-def _defect_cochain(space: CochainSpace, den: int, defects) -> Cochain:
-    """The cochain of the integer defects (domain key, {t: int}) over ``den``."""
-    pos, d_T = space._key_pos, space.target_dim
-    row = {pos[key] * d_T + t: c for key, res in defects for t, c in res.items()}
+def _defect_cochain(space: CochainSpace, defects) -> Cochain:
+    """The cochain of the defects (domain key, {t: int}, den), one den for all."""
+    pos, d_T, row, den = space._key_pos, space.target_dim, {}, 1
+    for key, res, den in defects:
+        row.update((pos[key] * d_T + t, c) for t, c in res.items())
     return Cochain.from_row(space, *lowest(row, den))
 
 
@@ -202,9 +203,8 @@ class DeformedMorphism:
 
 def morphism_residual(dm: DeformedMorphism, s: int) -> Cochain:
     """Order-s defect of the map equation, as a module-valued cochain."""
-    den, defects = _map_defects(dm, s)
     space = CochainSpace(dm.src_def.base, 1, dm.tgt_def.base.dim)
-    return _defect_cochain(space, den, (((key,), res) for key, res in defects))
+    return _defect_cochain(space, (((key,), res, den) for key, res, den in _map_defects(dm, s)))
 
 
 def _map_defects(dm: DeformedMorphism, s: int):
@@ -221,12 +221,10 @@ def validate_deformation(dm: DeformedMorphism) -> ValidationReport:
     for s in range(dm.order + 1):
         for part, da in (("source", dm.src_def), ("target", dm.tgt_def)):
             alg = da.base
-            den, defects = nambu_defects(alg.dim, alg.arity, da.den, da.tables, s)
-            for key, res in defects:
+            for key, res, den in nambu_defects(alg.dim, alg.arity, da.den, da.tables, s):
                 failures.append(DeformationFailure(part, s, key, dense(res, den, alg.dim)))
         d_tgt = dm.tgt_def.base.dim
-        den, defects = _map_defects(dm, s)
-        for key, res in defects:
+        for key, res, den in _map_defects(dm, s):
             failures.append(DeformationFailure("morphism", s, (key,), dense(res, den, d_tgt)))
     return ValidationReport(dm.name or "deformation", "deformation", tuple(failures))
 

@@ -6,7 +6,7 @@ a zero denominator is rejected.  All index lists are 1-based and strictly
 increasing.  Serialization emits keys in a fixed order and sorted entries,
 so identical objects always produce identical bytes.  Numbers are written
 from integers over a positive denominator, as ``Matrix.ints``/``dens`` hold
-them, and a cochain from its integer row.
+them, and a cochain or a triple from its integer row.
 """
 
 from __future__ import annotations
@@ -257,19 +257,25 @@ def cochain_from_json(
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def cochain_to_json(c: Cochain, target_label: str = "self") -> dict:
-    """A cochain written from its integer row.  Canonical keys are enumerated
-    in lexicographic order, so ascending flat index is key order and then
-    target index."""
-    keys, d_T, deg = c.space.domain_keys, c.space.target_dim, c.space.degree
+def _cochain_json(space, label: str, items, den: int, off: int = 0) -> dict:
+    """The cochain on ``space`` of the pairs (``off`` + flat index, int) among
+    the ascending ``items``, over ``den``.  Canonical keys are enumerated in
+    lexicographic order, so ascending index is key order and then target
+    index."""
+    keys, d_T, end = space.domain_keys, space.target_dim, off + space.dim
     entries = []
-    for j in sorted(c.row):
-        pos, t = divmod(j, d_T)
-        key = keys[pos]  # an index at degree 0, else blocks and a last wedge
-        *blocks, last = [[key + 1]] if deg == 0 else [[i + 1 for i in b] for b in key]
-        value = format_ratio(c.row[j], c.den)
-        entries.append({"blocks": blocks, "last": last, "target_index": t + 1, "value": value})
-    return {"degree": deg, "target": target_label, "entries": entries}
+    for j, v in items:
+        if off <= j < end:
+            pos, t = divmod(j - off, d_T)
+            key = keys[pos]  # an index at degree 0, else blocks and a last wedge
+            *blocks, last = [[key + 1]] if space.degree == 0 else [[i + 1 for i in b] for b in key]
+            value = format_ratio(v, den)
+            entries.append({"blocks": blocks, "last": last, "target_index": t + 1, "value": value})
+    return {"degree": space.degree, "target": label, "entries": entries}
+
+
+def cochain_to_json(c: Cochain, target_label: str = "self") -> dict:
+    return _cochain_json(c.space, target_label, sorted(c.row.items()), c.den)
 
 
 # -- deformations -------------------------------------------------------------
@@ -348,9 +354,14 @@ def automorphism_to_json(psi: FormalAutomorphism) -> dict:
 
 
 def triple_to_json(t: CochainTriple) -> dict:
-    c3 = t.c3
-    c3 = None if c3 is None else cochain_to_json(c3, "module")
-    return {"degree": t.degree, "c1": cochain_to_json(t.c1), "c2": cochain_to_json(t.c2), "c3": c3}
+    """A triple written from its row, sorted once and split at the offsets."""
+    items, off = sorted(t.row.items()), 0
+    out = {"degree": t.degree, "c1": None, "c2": None, "c3": None}
+    for name, label, space in zip(("c1", "c2", "c3"), ("self", "self", "module"), t.spaces):
+        if space is not None:
+            out[name] = _cochain_json(space, label, items, t.den, off)
+            off += space.dim
+    return out
 
 
 def triple_from_json(obj: dict, phi: Morphism, where: str = "triple") -> CochainTriple:

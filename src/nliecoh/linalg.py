@@ -62,9 +62,7 @@ def int_row(entries, size: int) -> tuple[dict[int, int], int]:
         if len(entries) != size:
             raise DimensionMismatch(f"vector length {len(entries)} != {size}")
         entries = dict(enumerate(entries))
-    elif entries and not (
-        _INT.issuperset(map(type, entries)) and 0 <= min(entries) <= max(entries) < size
-    ):
+    elif entries and not (_INT.issuperset(map(type, entries)) and 0 <= min(entries) <= max(entries) < size):
         raise DimensionMismatch(f"vector index outside 0..{size - 1}")
     den = 1
     if not _INT.issuperset(map(type, entries.values())):
@@ -195,10 +193,7 @@ class Matrix:
         the lcm e of the row denominators times ``den``."""
         if row and not (min(row) >= 0 and max(row) < self.cols):
             raise DimensionMismatch(f"vector index outside 0..{self.cols - 1}")
-        w = [0] * self.cols
-        for j, v in row.items():
-            w[j] = v
-        e, out = lcm(*self.dens), {}
+        w, e, out = [row.get(j, 0) for j in range(self.cols)], lcm(*self.dens), {}
         for i, (r, d) in enumerate(zip(self.ints, self.dens)):
             x = sum(a * w[j] for j, a in r.items()) if r else 0
             if x:

@@ -112,8 +112,8 @@ def validate_morphism(phi: Morphism) -> ValidationReport:
             return ValidationReport(
                 phi.name or "morphism", "morphism", alg._report.failures
             )
-    den, defects = map_defects(src.arity, (phi.matrix,), src.den, (src.ints,), tgt.den, (tgt.ints,), 0)
-    failures = tuple(MorphismFailure(key, dense(res, den, tgt.dim)) for key, res in defects)
+    defects = map_defects(src.arity, (phi.matrix,), src.den, (src.ints,), tgt.den, (tgt.ints,), 0)
+    failures = tuple(MorphismFailure(key, dense(res, den, tgt.dim)) for key, res, den in defects)
     return ValidationReport(phi.name or "morphism", "morphism", failures)
 
 

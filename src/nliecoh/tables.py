@@ -83,8 +83,7 @@ def int_columns(m: Matrix, den: int) -> list[dict]:
 
 
 def dense(res: dict, den: int, dim: int) -> tuple[Fraction, ...]:
-    """A sparse {t: int} residual over ``den`` as a full vector of Fractions,
-    for failure reports."""
+    """A sparse {t: int} residual over ``den`` as Fractions, for failure reports."""
     return tuple(Fraction(res.get(t, 0), den) for t in range(dim))
 
 
@@ -142,15 +141,15 @@ def series_bracket(tables: Sequence[SignedTable], cols: Sequence, key: tuple, s:
 
 def nambu_defects(
     d: int, n: int, den: int, tables: Sequence[SignedTable], s: int
-) -> tuple[int, Iterator[tuple[tuple, dict]]]:
+) -> Iterator[tuple[tuple, dict, int]]:
     """Order-s coefficient of the fundamental-identity defect
 
         [x, [k]] - sum_i [k_1, ..., [x, k_i], ..., k_n]
 
     of the family with one table per order (ints over ``den``), at each
-    basis (n-1)-tuple x and n-tuple k, increasing, x first.  Each summand is
-    a product of two table entries, an int over ``den**2``.  Returns
-    ``den**2`` and the defects ((x, k), {t: int}) where they are nonzero.
+    basis (n-1)-tuple x and n-tuple k, increasing, x first: yields
+    ((x, k), {t: int}, den**2) where it is nonzero.  Each summand is a
+    product of two table entries, an int over ``den**2``.
     """
     order = len(tables) - 1
     pairs = [
@@ -158,21 +157,20 @@ def nambu_defects(
         for k in range(max(0, s - order), min(s, order) + 1)
         if tables[k] and tables[s - k]
     ]
-
-    def defects():
-        for xt in combinations(range(d), n - 1) if pairs else ():
-            for kt in combinations(range(d), n):
-                total: dict = {}
-                for inner, outer in pairs:
-                    for j, c in inner[kt].items():
-                        _add(total, outer[xt + (j,)], c)
-                    for i in range(n):
-                        for j, c in inner[xt + (kt[i],)].items():
-                            _add(total, outer[kt[:i] + (j,) + kt[i + 1 :]], -c)
-                if any(total.values()):
-                    yield (xt, kt), {t: c for t, c in total.items() if c}
-
-    return den**2, defects()
+    if not pairs:
+        return
+    den2 = den**2
+    for xt in combinations(range(d), n - 1):
+        for kt in combinations(range(d), n):
+            total: dict = {}
+            for inner, outer in pairs:
+                for j, c in inner[kt].items():
+                    _add(total, outer[xt + (j,)], c)
+                for i in range(n):
+                    for j, c in inner[xt + (kt[i],)].items():
+                        _add(total, outer[kt[:i] + (j,) + kt[i + 1 :]], -c)
+            if any(total.values()):
+                yield (xt, kt), {t: c for t, c in total.items() if c}, den2
 
 
 def map_defects(
@@ -183,17 +181,17 @@ def map_defects(
     tgt_den: int,
     tgt_tables: Sequence[SignedTable],
     s: int,
-) -> tuple[int, Iterator[tuple[tuple, dict]]]:
+) -> Iterator[tuple[tuple, dict, int]]:
     """Order-s coefficient of the map-equation defect
 
         phi [x_1, ..., x_n] - [phi x_1, ..., phi x_n]
 
     of the series of maps ``terms`` between the families with one table per
     order (ints over ``src_den`` and ``tgt_den``), at each increasing basis
-    n-tuple.  With the map columns ints over d_phi, a pulled term is an int
-    over d_phi * src_den and a target bracket an int over tgt_den * d_phi**n.
-    Returns the lcm den of the two and the defects (tuple, {t: int}) over
-    den where they are nonzero.
+    n-tuple: yields (tuple, {t: int}, den) where it is nonzero.  With the
+    map columns ints over d_phi, a pulled term is an int over
+    d_phi * src_den and a target bracket an int over tgt_den * d_phi**n;
+    den is the lcm of the two.
     """
     d_phi = lcm(*(d for m in terms for d in m.dens))
     cols = [int_columns(m, d_phi) for m in terms]
@@ -202,14 +200,10 @@ def map_defects(
     den = lcm(pull_den, push_den)
     pull, push = den // pull_den, -(den // push_den)
     top = min(s, len(terms) - 1)
-
-    def defects():
-        for key in combinations(range(terms[0].cols), n):
-            total: dict = {}
-            for i in range(s - top, top + 1):
-                _add(total, _apply(cols[i], src_tables[s - i][key]), pull)
-            _add(total, series_bracket(tgt_tables, cols, key, s), push)
-            if any(total.values()):
-                yield key, {t: c for t, c in total.items() if c}
-
-    return den, defects()
+    for key in combinations(range(terms[0].cols), n):
+        total: dict = {}
+        for i in range(s - top, top + 1):
+            _add(total, _apply(cols[i], src_tables[s - i][key]), pull)
+        _add(total, series_bracket(tgt_tables, cols, key, s), push)
+        if any(total.values()):
+            yield key, {t: c for t, c in total.items() if c}, den
