@@ -32,8 +32,8 @@ from .errors import (
     InvalidAlgebra,
     InvalidMorphism,
 )
-from .linalg import Matrix, _Row, frac, int_row, kernel_basis, lowest, quotient_data
-from .tables import SignedTable, int_columns, sort_sign
+from .linalg import Matrix, frac, int_columns, int_row, kernel_basis, lowest, quotient_data
+from .tables import SignedTable, _bracket, scaled, sort_sign
 
 if TYPE_CHECKING:
     from .morphisms import Morphism
@@ -173,34 +173,25 @@ class Cochain:
 # p = 0 there is no i = 0 term.
 
 
-def _sparse_bracket(table: SignedTable, scale: int, idxs: tuple) -> dict:
-    """Bracket of basis vectors in any order from a signed table, times ``scale``."""
-    return {t: scale * x for t, x in table[idxs].items()}
-
-
-def _derivation(sign, bracket, w: tuple, u: tuple) -> dict:
+def _derivation(sign, table: SignedTable, w: tuple, u: tuple) -> dict:
     """e_w acting on the wedge e_u slot by slot, over increasing wedges."""
     out: dict = {}
     for slot, i in enumerate(u):
-        for j, c in bracket(w + (i,)).items():
+        for j, c in table[w + (i,)].items():
             s, v = sign(u[:slot] + (j,) + u[slot + 1 :])
             if s:
                 out[v] = out.get(v, 0) + s * c
     return {v: c for v, c in out.items() if c}
 
 
-def _action(phi_cols: list, bracket, d_T: int, u: tuple) -> list[dict]:
+def _action(phi_cols: list, table: SignedTable, d_T: int, u: tuple) -> list[dict]:
     """Rows s of the target map t -> [phi e_u0, ..., phi e_u(n-2), e_t]."""
     out: list[dict] = [{} for _ in range(d_T)]
-    for choice in product(*(phi_cols[i].items() for i in u)):
-        idxs = tuple(i for i, _ in choice)
-        coeff = 1
-        for _, c in choice:
-            coeff *= c
-        for t in range(d_T):
-            for s, x in bracket(idxs + (t,)).items():
-                out[s][t] = out[s].get(t, 0) + coeff * x
-    return [{t: x for t, x in r.items() if x} for r in out]
+    args = [phi_cols[i] for i in u]
+    for t in range(d_T):
+        for s, x in _bracket(table, args + [{t: 1}]).items():
+            out[s][t] = x
+    return out
 
 
 class _Tables:
@@ -217,8 +208,10 @@ class _Tables:
     With d_* the lcm of the denominators of the source constants, the target
     constants and phi, an action term (n - 1 entries of phi times a target
     constant) is an int over acted = d_tgt * d_phi^(n-1).  So den =
-    lcm(d_src, acted), the source table is scaled by den / d_src, phi by
-    d_phi and the target table by den / acted.
+    lcm(d_src, acted), phi is read over d_phi, and the source and target
+    tables are read through :func:`~nliecoh.tables.scaled` by den / d_src
+    and den / acted: the algebra's own table when the factor is 1, so a
+    self complex reads the algebra's own table for both.
     """
 
     def __init__(self, src: NLieAlgebra, tgt: NLieAlgebra, phi: Matrix):
@@ -229,11 +222,9 @@ class _Tables:
         self.den = den = lcm(src.den, acted)
         phi_cols = int_columns(phi, d_phi)
         self.sign = cache(sort_sign)
-        self.src_bracket = cache(partial(_sparse_bracket, src.ints, den // src.den))
-        same = tgt is src and acted == src.den
-        tgt_bracket = self.src_bracket if same else cache(partial(_sparse_bracket, tgt.ints, den // acted))
-        self.derivation = cache(partial(_derivation, self.sign, self.src_bracket))
-        self.action = cache(partial(_action, phi_cols, tgt_bracket, tgt.dim))
+        self.src_table = scaled(src.ints, den // src.den)
+        self.derivation = cache(partial(_derivation, self.sign, self.src_table))
+        self.action = cache(partial(_action, phi_cols, scaled(tgt.ints, den // acted), tgt.dim))
         self.wedges = list(combinations(range(src.dim), src.arity - 1))
 
     def minus_d(self, size: int) -> list[list[list]]:
@@ -262,7 +253,7 @@ class _Tables:
             sign, v = self.sign(ws[0] + (j,))
             return (pos[(v,)] * self.tgt.dim, sign) if sign else (0, 0)
 
-        for j, c in self.src_bracket(k).items():
+        for j, c in self.src_table[k].items():
             base, sign = last(j)
             for t, row in enumerate(rows if sign else ()):
                 row[base + t] = row.get(base + t, 0) + s * sign * c
@@ -339,8 +330,6 @@ def _tower(space_in: CochainSpace, tables: _Tables, keep: bool = False):
 def _assemble(space_in: CochainSpace, tables: _Tables) -> Matrix:
     rows, _ = _tower(space_in, tables)
     out = CochainSpace(space_in.source, space_in.degree + 1, space_in.target_dim).dim
-    if tables.den == 1:  # rows in lowest terms already: each is made once, here
-        return Matrix.from_ints(out, space_in.dim, map(_Row, rows))
     return Matrix.from_ints(out, space_in.dim, rows, [tables.den] * out)
 
 

@@ -24,17 +24,9 @@ from .errors import (
     ObstructionNotCocycle,
     OrderMismatch,
 )
-from .linalg import Matrix, Vector, lowest, solve
+from .linalg import Matrix, Vector, int_columns, lowest, solve
 from .morphisms import CochainTriple, Morphism, triple_complex
-from .tables import (
-    SignedTable,
-    dense,
-    int_columns,
-    int_table,
-    map_defects,
-    nambu_defects,
-    series_bracket,
-)
+from .tables import SignedTable, dense, map_defects, nambu_defects, scaled, series_bracket
 
 
 def degree1_space(alg: NLieAlgebra) -> CochainSpace:
@@ -98,7 +90,7 @@ class DeformedAlgebra:
         """Bracket of each order 0..order as a signed table, the values ints
         over ``den``."""
         den, d = self.den, self.base.dim
-        tables = [int_table(self.base.structure, den)]
+        tables = [scaled(self.base.ints, den // self.base.den)]
         for term in self.terms:
             keys, f, table = term.space.domain_keys, den // term.den, SignedTable()
             for j, v in term.row.items():

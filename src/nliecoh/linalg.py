@@ -8,13 +8,15 @@ A vector is an integer row: a ``{index: int}`` dict of nonzero entries over
 one positive denominator, in lowest terms (the denominator is the lcm of the
 entries' reduced denominators), so equal vectors store equal rows.  Row i of
 a matrix is the read-only row ``ints[i]`` over ``dens[i]``, and a cochain or
-a triple is one such row.  Outside input is coerced and range-checked in one
-place, :func:`int_row`; rows derived from integer rows are built as
-integers, through :meth:`Matrix.from_ints` and :func:`lowest`, and
-:meth:`Matrix.mul_row` and :func:`solve` take and return them.  ``data`` is
-the ``{column: Fraction}`` view of the rows, built on first read.  Row
-reduction runs in :func:`_echelon`, one fraction-free pass per row into a
-reduced integer basis.
+a triple is one such row.  Outside input, dense or sparse, is coerced and
+range-checked in one place, :func:`int_row`, which ``Matrix(rows, cols,
+data)`` calls per row; rows derived from integer rows are built as integers
+and put in lowest terms by :meth:`Matrix.from_ints`, and
+:meth:`Matrix.mul_row` and :func:`solve` take and return them.  Columns are
+read as integer rows by :func:`int_columns`, which ``transpose`` is built
+on.  ``data`` is the ``{column: Fraction}`` view of the rows, built on first
+read.  Row reduction runs in :func:`_echelon`, one fraction-free pass per
+row into a reduced integer basis.
 """
 
 from __future__ import annotations
@@ -72,18 +74,21 @@ def int_row(entries, size: int) -> tuple[dict[int, int], int]:
     return {j: x for j, x in entries.items() if x}, den
 
 
+def int_columns(m: "Matrix", den: int) -> list[dict]:
+    """Columns of ``m`` as sparse ints over ``den``, a multiple of its row
+    denominators."""
+    cols: list[dict] = [{} for _ in range(m.cols)]
+    for i, (row, d) in enumerate(zip(m.ints, m.dens)):
+        f = den // d
+        for j, v in row.items():
+            cols[j][i] = f * v
+    return cols
+
+
 def lowest(row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     """An integer row of nonzero entries over ``den`` > 0 in lowest terms."""
     g = gcd(den, *row.values()) if den != 1 else 1
     return ({j: v // g for j, v in row.items()}, den // g) if g != 1 else (row, den)
-
-
-def _coerce(rows: int, cols: int, data: Iterable) -> tuple[list, list]:
-    """Integer rows and denominators of rows of exact entries."""
-    pairs = [int_row(r, cols) for r in data]
-    if len(pairs) != rows:
-        raise DimensionMismatch(f"sparse rows do not fit {rows}x{cols}")
-    return [_Row(r) for r, _ in pairs], [d for _, d in pairs]
 
 
 class Matrix:
@@ -93,11 +98,13 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "ints", "dens", "_data")
 
-    def __init__(self, rows: int, cols: int, data: Sequence[Sequence]):
-        dense = [list(r) for r in data]
-        if len(dense) != rows or any(len(r) != cols for r in dense):
+    def __init__(self, rows: int, cols: int, data: Iterable):
+        """Build from ``rows`` rows of exact entries, each a dense sequence of
+        length ``cols`` or a sparse {column: entry}; zero entries are dropped."""
+        pairs = [int_row(r, cols) for r in data]
+        if len(pairs) != rows:
             raise DimensionMismatch(f"matrix data does not fill {rows}x{cols}")
-        self._set(rows, cols, *_coerce(rows, cols, dense))
+        self._set(rows, cols, (_Row(r) for r, _ in pairs), (d for _, d in pairs))
 
     def _set(self, rows: int, cols: int, ints: Iterable[_Row], dens: Iterable[int]) -> None:
         for name, value in zip(self.__slots__, (rows, cols, tuple(ints), tuple(dens), None)):
@@ -107,27 +114,20 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def from_sparse(cls, rows: int, cols: int, data: Iterable[dict]) -> "Matrix":
-        """Build from ``rows`` dicts {column: entry}; zero entries are dropped."""
-        m = cls.__new__(cls)
-        m._set(rows, cols, *_coerce(rows, cols, data))
-        return m
-
-    @classmethod
-    def from_ints(cls, rows: int, cols: int, ints: Iterable[dict], dens=None) -> "Matrix":
+    def from_ints(cls, rows: int, cols: int, ints: Iterable[dict], dens: Iterable[int]) -> "Matrix":
         """Build from integer rows of nonzero entries, as derived from other
         matrices' ``ints`` or assembled from integer tables, over positive
-        denominators (all 1 when ``dens`` is None); rows are put in lowest
-        terms and not checked otherwise.  A row that is already a ``_Row``
-        in lowest terms is kept as it is, any other row is copied."""
-        if dens is None:
-            out, low = (r if type(r) is _Row else _Row(r) for r in ints), (1,) * rows
-        else:
-            out, low = [], []
-            for r, d in zip(ints, dens):
-                r, d = lowest(r, d)
-                out.append(r if type(r) is _Row else _Row(r))
-                low.append(d)
+        denominators; rows are put in lowest terms and not checked otherwise.
+        A row that is already a ``_Row`` in lowest terms is kept as it is,
+        any other row is copied."""
+        out, low = [], []
+        for r, d in zip(ints, dens):
+            if d != 1:
+                g = gcd(d, *r.values())
+                if g != 1:
+                    r, d = {j: v // g for j, v in r.items()}, d // g
+            out.append(r if type(r) is _Row else _Row(r))
+            low.append(d)
         m = cls.__new__(cls)
         m._set(rows, cols, out, low)
         return m
@@ -140,11 +140,11 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls.from_ints(rows, cols, [{}] * rows)
+        return cls.from_ints(rows, cols, [{}] * rows, [1] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls.from_ints(n, n, [{i: 1} for i in range(n)])
+        return cls.from_ints(n, n, [{i: 1} for i in range(n)], [1] * n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
@@ -174,15 +174,8 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
     def transpose(self) -> "Matrix":
-        out: list[dict] = [{} for _ in range(self.cols)]
-        for i, r in enumerate(self.ints):
-            for j, v in r.items():
-                out[j][i] = v
-        dens = None
-        if any(d != 1 for d in self.dens):
-            dens = [lcm(*(self.dens[i] for i in r)) for r in out]
-            out = [{i: v * (d // self.dens[i]) for i, v in r.items()} for r, d in zip(out, dens)]
-        return Matrix.from_ints(self.cols, self.rows, out, dens)
+        d = lcm(*self.dens)
+        return Matrix.from_ints(self.cols, self.rows, int_columns(self, d), [d] * self.cols)
 
     def is_zero(self) -> bool:
         return not any(self.ints)

@@ -38,8 +38,8 @@ from .errors import (
     InvalidMorphism,
     NotCocycle,
 )
-from .linalg import Matrix, Vector, _Row, _sub, int_row, lowest, solve
-from .tables import SignedTable, _bracket, dense, int_columns, map_defects
+from .linalg import Matrix, Vector, _Row, _sub, int_columns, int_row, lowest, solve
+from .tables import SignedTable, _bracket, dense, map_defects
 
 
 @dataclass(frozen=True)

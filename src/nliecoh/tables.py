@@ -3,9 +3,10 @@
 A bracket table (:class:`SignedTable`) holds each strictly increasing
 n-tuple of basis indices with its nonzero value {t: int}, every value an
 int over one denominator, and reads the bracket at any ordering of its
-arguments as ``table[idxs]``, sign included.  Vectors are sparse
-{index: int} dicts, and a linear map is given by its sparse integer
-columns.  On these the fundamental identity of a bracket family and the
+arguments as ``table[idxs]``, sign included.  A table is brought to a
+larger denominator once, by :func:`scaled`, and shared as it is when the
+factor is 1.  Vectors are sparse {index: int} dicts, and a linear map is
+given by its sparse integer columns (``linalg.int_columns``).  On these the fundamental identity of a bracket family and the
 map equation of a series of maps are evaluated order by order.  At order 0
 they validate an algebra and a morphism; at higher orders they are the
 residuals and obstructions of a deformation.
@@ -18,7 +19,7 @@ from itertools import combinations, product
 from math import lcm, prod
 from typing import Iterator, Sequence
 
-from .linalg import Matrix
+from .linalg import Matrix, int_columns
 
 
 def sort_sign(idxs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -72,14 +73,11 @@ def int_table(structure, den: int) -> SignedTable:
     )
 
 
-def int_columns(m: Matrix, den: int) -> list[dict]:
-    """Columns of ``m`` as sparse ints over ``den``, a multiple of its row
-    denominators."""
-    cols: list[dict] = [{} for _ in range(m.cols)]
-    for i, (row, d) in enumerate(zip(m.ints, m.dens)):
-        for j, v in row.items():
-            cols[j][i] = v * (den // d)
-    return cols
+def scaled(table: SignedTable, f: int) -> SignedTable:
+    """The table with every value times ``f``: ``table`` itself when f is 1."""
+    if f == 1:
+        return table
+    return SignedTable((k, {t: f * x for t, x in v.items()}) for k, v in table.items())
 
 
 def dense(res: dict, den: int, dim: int) -> tuple[Fraction, ...]:

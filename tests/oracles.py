@@ -307,7 +307,7 @@ def oracle_matrix(src, p, tgt=None, phi=None):
         blocks, z = _canonical_input(d, n, key)
         for row in oracle_delta_form(p, d_t, blocks, z, src, tgt, phi):
             rows.append({col_pos[k] * d_t + t: c for (k, t), c in row.items() if c})
-    return Matrix.from_sparse(len(rows), len(col_pos) * d_t, rows)
+    return Matrix(len(rows), len(col_pos) * d_t, rows)
 
 
 def oracle_rref(rows):
@@ -820,4 +820,4 @@ def oracle_pull_matrix(phi, m):
         blocks, z = _canonical_input(src.dim, src.arity, key) if m else ([], unit(src.dim, key))
         form = naive_form(m, [[phi.apply(v) for v in b] for b in blocks], phi.apply(z))
         rows += [{tgt_space.flat_index(k, s): c for k, c in form.items()} for s in range(tgt.dim)]
-    return Matrix.from_sparse(len(rows), tgt_space.dim, rows)
+    return Matrix(len(rows), tgt_space.dim, rows)

@@ -116,14 +116,14 @@ def test_eval_cochain_signs(alg_a1):
     ],
 )
 def test_cochain_checks_every_key_even_at_zero(alg_a1, coeffs):
-    """Like ``Matrix.from_sparse`` with an out-of-range column, the coercing
+    """Like ``Matrix(...)`` with an out-of-range sparse column, the coercing
     constructor rejects a key or target index outside the space whatever the
     value, zero included."""
     space = CochainSpace(alg_a1, 1, 4)
     with pytest.raises(DimensionMismatch):
         Cochain(space, coeffs)
     with pytest.raises(DimensionMismatch):
-        Matrix.from_sparse(1, 3, [{3: 0}])
+        Matrix(1, 3, [{3: 0}])
     zero = Cochain(space, {(((0, 1, 2),), 1): 0, (((1, 2, 3),), 3): Fraction(0, 5)})
     assert zero.is_zero() and zero == space.zero() and (zero.row, zero.den) == ({}, 1)
 

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -528,6 +530,32 @@ def test_cli_validate_morphism_and_deformation_files():
                  "aut_a3_scaling.json"):
         out = run_cli("validate", str(DATA / name))
         assert out.returncode == 0, name
+
+
+def _readme_sh_lines() -> list[str]:
+    """Every ``nliecoh`` line of the README's ``sh`` blocks, continuations joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("nliecoh ")]
+
+
+def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
+    """Each command the README documents exits 0 run as written from the
+    repository root, with ``--emit`` pointed into a temporary folder."""
+    monkeypatch.chdir(ROOT)
+    commands = _readme_sh_lines()
+    assert len(commands) >= 9  # the nine the README lists
+    failed = []
+    for line in commands:
+        argv = shlex.split(line)[1:]
+        if "--emit" in argv:
+            i = argv.index("--emit") + 1
+            argv[i] = str(tmp_path / argv[i])
+        code, _, err = _run_main(argv, capsys)
+        if code != 0:
+            failed.append((line, code, err))
+    assert not failed
 
 
 # -- deformation files -------------------------------------------------------------

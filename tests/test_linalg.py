@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from catalog import _random_invertible, conjugate, conjugated_cases
 from oracles import (
     RowSpace,
+    column,
     dense,
     dense_row,
     dense_rows,
@@ -64,7 +65,7 @@ def test_add_matches_fraction_sum(data):
     b = Matrix.from_rows(data.draw(st.lists(entries, min_size=a.rows, max_size=a.rows)))
     rows = zip(a.data, b.data)
     want = [{j: r1.get(j, 0) + r2.get(j, 0) for j in {**r1, **r2}} for r1, r2 in rows]
-    want = Matrix.from_sparse(a.rows, a.cols, want)
+    want = Matrix(a.rows, a.cols, want)
     # fresh copies of the operands, whose Fraction view is not built yet
     a, b = (Matrix.from_ints(m.rows, m.cols, m.ints, m.dens) for m in (a, b))
     got = a.add(b)
@@ -322,7 +323,7 @@ def test_echelon_is_row_order_invariant_on_corpus_coboundaries(name):
         want_rows, want_pivots = oracle_rref(dense_rows(m))
         for rows in (list(m.data), list(m.ints)):
             rng.shuffle(rows)
-            shuffled = Matrix.from_sparse(m.rows, m.cols, rows)
+            shuffled = Matrix(m.rows, m.cols, rows)
             _assert_reduced_basis(shuffled, want_rows, want_pivots)
 
 
@@ -338,16 +339,16 @@ def test_row_space_incremental_rank():
 
 def test_sparse_rows_match_dense_construction():
     dense = Matrix.from_rows([[1, 0, Fraction(1, 2)], [0, 0, 0]])
-    sparse = Matrix.from_sparse(2, 3, [{0: Fraction(1), 2: Fraction(1, 2), 1: Fraction(0)}, {}])
+    sparse = Matrix(2, 3, [{0: Fraction(1), 2: Fraction(1, 2), 1: Fraction(0)}, {}])
     assert sparse == dense and hash(sparse) == hash(dense)
     assert sparse.data == ({0: 1, 2: Fraction(1, 2)}, {})
     assert dense_row(sparse, 1) == (0, 0, 0) and dense_row(sparse, 0) == (1, 0, Fraction(1, 2))
     with pytest.raises(IndexError):
         dense_row(sparse, 2)
     with pytest.raises(DimensionMismatch):
-        Matrix.from_sparse(2, 3, [{3: Fraction(1)}, {}])
+        Matrix(2, 3, [{3: Fraction(1)}, {}])
     with pytest.raises(DimensionMismatch):
-        Matrix.from_sparse(3, 3, [{}, {}])
+        Matrix(3, 3, [{}, {}])
     # only ints and Fractions are exact; rational text is the JSON reader's
     for bad in (0.0, "1/2", "3"):
         with pytest.raises(TypeError):
@@ -361,27 +362,67 @@ def test_sparse_rows_match_dense_construction():
         [{0: Fraction(1, 2), 2: Fraction(-3), 1: 0}, {1: Fraction(-2, 12), 0: Fraction(2, 3)}],
         [[Fraction(2, 4), 0, Fraction(-6, 2)], [Fraction(2, 3), Fraction(-1, 6), 0]],
     ):
-        m = Matrix.from_sparse(2, 3, rows) if isinstance(rows[0], dict) else Matrix.from_rows(rows)
+        m = Matrix(2, 3, rows) if isinstance(rows[0], dict) else Matrix.from_rows(rows)
         assert m == want and hash(m) == hash(want)
     assert want.ints == ({0: 1, 2: -6}, {0: 4, 1: -1}) and want.dens == (2, 6)
-    ints = Matrix.from_sparse(2, 2, [{0: 3, 1: 0}, {1: -2}])
+    ints = Matrix(2, 2, [{0: 3, 1: 0}, {1: -2}])
     assert ints == Matrix.from_rows([[3, 0], [0, Fraction(-4, 2)]])
     assert hash(ints) == hash(Matrix.from_rows([[Fraction(3), 0], [0, Fraction(-2)]])) and ints.dens == (1, 1)
     # kernel rows of the primitive row (4, 2, 1): -2/4 is stored as -1 over 2
     z = kernel_basis(Matrix.from_rows([[4, 2, 1]]))
     assert z.ints == ({0: -1, 1: 2}, {0: -1, 2: 4}) and z.dens == (2, 4)
-    want = Matrix.from_sparse(2, 3, [{0: Fraction(-2, 4), 1: 1}, {0: Fraction(-1, 4), 2: 1}])
+    want = Matrix(2, 3, [{0: Fraction(-2, 4), 1: 1}, {0: Fraction(-1, 4), 2: 1}])
     assert z == want and hash(z) == hash(Matrix.from_rows([[Fraction(-1, 2), 1, 0], [Fraction(-1, 4), 0, 1]]))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_transpose_matches_the_dense_fraction_transpose(seed):
+    """On rational matrices whose rows have different denominators the
+    transpose is the dense Fraction transpose, in lowest terms, and
+    transposes back to an equal matrix."""
+    rng = random.Random(seed)
+    rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+    row_dens = [rng.choice([1, 2, 3, 4, 9, 35]) for _ in range(rows)]
+    entries = [
+        [Fraction(rng.randint(-9, 9), d) if rng.random() < 0.6 else 0 for _ in range(cols)]
+        for d in row_dens
+    ]
+    m = Matrix(rows, cols, entries)
+    t = m.transpose()
+    assert (t.rows, t.cols) == (cols, rows)
+    assert dense_rows(t) == [column(m, j) for j in range(cols)]
+    assert t == Matrix(cols, rows, [column(m, j) for j in range(cols)])
+    assert t.transpose() == m and hash(t.transpose()) == hash(m)
+
+
+def test_matrix_takes_dense_and_sparse_rows_mixed():
+    """``Matrix(...)`` coerces each row on its own, a dense sequence or a
+    sparse dict, and checks the row count, each dense length and each
+    sparse column."""
+    want = Matrix.from_rows([[Fraction(1, 2), 0, 3], [0, 0, 0], [0, Fraction(-4, 6), 0]])
+    mixed = [(Fraction(1, 2), 0, 3), {}, {1: Fraction(-2, 3), 2: 0}]
+    for rows in (mixed, [{0: Fraction(1, 2), 2: 3}, [0, 0, 0], [0, Fraction(-2, 3), 0]]):
+        m = Matrix(3, 3, rows)
+        assert m == want and hash(m) == hash(want) and dense_rows(m) == dense_rows(want)
+    for bad in (
+        [(Fraction(1, 2), 0), {}, {}],  # a short dense row
+        [[1, 0, 0], {3: 1}, {}],  # a sparse column out of range
+        [[1, 0, 0], {-1: 1}, {}],
+        [[1, 0, 0], {}],  # a row too few
+        [[1, 0, 0], {}, {}, {}],  # a row too many
+    ):
+        with pytest.raises(DimensionMismatch):
+            Matrix(3, 3, bad)
 
 
 def test_matrix_rejects_float_column_key():
     with pytest.raises(DimensionMismatch):
-        Matrix.from_sparse(1, 3, [{1.0: 1}])
+        Matrix(1, 3, [{1.0: 1}])
 
 
 def test_matrix_rejects_bool_column_key():
     with pytest.raises(DimensionMismatch):
-        Matrix.from_sparse(1, 3, [{True: 1}])
+        Matrix(1, 3, [{True: 1}])
 
 
 def test_matrix_rows_are_read_only():
@@ -389,7 +430,7 @@ def test_matrix_rows_are_read_only():
     the stored integer form and the Fraction view."""
     for m in (
         Matrix.from_rows([[1, 0], [0, Fraction(1, 2)]]),
-        Matrix.from_sparse(2, 2, [{0: 1}, {1: 2}]),
+        Matrix(2, 2, [{0: 1}, {1: 2}]),
         kernel_basis(Matrix.from_rows([[1, 2, 0, 4], [0, 0, 1, 3]])),
     ):
         before = hash(m)
@@ -408,7 +449,7 @@ def test_matrix_rows_are_read_only():
         with pytest.raises(TypeError):
             m.data[1] |= {0: Fraction(1)}
         assert all(type(x) is Fraction for r in m.data for x in r.values())
-        assert hash(m) == before and m == Matrix.from_sparse(m.rows, m.cols, m.data)
+        assert hash(m) == before and m == Matrix(m.rows, m.cols, m.data)
 
 
 def _quotient_or_violation(quotient, z_basis, b_basis):
@@ -513,8 +554,8 @@ def test_from_ints_keeps_rows_in_lowest_terms_and_copies_the_rest():
     """A read-only row already in lowest terms is kept as the same object;
     a plain dict, or a row that reduces, becomes a new read-only row."""
     kept, plain, reducible = linalg._Row({0: 2, 2: 3}), {1: 4}, linalg._Row({0: 2, 1: 4})
-    for dens in (None, [5, 1, 2]):
-        ints = [kept, plain] if dens is None else [kept, plain, reducible]
+    for dens in ([1, 1], [5, 1, 2]):
+        ints = [kept, plain, reducible][: len(dens)]
         m = Matrix.from_ints(len(ints), 3, ints, dens)
         assert all(type(r) is linalg._Row for r in m.ints)
         assert m.ints[0] is kept

@@ -103,6 +103,37 @@ def test_empty_table_stays_empty_after_reads():
         assert not table and len(table) == 0
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_scaled_reads_f_times_every_ordering_of_a_read_table(seed):
+    """A table already read at non-increasing and repeated-index orderings,
+    scaled by f, reads f times the signed value at every ordering of every
+    key, and leaves the table it was scaled from as it was; f = 1 gives the
+    table itself."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    d = n + rng.randint(0, 2)
+    table = _random_table(rng, n, d)
+    stored = _snapshot(table)
+    orderings = list(product(range(d), repeat=n))
+    for idxs in rng.sample(orderings, len(orderings) // 2) + [(0,) * n, tuple(range(n))[::-1]]:
+        table[idxs]
+    read = _snapshot(table)
+    assert any(len(set(k)) < n for k in read) and any(k != tuple(sorted(k)) for k in read)
+    assert tables.scaled(table, 1) is table
+    f = rng.choice([-3, 2, 5, 12])
+    out = tables.scaled(table, f)
+    for idxs in orderings:
+        assert out[idxs] == {t: f * x for t, x in oracle_basis(stored, idxs).items()}, idxs
+    assert _snapshot(table) == read
+
+
+def test_scaled_empty_table_stays_falsy():
+    for empty in (SignedTable(), int_table((), 1), NLieAlgebra.abelian("ab", 3, 4).ints):
+        assert tables.scaled(empty, 1) is empty
+        out = tables.scaled(empty, 7)
+        assert out[(2, 1, 0)] == {} and out[(1, 1, 0)] == {} and not out
+
+
 # An arity-10 algebra on 11 basis vectors, [e1, ..., e10] = e11, valid since
 # e11 is central: storing all 10! orderings of its one bracket would take
 # about 3.6 million entries.  The reports were recorded before the tables
