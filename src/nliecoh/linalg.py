@@ -57,13 +57,13 @@ class _Row(dict):
 
 
 def int_row(entries, size: int) -> tuple[dict[int, int], int]:
-    """The integer row and denominator, in lowest terms, of exact entries: a
-    dense sequence of length ``size`` or a sparse {index: value} with every
-    index in 0..size-1.  All outside input is coerced here."""
+    """The integer row and denominator, in lowest terms, of exact entries:
+    ``size`` of them in order, or a sparse {index: value} with every index
+    in 0..size-1.  All outside input is coerced here."""
     if not isinstance(entries, dict):
+        entries = dict(enumerate(entries))
         if len(entries) != size:
             raise DimensionMismatch(f"vector length {len(entries)} != {size}")
-        entries = dict(enumerate(entries))
     elif entries and not (_INT.issuperset(map(type, entries)) and 0 <= min(entries) <= max(entries) < size):
         raise DimensionMismatch(f"vector index outside 0..{size - 1}")
     den = 1
@@ -99,8 +99,8 @@ class Matrix:
     __slots__ = ("rows", "cols", "ints", "dens", "_data")
 
     def __init__(self, rows: int, cols: int, data: Iterable):
-        """Build from ``rows`` rows of exact entries, each a dense sequence of
-        length ``cols`` or a sparse {column: entry}; zero entries are dropped."""
+        """Build from ``rows`` rows of exact entries, each ``cols`` entries in
+        order or a sparse {column: entry}; zero entries are dropped."""
         pairs = [int_row(r, cols) for r in data]
         if len(pairs) != rows:
             raise DimensionMismatch(f"matrix data does not fill {rows}x{cols}")

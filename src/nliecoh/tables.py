@@ -6,10 +6,11 @@ int over one denominator, and reads the bracket at any ordering of its
 arguments as ``table[idxs]``, sign included.  A table is brought to a
 larger denominator once, by :func:`scaled`, and shared as it is when the
 factor is 1.  Vectors are sparse {index: int} dicts, and a linear map is
-given by its sparse integer columns (``linalg.int_columns``).  On these the fundamental identity of a bracket family and the
-map equation of a series of maps are evaluated order by order.  At order 0
-they validate an algebra and a morphism; at higher orders they are the
-residuals and obstructions of a deformation.
+given by its sparse integer columns (``linalg.int_columns``).  On these
+the fundamental identity of a bracket family and the map equation of a
+series of maps are evaluated order by order.  At order 0 they validate an
+algebra and a morphism; at higher orders they are the residuals and
+obstructions of a deformation.
 """
 
 from __future__ import annotations

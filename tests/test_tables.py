@@ -20,8 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _fresh_tables():
-    """New tables of the corpus algebras, their dense conjugates and every
-    order of the corpus deformations, none read yet, with the algebra."""
+    """New tables of the corpus algebras and their dense conjugates, none
+    read yet, and every order of the corpus deformations, with the algebra.
+    Order 0 of a deformation is its base algebra's own table, shared and so
+    possibly read already, when no term has a larger denominator."""
     algs = [*all_algebras().values(), *conjugated_cases(per_base=2)]
     out = [pytest.param(a, int_table(a.structure, a.den), id=a.name) for a in algs]
     dms = [deformation(k) for k in DEFORMATION_FILES] + [identity_pair_deformation()]
