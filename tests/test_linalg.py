@@ -396,12 +396,12 @@ def test_transpose_matches_the_dense_fraction_transpose(seed):
 
 
 def test_matrix_takes_dense_and_sparse_rows_mixed():
-    """``Matrix(...)`` coerces each row on its own, a dense sequence or a
-    sparse dict, and checks the row count, each dense length and each
+    """``Matrix(...)`` coerces each row on its own, dense (any iterable) or
+    a sparse dict, and checks the row count, each dense length and each
     sparse column."""
     want = Matrix.from_rows([[Fraction(1, 2), 0, 3], [0, 0, 0], [0, Fraction(-4, 6), 0]])
     mixed = [(Fraction(1, 2), 0, 3), {}, {1: Fraction(-2, 3), 2: 0}]
-    for rows in (mixed, [{0: Fraction(1, 2), 2: 3}, [0, 0, 0], [0, Fraction(-2, 3), 0]]):
+    for rows in (mixed, [{0: Fraction(1, 2), 2: 3}, iter([0, 0, 0]), [0, Fraction(-2, 3), 0]]):
         m = Matrix(3, 3, rows)
         assert m == want and hash(m) == hash(want) and dense_rows(m) == dense_rows(want)
     for bad in (
