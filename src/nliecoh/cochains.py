@@ -384,8 +384,19 @@ def cohomology(delta_in: Optional[Matrix], delta_out: Matrix) -> CohomologyRepor
     if delta_in is not None:
         if delta_in.rows != delta_out.cols:
             raise DimensionMismatch("differentials do not compose")
-        if not delta_out.mul(delta_in).is_zero():
-            raise BrokenComplex("consecutive differentials do not compose to zero")
+        # delta_out * delta_in row by row, in integers over one denominator; no row is kept
+        d = lcm(*delta_in.dens)
+        right = [
+            r if e == d else {j: v * (d // e) for j, v in r.items()}
+            for r, e in zip(delta_in.ints, delta_in.dens)
+        ]
+        for row in filter(None, delta_out.ints):
+            acc: dict[int, int] = {}
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if any(acc.values()):
+                raise BrokenComplex("consecutive differentials do not compose to zero")
     z = kernel_basis(delta_out)
     b = Matrix.zero(0, delta_out.cols) if delta_in is None else delta_in.transpose()
     dim_h, classes = quotient_data(z, b)

@@ -272,8 +272,11 @@ def _echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]
     holding: dict[int, set[int]] = {}  # column -> pivots whose rows may hold it
     for r in sorted(filter(None, rows), key=lambda r: (-min(r), len(r))):
         hit = [(j, pivots[j]) for j in r if j in pivots]
-        m = lcm(*(p[j] // gcd(p[j], r[j]) for j, p in hit))
-        new = {j: m * v for j, v in r.items()}
+        m = 1
+        for j, p in hit:
+            if p[j] != 1:  # a unit pivot needs no multiplier
+                m = lcm(m, p[j] // gcd(p[j], r[j]))
+        new = dict(r) if m == 1 else {j: m * v for j, v in r.items()}
         for j, p in hit:
             _sub(new, m * r[j] // p[j], p)
         if not new:

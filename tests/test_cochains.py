@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 from math import comb, gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,7 +44,7 @@ from nliecoh.errors import (
     InvalidMorphism,
 )
 from nliecoh.linalg import Matrix
-from nliecoh.morphisms import Morphism, TripleComplex, triple_complex
+from nliecoh.morphisms import Morphism, TripleComplex, morphism_cohomology, triple_complex
 from nliecoh.tables import sort_sign
 
 
@@ -376,6 +377,67 @@ def test_broken_complex_detected():
     right = Matrix.identity(2)
     with pytest.raises(BrokenComplex):
         cohomology(left, right)
+
+
+@pytest.mark.parametrize("where", [0, -1])
+@pytest.mark.parametrize("make", [lambda: algebra("a1"), lambda: _dense_conjugate_a1()])
+def test_broken_complex_detected_in_first_and_last_row(make, where):
+    """delta_1 with 1 added at one entry of its first or last row, in a
+    column whose delta_0 row is nonzero: the product is nonzero in that row
+    alone, and the d∘d check finds it."""
+    alg = make()
+    d0, d1 = coboundary_matrix_self(alg, 0), coboundary_matrix_self(alg, 1)
+    cohomology(d0, d1)
+    i = range(d1.rows)[where]
+    k = next(k for k in range(d0.rows) if d0.ints[k])
+    rows = [dict(r) for r in d1.data]
+    rows[i][k] = rows[i].get(k, 0) + 1
+    planted = Matrix(d1.rows, d1.cols, rows)
+    product = planted.mul(d0)
+    assert [j for j in range(product.rows) if product.ints[j]] == [i]
+    with pytest.raises(BrokenComplex):
+        cohomology(d0, planted)
+
+
+def test_differentials_that_do_not_compose_are_rejected_before_any_entry():
+    """Only the shapes are read: objects without entries give
+    DimensionMismatch, and so do matrices whose product would be nonzero."""
+    with pytest.raises(DimensionMismatch):
+        cohomology(SimpleNamespace(rows=3, cols=2), SimpleNamespace(rows=5, cols=4))
+    with pytest.raises(DimensionMismatch):
+        cohomology(Matrix.identity(2), Matrix.identity(3))
+
+
+def test_d_d_check_scales_incoming_rows_to_one_denominator():
+    """Rows of delta_in over 4 and 6 ({2, 1}/4 and {2, 1}/6) cancel in
+    (2, -3) delta_in only once both are read over 12; one changed entry
+    leaves a nonzero product."""
+    delta_in = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 3), Fraction(1, 6)]])
+    assert delta_in.dens == (4, 6)
+    rep = cohomology(delta_in, Matrix.from_rows([[2, -3]]))
+    assert (rep.dim_z, rep.dim_b, rep.dim_h) == (1, 1, 0)
+    with pytest.raises(BrokenComplex):
+        cohomology(delta_in, Matrix.from_rows([[2, -2]]))
+
+
+def test_cohomology_builds_no_product_matrix(monkeypatch, corpus_algebras):
+    """The d∘d check reads the product row by row and keeps none of it, so
+    no cohomology group calls ``Matrix.mul``: every corpus algebra and
+    morphism at r = 1-3, and a dense conjugate."""
+    conj = conjugated_morphism()  # built with Matrix.mul, so before the patch
+    morphisms = [morphism(key) for key in sorted(MORPHISM_FILES)] + [conj]
+    algebras = [*corpus_algebras.values(), conj.source, conj.target]
+
+    def refuse(*args):
+        raise AssertionError("a product matrix was built")
+
+    monkeypatch.setattr(Matrix, "mul", refuse)
+    for r in (1, 2, 3):
+        for alg in algebras:
+            self_cohomology(alg, r)
+        for phi in morphisms:
+            module_cohomology(phi, r)
+            morphism_cohomology(phi, r)
 
 
 def test_degenerate_report_degree(alg_a1):

@@ -327,6 +327,47 @@ def test_echelon_is_row_order_invariant_on_corpus_coboundaries(name):
             _assert_reduced_basis(shuffled, want_rows, want_pivots)
 
 
+_int_matrices = st.integers(1, 6).flatmap(
+    lambda c: st.lists(
+        st.lists(st.sampled_from((-3, -2, -1, 0, 0, 0, 1, 2, 3)), min_size=c, max_size=c),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_int_matrices, st.lists(fractions, min_size=6, max_size=6), st.lists(fractions, min_size=6, max_size=6))
+# rows are taken with leading columns 2, 1, 0, 0: the third row meets only
+# the unit pivot of column 1 (multiplier 1), the fourth that one and the
+# pivots 3 and 2 of columns 0 and 2 (multiplier 6)
+@example([[0, 0, 2, 1], [0, 1, 0, 1], [3, 1, 0, 0], [1, 1, 1, 0]], [1] * 6, [1, 0, 2, 0, 0, 0])
+def test_integer_elimination_matches_row_space_oracle(rows, x, b):
+    """``_echelon``, ``rank``, ``kernel_basis`` and ``solve`` on integer
+    matrices whose pivot entries are units or not, against the Fraction
+    ``RowSpace``: the reduced rows lie in the row space, lead at their pivot
+    and are zero on the other pivots, and there are rank of them."""
+    m = Matrix.from_rows(rows)
+    space = RowSpace(rows)
+    reduced = _echelon(m.ints)
+    pivots = {pc for pc, _ in reduced}
+    assert len(reduced) == rank(m) == space.rank
+    for pc, r in reduced:
+        assert min(r) == pc and r[pc] > 0 and gcd(*r.values()) == 1
+        assert not pivots & (r.keys() - {pc})
+        assert space.contains(dense(r, 1, m.cols))
+    kernel = dense_rows(kernel_basis(m))
+    assert len(kernel) == m.cols - space.rank == RowSpace(kernel).rank
+    assert all(not any(mul_vector(m, v)) for v in kernel)
+    target = mul_vector(m, x[: m.cols])
+    got = solve_vector(m, target)
+    assert got is not None and mul_vector(m, got) == target
+    b = tuple(b[: m.rows])
+    got = solve_vector(m, b)
+    assert (got is not None) == RowSpace(column(m, j) for j in range(m.cols)).contains(b)
+    assert got is None or mul_vector(m, got) == b
+
+
 def test_row_space_incremental_rank():
     space = RowSpace()
     assert space.add((1, 0, 0))
