@@ -32,7 +32,7 @@ from .errors import (
     InvalidAlgebra,
     InvalidMorphism,
 )
-from .linalg import Matrix, frac, int_columns, int_row, kernel_basis, lowest, quotient_data
+from .linalg import Matrix, frac, int_columns, int_row, int_rows, kernel_basis, lowest, quotient_data
 from .tables import SignedTable, _bracket, scaled, sort_sign
 
 if TYPE_CHECKING:
@@ -385,11 +385,7 @@ def cohomology(delta_in: Optional[Matrix], delta_out: Matrix) -> CohomologyRepor
         if delta_in.rows != delta_out.cols:
             raise DimensionMismatch("differentials do not compose")
         # delta_out * delta_in row by row, in integers over one denominator; no row is kept
-        d = lcm(*delta_in.dens)
-        right = [
-            r if e == d else {j: v * (d // e) for j, v in r.items()}
-            for r, e in zip(delta_in.ints, delta_in.dens)
-        ]
+        right = int_rows(delta_in, lcm(*delta_in.dens))
         for row in filter(None, delta_out.ints):
             acc: dict[int, int] = {}
             for k, a in row.items():

@@ -85,6 +85,12 @@ def int_columns(m: "Matrix", den: int) -> list[dict]:
     return cols
 
 
+def int_rows(m: "Matrix", den: int) -> list[dict]:
+    """Rows of ``m`` as sparse ints over ``den``, a multiple of its row
+    denominators; a row already over ``den`` is returned as it is."""
+    return [r if d == den else {j: v * (den // d) for j, v in r.items()} for r, d in zip(m.ints, m.dens)]
+
+
 def lowest(row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     """An integer row of nonzero entries over ``den`` > 0 in lowest terms."""
     g = gcd(den, *row.values()) if den != 1 else 1
@@ -200,9 +206,7 @@ class Matrix:
             )
         # integer products over one common denominator d of ``other``
         d = lcm(*other.dens)
-        right = other.ints
-        if d != 1:
-            right = [{j: v * (d // e) for j, v in r.items()} for r, e in zip(right, other.dens)]
+        right = int_rows(other, d)
 
         def product(r: dict[int, int]) -> dict[int, int]:
             acc: dict[int, int] = {}
