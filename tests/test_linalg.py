@@ -339,8 +339,8 @@ _int_matrices = st.integers(1, 6).flatmap(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_int_matrices, st.lists(fractions, min_size=6, max_size=6), st.lists(fractions, min_size=6, max_size=6))
 # rows are taken with leading columns 2, 1, 0, 0: the third row meets only
-# the unit pivot of column 1 (multiplier 1), the fourth that one and the
-# pivots 3 and 2 of columns 0 and 2 (multiplier 6)
+# the unit pivot of column 1 (multiplier 1), the fourth meets that one and
+# the pivot entries 3 and 2 of columns 0 and 2 (multiplier 6)
 @example([[0, 0, 2, 1], [0, 1, 0, 1], [3, 1, 0, 0], [1, 1, 1, 0]], [1] * 6, [1, 0, 2, 0, 0, 0])
 def test_integer_elimination_matches_row_space_oracle(rows, x, b):
     """``_echelon``, ``rank``, ``kernel_basis`` and ``solve`` on integer
