@@ -32,7 +32,7 @@ from .errors import (
     InvalidAlgebra,
     InvalidMorphism,
 )
-from .linalg import Matrix, frac, int_columns, int_row, int_rows, kernel_basis, lowest, quotient_data
+from .linalg import Matrix, frac, int_columns, int_row, kernel_basis, lowest, quotient_data
 from .tables import SignedTable, _bracket, scaled, sort_sign
 
 if TYPE_CHECKING:
@@ -384,15 +384,8 @@ def cohomology(delta_in: Optional[Matrix], delta_out: Matrix) -> CohomologyRepor
     if delta_in is not None:
         if delta_in.rows != delta_out.cols:
             raise DimensionMismatch("differentials do not compose")
-        # delta_out * delta_in row by row, in integers over one denominator; no row is kept
-        right = int_rows(delta_in, lcm(*delta_in.dens))
-        for row in filter(None, delta_out.ints):
-            acc: dict[int, int] = {}
-            for k, a in row.items():
-                for j, b in right[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            if any(acc.values()):
-                raise BrokenComplex("consecutive differentials do not compose to zero")
+        if not delta_out.mul(delta_in).is_zero():
+            raise BrokenComplex("consecutive differentials do not compose to zero")
     z = kernel_basis(delta_out)
     b = Matrix.zero(0, delta_out.cols) if delta_in is None else delta_in.transpose()
     dim_h, classes = quotient_data(z, b)

@@ -22,6 +22,7 @@ row into a reduced integer basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -56,6 +57,9 @@ class _Row(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
 
+_EMPTY = _Row()  # the one zero row that built matrices share
+
+
 def int_row(entries, size: int) -> tuple[dict[int, int], int]:
     """The integer row and denominator, in lowest terms, of exact entries:
     ``size`` of them in order, or a sparse {index: value} with every index
@@ -83,12 +87,6 @@ def int_columns(m: "Matrix", den: int) -> list[dict]:
         for j, v in row.items():
             cols[j][i] = f * v
     return cols
-
-
-def int_rows(m: "Matrix", den: int) -> list[dict]:
-    """Rows of ``m`` as sparse ints over ``den``, a multiple of its row
-    denominators; a row already over ``den`` is returned as it is."""
-    return [r if d == den else {j: v * (den // d) for j, v in r.items()} for r, d in zip(m.ints, m.dens)]
 
 
 def lowest(row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
@@ -206,17 +204,19 @@ class Matrix:
             )
         # integer products over one common denominator d of ``other``
         d = lcm(*other.dens)
-        right = int_rows(other, d)
-
-        def product(r: dict[int, int]) -> dict[int, int]:
+        right = [r if e == d else {j: v * (d // e) for j, v in r.items()} for r, e in zip(other.ints, other.dens)]
+        ints, dens = [_EMPTY] * self.rows, [1] * self.rows  # zero rows share one row
+        for i in compress(count(), self.ints):  # the nonempty rows
             acc: dict[int, int] = {}
-            for k, a in r.items():
+            for k, a in self.ints[i].items():
                 for j, b in right[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-            return {j: v for j, v in acc.items() if v}
-
-        out = map(product, self.ints)  # one row at a time, so no list of them
-        return Matrix.from_ints(self.rows, other.cols, out, [e * d for e in self.dens])
+            if any(acc.values()):
+                row, dens[i] = lowest({j: v for j, v in acc.items() if v}, self.dens[i] * d)
+                ints[i] = _Row(row)
+        m = Matrix.__new__(Matrix)
+        m._set(self.rows, other.cols, ints, dens)
+        return m
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -420,24 +420,30 @@ def test_d_d_check_scales_incoming_rows_to_one_denominator():
         cohomology(delta_in, Matrix.from_rows([[2, -2]]))
 
 
-def test_cohomology_builds_no_product_matrix(monkeypatch, corpus_algebras):
-    """The d∘d check reads the product row by row and keeps none of it, so
-    no cohomology group calls ``Matrix.mul``: every corpus algebra and
-    morphism at r = 1-3, and a dense conjugate."""
-    conj = conjugated_morphism()  # built with Matrix.mul, so before the patch
+def test_d_d_products_share_one_zero_row(monkeypatch, corpus_algebras):
+    """The d∘d check is one ``Matrix.mul``, whose zero rows are one shared
+    row: no row object, gcd or denominator is made per row of δ_out·δ_in.
+    Every corpus algebra and morphism at r = 1-3, and a dense conjugate."""
+    conj = conjugated_morphism()  # built before the patch, so its products are not recorded
     morphisms = [morphism(key) for key in sorted(MORPHISM_FILES)] + [conj]
     algebras = [*corpus_algebras.values(), conj.source, conj.target]
+    products = []
 
-    def refuse(*args):
-        raise AssertionError("a product matrix was built")
+    def record(a, b, mul=Matrix.mul):
+        products.append(mul(a, b))
+        return products[-1]
 
-    monkeypatch.setattr(Matrix, "mul", refuse)
+    monkeypatch.setattr(Matrix, "mul", record)
     for r in (1, 2, 3):
         for alg in algebras:
             self_cohomology(alg, r)
         for phi in morphisms:
             module_cohomology(phi, r)
             morphism_cohomology(phi, r)
+    assert sum(p.rows for p in products) > 10 * len(products)
+    for p in products:
+        assert p.is_zero() and p.dens == (1,) * p.rows
+        assert len({id(row) for row in p.ints}) <= 1
 
 
 def test_degenerate_report_degree(alg_a1):

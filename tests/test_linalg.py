@@ -73,6 +73,30 @@ def test_add_matches_fraction_sum(data):
     assert a._data is b._data is got._data is None  # the Fraction view is never built
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mul_matches_fraction_product(data):
+    """``Matrix.mul`` against Fraction sums, with an empty left row and a
+    left row whose products cancel: rows in lowest terms, and every zero
+    row the one shared empty row over 1."""
+    c = data.draw(st.integers(2, 5))
+    x = data.draw(fractions.filter(bool))
+    left = data.draw(st.lists(st.lists(fractions, min_size=c, max_size=c), max_size=3))
+    a = Matrix.from_rows([*left, [0] * c, [x, -x] + [0] * (c - 2)])
+    n = data.draw(st.integers(1, 5))
+    right = data.draw(st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=c - 1, max_size=c - 1))
+    b = Matrix.from_rows([right[0], *right])  # rows 0 and 1 equal, so a's last row cancels
+    want = Matrix.from_rows(
+        [[sum(r[k] * dense_row(b, k)[j] for k in range(c)) for j in range(n)] for r in dense_rows(a)]
+    )
+    got = a.mul(b)
+    assert got == want and (got.ints, got.dens) == (want.ints, want.dens)
+    zero = [i for i, r in enumerate(got.ints) if not r]
+    assert zero[-2:] == [a.rows - 2, a.rows - 1]
+    assert {id(got.ints[i]) for i in zero} == {id(got.ints[-1])}
+    assert all(got.dens[i] == 1 for i in zero)
+
+
 def test_add_mixed_denominators_and_cancelling_rows():
     half, third = Fraction(1, 2), Fraction(1, 3)
     a = Matrix.from_rows([[half, 1, 0], [third, 0, -half], [0, 0, 0]])
