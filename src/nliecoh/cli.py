@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import jsonio
 from .algebra import ValidationReport, validate_algebra
-from .cochains import Cochain, CochainSpace, module_cohomology, self_cohomology
+from .cochains import CochainSpace, module_cohomology, self_cohomology
 from .deformations import (
     apply_automorphism,
     extend_deformation,
@@ -24,15 +24,8 @@ from .deformations import (
     validate_deformation,
 )
 from .errors import NliecohError, ParseError
-from .jsonio import (
-    cochain_to_json,
-    deformation_to_json,
-    dump_json,
-    file_digest,
-    format_rational,
-    triple_to_json,
-)
-from .morphisms import CochainTriple, morphism_cohomology, triple_complex, validate_morphism
+from .jsonio import CochainText, deformation_to_json, dump_json, file_digest, format_rational
+from .morphisms import morphism_cohomology, triple_complex, validate_morphism
 
 
 def _residual_json(failures) -> list:
@@ -57,15 +50,11 @@ def _key_json(key):
     return [[i + 1 for i in part] for part in key]
 
 
-def _print_report(report: dict, output: str) -> None:
-    if output == "json":
-        sys.stdout.write(dump_json(report))
-        return
-    for line in _text_lines(report):
-        print(line)
+def _render(report: dict, output: str) -> str:
+    return dump_json(report) if output == "json" else _text_report(report)
 
 
-def _text_lines(report: dict) -> list[str]:
+def _text_report(report: dict) -> str:
     lines = [f"command: {' '.join(report['command'])}"]
     if "error" in report:
         lines.append(f"error: {report['error']}")
@@ -82,7 +71,7 @@ def _text_lines(report: dict) -> list[str]:
     if "artifacts" in report:
         lines.append("artifacts: (run with --output json to inspect)")
     lines.append(f"status: {report['status']}")
-    return lines
+    return "".join(line + "\n" for line in lines)
 
 
 def _report(argv, paths, verdict: dict, status: int, bases=None, **body) -> tuple[dict, int]:
@@ -117,9 +106,10 @@ def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
     """H^r of an algebra (``cohomology --algebra``), of the module a morphism
     makes of its target (``cohomology --morphism``) or of a morphism's complex
     (``morphism-cohomology``).  They differ in the subject that must be
-    valid, the group computed and how a flat basis row reads as JSON: each
+    valid, the group computed and the spaces a flat basis row lies on: each
     row of ``ints``/``dens`` is taken as the integer row of a Cochain or a
-    CochainTriple as it is, with no copy, and written from its integers."""
+    CochainTriple as it is, with no copy, and written as text from its
+    integers."""
     r = args.degree
     paths = [p for p in (args.algebra, args.module, args.morphism) if p]
     if args.morphism:
@@ -140,22 +130,19 @@ def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
         return _report(argv, paths, verdict, 1, residuals=_residual_json(subject._report.failures))
     if args.command == "morphism-cohomology":
         rep = morphism_cohomology(phi, r)
-        wrap, write = partial(CochainTriple.from_row, triple_complex(phi)._spaces(r - 1)), triple_to_json
+        spaces = triple_complex(phi)._spaces(r - 1)
+    elif args.morphism:
+        rep = module_cohomology(phi, r)
+        spaces = (CochainSpace(phi.source, r - 1, phi.target.dim),)
     else:
-        if args.morphism:
-            rep = module_cohomology(phi, r)
-            space = CochainSpace(phi.source, r - 1, phi.target.dim)
-        else:
-            rep = self_cohomology(subject, r)
-            space = CochainSpace(subject, r - 1, subject.dim)
-        wrap, write = partial(Cochain.from_row, space), cochain_to_json
+        rep = self_cohomology(subject, r)
+        spaces = (CochainSpace(subject, r - 1, subject.dim),)
     dims = {f"dim {g}^{r}": n for g, n in zip("ZBH", (rep.dim_z, rep.dim_b, rep.dim_h))}
-    bases = None
-    if args.basis:
-        bases = {
-            name: [write(wrap(row, den)) for row, den in zip(m.ints, m.dens)]
-            for name, m in (("cocycle_basis", rep.cocycles), ("representatives", rep.classes))
-        }
+    heads: dict = {}  # the key texts, shared by the rows of both bases
+    bases = {
+        name: [CochainText(spaces, row, den, heads) for row, den in zip(m.ints, m.dens)]
+        for name, m in (("cocycle_basis", rep.cocycles), ("representatives", rep.classes))
+    } if args.basis else None
     return _report(argv, paths, {"valid": True}, 0, bases, dimensions=dims)
 
 
@@ -188,13 +175,13 @@ def cmd_deform(args, argv: list[str]) -> tuple[dict, int]:
     status = 0
     if args.subcommand == "infinitesimal":
         theta, is_cocycle = infinitesimal(dm)
-        artifacts = {"triple": triple_to_json(theta), "cocycle": is_cocycle}
+        artifacts = {"triple": CochainText(theta.spaces, theta.row, theta.den), "cocycle": is_cocycle}
         verdict = {"valid": True, "cocycle": is_cocycle}
         status = int(not is_cocycle)
     elif args.subcommand == "obstruction":
         ob = obstruction(dm)
         tc = triple_complex(dm.base_morphism)
-        artifacts = {"triple": triple_to_json(ob), "cocycle": tc.is_cocycle(ob)}
+        artifacts = {"triple": CochainText(ob.spaces, ob.row, ob.den), "cocycle": tc.is_cocycle(ob)}
         verdict = {"valid": True, "order": dm.order}
     elif args.subcommand == "extend":
         witness = extend_order(dm)
@@ -212,7 +199,7 @@ def cmd_deform(args, argv: list[str]) -> tuple[dict, int]:
             revalidated = validate_deformation(extended).is_valid
             verdict = {"valid": True, "extendable": True, "revalidated": revalidated}
             artifacts = {
-                "witness": triple_to_json(witness),
+                "witness": CochainText(witness.spaces, witness.row, witness.den),
                 "extended": deformation_to_json(extended),
             }
             status = int(not revalidated)
@@ -292,15 +279,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "deform" and args.subcommand == "transform":
         if not (args.psi_source and args.psi_target):
             parser.error("transform needs --psi-source and --psi-target")
-    try:
+    try:  # rendered here too: a number too long to write fails only when written
         report, status = args.handler(args, argv)
-    except (ParseError, OSError) as exc:
-        _print_report({"command": argv, "error": str(exc), "status": 2}, args.output)
-        return 2
-    except NliecohError as exc:
-        _print_report({"command": argv, "error": str(exc), "status": 1}, args.output)
-        return 1
-    _print_report(report, args.output)
+        text = _render(report, args.output)
+    except (NliecohError, OSError) as exc:
+        status = 2 if isinstance(exc, (ParseError, OSError)) else 1
+        text = _render({"command": argv, "error": str(exc), "status": status}, args.output)
+    sys.stdout.write(text)
     return status
 
 

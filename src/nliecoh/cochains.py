@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import combinations, product
-from math import lcm
+from math import lcm, prod
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import NLieAlgebra
@@ -33,7 +33,7 @@ from .errors import (
     InvalidMorphism,
 )
 from .linalg import Matrix, frac, int_columns, int_row, kernel_basis, lowest, quotient_data
-from .tables import SignedTable, _bracket, scaled, sort_sign
+from .tables import SignedTable, scaled, sort_sign
 
 if TYPE_CHECKING:
     from .morphisms import Morphism
@@ -186,12 +186,13 @@ def _derivation(sign, table: SignedTable, w: tuple, u: tuple) -> dict:
 
 def _action(phi_cols: list, table: SignedTable, d_T: int, u: tuple) -> list[dict]:
     """Rows s of the target map t -> [phi e_u0, ..., phi e_u(n-2), e_t]."""
-    out: list[dict] = [{} for _ in range(d_T)]
-    args = [phi_cols[i] for i in u]
-    for t in range(d_T):
-        for s, x in _bracket(table, args + [{t: 1}]).items():
-            out[s][t] = x
-    return out
+    rows = [[0] * d_T for _ in range(d_T)]
+    for choice in product(*(phi_cols[i].items() for i in u)):  # the last slot read at each t
+        idxs, c = tuple(i for i, _ in choice), prod(x for _, x in choice)
+        for t in range(d_T):
+            for s, x in table[idxs + (t,)].items():
+                rows[s][t] += c * x
+    return [{t: x for t, x in enumerate(row) if x} for row in rows]
 
 
 class _Tables:

@@ -257,6 +257,11 @@ def cochain_from_json(
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def _key_lists(degree: int, key) -> list:
+    """A canonical key's 1-based index lists: its blocks, then its last wedge."""
+    return [[key + 1]] if degree == 0 else [[i + 1 for i in b] for b in key]
+
+
 def _cochain_json(space, label: str, items, den: int, off: int = 0) -> dict:
     """The cochain on ``space`` of the pairs (``off`` + flat index, int) among
     the ascending ``items``, over ``den``.  Canonical keys are enumerated in
@@ -267,8 +272,7 @@ def _cochain_json(space, label: str, items, den: int, off: int = 0) -> dict:
     for j, v in items:
         if off <= j < end:
             pos, t = divmod(j - off, d_T)
-            key = keys[pos]  # an index at degree 0, else blocks and a last wedge
-            *blocks, last = [[key + 1]] if space.degree == 0 else [[i + 1 for i in b] for b in key]
+            *blocks, last = _key_lists(space.degree, keys[pos])
             value = format_ratio(v, den)
             entries.append({"blocks": blocks, "last": last, "target_index": t + 1, "value": value})
     return {"degree": space.degree, "target": label, "entries": entries}
@@ -321,8 +325,8 @@ def deformation_to_json(dm: DeformedMorphism) -> dict:
     out["source"] = algebra_to_json(dm.src_def.base)
     out["target"] = algebra_to_json(dm.tgt_def.base)
     out["order"] = dm.order
-    out["source_terms"] = [cochain_to_json(t) for t in dm.src_def.terms]
-    out["target_terms"] = [cochain_to_json(t) for t in dm.tgt_def.terms]
+    for side, da in (("source_terms", dm.src_def), ("target_terms", dm.tgt_def)):
+        out[side] = [_cochain_json(t.space, "self", sorted(t.row.items()), t.den) for t in da.terms]
     out["morphism_terms"] = [matrix_to_json(m) for m in dm.phi_terms]
     return out
 
@@ -364,6 +368,43 @@ def triple_to_json(t: CochainTriple) -> dict:
     return out
 
 
+class CochainText:
+    """A cochain's integer row on ``spaces[0]``, or a triple's on ``spaces``, that
+    ``dump_json`` writes as ``cochain_to_json``/``triple_to_json`` would; rows
+    that share ``heads``, as in one basis, make each key's text once."""
+
+    __slots__ = ("spaces", "row", "den", "heads")
+
+    def __init__(self, spaces: tuple, row: dict, den: int = 1, heads: Optional[dict] = None):
+        self.spaces, self.row, self.den = spaces, row, den
+        self.heads = {} if heads is None else heads
+
+    def write(self, nl: str, put) -> None:
+        items, e2, off, text = sorted(self.row.items()), nl + "  ", 0, ""
+        if len(self.spaces) == 1:
+            return put(self._part(0, "self", items, 0, nl))
+        for k, (s, label) in enumerate(zip(self.spaces, ("self", "self", "module"))):
+            text += f',{e2}"c{k + 1}": ' + (self._part(k, label, items, off, e2) if s else "null")
+            off += s.dim if s else 0  # the parts lie end to end in the row
+        put(f'{{{e2}"degree": {self.spaces[0].degree}{text}{nl}}}')
+
+    def _part(self, k: int, label: str, items, off: int, nl: str) -> str:
+        space, heads = self.spaces[k], self.heads.setdefault((k, nl), {})
+        end, e2, e4, e6 = off + space.dim, nl + "  ", nl + "    ", nl + "      "
+        entries = []
+        for j, v in items:
+            if off <= j < end:
+                pos, t = divmod(j - off, space.target_dim)
+                head = heads.get(pos)
+                if head is None:
+                    *blocks, last = _key_lists(space.degree, space.domain_keys[pos])
+                    head = heads[pos] = (f'{{{e6}"blocks": {_text(blocks, e6)},{e6}"last": '
+                                         f'{_text(last, e6)},{e6}"target_index": ')
+                entries.append(f'{head}{t + 1},{e6}"value": "{format_ratio(v, self.den)}"{e4}}}')
+        body = f"[{e4}" + f",{e4}".join(entries) + f"{e2}]" if entries else "[]"
+        return f'{{{e2}"degree": {space.degree},{e2}"target": "{label}",{e2}"entries": {body}{nl}}}'
+
+
 def triple_from_json(obj: dict, phi: Morphism, where: str = "triple") -> CochainTriple:
     m = _expect(obj, "degree", int, where)
     c1 = cochain_from_json(_expect(obj, "c1", dict, where), phi.source, phi.source.dim, m, where)
@@ -403,12 +444,9 @@ def dump_json(obj: dict) -> str:
 
     The stdlib's C encoder does not support ``indent``, so ``json.dumps``
     with it runs a pure-Python generator per value; this writer checks
-    types in the same order and hands each string to the C escaper.
-    """
-    out: list[str] = []
-    _write_json(obj, "\n", out.append)
-    out.append("\n")
-    return "".join(out)
+    types in the same order and hands each string to the C escaper.  A
+    :class:`CochainText` is written as the dict of its cochain or triple."""
+    return _text(obj, "\n") + "\n"
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -417,12 +455,8 @@ _encode_str = json.encoder.encode_basestring_ascii
 def _write_json(o, nl: str, put) -> None:
     if isinstance(o, str):
         put(_encode_str(o))
-    elif o is None:
-        put("null")
-    elif o is True:
-        put("true")
-    elif o is False:
-        put("false")
+    elif o is None or o is True or o is False:
+        put("null" if o is None else "true" if o else "false")
     elif isinstance(o, int):
         put(int.__repr__(o))
     elif isinstance(o, (list, tuple)):
@@ -447,8 +481,17 @@ def _write_json(o, nl: str, put) -> None:
             sep = "," + inner
             _write_json(v, inner, put)
         put(nl + "}")
+    elif type(o) is CochainText:
+        o.write(nl, put)
     else:  # floats, and whatever json.dumps rejects
         put(json.dumps(o))
+
+
+def _text(o, nl: str) -> str:
+    """``o`` as ``_write_json`` writes it at the indentation ``nl``."""
+    out: list[str] = []
+    _write_json(o, nl, out.append)
+    return "".join(out)
 
 
 def _json_key(k) -> str:

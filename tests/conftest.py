@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import Phase, settings
 
 from catalog import identity_pair_deformation
+
+# Every phase but explain: on a failing example hypothesis re-runs it under
+# a line tracer to say which lines it ran, which on this suite's elimination
+# tests can take minutes and hundreds of MiB before the failure is reported.
+# The failing example itself is still shrunk and printed.
+settings.register_profile("no-explain", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("no-explain")
 
 from nliecoh.corpus import algebra, all_algebras, deformation, morphism
 

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from nliecoh import jsonio
 from nliecoh.cli import build_parser, main
-from nliecoh.algebra import validate_algebra
+from nliecoh.algebra import NLieAlgebra, validate_algebra
+from nliecoh.cochains import Cochain, CochainSpace
 from nliecoh.corpus import algebra, deformation, morphism
 from nliecoh.deformations import FormalAutomorphism
 from nliecoh.errors import ParseError
 from nliecoh.linalg import Matrix
+from nliecoh.morphisms import CochainTriple, triple_complex
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "nliecoh" / "data"
@@ -894,6 +896,152 @@ def test_basis_rows_match_the_fraction_route():
 def _entries_of(obj):
     parts = [obj] if "entries" in obj else [obj[c] for c in ("c1", "c2", "c3") if obj[c]]
     return [e for part in parts for e in part["entries"]]
+
+
+# -- cochains written as text ------------------------------------------------------
+# ``jsonio.CochainText`` writes a cochain or a triple straight from its
+# integer row.  Its bytes must be those of ``json.dumps(indent=2)`` of the
+# dicts of the old route (tests/oracles.py) wherever the value sits: as the
+# whole document, under a key as in an ``--emit`` file, and in the lists of
+# a report's bases.  The values of one group share one ``heads`` dict, as
+# the rows of one basis do, and each group is written at all three depths.
+
+
+def _depths(values):
+    """Reports holding ``values`` at three depths; ``values`` is a list of
+    CochainText values or of the matching oracle dicts."""
+    return [
+        values[0],
+        {"triple": values[-1], "cocycle": True},
+        {"command": ["x"], "status": 0,
+         "bases": {"cocycle_basis": values, "representatives": values[::-2]}},
+    ]
+
+
+def _assert_text_matches(texts, dicts, name=""):
+    for report, expected in zip(_depths(texts), _depths(dicts)):
+        assert jsonio.dump_json(report) == json.dumps(expected, indent=2) + "\n", name
+
+
+def _random_cochain(space, rng, fill):
+    """A cochain with about ``fill`` of its coordinates nonzero: signed
+    values, some of them fractions."""
+    flat = {j: Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.choice([1, 1, 2, 3, 12]))
+            for j in range(space.dim) if rng.random() < fill}
+    return Cochain.from_flat(space, flat)
+
+
+def _text_subjects():
+    """(name, algebra or morphism) of the corpus and of a dense conjugate."""
+    from catalog import conjugated_morphism
+
+    yield "a3", algebra("a3")
+    yield "b3", algebra("b3")
+    yield "a1_dense", jsonio.load_algebra(ROOT / _DENSE_A1)
+    yield "a3_b3", morphism("a3_b3")
+    yield "a1_b2_i1~", conjugated_morphism()
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_cochain_text_matches_stdlib_dumps_of_the_oracle_dicts(degree):
+    """Cochains of degree 0-3, an empty one among them, with negative and
+    fractional values, written at three depths."""
+    import random
+
+    from oracles import oracle_cochain_json
+
+    rng = random.Random(degree)
+    for name, alg in _text_subjects():
+        if not isinstance(alg, NLieAlgebra):
+            alg = alg.target
+        space = CochainSpace(alg, degree, alg.dim)
+        cochains = [_random_cochain(space, rng, f) for f in (0.0, 0.05, 1.0, 0.3)]
+        assert cochains[0].is_zero() and len(cochains[2].row) == space.dim
+        heads: dict = {}
+        texts = [jsonio.CochainText((space,), c.row, c.den, heads) for c in cochains]
+        _assert_text_matches(texts, [oracle_cochain_json(c) for c in cochains], name)
+        assert '"entries": []' in jsonio.dump_json(texts[0])
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_triple_text_matches_stdlib_dumps_of_the_oracle_dicts(degree):
+    """Triples of degree 0-3 (c3 None at degree 0), one of them with every
+    coordinate of every part nonzero, so the parts share key positions, and
+    one with only c2, so entries of one part must not enter another."""
+    import random
+
+    from oracles import oracle_triple_json
+
+    rng = random.Random(100 + degree)
+    for name, phi in _text_subjects():
+        if isinstance(phi, NLieAlgebra):
+            continue
+        spaces = triple_complex(phi)._spaces(degree)
+        triples = []
+        for fills in [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 0.4, 0.0), (0.2, 0.1, 0.5)]:
+            parts = [_random_cochain(s, rng, f) if s else None for s, f in zip(spaces, fills)]
+            triples.append(CochainTriple(degree, *parts))
+        assert (triples[1].c3 is None) == (degree == 0)
+        heads: dict = {}
+        texts = [jsonio.CochainText(t.spaces, t.row, t.den, heads) for t in triples]
+        _assert_text_matches(texts, [oracle_triple_json(t) for t in triples], name)
+
+
+def test_basis_text_matches_stdlib_dumps_of_the_oracle_dicts():
+    """Every cocycle and representative row of the corpus and dense
+    subjects at r = 1..3, each basis written with one shared ``heads``."""
+    from oracles import oracle_basis_json
+
+    for name, rep, space in _basis_subjects():
+        spaces = space[0]._spaces(space[1]) if isinstance(space, tuple) else (space,)
+        heads: dict = {}
+        texts = [jsonio.CochainText(spaces, r, d, heads)
+                 for r, d in zip(rep.cocycles.ints, rep.cocycles.dens)]
+        if texts:
+            _assert_text_matches(texts, oracle_basis_json(rep.cocycles, space), name)
+
+
+def test_a_cochain_text_too_long_to_write_is_a_one_line_error(monkeypatch, capsys):
+    """A basis is written as text only while the report is rendered; a
+    number too long to write there still gives the status-2 error report."""
+    def too_long(num, den):
+        raise ParseError("a number is too long to write (99999 bits)")
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(jsonio, "format_ratio", too_long)
+    argv = ["--output", "json", "cohomology", "--algebra", _DATA + "alg_a3.json", "--degree", "2",
+            "--basis"]
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"command": argv, "error": "a number is too long to write (99999 bits)",
+                      "status": 2}
+
+
+def test_cli_reports_build_no_cochain_or_triple_dicts(monkeypatch, capsys):
+    """The README ``--basis`` commands and ``deform infinitesimal``,
+    ``obstruction`` and ``extend`` give their golden reports with the dict
+    writers of cochains and triples made to raise."""
+    import nliecoh.cli
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a CLI report built a cochain or triple dict")
+
+    for target in (jsonio, nliecoh.cli):
+        for name in ("cochain_to_json", "triple_to_json"):
+            monkeypatch.setattr(target, name, boom, raising=False)
+    monkeypatch.chdir(ROOT)
+    names = [n for n in DEFORM_GOLDEN if n.endswith("basis") or
+             n.split("_")[0] in ("infinitesimal", "obstruction", "extend")]
+    assert len(names) == 10
+    for name in names:
+        args = [_DATA + a if a.endswith(".json") else a for a in DEFORM_GOLDEN[name]]
+        assert main(["--output", "json", *args]) == 0, name
+        golden = ROOT / "tests" / "golden" / f"{args[0]}_{name}.json"
+        assert capsys.readouterr().out == golden.read_text(), name
+    assert main(["--output", "json", "cohomology", "--algebra", _DENSE_A1, "--degree", "2",
+                 "--basis"]) == 0
+    golden = ROOT / "tests" / "golden" / "cohomology_alg_a1_dense_h2_basis.json"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 # One process runs each sequence through the shared parser; every step must
