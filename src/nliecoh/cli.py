@@ -108,8 +108,7 @@ def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
     (``morphism-cohomology``).  They differ in the subject that must be
     valid, the group computed and the spaces a flat basis row lies on: each
     row of ``ints``/``dens`` is taken as the integer row of a Cochain or a
-    CochainTriple as it is, with no copy, and written as text from its
-    integers."""
+    CochainTriple as it is, with no copy, and written from its integers."""
     r = args.degree
     paths = [p for p in (args.algebra, args.module, args.morphism) if p]
     if args.morphism:

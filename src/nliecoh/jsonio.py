@@ -369,13 +369,12 @@ def triple_to_json(t: CochainTriple) -> dict:
 
 
 class CochainText:
-    """A cochain's integer row on ``spaces[0]``, or a triple's on ``spaces``, that
-    ``dump_json`` writes as ``cochain_to_json``/``triple_to_json`` would; rows
-    that share ``heads``, as in one basis, make each key's text once."""
+    """A cochain's row on ``spaces[0]``, or a triple's on ``spaces``, that ``dump_json`` writes as
+    ``cochain_to_json``/``triple_to_json`` would; rows sharing ``heads`` make a key's text once."""
 
     __slots__ = ("spaces", "row", "den", "heads")
 
-    def __init__(self, spaces: tuple, row: dict, den: int = 1, heads: Optional[dict] = None):
+    def __init__(self, spaces: tuple, row: dict, den: int, heads: Optional[dict] = None):
         self.spaces, self.row, self.den = spaces, row, den
         self.heads = {} if heads is None else heads
 
@@ -455,8 +454,12 @@ _encode_str = json.encoder.encode_basestring_ascii
 def _write_json(o, nl: str, put) -> None:
     if isinstance(o, str):
         put(_encode_str(o))
-    elif o is None or o is True or o is False:
-        put("null" if o is None else "true" if o else "false")
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
     elif isinstance(o, int):
         put(int.__repr__(o))
     elif isinstance(o, (list, tuple)):
@@ -488,7 +491,6 @@ def _write_json(o, nl: str, put) -> None:
 
 
 def _text(o, nl: str) -> str:
-    """``o`` as ``_write_json`` writes it at the indentation ``nl``."""
     out: list[str] = []
     _write_json(o, nl, out.append)
     return "".join(out)
