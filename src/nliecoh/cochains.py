@@ -187,7 +187,7 @@ def _derivation(sign, table: SignedTable, w: tuple, u: tuple) -> dict:
 def _action(phi_cols: list, table: SignedTable, d_T: int, u: tuple) -> list[dict]:
     """Rows s of the target map t -> [phi e_u0, ..., phi e_u(n-2), e_t]."""
     rows = [[0] * d_T for _ in range(d_T)]
-    for choice in product(*(phi_cols[i].items() for i in u)):  # the last slot read at each t
+    for choice in product(*(phi_cols[i].items() for i in u)):  # expanded once for every t
         idxs, c = tuple(i for i, _ in choice), prod(x for _, x in choice)
         for t in range(d_T):
             for s, x in table[idxs + (t,)].items():

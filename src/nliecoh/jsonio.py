@@ -370,7 +370,7 @@ def triple_to_json(t: CochainTriple) -> dict:
 
 class CochainText:
     """A cochain's row on ``spaces[0]``, or a triple's on ``spaces``, that ``dump_json`` writes as
-    ``cochain_to_json``/``triple_to_json`` would; rows sharing ``heads`` make a key's text once."""
+    ``cochain_to_json``/``triple_to_json`` would; rows on the same spaces share ``heads``."""
 
     __slots__ = ("spaces", "row", "den", "heads")
 
