@@ -174,13 +174,13 @@ def cmd_deform(args, argv: list[str]) -> tuple[dict, int]:
     status = 0
     if args.subcommand == "infinitesimal":
         theta, is_cocycle = infinitesimal(dm)
-        artifacts = {"triple": CochainText(theta.spaces, theta.row, theta.den), "cocycle": is_cocycle}
+        artifacts = {"triple": jsonio.triple_to_json(theta), "cocycle": is_cocycle}
         verdict = {"valid": True, "cocycle": is_cocycle}
         status = int(not is_cocycle)
     elif args.subcommand == "obstruction":
         ob = obstruction(dm)
         tc = triple_complex(dm.base_morphism)
-        artifacts = {"triple": CochainText(ob.spaces, ob.row, ob.den), "cocycle": tc.is_cocycle(ob)}
+        artifacts = {"triple": jsonio.triple_to_json(ob), "cocycle": tc.is_cocycle(ob)}
         verdict = {"valid": True, "order": dm.order}
     elif args.subcommand == "extend":
         witness = extend_order(dm)
@@ -198,7 +198,7 @@ def cmd_deform(args, argv: list[str]) -> tuple[dict, int]:
             revalidated = validate_deformation(extended).is_valid
             verdict = {"valid": True, "extendable": True, "revalidated": revalidated}
             artifacts = {
-                "witness": CochainText(witness.spaces, witness.row, witness.den),
+                "witness": jsonio.triple_to_json(witness),
                 "extended": deformation_to_json(extended),
             }
             status = int(not revalidated)

@@ -6,7 +6,10 @@ a zero denominator is rejected.  All index lists are 1-based and strictly
 increasing.  Serialization emits keys in a fixed order and sorted entries,
 so identical objects always produce identical bytes.  Numbers are written
 from integers over a positive denominator, as ``Matrix.ints``/``dens`` hold
-them, and a cochain or a triple from its integer row.
+them.  A cochain or a triple is written from its integer row by
+:class:`CochainText`, the one writer of its entries, so the cochain, triple
+and deformation writers return values for :func:`dump_json`:
+``json.loads(dump_json(x))`` is the plain dict of ``x``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -257,29 +261,49 @@ def cochain_from_json(
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def _key_lists(degree: int, key) -> list:
-    """A canonical key's 1-based index lists: its blocks, then its last wedge."""
-    return [[key + 1]] if degree == 0 else [[i + 1 for i in b] for b in key]
+class CochainText:
+    """A cochain's row on ``spaces[0]``, or a triple's on ``spaces``, that ``dump_json`` writes in
+    place; rows on the same spaces may share ``heads``, the text of each key's entry head."""
+
+    __slots__ = ("spaces", "row", "den", "heads")
+
+    def __init__(self, spaces: tuple, row: dict, den: int, heads: Optional[dict] = None):
+        self.spaces, self.row, self.den = spaces, row, den
+        self.heads = {} if heads is None else heads
+
+    def write(self, nl: str, put) -> None:
+        items, e2, off, text = sorted(self.row.items()), nl + "  ", 0, ""
+        if len(self.spaces) == 1:
+            return put(self._part(0, "self", items, 0, nl))
+        for k, (s, label) in enumerate(zip(self.spaces, ("self", "self", "module"))):
+            text += f',{e2}"c{k + 1}": ' + (self._part(k, label, items, off, e2) if s else "null")
+            off += s.dim if s else 0  # the parts lie end to end in the row
+        put(f'{{{e2}"degree": {self.spaces[0].degree}{text}{nl}}}')
+
+    def _part(self, k: int, label: str, items, off: int, nl: str) -> str:
+        """Part ``k`` from the pairs (``off`` + flat index, int) among the ascending ``items``:
+        ascending flat index is canonical key order, then target index."""
+        space, e2 = self.spaces[k], nl + "  "
+        frame = f'{{{e2}"degree": {space.degree},{e2}"target": "{label}",{e2}"entries": '
+        items = items[bisect_left(items, (off,)):bisect_left(items, (off + space.dim,))]
+        if not items:
+            return f"{frame}[]{nl}}}"
+        heads, e4, e6 = self.heads.setdefault((k, nl), {}), e2 + "  ", e2 + "    "
+        entries = []
+        for j, v in items:
+            pos, t = divmod(j - off, space.target_dim)
+            head = heads.get(pos)
+            if head is None:
+                key = space.domain_keys[pos]
+                *blocks, last = [[key + 1]] if space.degree == 0 else [[i + 1 for i in b] for b in key]
+                head = heads[pos] = (f'{{{e6}"blocks": {_text(blocks, e6)},{e6}"last": '
+                                     f'{_text(last, e6)},{e6}"target_index": ')
+            entries.append(f'{head}{t + 1},{e6}"value": "{format_ratio(v, self.den)}"{e4}}}')
+        return f"{frame}[{e4}" + f",{e4}".join(entries) + f"{e2}]{nl}}}"
 
 
-def _cochain_json(space, label: str, items, den: int, off: int = 0) -> dict:
-    """The cochain on ``space`` of the pairs (``off`` + flat index, int) among
-    the ascending ``items``, over ``den``.  Canonical keys are enumerated in
-    lexicographic order, so ascending index is key order and then target
-    index."""
-    keys, d_T, end = space.domain_keys, space.target_dim, off + space.dim
-    entries = []
-    for j, v in items:
-        if off <= j < end:
-            pos, t = divmod(j - off, d_T)
-            *blocks, last = _key_lists(space.degree, keys[pos])
-            value = format_ratio(v, den)
-            entries.append({"blocks": blocks, "last": last, "target_index": t + 1, "value": value})
-    return {"degree": space.degree, "target": label, "entries": entries}
-
-
-def cochain_to_json(c: Cochain, target_label: str = "self") -> dict:
-    return _cochain_json(c.space, target_label, sorted(c.row.items()), c.den)
+def cochain_to_json(c: Cochain) -> CochainText:
+    return CochainText((c.space,), c.row, c.den)
 
 
 # -- deformations -------------------------------------------------------------
@@ -326,7 +350,7 @@ def deformation_to_json(dm: DeformedMorphism) -> dict:
     out["target"] = algebra_to_json(dm.tgt_def.base)
     out["order"] = dm.order
     for side, da in (("source_terms", dm.src_def), ("target_terms", dm.tgt_def)):
-        out[side] = [_cochain_json(t.space, "self", sorted(t.row.items()), t.den) for t in da.terms]
+        out[side] = [cochain_to_json(t) for t in da.terms]
     out["morphism_terms"] = [matrix_to_json(m) for m in dm.phi_terms]
     return out
 
@@ -357,51 +381,8 @@ def automorphism_to_json(psi: FormalAutomorphism) -> dict:
 # -- triples -------------------------------------------------------------------
 
 
-def triple_to_json(t: CochainTriple) -> dict:
-    """A triple written from its row, sorted once and split at the offsets."""
-    items, off = sorted(t.row.items()), 0
-    out = {"degree": t.degree, "c1": None, "c2": None, "c3": None}
-    for name, label, space in zip(("c1", "c2", "c3"), ("self", "self", "module"), t.spaces):
-        if space is not None:
-            out[name] = _cochain_json(space, label, items, t.den, off)
-            off += space.dim
-    return out
-
-
-class CochainText:
-    """A cochain's row on ``spaces[0]``, or a triple's on ``spaces``, that ``dump_json`` writes as
-    ``cochain_to_json``/``triple_to_json`` would; rows on the same spaces share ``heads``."""
-
-    __slots__ = ("spaces", "row", "den", "heads")
-
-    def __init__(self, spaces: tuple, row: dict, den: int, heads: Optional[dict] = None):
-        self.spaces, self.row, self.den = spaces, row, den
-        self.heads = {} if heads is None else heads
-
-    def write(self, nl: str, put) -> None:
-        items, e2, off, text = sorted(self.row.items()), nl + "  ", 0, ""
-        if len(self.spaces) == 1:
-            return put(self._part(0, "self", items, 0, nl))
-        for k, (s, label) in enumerate(zip(self.spaces, ("self", "self", "module"))):
-            text += f',{e2}"c{k + 1}": ' + (self._part(k, label, items, off, e2) if s else "null")
-            off += s.dim if s else 0  # the parts lie end to end in the row
-        put(f'{{{e2}"degree": {self.spaces[0].degree}{text}{nl}}}')
-
-    def _part(self, k: int, label: str, items, off: int, nl: str) -> str:
-        space, heads = self.spaces[k], self.heads.setdefault((k, nl), {})
-        end, e2, e4, e6 = off + space.dim, nl + "  ", nl + "    ", nl + "      "
-        entries = []
-        for j, v in items:
-            if off <= j < end:
-                pos, t = divmod(j - off, space.target_dim)
-                head = heads.get(pos)
-                if head is None:
-                    *blocks, last = _key_lists(space.degree, space.domain_keys[pos])
-                    head = heads[pos] = (f'{{{e6}"blocks": {_text(blocks, e6)},{e6}"last": '
-                                         f'{_text(last, e6)},{e6}"target_index": ')
-                entries.append(f'{head}{t + 1},{e6}"value": "{format_ratio(v, self.den)}"{e4}}}')
-        body = f"[{e4}" + f",{e4}".join(entries) + f"{e2}]" if entries else "[]"
-        return f'{{{e2}"degree": {space.degree},{e2}"target": "{label}",{e2}"entries": {body}{nl}}}'
+def triple_to_json(t: CochainTriple) -> CochainText:
+    return CochainText(t.spaces, t.row, t.den)
 
 
 def triple_from_json(obj: dict, phi: Morphism, where: str = "triple") -> CochainTriple:

@@ -8,12 +8,14 @@ shortcuts from the package's assembly path are reused, so agreement is a
 genuine two-route check.
 """
 
+import json
 from bisect import insort
 from fractions import Fraction
 from itertools import combinations, product
 
 from nliecoh.cochains import Cochain, CochainSpace
 from nliecoh.errors import DimensionMismatch, SubspaceViolation
+from nliecoh.jsonio import dump_json
 from nliecoh.linalg import Matrix, int_row, solve, vector
 
 
@@ -412,8 +414,15 @@ def _fraction_text(q):
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def written(obj):
+    """``obj`` as ``jsonio.dump_json`` writes it, read back: plain dicts, lists
+    and strings, as the writers of cochains, triples and deformations once
+    returned them."""
+    return json.loads(dump_json(obj))
+
+
 def oracle_cochain_json(c, target_label="self"):
-    """``jsonio.cochain_to_json``'s dict for the Cochain ``c``, by sorting."""
+    """``written(jsonio.cochain_to_json(c))`` for the Cochain ``c``, by sorting."""
 
     def order(item):
         (key, t), _ = item
@@ -433,7 +442,7 @@ def oracle_cochain_json(c, target_label="self"):
 
 
 def oracle_triple_json(t):
-    """``jsonio.triple_to_json``'s dict for the CochainTriple ``t``."""
+    """``written(jsonio.triple_to_json(t))`` for the CochainTriple ``t``."""
     return {
         "degree": t.degree,
         "c1": oracle_cochain_json(t.c1, "self"),

@@ -24,6 +24,7 @@ from oracles import (
     representatives,
     unit,
     vectorize,
+    written,
 )
 
 from nliecoh.algebra import NLieAlgebra
@@ -366,7 +367,7 @@ def test_library_rows_are_in_lowest_terms(def_order1, def_order2):
     rng = random.Random(61)
     psi_n, psi_t = _rational_series(rng, 4, order=1), _rational_series(rng, 4, order=1)
     rational = _conjugate_family(def_order2, rng)
-    loaded = jsonio.deformation_from_json(jsonio.deformation_to_json(rational))
+    loaded = jsonio.deformation_from_json(written(jsonio.deformation_to_json(rational)))
     seen = []
     for dm in (def_order1, def_order2, rational, loaded, loaded.truncated(1)):
         tc = triple_complex(dm.base_morphism)

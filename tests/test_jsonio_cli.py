@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import written
 
 from nliecoh import jsonio
 from nliecoh.cli import build_parser, main
@@ -129,7 +130,7 @@ def test_cochain_roundtrip(alg_a1):
     from catalog import degree1_cochain
 
     c = degree1_cochain(alg_a1, {(1, 2, 3): {1: 1, 3: -1}, (2, 3, 4): {4: 1}})
-    obj = jsonio.cochain_to_json(c)
+    obj = written(jsonio.cochain_to_json(c))
     back = jsonio.cochain_from_json(obj, alg_a1, 4, 1)
     assert back == c
 
@@ -141,12 +142,12 @@ def test_degree0_cochain_roundtrip(alg_a1):
     c = linear_map_cochain(
         CochainSpace(alg_a1, 0, 4), Matrix.from_rows([[1, 0, 0, 2]] + [[0] * 4] * 3)
     )
-    back = jsonio.cochain_from_json(jsonio.cochain_to_json(c), alg_a1, 4, 0)
+    back = jsonio.cochain_from_json(written(jsonio.cochain_to_json(c)), alg_a1, 4, 0)
     assert back == c
 
 
 def test_deformation_roundtrip(def_order2):
-    obj = jsonio.deformation_to_json(def_order2)
+    obj = written(jsonio.deformation_to_json(def_order2))
     back = jsonio.deformation_from_json(obj, name=def_order2.name)
     assert back.phi_terms == def_order2.phi_terms
     assert back.src_def.terms == def_order2.src_def.terms
@@ -164,7 +165,7 @@ def test_triple_roundtrip(def_order1):
 
     theta, _ = infinitesimal(def_order1)
     phi = def_order1.base_morphism
-    obj = jsonio.triple_to_json(theta)
+    obj = written(jsonio.triple_to_json(theta))
     back = jsonio.triple_from_json(obj, phi)
     assert back.c1 == theta.c1 and back.c2 == theta.c2 and back.c3 == theta.c3
 
@@ -350,7 +351,8 @@ def test_cli_rejects_json_nested_too_deep(tmp_path):
     ids=["bracket-number", "bracket-string", "term-number", "entry-number"],
 )
 def test_cli_rejects_entries_that_are_no_object(tmp_path, kind, mutate, spot):
-    obj = base_algebra_obj() if kind == "algebra" else jsonio.deformation_to_json(deformation("a3_b3_1"))
+    obj = base_algebra_obj() if kind == "algebra" else written(
+        jsonio.deformation_to_json(deformation("a3_b3_1")))
     mutate(obj)
     p = tmp_path / f"{kind}.json"
     p.write_text(json.dumps(obj))
@@ -478,6 +480,7 @@ def test_cli_deform_subcommands(tmp_path):
     assert emit.exists()
     artifact = json.loads(emit.read_text())
     assert artifact["deformation"]["order"] == 1
+    assert emit.read_text() == json.dumps(json.loads(tr.stdout)["artifacts"], indent=2) + "\n"
 
     ext = run_cli(
         "--output",
@@ -487,10 +490,14 @@ def test_cli_deform_subcommands(tmp_path):
         str(DATA / "def_a3_b3_order2.json"),
         "--order",
         "1",
+        "--emit",
+        str(tmp_path / "extended.json"),
     )
     report = json.loads(ext.stdout)
     assert report["verdict"]["extendable"] is True
     assert report["verdict"]["revalidated"] is True
+    emitted = (tmp_path / "extended.json").read_text()
+    assert emitted == json.dumps(report["artifacts"], indent=2) + "\n"
 
     obs = run_cli(
         "--output",
@@ -865,34 +872,6 @@ def _basis_subjects():
             yield f"triple-{key}-{r}", morphism_cohomology(phi, r), (tc, r - 1)
 
 
-def test_basis_rows_match_the_fraction_route():
-    """The writers, given each basis row wrapped as it is, give the dicts of
-    the old route, the row as Fractions to Cochain/CochainTriple to a sorted
-    writer; so they do for cochains and triples coerced from Fractions."""
-    from oracles import dense_rows, oracle_basis_json, oracle_triple_json
-
-    from nliecoh.cochains import Cochain
-    from nliecoh.morphisms import CochainTriple
-
-    seen = set()
-    for name, rep, space in _basis_subjects():
-        for m in (rep.cocycles, rep.classes):
-            expected = oracle_basis_json(m, space)
-            rows = zip(m.ints, m.dens)
-            if isinstance(space, tuple):
-                tc, deg = space
-                got = [jsonio.triple_to_json(CochainTriple.from_row(tc._spaces(deg), r, d)) for r, d in rows]
-                whole = [jsonio.triple_to_json(tc.unvectorize(deg, v)) for v in dense_rows(m)]
-                assert whole == [oracle_triple_json(tc.unvectorize(deg, v)) for v in dense_rows(m)]
-            else:
-                got = [jsonio.cochain_to_json(Cochain.from_row(space, r, d)) for r, d in rows]
-                whole = [jsonio.cochain_to_json(Cochain.from_flat(space, v)) for v in dense_rows(m)]
-            assert got == expected, name
-            assert whole == expected, name
-            seen.update(e["value"] for row in expected for e in _entries_of(row))
-    assert any("/" in v for v in seen)
-
-
 def _entries_of(obj):
     parts = [obj] if "entries" in obj else [obj[c] for c in ("c1", "c2", "c3") if obj[c]]
     return [e for part in parts for e in part["entries"]]
@@ -976,18 +955,34 @@ def test_triple_text_matches_stdlib_dumps_of_the_oracle_dicts(degree):
         _assert_text_matches(texts, [oracle_triple_json(t) for t in triples], name)
 
 
+def _fraction_route(space, v):
+    """The writer's value for the dense Fraction row ``v``, through the Cochain
+    or CochainTriple built from it; ``space`` as in ``_basis_subjects``."""
+    if isinstance(space, tuple):
+        return jsonio.triple_to_json(space[0].unvectorize(space[1], v))
+    return jsonio.cochain_to_json(Cochain.from_flat(space, v))
+
+
 def test_basis_text_matches_stdlib_dumps_of_the_oracle_dicts():
     """Every cocycle and representative row of the corpus and dense
-    subjects at r = 1..3, each basis written with one shared ``heads``."""
-    from oracles import oracle_basis_json
+    subjects at r = 1..3, the two bases of a subject written with one shared
+    ``heads`` as in a report; and every such row as Fractions, to a Cochain
+    or CochainTriple, to ``cochain_to_json``/``triple_to_json``."""
+    from oracles import dense_rows, oracle_basis_json
 
+    seen = set()
     for name, rep, space in _basis_subjects():
         spaces = space[0]._spaces(space[1]) if isinstance(space, tuple) else (space,)
         heads: dict = {}
-        texts = [jsonio.CochainText(spaces, r, d, heads)
-                 for r, d in zip(rep.cocycles.ints, rep.cocycles.dens)]
-        if texts:
-            _assert_text_matches(texts, oracle_basis_json(rep.cocycles, space), name)
+        for m in (rep.cocycles, rep.classes):
+            expected = oracle_basis_json(m, space)
+            if not expected:
+                continue
+            texts = [jsonio.CochainText(spaces, r, d, heads) for r, d in zip(m.ints, m.dens)]
+            _assert_text_matches(texts, expected, name)
+            _assert_text_matches([_fraction_route(space, v) for v in dense_rows(m)], expected, name)
+            seen.update(e["value"] for row in expected for e in _entries_of(row))
+    assert any("/" in v for v in seen)
 
 
 def test_a_cochain_text_too_long_to_write_is_a_one_line_error(monkeypatch, capsys):
@@ -1007,30 +1002,28 @@ def test_a_cochain_text_too_long_to_write_is_a_one_line_error(monkeypatch, capsy
 
 
 def test_cli_reports_build_no_cochain_or_triple_dicts(monkeypatch, capsys):
-    """The README ``--basis`` commands and ``deform infinitesimal``,
-    ``obstruction`` and ``extend`` give their golden reports with the dict
-    writers of cochains and triples made to raise."""
-    import nliecoh.cli
+    """Every deform and ``--basis`` golden report, and the dense ``a1`` basis
+    golden, come out with the JSON writer made to raise on a dict holding a
+    ``target_index``: no cochain, triple or deformation term is built as a
+    dict on its way to the report."""
+    write = jsonio._write_json
 
-    def boom(*args, **kwargs):
-        raise AssertionError("a CLI report built a cochain or triple dict")
+    def no_entry_dicts(o, nl, put):
+        if isinstance(o, dict) and "target_index" in o:
+            raise AssertionError("a CLI report built a cochain entry dict")
+        write(o, nl, put)
 
-    for target in (jsonio, nliecoh.cli):
-        for name in ("cochain_to_json", "triple_to_json"):
-            monkeypatch.setattr(target, name, boom, raising=False)
+    monkeypatch.setattr(jsonio, "_write_json", no_entry_dicts)
     monkeypatch.chdir(ROOT)
-    names = [n for n in DEFORM_GOLDEN if n.endswith("basis") or
-             n.split("_")[0] in ("infinitesimal", "obstruction", "extend")]
-    assert len(names) == 10
-    for name in names:
-        args = [_DATA + a if a.endswith(".json") else a for a in DEFORM_GOLDEN[name]]
+    runs = [([_DATA + a if a.endswith(".json") else a for a in args], name)
+            for name, args in DEFORM_GOLDEN.items()]
+    runs.append((["cohomology", "--algebra", _DENSE_A1, "--degree", "2", "--basis"],
+                 "alg_a1_dense_h2_basis"))
+    assert len(runs) == 14
+    for args, name in runs:
         assert main(["--output", "json", *args]) == 0, name
         golden = ROOT / "tests" / "golden" / f"{args[0]}_{name}.json"
         assert capsys.readouterr().out == golden.read_text(), name
-    assert main(["--output", "json", "cohomology", "--algebra", _DENSE_A1, "--degree", "2",
-                 "--basis"]) == 0
-    golden = ROOT / "tests" / "golden" / "cohomology_alg_a1_dense_h2_basis.json"
-    assert capsys.readouterr().out == golden.read_text()
 
 
 # One process runs each sequence through the shared parser; every step must
