@@ -415,9 +415,8 @@ def _fraction_text(q):
 
 
 def written(obj):
-    """``obj`` as ``jsonio.dump_json`` writes it, read back: plain dicts, lists
-    and strings, as the writers of cochains, triples and deformations once
-    returned them."""
+    """``obj`` as ``jsonio.dump_json`` writes it, read back as plain dicts,
+    lists and strings."""
     return json.loads(dump_json(obj))
 
 
