@@ -910,8 +910,6 @@ def _random_cochain(space, rng, fill):
     return Cochain.from_flat(space, flat)
 
 
-
-
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_cochain_text_matches_stdlib_dumps_of_the_oracle_dicts(degree):
     """Cochains of degree 0-3, an empty one among them, with negative and
@@ -966,20 +964,38 @@ def _fraction_route(space, v):
 def test_basis_text_matches_stdlib_dumps_of_the_oracle_dicts():
     """Every cocycle and representative row of the corpus and dense
     subjects at r = 1..3, the two bases of a subject written with one shared
-    ``heads`` as in a report; and every such row as Fractions, to a Cochain
-    or CochainTriple, to ``cochain_to_json``/``triple_to_json``."""
-    from oracles import dense_rows, oracle_basis_json
+    ``heads`` as in a report."""
+    from oracles import oracle_basis_json
 
-    seen = set()
     for name, rep, space in _basis_subjects():
         spaces = space[0]._spaces(space[1]) if isinstance(space, tuple) else (space,)
         heads: dict = {}
         for m in (rep.cocycles, rep.classes):
             expected = oracle_basis_json(m, space)
+            if expected:
+                texts = [jsonio.CochainText(spaces, r, d, heads) for r, d in zip(m.ints, m.dens)]
+                _assert_text_matches(texts, expected, name)
+
+
+def test_basis_rows_match_the_fraction_route():
+    """Each basis row, wrapped as it is by ``from_row`` and as Fractions
+    through a Cochain or CochainTriple, is written as the oracle's dict."""
+    from oracles import dense_rows, oracle_basis_json
+
+    seen = set()
+    for name, rep, space in _basis_subjects():
+        for m in (rep.cocycles, rep.classes):
+            expected = oracle_basis_json(m, space)
+            rows = zip(m.ints, m.dens)
+            if isinstance(space, tuple):
+                tc, deg = space
+                got = [jsonio.triple_to_json(CochainTriple.from_row(tc._spaces(deg), r, d)) for r, d in rows]
+            else:
+                got = [jsonio.cochain_to_json(Cochain.from_row(space, r, d)) for r, d in rows]
+            assert len(got) == len(expected), name
             if not expected:
                 continue
-            texts = [jsonio.CochainText(spaces, r, d, heads) for r, d in zip(m.ints, m.dens)]
-            _assert_text_matches(texts, expected, name)
+            _assert_text_matches(got, expected, name)
             _assert_text_matches([_fraction_route(space, v) for v in dense_rows(m)], expected, name)
             seen.update(e["value"] for row in expected for e in _entries_of(row))
     assert any("/" in v for v in seen)
