@@ -7,8 +7,10 @@ over arbitrary-precision rationals with no rounding anywhere.
 A vector is an integer row: a ``{index: int}`` dict of nonzero entries over
 one positive denominator, in lowest terms (the denominator is the lcm of the
 entries' reduced denominators), so equal vectors store equal rows.  Row i of
-a matrix is the read-only row ``ints[i]`` over ``dens[i]``, and a cochain or
-a triple is one such row.  Outside input, dense or sparse, is coerced and
+a matrix is the row ``ints[i]`` over ``dens[i]``, and a cochain or a triple
+is one such row.  Rows are plain dicts, shared between matrices and caches
+without a copy, so they must not be mutated; plain dicts of ints are not
+tracked by cyclic garbage collection, which matters at 10^5-10^6 rows.  Outside input, dense or sparse, is coerced and
 range-checked in one place, :func:`int_row`, which ``Matrix(rows, cols,
 data)`` calls per row; rows derived from integer rows are built as integers
 and put in lowest terms by :meth:`Matrix.from_ints`, and
@@ -43,21 +45,6 @@ def frac(x) -> Fraction:
 
 def vector(entries: Iterable) -> Vector:
     return tuple(frac(x) for x in entries)
-
-
-class _Row(dict):
-    """One matrix row, {column: nonzero entry}; mutating it raises."""
-
-    __slots__ = ()
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("Matrix rows are read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-
-_EMPTY = _Row()  # the one zero row that built matrices share
 
 
 def int_row(entries, size: int) -> tuple[dict[int, int], int]:
@@ -97,8 +84,9 @@ def lowest(row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
 
 class Matrix:
     """Immutable sparse rational matrix: row i is ``ints[i]`` divided by
-    ``dens[i]``, in lowest terms; ``data[i]`` is the same row as a read-only
-    {column: Fraction} dict."""
+    ``dens[i]``, in lowest terms; ``data[i]`` is the same row as a
+    {column: Fraction} dict.  Rows are shared, not copied: do not mutate
+    them."""
 
     __slots__ = ("rows", "cols", "ints", "dens", "_data")
 
@@ -108,9 +96,9 @@ class Matrix:
         pairs = [int_row(r, cols) for r in data]
         if len(pairs) != rows:
             raise DimensionMismatch(f"matrix data does not fill {rows}x{cols}")
-        self._set(rows, cols, (_Row(r) for r, _ in pairs), (d for _, d in pairs))
+        self._set(rows, cols, (r for r, _ in pairs), (d for _, d in pairs))
 
-    def _set(self, rows: int, cols: int, ints: Iterable[_Row], dens: Iterable[int]) -> None:
+    def _set(self, rows: int, cols: int, ints: Iterable[dict], dens: Iterable[int]) -> None:
         for name, value in zip(self.__slots__, (rows, cols, tuple(ints), tuple(dens), None)):
             object.__setattr__(self, name, value)
 
@@ -122,15 +110,15 @@ class Matrix:
         """Build from integer rows of nonzero entries, as derived from other
         matrices' ``ints`` or assembled from integer tables, over positive
         denominators; rows are put in lowest terms and not checked otherwise.
-        A row that is already a ``_Row`` in lowest terms is kept as it is,
-        any other row is copied."""
+        The matrix takes ownership of every row already in lowest terms, as
+        the same object: the caller must not mutate it afterwards."""
         out, low = [], []
         for r, d in zip(ints, dens):
             if d != 1:
                 g = gcd(d, *r.values())
                 if g != 1:
                     r, d = {j: v // g for j, v in r.items()}, d // g
-            out.append(r if type(r) is _Row else _Row(r))
+            out.append(r)
             low.append(d)
         m = cls.__new__(cls)
         m._set(rows, cols, out, low)
@@ -156,10 +144,11 @@ class Matrix:
 
     @property
     def data(self) -> tuple[dict, ...]:
-        """The rows as read-only {column: nonzero Fraction} dicts."""
+        """The rows as {column: nonzero Fraction} dicts, built once and shared:
+        do not mutate them."""
         if self._data is None:
             rows = zip(self.ints, self.dens)
-            view = tuple(_Row({j: Fraction(v, d) for j, v in r.items()}) for r, d in rows)
+            view = tuple({j: Fraction(v, d) for j, v in r.items()} for r, d in rows)
             object.__setattr__(self, "_data", view)
         return self._data
 
@@ -205,15 +194,14 @@ class Matrix:
         # integer products over one common denominator d of ``other``
         d = lcm(*other.dens)
         right = [r if e == d else {j: v * (d // e) for j, v in r.items()} for r, e in zip(other.ints, other.dens)]
-        ints, dens = [_EMPTY] * self.rows, [1] * self.rows  # zero rows share one row
+        ints, dens = [{}] * self.rows, [1] * self.rows  # zero rows share one row
         for i in compress(count(), self.ints):  # the nonempty rows
             acc: dict[int, int] = {}
             for k, a in self.ints[i].items():
                 for j, b in right[k].items():
                     acc[j] = acc.get(j, 0) + a * b
             if any(acc.values()):
-                row, dens[i] = lowest({j: v for j, v in acc.items() if v}, self.dens[i] * d)
-                ints[i] = _Row(row)
+                ints[i], dens[i] = lowest({j: v for j, v in acc.items() if v}, self.dens[i] * d)
         m = Matrix.__new__(Matrix)
         m._set(self.rows, other.cols, ints, dens)
         return m

@@ -38,7 +38,7 @@ from .errors import (
     InvalidMorphism,
     NotCocycle,
 )
-from .linalg import Matrix, Vector, _Row, _sub, int_columns, int_row, lowest, solve
+from .linalg import Matrix, Vector, _sub, int_columns, int_row, lowest, solve
 from .tables import SignedTable, _bracket, dense, map_defects
 
 
@@ -281,9 +281,9 @@ class TripleComplex:
         dims_in = [s.dim if s else 0 for s in self._spaces(m)]
         sign = (-1) ** m
         off_tgt, off_mod = dims_in[0], dims_in[0] + dims_in[1]
-        # from_ints keeps rows that are _Rows in lowest terms: d_src's are
+        # from_ints keeps rows in lowest terms as they are: d_src's are
         # shared, d_tgt's are built once with their offset
-        rows = [*d_src.ints, *(_Row({off_tgt + j: v for j, v in r.items()}) for r in d_tgt.ints)]
+        rows = [*d_src.ints, *({off_tgt + j: v for j, v in r.items()} for r in d_tgt.ints)]
         dens = [*d_src.dens, *d_tgt.dens]
         blocks = [(post, 0, sign), (pull, off_tgt, -sign)]
         if m >= 1:
