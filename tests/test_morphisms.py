@@ -29,6 +29,7 @@ from nliecoh.cochains import (
     coboundary_matrix_module,
     coboundary_matrix_self,
     module_cohomology,
+    self_cohomology,
 )
 from nliecoh.corpus import MORPHISM_FILES, algebra, morphism
 from nliecoh.deformations import DeformedMorphism
@@ -290,8 +291,6 @@ def test_cone_of_an_isomorphism_has_the_source_cohomology():
     kernel is isomorphic to C(A, A), so dim H^r of phi's triple complex is
     dim H^r(A, A).  The identity of every base algebra, and three
     conjugated isomorphisms whose pull is not the identity."""
-    from nliecoh.cochains import self_cohomology
-
     algs = base_algebras()
     maps = [Morphism.identity(a) for a in algs]
     sl2 = {a.name: a for a in algs}["sl2"]
