@@ -11,15 +11,15 @@ a matrix is the row ``ints[i]`` over ``dens[i]``, and a cochain or a triple
 is one such row.  Rows are plain dicts, shared between matrices and caches
 without a copy, so they must not be mutated; plain dicts of ints are not
 tracked by cyclic garbage collection, which matters at 10^5-10^6 rows.
-Outside input, dense or sparse, is coerced and range-checked in one place,
-:func:`int_row`, which ``Matrix(rows, cols, data)`` calls per row; rows
-derived from integer rows are built as integers and put in lowest terms by
-:meth:`Matrix.from_ints`, and :meth:`Matrix.mul_row` and :func:`solve` take
-and return them.  Columns are read as integer rows by :func:`int_columns`,
-which ``transpose`` is built on.  ``data`` is the ``{column: Fraction}``
-view of the rows, built on first read.  Row reduction runs in
-:func:`_echelon`, one fraction-free pass per row into a reduced integer
-basis.
+Outside input, dense or sparse, is coerced and
+range-checked in one place, :func:`int_row`, which ``Matrix(rows, cols,
+data)`` calls per row; rows derived from integer rows are built as integers
+and put in lowest terms by :meth:`Matrix.from_ints`, and
+:meth:`Matrix.mul_row` and :func:`solve` take and return them.  Columns are
+read as integer rows by :func:`int_columns`, which ``transpose`` is built
+on.  ``data`` is the ``{column: Fraction}`` view of the rows, built on first
+read.  Row reduction runs in :func:`_echelon`, one fraction-free pass per
+row into a reduced integer basis.
 """
 
 from __future__ import annotations
