@@ -107,13 +107,9 @@ class NLieAlgebra:
         return tuple(Fraction(out.get(t, 0), self.den) for t in range(self.dim))
 
     @cached_property
-    def _report(self) -> "ValidationReport":
+    def report(self) -> "ValidationReport":
+        """The fundamental identity check, computed once per algebra."""
         return validate_algebra(self)
-
-    @property
-    def is_valid(self) -> bool:
-        """Fundamental identity verdict, computed once per algebra."""
-        return self._report.is_valid
 
     def bracket_keys(self) -> list[tuple[int, ...]]:
         """All strictly increasing n-tuples of basis indices."""
@@ -121,11 +117,18 @@ class NLieAlgebra:
 
 
 @dataclass(frozen=True)
-class NambuFailure:
-    """One basis instance where the fundamental identity breaks."""
+class Failure:
+    """One basis key where a defining identity breaks at one order.
 
-    x_tuple: tuple[int, ...]
-    y_tuple: tuple[int, ...]
+    ``part`` names the identity: "algebra" for the fundamental identity of
+    an algebra, keyed by the (x, y) tuple pair; "morphism" for the map
+    equation, keyed by (bracket tuple,); "source" and "target" for the
+    bracket families of a deformation.  Validation is the order-0 check.
+    """
+
+    part: str
+    order: int
+    key: tuple
     residual: Vector
 
 
@@ -150,5 +153,5 @@ def validate_algebra(alg: NLieAlgebra) -> ValidationReport:
     is the order-0 defect of :func:`~nliecoh.tables.nambu_defects`.
     """
     defects = nambu_defects(alg.dim, alg.arity, alg.den, (alg.ints,), 0)
-    failures = tuple(NambuFailure(x, y, dense(res, den, alg.dim)) for (x, y), res, den in defects)
+    failures = tuple(Failure("algebra", 0, key, dense(res, den, alg.dim)) for key, res, den in defects)
     return ValidationReport(alg.name, "algebra", failures)

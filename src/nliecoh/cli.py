@@ -28,26 +28,22 @@ from .jsonio import CochainText, deformation_to_json, dump_json, file_digest, fo
 from .morphisms import morphism_cohomology, triple_complex, validate_morphism
 
 
-def _residual_json(failures) -> list:
+def _residual_json(report: ValidationReport) -> list:
+    """A report's failures, 1-based: a deformation's by part, order and key,
+    the fundamental identity's by its x and y tuples, the map equation's by
+    its bracket tuple."""
     out = []
-    for f in failures:
-        entry = {}
-        if hasattr(f, "part"):
-            entry["part"] = f.part
-            entry["order"] = f.order
-            entry["key"] = _key_json(f.key)
-        elif hasattr(f, "x_tuple"):
-            entry["x_tuple"] = [i + 1 for i in f.x_tuple]
-            entry["y_tuple"] = [i + 1 for i in f.y_tuple]
+    for f in report.failures:
+        key = [[i + 1 for i in t] for t in f.key]
+        if report.kind == "deformation":
+            entry = {"part": f.part, "order": f.order, "key": key}
+        elif f.part == "algebra":
+            entry = {"x_tuple": key[0], "y_tuple": key[1]}
         else:
-            entry["bracket_tuple"] = [i + 1 for i in f.bracket_tuple]
+            entry = {"bracket_tuple": key[0]}
         entry["residual"] = [format_rational(c) for c in f.residual]
         out.append(entry)
     return out
-
-
-def _key_json(key):
-    return [[i + 1 for i in part] for part in key]
 
 
 def _render(report: dict, output: str) -> str:
@@ -99,7 +95,7 @@ def cmd_validate(args, argv: list[str]) -> tuple[dict, int]:
         report = ValidationReport(args.path, "automorphism", ())
     verdict = {"kind": kind, "valid": report.is_valid}
     return _report(argv, [args.path], verdict, int(not report.is_valid),
-                   residuals=_residual_json(report.failures))
+                   residuals=_residual_json(report))
 
 
 def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
@@ -123,13 +119,12 @@ def cmd_cohomology(args, argv: list[str]) -> tuple[dict, int]:
         raise ParseError("--module requires --morphism")
     else:
         subject = jsonio.load_algebra(args.algebra)
-    if not subject.is_valid:
-        kind = "morphism" if args.morphism else "algebra"
-        verdict = {"valid": False, "reason": f"{kind} fails validation"}
-        return _report(argv, paths, verdict, 1, residuals=_residual_json(subject._report.failures))
+    if not subject.report.is_valid:
+        verdict = {"valid": False, "reason": f"{subject.report.kind} fails validation"}
+        return _report(argv, paths, verdict, 1, residuals=_residual_json(subject.report))
     if args.command == "morphism-cohomology":
         rep = morphism_cohomology(phi, r)
-        spaces = triple_complex(phi)._spaces(r - 1)
+        spaces = triple_complex(phi).spaces(r - 1)
     elif args.morphism:
         rep = module_cohomology(phi, r)
         spaces = (CochainSpace(phi.source, r - 1, phi.target.dim),)
@@ -170,7 +165,7 @@ def cmd_deform(args, argv: list[str]) -> tuple[dict, int]:
     if args.subcommand == "check" or not report.is_valid:
         verdict = {"valid": report.is_valid, "order": dm.order}
         return _report(argv, paths, verdict, int(not report.is_valid),
-                       residuals=_residual_json(report.failures))
+                       residuals=_residual_json(report))
     status = 0
     if args.subcommand == "infinitesimal":
         theta, is_cocycle = infinitesimal(dm)

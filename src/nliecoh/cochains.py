@@ -335,7 +335,7 @@ def _assemble(space_in: CochainSpace, tables: _Tables) -> Matrix:
 
 
 def _require_valid_algebra(alg: NLieAlgebra) -> None:
-    if not alg.is_valid:
+    if not alg.report.is_valid:
         raise InvalidAlgebra(f"algebra {alg.name!r} fails the fundamental identity")
 
 
@@ -354,8 +354,8 @@ def coboundary_matrix_module(phi: Morphism, m: int) -> Matrix:
     src, tgt = phi.source, phi.target
     _require_valid_algebra(src)
     _require_valid_algebra(tgt)
-    if not phi.is_valid:
-        key = phi._report.failures[0].bracket_tuple
+    if not phi.report.is_valid:
+        key = phi.report.failures[0].key[0]
         raise InvalidMorphism(f"morphism equation fails on basis tuple {key}")
     return _assemble(CochainSpace(src, m, tgt.dim), _Tables(src, tgt, phi.matrix))
 

@@ -14,7 +14,7 @@ from functools import cached_property, reduce
 from math import lcm
 from typing import Optional, Sequence
 
-from .algebra import NLieAlgebra, ValidationReport
+from .algebra import Failure, NLieAlgebra, ValidationReport
 from .cochains import Cochain, CochainSpace
 from .errors import (
     ArityMismatch,
@@ -24,7 +24,7 @@ from .errors import (
     ObstructionNotCocycle,
     OrderMismatch,
 )
-from .linalg import Matrix, Vector, int_columns, lowest, solve
+from .linalg import Matrix, int_columns, lowest, solve
 from .morphisms import CochainTriple, Morphism, triple_complex
 from .tables import SignedTable, dense, map_defects, nambu_defects, scaled, series_bracket
 
@@ -123,16 +123,6 @@ def _defect_cochain(space: CochainSpace, defects) -> Cochain:
 
 
 @dataclass(frozen=True)
-class DeformationFailure:
-    """One basis tuple where an order-by-order equation fails."""
-
-    part: str  # "source", "target", or "morphism"
-    order: int
-    key: tuple
-    residual: Vector
-
-
-@dataclass(frozen=True)
 class DeformedMorphism:
     """A compatible triple: deformed source, deformed target, map series."""
 
@@ -209,15 +199,15 @@ def _map_defects(dm: DeformedMorphism, s: int):
 
 def validate_deformation(dm: DeformedMorphism) -> ValidationReport:
     """Order-by-order check of both bracket families and the map equation."""
-    failures: list[DeformationFailure] = []
+    failures: list[Failure] = []
     for s in range(dm.order + 1):
         for part, da in (("source", dm.src_def), ("target", dm.tgt_def)):
             alg = da.base
             for key, res, den in nambu_defects(alg.dim, alg.arity, da.den, da.tables, s):
-                failures.append(DeformationFailure(part, s, key, dense(res, den, alg.dim)))
+                failures.append(Failure(part, s, key, dense(res, den, alg.dim)))
         d_tgt = dm.tgt_def.base.dim
         for key, res, den in _map_defects(dm, s):
-            failures.append(DeformationFailure("morphism", s, (key,), dense(res, den, d_tgt)))
+            failures.append(Failure("morphism", s, (key,), dense(res, den, d_tgt)))
     return ValidationReport(dm.name or "deformation", "deformation", tuple(failures))
 
 
@@ -277,7 +267,7 @@ def extend_order(dm: DeformedMorphism) -> Optional[CochainTriple]:
     if not tc.is_cocycle(ob):
         raise ObstructionNotCocycle("obstruction fails its cocycle identity")
     x = solve(tc.delta_matrix(1), ob.row, ob.den)
-    return None if x is None else CochainTriple.from_row(tc._spaces(1), *x)
+    return None if x is None else CochainTriple.from_row(tc.spaces(1), *x)
 
 
 def extend_deformation(dm: DeformedMorphism, theta: CochainTriple) -> DeformedMorphism:

@@ -19,6 +19,7 @@ import json
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from pathlib import Path
 from typing import Optional, Union
@@ -118,7 +119,7 @@ def algebra_from_json(obj: dict, where: str = "algebra") -> NLieAlgebra:
             raise ParseError(f"{spot}: expected {arity} arguments")
         if args in brackets:
             raise ParseError(f"{spot}: duplicate bracket for {entry['args']}")
-        value = [Fraction(0)] * dim
+        value: dict[int, Fraction] = {}
         for k, raw in _expect(entry, "value", dict, spot).items():
             try:
                 pos = int(k) if _INDEX_RE.fullmatch(k) else 0
@@ -126,8 +127,10 @@ def algebra_from_json(obj: dict, where: str = "algebra") -> NLieAlgebra:
                 pos = 0
             if not 1 <= pos <= dim:
                 raise ParseError(f"{spot}: value key {k!r} is not a basis index in 1..{dim}")
-            value[pos - 1] = parse_rational(raw, f"{spot}: value key {k!r}")
-        brackets[args] = tuple(value)
+            if pos in value:
+                raise ParseError(f"{spot}: value key {k!r} names basis index {pos} twice")
+            value[pos] = parse_rational(raw, f"{spot}: value key {k!r}")
+        brackets[args] = tuple(value.get(t, Fraction(0)) for t in range(1, dim + 1))
     try:
         return NLieAlgebra.from_brackets(name, arity, dim, brackets, tuple(basis))
     except Exception as exc:  # structural invariants surface as parse errors
@@ -362,6 +365,10 @@ def automorphism_from_json(obj: dict, where: str = "automorphism") -> FormalAuto
     dim = _expect(obj, "dimension", int, where)
     order = _expect(obj, "order", int, where)
     rows = _expect(obj, "terms", list, where)
+    if dim < 1:
+        raise ParseError(f"{where}: dimension must be at least 1, got {dim}")
+    if order < 0:
+        raise ParseError(f"{where}: order must be nonnegative, got {order}")
     if len(rows) != order:
         raise ParseError(f"{where}: expected {order} terms (identity is implicit)")
     terms = [
@@ -401,6 +408,17 @@ def triple_from_json(obj: dict, phi: Morphism, where: str = "triple") -> Cochain
 # -- files ---------------------------------------------------------------------
 
 
+def _unique_keys(path: Path, pairs: list) -> dict:
+    """A JSON object of ``path`` as a dict; a key it repeats is a parse
+    error, where ``json.loads`` alone would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ParseError(f"{path}: key {repeated!r} repeated in one object")
+    return obj
+
+
 def load_json(path: Union[str, Path]) -> dict:
     path = Path(path)
     try:
@@ -410,7 +428,7 @@ def load_json(path: Union[str, Path]) -> dict:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 ({exc})") from exc
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=partial(_unique_keys, path))
     except (ValueError, RecursionError) as exc:
         # a JSONDecodeError, an integer too long to convert, or too deep nesting
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc

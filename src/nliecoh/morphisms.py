@@ -22,7 +22,7 @@ from itertools import combinations, product
 from math import lcm
 from typing import Optional, Sequence
 
-from .algebra import NLieAlgebra, ValidationReport
+from .algebra import Failure, NLieAlgebra, ValidationReport
 from .cochains import (
     Cochain,
     CochainSpace,
@@ -40,14 +40,6 @@ from .errors import (
 )
 from .linalg import Matrix, Vector, _sub, int_columns, int_row, lowest, solve
 from .tables import SignedTable, _bracket, dense, map_defects
-
-
-@dataclass(frozen=True)
-class MorphismFailure:
-    """Basis tuple where the structure-preservation equation breaks."""
-
-    bracket_tuple: tuple[int, ...]
-    residual: Vector
 
 
 @dataclass(frozen=True)
@@ -94,12 +86,9 @@ class Morphism:
         return dense(row, den, self.target.dim)
 
     @cached_property
-    def _report(self) -> ValidationReport:
+    def report(self) -> ValidationReport:
+        """The structure preservation check, computed once per morphism."""
         return validate_morphism(self)
-
-    @property
-    def is_valid(self) -> bool:
-        return self._report.is_valid
 
 
 def validate_morphism(phi: Morphism) -> ValidationReport:
@@ -108,12 +97,10 @@ def validate_morphism(phi: Morphism) -> ValidationReport:
     fails the fundamental identity, its failures are the report's."""
     src, tgt = phi.source, phi.target
     for alg in (src, tgt):
-        if not alg.is_valid:
-            return ValidationReport(
-                phi.name or "morphism", "morphism", alg._report.failures
-            )
+        if not alg.report.is_valid:
+            return ValidationReport(phi.name or "morphism", "morphism", alg.report.failures)
     defects = map_defects(src.arity, (phi.matrix,), src.den, (src.ints,), tgt.den, (tgt.ints,), 0)
-    failures = tuple(MorphismFailure(key, dense(res, den, tgt.dim)) for key, res, den in defects)
+    failures = tuple(Failure("morphism", 0, (key,), dense(res, den, tgt.dim)) for key, res, den in defects)
     return ValidationReport(phi.name or "morphism", "morphism", failures)
 
 
@@ -188,15 +175,16 @@ class TripleComplex:
     """Matrices and coordinate helpers for the complex of one morphism."""
 
     def __init__(self, phi: Morphism):
-        if not phi.is_valid:
+        if not phi.report.is_valid:
             raise InvalidMorphism("the morphism fails structure preservation")
         self.phi = phi
         self._delta_cache: dict[int, Matrix] = {}
         self._space_cache: dict[int, tuple] = {}
 
     # -- spaces -------------------------------------------------------------
-    def _spaces(self, m: int) -> tuple:
-        """Source, target and module spaces at triple degree m, built once."""
+    def spaces(self, m: int) -> tuple:
+        """Source, target and module spaces at triple degree m, built once;
+        the module space is None at m = 0."""
         spaces = self._space_cache.get(m)
         if spaces is None:
             src, tgt = self.phi.source, self.phi.target
@@ -207,29 +195,20 @@ class TripleComplex:
             )
         return spaces
 
-    def space_source(self, m: int) -> CochainSpace:
-        return self._spaces(m)[0]
-
-    def space_target(self, m: int) -> CochainSpace:
-        return self._spaces(m)[1]
-
-    def space_module(self, m: int) -> Optional[CochainSpace]:
-        return self._spaces(m)[2]
-
     def dim(self, m: int) -> int:
-        return sum(s.dim for s in self._spaces(m) if s)
+        return sum(s.dim for s in self.spaces(m) if s)
 
     def zero_triple(self, m: int) -> CochainTriple:
-        return CochainTriple.from_row(self._spaces(m), {})
+        return CochainTriple.from_row(self.spaces(m), {})
 
     def unvectorize(self, m: int, flat) -> CochainTriple:
         """Triple from exact flat coordinates: dense, or sparse {index: value}."""
-        return CochainTriple.from_row(self._spaces(m), *int_row(flat, self.dim(m)))
+        return CochainTriple.from_row(self.spaces(m), *int_row(flat, self.dim(m)))
 
     # -- structure matrices ---------------------------------------------------
     def post_matrix(self, m: int) -> Matrix:
         """Post-composition with the morphism, source-self to module cochains."""
-        keys = len(self.space_source(m).domain_keys)
+        keys = len(self.spaces(m)[0].domain_keys)
         d, phi = self.phi.source.dim, self.phi.matrix
         rows = [{pos * d + t: a for t, a in r.items()} for pos in range(keys) for r in phi.ints]
         return Matrix.from_ints(keys * phi.rows, keys * d, rows, phi.dens * keys)
@@ -253,10 +232,11 @@ class TripleComplex:
             k: SignedTable((u, {u: 1}) for u in combinations(range(dp), k)) for k in {1, n - 1, n}
         }
         image = cache(lambda w: _bracket(units[len(w)], [cols[i] for i in w]))
-        tgt_pos = self.space_target(m)._key_pos
+        src_space, tgt_space, _ = self.spaces(m)
+        tgt_pos = tgt_space._key_pos
         den = d_phi ** ((n - 1) * (m - 1) + n) if m else d_phi
         rows: list[dict] = []
-        for key in self.space_source(m).domain_keys:
+        for key in src_space.domain_keys:
             entries = []
             wedges = key if m else ((key,),)
             for choice in product(*(image(w).items() for w in wedges)):
@@ -278,7 +258,7 @@ class TripleComplex:
         d_tgt = coboundary_matrix_self(phi.target, m)
         post = self.post_matrix(m)
         pull = self.pull_matrix(m)
-        dims_in = [s.dim if s else 0 for s in self._spaces(m)]
+        dims_in = [s.dim if s else 0 for s in self.spaces(m)]
         sign = (-1) ** m
         off_tgt, off_mod = dims_in[0], dims_in[0] + dims_in[1]
         # from_ints keeps rows in lowest terms as they are: d_src's are
@@ -304,7 +284,7 @@ class TripleComplex:
     # -- operations -----------------------------------------------------------
     def coboundary(self, t: CochainTriple) -> CochainTriple:
         row, den = self.delta_matrix(t.degree).mul_row(t.row, t.den)
-        return CochainTriple.from_row(self._spaces(t.degree + 1), row, den)
+        return CochainTriple.from_row(self.spaces(t.degree + 1), row, den)
 
     def is_cocycle(self, t: CochainTriple) -> bool:
         return self.coboundary(t).is_zero()
@@ -325,7 +305,7 @@ class TripleComplex:
         den = lcm(a.den, b.den)
         diff = _sub({j: v * (den // a.den) for j, v in a.row.items()}, den // b.den, b.row)
         x = solve(self.delta_matrix(a.degree - 1), diff, den)
-        return None if x is None else CochainTriple.from_row(self._spaces(a.degree - 1), *x)
+        return None if x is None else CochainTriple.from_row(self.spaces(a.degree - 1), *x)
 
 
 # Morphism complexes kept alive at once.  Each holds its differentials, so

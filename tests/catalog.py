@@ -41,6 +41,17 @@ def base_algebras() -> list[NLieAlgebra]:
     return algs
 
 
+def simple_a4() -> NLieAlgebra:
+    """A_4, the simple ternary algebra of dimension 4: the bracket of the
+    basis vectors other than e_m is (-1)^m e_m, m = 1..4.  Kept out of
+    ``base_algebras()``, whose digest set is pinned."""
+    brackets = {
+        tuple(j for j in range(4) if j != i): [(-1) ** (i + 1) if t == i else 0 for t in range(4)]
+        for i in range(4)
+    }
+    return _named("A4", 3, 4, brackets)
+
+
 def _random_invertible(rng: random.Random, d: int) -> Matrix:
     while True:
         m = Matrix.from_rows(

@@ -16,7 +16,7 @@ from oracles import (
     wedge_decompose,
 )
 
-from nliecoh.algebra import NambuFailure, NLieAlgebra, ValidationReport, validate_algebra
+from nliecoh.algebra import Failure, NLieAlgebra, ValidationReport, validate_algebra
 from nliecoh.deformations import DeformedAlgebra
 from nliecoh.errors import DimensionMismatch, IndexOutOfRange
 from nliecoh.tables import sort_sign
@@ -28,9 +28,16 @@ def test_public_surface():
     wrappers that restated ``TripleComplex``.  The dense ``Fraction`` views
     of integer rows left the package for helpers in ``tests/oracles.py``
     (``dense_row``, ``mul_vector``, ``as_flat``, ``coeffs``, ``vectorize``,
-    ``cocycle_basis``, ``representatives``)."""
+    ``cocycle_basis``, ``representatives``).  Every validator reports
+    ``algebra.Failure``; an algebra and a morphism expose their check as
+    ``report``, as a deformation does, and the morphism complex its spaces
+    as ``spaces(m)``: no module reads another's ``_report`` or ``_spaces``
+    or tells failures apart by attribute, and ``ValidationReport`` is the
+    one class with an ``is_valid``."""
+    import inspect
+
     import nliecoh
-    from nliecoh import algebra, cochains, jsonio, linalg, morphisms
+    from nliecoh import algebra, cli, cochains, deformations, jsonio, linalg, morphisms
 
     assert all(hasattr(nliecoh, name) for name in nliecoh.__all__)
     removed = {"FundamentalObject", "wedge_decompose", "coboundary_apply_self", "coboundary_apply_module",
@@ -45,14 +52,31 @@ def test_public_surface():
         linalg.Matrix: ("row", "mul_vector"),
         cochains.Cochain: ("as_flat", "coeffs"),
         cochains.CohomologyReport: ("cocycle_basis", "representatives"),
-        morphisms.TripleComplex: ("vectorize",),
+        morphisms.TripleComplex: ("vectorize", "_spaces", "space_source", "space_target", "space_module"),
         cochains: ("flat_items",),
         linalg: ("is_zero_vector",),
         jsonio: ("_int_row",),
+        algebra: ("NambuFailure",),
+        morphisms: ("MorphismFailure",),
+        deformations: ("DeformationFailure",),
+        cli: ("_key_json",),
+        NLieAlgebra: ("_report",),
+        morphisms.Morphism: ("_report",),
     }
     for owner, names in gone.items():
         assert not any(hasattr(owner, name) for name in names), owner
     assert hasattr(linalg.Matrix, "data")  # the tracer reads it
+    assert all(hasattr(c, "report") for c in (NLieAlgebra, morphisms.Morphism, deformations.DeformedMorphism))
+    assert callable(morphisms.TripleComplex.spaces)
+    pattern = re.compile(r"NambuFailure|MorphismFailure|DeformationFailure|space_source|space_target"
+                         r"|space_module|\._report\b|\._spaces\b|hasattr")
+    for path in sorted(Path(nliecoh.__file__).parent.glob("*.py")):
+        assert not pattern.search(path.read_text()), path.name
+    with_is_valid = {
+        cls for module in vars(nliecoh).values() if inspect.ismodule(module)
+        for cls in vars(module).values() if inspect.isclass(cls) and "is_valid" in vars(cls)
+    }
+    assert with_is_valid == {ValidationReport}
 
 
 @pytest.mark.parametrize("name", ["cochains", "morphisms", "deformations", "cli"])
@@ -143,7 +167,7 @@ def _oracle_report(alg):
     for key in res.space.domain_keys:
         residual = tuple(values.get((key, t), Fraction(0)) for t in range(alg.dim))
         if any(residual):
-            failures.append(NambuFailure(key[0], key[1], residual))
+            failures.append(Failure("algebra", 0, key, residual))
     return ValidationReport(alg.name, "algebra", tuple(failures))
 
 
@@ -157,7 +181,7 @@ def test_validate_algebra_is_the_order0_defect():
         assert report == _oracle_report(alg), alg.name
         assert all(type(x) is Fraction for f in report.failures for x in f.residual)
     assert all(validate_algebra(alg).is_valid for alg in catalog)
-    invalid = [validate_algebra(alg) for alg in planted if not alg.is_valid]
+    invalid = [validate_algebra(alg) for alg in planted if not alg.report.is_valid]
     assert len(invalid) >= 15
     assert any(x.denominator > 1 for r in invalid for f in r.failures for x in f.residual)
 

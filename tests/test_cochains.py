@@ -8,7 +8,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from catalog import _random_invertible, base_algebras, conjugate, conjugated_morphism
+from catalog import (
+    _random_invertible,
+    base_algebras,
+    conjugate,
+    conjugated_isomorphism,
+    conjugated_morphism,
+    simple_a4,
+)
 from oracles import (
     as_flat,
     cocycle_basis,
@@ -24,7 +31,7 @@ from oracles import (
     unit,
 )
 
-from nliecoh.algebra import NLieAlgebra
+from nliecoh.algebra import NLieAlgebra, validate_algebra
 from nliecoh.corpus import MORPHISM_FILES, algebra, morphism
 from nliecoh.cochains import (
     Cochain,
@@ -43,8 +50,8 @@ from nliecoh.errors import (
     InvalidAlgebra,
     InvalidMorphism,
 )
-from nliecoh.linalg import Matrix
-from nliecoh.morphisms import Morphism, TripleComplex, morphism_cohomology, triple_complex
+from nliecoh.linalg import Matrix, kernel_basis
+from nliecoh.morphisms import Morphism, TripleComplex, morphism_cohomology, triple_complex, validate_morphism
 from nliecoh.tables import sort_sign
 
 
@@ -171,7 +178,7 @@ def test_coboundary_requires_valid_algebra(alg_a1):
         coboundary_matrix_self(bad, 1)
     # an invalid side is named before the map, which fails along with it
     for phi in (Morphism.identity(bad), Morphism.zero(bad, alg_a1), Morphism.zero(alg_a1, bad)):
-        assert not phi.is_valid
+        assert not phi.report.is_valid
         with pytest.raises(InvalidAlgebra):
             coboundary_matrix_module(phi, 1)
 
@@ -517,7 +524,7 @@ def test_conjugated_morphism_has_distinct_denominators():
     algs = (phi.source, phi.target)
     dens = [lcm(*(x.denominator for _, v in a.structure for x in v)) for a in algs]
     assert dens + [lcm(*phi.matrix.dens)] == [5, 9, 3]
-    assert phi.is_valid
+    assert phi.report.is_valid
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -546,3 +553,55 @@ def test_apply_module_matches_oracle_on_rational_morphism(p):
     got = delta_value(coboundary_matrix_module(phi, p), f, blocks, z)
     assert got == oracle_delta_eval(f, blocks, z, src, tgt, phi.matrix)
     assert any(got)
+
+
+def _central_extension(alg: NLieAlgebra, m: int, omega) -> NLieAlgebra:
+    """A ⊕ k^m with the bracket [x] + ω(x) on A and zero on k^m, for the
+    dense flat coordinates ``omega`` of a degree-1 cochain A -> k^m."""
+    d = alg.dim
+    brackets = {
+        key: alg.bracket(*(unit(d, i) for i in key)) + tuple(omega[pos * m : (pos + 1) * m])
+        for pos, (key,) in enumerate(CochainSpace(alg, 1, m).domain_keys)
+    }
+    return NLieAlgebra.from_brackets(f"{alg.name}+{m}", alg.arity, d + m, brackets)
+
+
+def test_central_extensions_validate_exactly_along_cocycles():
+    """Along the zero map A -> k^m the module complex has trivial
+    coefficients, and A ⊕ k^m with the bracket [x] + ω(x) passes
+    ``validate_algebra`` exactly when δω = 0: the validator and the
+    coboundary assembler share no code.  For ω' = ω + δλ, λ: A -> k^m,
+    x ↦ x - λ(x) on A and the identity on k^m is an isomorphism from the
+    extension by ω to the extension by ω', and x ↦ x + λ(x) is not one
+    when δλ ≠ 0.  On the corpus, the dense conjugate of a1 and A_4, m = 1
+    and 2."""
+    rng = random.Random(14)
+    draw = lambda size: [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(size)]
+    algs = [algebra(k) for k in ("a1", "b1", "b2", "a3", "b3")]
+    algs += [conjugated_isomorphism(algebra("a1"), 1).source, simple_a4()]
+    non_cocycles = coboundaries = 0
+    for alg in algs:
+        d = alg.dim
+        for m in (1, 2):
+            phi = Morphism.zero(alg, NLieAlgebra.abelian(f"k{m}", alg.arity, m))
+            delta0, delta1 = coboundary_matrix_module(phi, 0), coboundary_matrix_module(phi, 1)
+            z = dense_rows(kernel_basis(delta1))
+            assert z
+            for _ in range(6):
+                weights = draw(len(z))
+                cocycle = [sum(c * v for c, v in zip(weights, col)) for col in zip(*z)]
+                for omega in (draw(delta1.cols), cocycle):
+                    closed = not any(mul_vector(delta1, omega))
+                    assert validate_algebra(_central_extension(alg, m, omega)).is_valid == closed, alg.name
+                    non_cocycles += not closed
+                lam = draw(d * m)  # λ(e_j) is lam[j * m : (j + 1) * m]
+                d_lam = mul_vector(delta0, lam)
+                shifted = [x + y for x, y in zip(cocycle, d_lam)]
+                source, target = _central_extension(alg, m, cocycle), _central_extension(alg, m, shifted)
+                for sign in (-1, 1):
+                    cols = [unit(d, j) + tuple(sign * x for x in lam[j * m : (j + 1) * m]) for j in range(d)]
+                    cols += [unit(d + m, d + t) for t in range(m)]
+                    iso = validate_morphism(Morphism.from_columns(source, target, cols)).is_valid
+                    assert iso == (sign == -1 or not any(d_lam)), (alg.name, m, sign)
+                coboundaries += any(d_lam)
+    assert non_cocycles == 12 and coboundaries >= 70  # the non-cocycles are b1's

@@ -1,12 +1,14 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalog import _random_invertible, conjugate, conjugated_cases, degree1_cochain, full_catalog
+from catalog import _random_invertible, conjugate, conjugated_cases, degree1_cochain, full_catalog, simple_a4
 from oracles import (
     cochain_value,
     coeffs,
@@ -27,7 +29,8 @@ from oracles import (
     written,
 )
 
-from nliecoh.algebra import NLieAlgebra
+from nliecoh import jsonio
+from nliecoh.algebra import NLieAlgebra, validate_algebra
 from nliecoh.cochains import Cochain, CochainSpace
 from nliecoh.corpus import automorphism
 from nliecoh.deformations import (
@@ -49,7 +52,7 @@ from nliecoh.deformations import (
 )
 from nliecoh.errors import ArityMismatch, NotValidated, ObstructionNotCocycle, OrderMismatch
 from nliecoh.linalg import Matrix
-from nliecoh.morphisms import CochainTriple, Morphism, triple_complex
+from nliecoh.morphisms import CochainTriple, Morphism, triple_complex, validate_morphism
 
 
 def test_nambu_residual_base_order(corpus_algebras):
@@ -723,3 +726,52 @@ def test_order_mismatch_guard(def_order1):
             DeformedAlgebra.trivial(def_order1.tgt_def.base, 2),
             def_order1.phi_terms,
         )
+
+
+def test_a4_is_rigid_through_the_deformation_commands():
+    """The identity of the simple A_4 has H^1, H^2, H^3 = 6, 0, 0 in its
+    triple complex, with dim Z^2 = 26.  So every order-1 family built from a
+    random rational cocycle validates, extends to orders 2 and 3 with every
+    extension valid, and is equivalent to the trivial family."""
+    phi = Morphism.identity(simple_a4())
+    tc = triple_complex(phi)
+    assert [tc.cohomology(r).dim_h for r in (1, 2, 3)] == [6, 0, 0]
+    z = tc.cohomology(2).cocycles
+    assert z.rows == 26
+    rng = random.Random(4)
+    for _ in range(5):
+        flat: dict[int, Fraction] = {}
+        for row, den in zip(z.ints, z.dens):
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3) * den)
+            for j, v in row.items():
+                flat[j] = flat.get(j, 0) + c * v
+        theta = tc.unvectorize(1, flat)
+        assert tc.is_cocycle(theta)
+        dm = extend_deformation(DeformedMorphism.trivial(phi, 0), theta)
+        assert dm.order == 1 and dm.report.is_valid
+        assert first_order_equivalence(dm, DeformedMorphism.trivial(phi, 1)) is not None
+        for order in (2, 3):
+            witness = extend_order(dm)
+            assert witness is not None
+            dm = extend_deformation(dm, witness)
+            assert dm.order == order and validate_deformation(dm).is_valid
+
+
+def test_one_failure_record_ties_the_three_validators():
+    """Validation is the order-0 check of a deformation: over the trivial
+    order-1 family, the order-0 source and target failures are the
+    algebra's failures with their part renamed, and the order-0 morphism
+    failures are the morphism's, record for record."""
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    bad = jsonio.load_algebra(inputs / "alg_a1_bad.json")
+    failures = validate_algebra(bad).failures
+    report = validate_deformation(DeformedMorphism.trivial(Morphism.identity(bad), 1))
+    assert len(failures) == 6
+    for part in ("source", "target"):
+        got = [f for f in report.failures if f.order == 0 and f.part == part]
+        assert got == [replace(f, part=part) for f in failures]
+    phi = jsonio.load_morphism(inputs / "mor_a1_b1_bad.json")
+    failures = validate_morphism(phi).failures
+    report = validate_deformation(DeformedMorphism.trivial(phi, 1))
+    assert len(failures) == 1 and all(f.part == "morphism" for f in failures)
+    assert [f for f in report.failures if f.order == 0] == list(failures)

@@ -523,7 +523,7 @@ def test_cli_reports_the_invalid_algebra_of_a_morphism(tmp_path, capsys):
     p.write_text(jsonio.dump_json(obj))
     failures = validate_algebra(jsonio.algebra_from_json(bad, str(p))).failures
     want = [
-        {"x_tuple": [i + 1 for i in f.x_tuple], "y_tuple": [i + 1 for i in f.y_tuple],
+        {"x_tuple": [i + 1 for i in f.key[0]], "y_tuple": [i + 1 for i in f.key[1]],
          "residual": [jsonio.format_rational(c) for c in f.residual]}
         for f in failures
     ]
@@ -595,6 +595,46 @@ def test_cli_rejects_automorphism_of_wrong_dimension(tmp_path, capsys):
     assert status == 2
     report = capsys.readouterr().out
     assert str(p) in report and "expected 4" in report
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"dimension": -1, "order": 0, "terms": []}, "dimension must be at least 1, got -1"),
+    ({"dimension": 0, "order": 0, "terms": []}, "dimension must be at least 1, got 0"),
+    ({"dimension": 2, "order": -1, "terms": []}, "order must be nonnegative, got -1"),
+], ids=["dimension-negative", "dimension-zero", "order-negative"])
+def test_cli_rejects_automorphism_of_no_dimension_or_negative_order(tmp_path, capsys, obj, message):
+    p = tmp_path / "aut.json"
+    p.write_text(json.dumps(obj))
+    code, out, _ = _run_main(["--output", "json", "validate", str(p)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == f"{p}: {message}"
+
+
+def _repeated_key_text(case: str) -> str:
+    """A valid file's text with one key repeated; ``json.loads`` alone keeps
+    the last value, which is the valid one."""
+    if case == "algebra-name":
+        return '{"name": "first", ' + (DATA / "alg_a1.json").read_text().lstrip()[1:]
+    if case == "bracket-value":  # the keys "1" and "01" name one basis index
+        return json.dumps({"name": "x", "arity": 2, "dimension": 2, "basis": ["a", "b"],
+                           "brackets": [{"args": [1, 2], "value": {"1": "2", "01": "3"}}]})
+    obj = json.loads((DATA / "mor_a1_b1.json").read_text())
+    obj.update(source=str(DATA / obj["source"]), target=str(DATA / obj["target"]))
+    zero = [["0"] * 4] * 4
+    return '{"matrix": ' + json.dumps(zero) + ", " + json.dumps(obj)[1:]
+
+
+@pytest.mark.parametrize("case,message", [
+    ("algebra-name", "key 'name' repeated in one object"),
+    ("bracket-value", "brackets[0]: value key '01' names basis index 1 twice"),
+    ("morphism-matrix", "key 'matrix' repeated in one object"),
+], ids=["algebra-name", "bracket-value", "morphism-matrix"])
+def test_cli_rejects_repeated_keys(tmp_path, capsys, case, message):
+    p = tmp_path / f"{case}.json"
+    p.write_text(_repeated_key_text(case))
+    code, out, _ = _run_main(["--output", "json", "validate", str(p)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"].startswith(str(p)) and message in out
 
 
 def test_cli_rejects_morphism_arity_mismatch(tmp_path):
@@ -942,7 +982,7 @@ def test_triple_text_matches_stdlib_dumps_of_the_oracle_dicts(degree):
 
     rng = random.Random(100 + degree)
     for name, phi in {"a3_b3": morphism("a3_b3"), "a1_b2_i1~": conjugated_morphism()}.items():
-        spaces = triple_complex(phi)._spaces(degree)
+        spaces = triple_complex(phi).spaces(degree)
         triples = []
         for fills in [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 0.4, 0.0), (0.2, 0.1, 0.5)]:
             parts = [_random_cochain(s, rng, f) if s else None for s, f in zip(spaces, fills)]
@@ -968,7 +1008,7 @@ def test_basis_text_matches_stdlib_dumps_of_the_oracle_dicts():
     from oracles import oracle_basis_json
 
     for name, rep, space in _basis_subjects():
-        spaces = space[0]._spaces(space[1]) if isinstance(space, tuple) else (space,)
+        spaces = space[0].spaces(space[1]) if isinstance(space, tuple) else (space,)
         heads: dict = {}
         for m in (rep.cocycles, rep.classes):
             expected = oracle_basis_json(m, space)
@@ -989,7 +1029,7 @@ def test_basis_rows_match_the_fraction_route():
             rows = zip(m.ints, m.dens)
             if isinstance(space, tuple):
                 tc, deg = space
-                got = [jsonio.triple_to_json(CochainTriple.from_row(tc._spaces(deg), r, d)) for r, d in rows]
+                got = [jsonio.triple_to_json(CochainTriple.from_row(tc.spaces(deg), r, d)) for r, d in rows]
             else:
                 got = [jsonio.cochain_to_json(Cochain.from_row(space, r, d)) for r, d in rows]
             assert len(got) == len(expected), name

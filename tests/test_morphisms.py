@@ -22,7 +22,7 @@ from oracles import (
 )
 
 from nliecoh import morphisms
-from nliecoh.algebra import NLieAlgebra, ValidationReport, validate_algebra
+from nliecoh.algebra import Failure, NLieAlgebra, ValidationReport, validate_algebra
 from nliecoh.cochains import (
     Cochain,
     CochainSpace,
@@ -38,7 +38,6 @@ from nliecoh.linalg import Matrix, rank
 from nliecoh.morphisms import (
     CochainTriple,
     Morphism,
-    MorphismFailure,
     TripleComplex,
     morphism_cohomology,
     triple_complex,
@@ -59,7 +58,7 @@ def test_invalid_morphism_reports_failing_tuples(alg_a1, alg_b1):
     )
     report = validate_morphism(bad)
     assert not report.is_valid
-    assert all(len(f.bracket_tuple) == 3 for f in report.failures)
+    assert all(f.part == "morphism" and len(f.key[0]) == 3 for f in report.failures)
 
 
 def _oracle_report(phi):
@@ -69,7 +68,7 @@ def _oracle_report(phi):
     for key in phi.source.bracket_keys():
         residual = tuple(values.get(((key,), t), Fraction(0)) for t in range(phi.target.dim))
         if any(residual):
-            failures.append(MorphismFailure(key, residual))
+            failures.append(Failure("morphism", 0, (key,), residual))
     return ValidationReport(phi.name, "morphism", tuple(failures))
 
 
@@ -112,7 +111,7 @@ def test_validate_morphism_is_the_order0_defect():
         assert report == _oracle_report(phi), phi.name
         assert all(type(x) is Fraction for f in report.failures for x in f.residual)
     assert all(validate_morphism(phi).is_valid for phi in _maps())
-    invalid = [validate_morphism(phi) for phi in perturbed if not phi.is_valid]
+    invalid = [validate_morphism(phi) for phi in perturbed if not phi.report.is_valid]
     assert len(invalid) >= 14
     assert any(x.denominator > 1 for r in invalid for f in r.failures for x in f.residual)
 
@@ -360,11 +359,10 @@ def test_unvectorize_rejects_sparse_index_out_of_range(phi_a3_b3, m):
 def test_triple_complex_keeps_its_spaces(key):
     tc = triple_complex(morphism(key))
     rng = random.Random(key)
-    assert tc.space_module(0) is None
+    assert tc.spaces(0)[2] is None
     for m in range(4):
-        spaces = (tc.space_source(m), tc.space_target(m), tc.space_module(m))
-        assert spaces[0] is tc.space_source(m) and spaces[1] is tc.space_target(m)
-        assert m == 0 or spaces[2] is tc.space_module(m)
+        spaces = tc.spaces(m)
+        assert tc.spaces(m) is spaces
         for _ in range(3):
             t = CochainTriple(m, *(
                 Cochain(s, {
@@ -405,7 +403,7 @@ def test_delta_matrix_shares_the_source_rows(conjugated, monkeypatch):
         out = tc.delta_matrix(m)
         d_src, d_tgt = built
         assert all(a is b for a, b in zip(out.ints, d_src.ints))
-        off = tc.space_source(m).dim
+        off = tc.spaces(m)[0].dim
         tgt_rows = out.ints[d_src.rows : d_src.rows + d_tgt.rows]
         assert [{j - off: v for j, v in r.items()} for r in tgt_rows] == list(d_tgt.ints)
         assert out.dens[: d_src.rows + d_tgt.rows] == d_src.dens + d_tgt.dens

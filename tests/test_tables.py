@@ -95,7 +95,7 @@ def test_empty_table_stays_empty_after_reads():
     trivial = DeformedAlgebra.trivial(all_algebras()["a1"], 2)
     empty_tables += trivial.tables[1:]
     abelian = NLieAlgebra.abelian("ab", 3, 4)
-    assert abelian.is_valid
+    assert abelian.report.is_valid
     empty_tables.append(abelian.ints)
     nambu_residual(trivial, 2)
     for table in empty_tables:
