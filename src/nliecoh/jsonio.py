@@ -19,7 +19,6 @@ import json
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from functools import partial
 from math import gcd
 from pathlib import Path
 from typing import Optional, Union
@@ -111,7 +110,7 @@ def algebra_from_json(obj: dict, where: str = "algebra") -> NLieAlgebra:
     basis = _expect(obj, "basis", list, where)
     if len(basis) != dim or not all(isinstance(b, str) for b in basis):
         raise ParseError(f"{where}: basis must list {dim} names")
-    brackets = {}
+    brackets, zero = {}, Fraction(0)
     for i, entry in enumerate(_expect(obj, "brackets", list, where)):
         spot = f"{where}.brackets[{i}]"
         args = _check_increasing(_expect(entry, "args", list, spot), dim, f"{spot}.args")
@@ -130,7 +129,7 @@ def algebra_from_json(obj: dict, where: str = "algebra") -> NLieAlgebra:
             if pos in value:
                 raise ParseError(f"{spot}: value key {k!r} names basis index {pos} twice")
             value[pos] = parse_rational(raw, f"{spot}: value key {k!r}")
-        brackets[args] = tuple(value.get(t, Fraction(0)) for t in range(1, dim + 1))
+        brackets[args] = [value.get(t, zero) for t in range(1, dim + 1)]
     try:
         return NLieAlgebra.from_brackets(name, arity, dim, brackets, tuple(basis))
     except Exception as exc:  # structural invariants surface as parse errors
@@ -408,14 +407,14 @@ def triple_from_json(obj: dict, phi: Morphism, where: str = "triple") -> Cochain
 # -- files ---------------------------------------------------------------------
 
 
-def _unique_keys(path: Path, pairs: list) -> dict:
-    """A JSON object of ``path`` as a dict; a key it repeats is a parse
-    error, where ``json.loads`` alone would keep the last value."""
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict.  A key it repeats is invalid JSON here, where
+    ``json.loads`` alone would keep the last value."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         keys = [k for k, _ in pairs]
         repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
-        raise ParseError(f"{path}: key {repeated!r} repeated in one object")
+        raise ValueError(f"key {repeated!r} repeated in one object")
     return obj
 
 
@@ -428,9 +427,10 @@ def load_json(path: Union[str, Path]) -> dict:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 ({exc})") from exc
     try:
-        obj = json.loads(text, object_pairs_hook=partial(_unique_keys, path))
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
-        # a JSONDecodeError, an integer too long to convert, or too deep nesting
+        # a JSONDecodeError, a repeated key, an integer too long to convert,
+        # or too deep nesting
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top level must be an object")
