@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import combinations, product
 from math import lcm, prod
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from .algebra import NLieAlgebra
 from .errors import (
@@ -155,22 +155,25 @@ class Cochain:
 # +rho(w_0) on the value.  With D(w)[u][v] the coefficient of e_v in
 # D(w) e_u, on (n-1)- or n-wedges, and W the number of (n-1)-wedges,
 #
-#   A_1(w) = -D_n(w) (x) I_(d_T) + I (x) rho(w),
-#   A_p(w) = -D_(n-1)(w) (x) I + I_W (x) A_(p-1)(w)   (p >= 2).
+#   A_0(w) = rho(w),
+#   A_p(w) = -D(w) (x) I + I_W (x) A_(p-1)(w)   (p >= 1),
 #
-# For p >= 2 a key is a first block w_0 and a key of one degree lower, in
-# that order, and so is an input key.  Every term but the i = 0 ones keeps
-# w_0 first and is the matching term of the coboundary out of degree p-1,
-# applied to f(w_0, .), with one sign fewer.  So delta_p = -(I_W (x)
-# delta_(p-1)) + L_p, where block w of L_p is A_p(w), and row (w, u, q) of
-# delta_p is -delta_(p-1)[(u, q)] in column block w, plus -D_(n-1)(w)[u][v]
-# at (v, q), plus A_(p-1)(w)[q] in column block u: the n-Lie complex read
-# as the Leibniz complex of Lambda^(n-1) g with coefficients in Hom(g, V)
-# (Daletskii-Takhtajan 1997, Gautheron 1996).  So each degree is built
-# from the int rows of delta_(p-1) and of the A_(p-1)(w), over
-# ``_Tables.den``; the A_p of the requested degree are never stored.  At
-# p = 1 the same L_1 comes with the other terms, summed per key, and at
-# p = 0 there is no i = 0 term.
+# with D = D_n at p = 1 and D_(n-1) above.  For p >= 1 a key is a first
+# block w_0 and a key of one degree lower, in that order.  Every term but
+# the i = 0 ones keeps w_0 first and is the matching term of the coboundary
+# out of degree p-1, applied to f(w_0; .), with one sign fewer.  So row
+# (w, u, q) of delta_p is A_(p-1)(w)[q] in column block u, plus
+# -D(w)[u][v] at (v, q), plus -iota_w(delta_(p-1)[(u, q)]), where iota_w
+# reads a degree-(p-1) cochain's coordinate as f(w; .): the n-Lie complex
+# read as the Leibniz complex of Lambda^(n-1) g with coefficients in
+# Hom(g, V) (Daletskii-Takhtajan 1997, Gautheron 1996).  For p >= 2 an
+# input key is w and a key of degree p-1 too, so iota_w is the shift by w
+# column blocks.  At p = 1, f(w; e_j) is the sign of sorting w + (j,)
+# times f at that n-wedge, and zero when j is in w, so iota_w is a signed
+# wedge map of the columns.  So each degree is built from the int rows of
+# delta_(p-1) and of the A_(p-1)(w), over ``_Tables.den``; the A_p of the
+# requested degree are never stored.  Only delta_0, which has no i = 0
+# term, is summed from the formula key by key.
 
 
 def _derivation(sign, table: SignedTable, w: tuple, u: tuple) -> dict:
@@ -238,33 +241,36 @@ class _Tables:
             for w in self.wedges
         ]
 
-    def delta_rows(self, space_in: CochainSpace, key: tuple, rows: Sequence[dict]) -> list[dict]:
-        """Adds to ``rows``, one int row over ``den`` per target coordinate,
-        the terms of the coboundary out of ``space_in``, of degree p <= 1, at
-        one canonical key of the next degree that L_p leaves out: the
-        bracket f(; [e_k]) and the actions rho(k without k_r) f(; e_(k_r)).
-        Returns the rows with their zero entries dropped."""
-        p, n, pos = space_in.degree, self.src.arity, space_in._key_pos
-        ws, k, s = key[:-1], key[-1], 1 if p else -1
+    def delta_0(self, d_T: int) -> list[dict]:
+        """Int rows over ``den`` of delta_0, one per n-wedge k and target
+        index: -f([e_k]) + sum_r (-1)^(n-1-r) rho(k without k_r) f(e_(k_r))."""
+        n, out = self.src.arity, []
+        for k in combinations(range(self.src.dim), n):
+            rows = [{} for _ in range(d_T)]
+            for j, c in self.src_table[k].items():
+                for t, row in enumerate(rows):
+                    _add(row, j * d_T + t, -c)
+            for r in range(n):
+                c = -1 if (n - 1 - r) % 2 else 1
+                for row, arow in zip(rows, self.action(k[:r] + k[r + 1 :])):
+                    for t, a in arow.items():
+                        _add(row, k[r] * d_T + t, c * a)
+            out += rows
+        return out
 
-        def last(j: int) -> tuple[int, int]:
-            """Flat offset and sign of f(w_0, ..., w_(p-1); e_j)."""
-            if not p:
-                return pos[j] * self.tgt.dim, 1
-            sign, v = self.sign(ws[0] + (j,))
-            return (pos[(v,)] * self.tgt.dim, sign) if sign else (0, 0)
-
-        for j, c in self.src_table[k].items():
-            base, sign = last(j)
-            for t, row in enumerate(rows if sign else ()):
-                row[base + t] = row.get(base + t, 0) + s * sign * c
-        for r in range(n):
-            base, sign = last(k[r])
-            c = sign * s if (n - 1 - r) % 2 else -sign * s
-            for row, arow in zip(rows if sign else (), self.action(k[:r] + k[r + 1 :])):
-                for t, a in arow.items():
-                    row[base + t] = row.get(base + t, 0) + c * a
-        return [{j: v for j, v in r.items() if v} if 0 in r.values() else r for r in rows]
+    def wedge_map(self, space_1: CochainSpace, w: tuple, rows: list) -> list[dict]:
+        """iota_w of degree-0 cochain rows: f(e_j) read as f(w; e_j), the
+        sign s of sorting w + (j,) into v times f at the key (v,) of
+        ``space_1``, and zero when j is in w.  The column destinations
+        (j, t) -> (v, t) are built once for all the rows."""
+        d_T, pos = space_1.target_dim, space_1._key_pos
+        cols, signs = [], []
+        for j in range(self.src.dim):
+            s, v = self.sign(w + (j,))
+            base = pos[(v,)] * d_T if s else 0
+            cols += range(base, base + d_T)
+            signs += [s] * d_T
+        return [{cols[j]: signs[j] * x for j, x in row.items() if signs[j]} for row in rows]
 
 
 def _add(row: dict, j: int, x: int) -> None:
@@ -276,55 +282,43 @@ def _add(row: dict, j: int, x: int) -> None:
         del row[j]
 
 
-def _action_rows(action: list, minus_d: list, block: int, lower=(), off: int = 0):
-    """Rows (u, q) of -D(w) (x) I_block + I (x) A(w), from the rows u of
-    -D(w) and the rows q of A(w), ``block`` wide: A_1(w) from rho(w) and
-    -D_n(w), and A_p(w) from A_(p-1)(w) and -D_(n-1)(w).  Given the rows
-    of ``lower`` = delta_(p-1), each gets -delta_(p-1)[(u, q)] in the
-    column block from ``off``: the rows of block w of delta_p."""
+def _action_rows(action: list, minus_d: list, lower=(), off: int = 0):
+    """Rows (u, q) of -D(w) (x) I + I (x) A(w), from the rows u of -D(w)
+    and the rows q of A(w): A_p(w) from A_(p-1)(w).  Given ``lower``, the
+    rows of iota_w(delta_(p-1)) but for a shift by ``off`` columns, each
+    also gets -lower[(u, q)] so shifted: the rows of block w of delta_p."""
+    block = len(action)
     for u, du in enumerate(minus_d):
         cu = u * block
         du = [(v * block, c) for v, c in du]
         lows = lower[cu : cu + block]
-        # the row meets the column block of lower only where u or some v is w
-        clash = cu == off or any(b == off for b, _ in du)
         for q, arow in enumerate(action):
             row = {cu + j: x for j, x in arow.items()} if arow else {}
             for b, c in du:
                 _add(row, b + q, c)
-            lo = lows[q] if lows else None
-            if lo and not clash:
-                row.update({off + j: -x for j, x in lo.items()})
-            elif lo:
-                for j, x in lo.items():
-                    _add(row, off + j, -x)
+            for j, x in lows[q].items() if lows else ():
+                _add(row, off + j, -x)
             yield row
 
 
 def _tower(space_in: CochainSpace, tables: _Tables, keep: bool = False):
     """Int rows over ``den`` of the coboundary out of ``space_in``, and with
-    ``keep`` the rows of A_p(w) for each (n-1)-wedge w, p >= 1, as lists.
-    Without ``keep`` the rows come one by one and no A_p is built."""
+    ``keep`` the rows of A_p(w) for each (n-1)-wedge w as lists.  Without
+    ``keep`` the rows above p = 0 come one by one and no A_p is built."""
     p, d_T = space_in.degree, space_in.target_dim
-    actions = None
-    if p < 2:  # every term at once, key by key
-        keys = CochainSpace(space_in.source, p + 1, d_T).domain_keys
-        if p == 0:
-            starts = ([{} for _ in range(d_T)] for _ in keys)
-        else:  # L_1: key (w, k) starts from rows k of A_1(w)
-            d_n = tables.minus_d(space_in.source.arity)
-            rhos = map(tables.action, tables.wedges)
-            actions = [list(_action_rows(rho, d_w, d_T)) for rho, d_w in zip(rhos, d_n)]
-            starts = ([dict(r) for r in a[i : i + d_T]] for a in actions for i in range(0, len(a), d_T))
-        rows = (row for key, s in zip(keys, starts) for row in tables.delta_rows(space_in, key, s))
-    else:  # delta_p = -(I_W (x) delta_(p-1)) + L_p, block by block
-        below = CochainSpace(space_in.source, p - 1, d_T)
-        lower, lower_actions = _tower(below, tables, keep=True)
-        pairs = list(zip(lower_actions, tables.minus_d(space_in.source.arity - 1)))
-        b = below.dim
-        rows = (r for w, (a, d_w) in enumerate(pairs) for r in _action_rows(a, d_w, b, lower, w * b))
-        if keep:
-            actions = [list(_action_rows(a, d_w, b)) for a, d_w in pairs]
+    if not p:
+        return tables.delta_0(d_T), ([tables.action(w) for w in tables.wedges] if keep else None)
+    below = CochainSpace(space_in.source, p - 1, d_T)
+    lower, lower_actions = _tower(below, tables, keep=True)
+    n = space_in.source.arity
+    if p == 1:  # iota_w a signed wedge map, D = D_n
+        lowers = ((tables.wedge_map(space_in, w, lower), 0) for w in tables.wedges)
+    else:  # iota_w a shift by w column blocks, D = D_(n-1)
+        lowers = ((lower, w * below.dim) for w in range(len(tables.wedges)))
+        n -= 1
+    pairs = list(zip(lower_actions, tables.minus_d(n)))
+    rows = (r for (a, d_w), lo in zip(pairs, lowers) for r in _action_rows(a, d_w, *lo))
+    actions = [list(_action_rows(a, d_w)) for a, d_w in pairs] if keep else None
     return (list(rows), actions) if keep else (rows, None)
 
 
@@ -349,14 +343,21 @@ def coboundary_matrix_self(alg: NLieAlgebra, p: int) -> Matrix:
     return _assemble(CochainSpace(alg, p, alg.dim), tables)
 
 
-def coboundary_matrix_module(phi: Morphism, m: int) -> Matrix:
-    """Matrix of the module-valued coboundary out of degree m along ``phi``."""
-    src, tgt = phi.source, phi.target
-    _require_valid_algebra(src)
-    _require_valid_algebra(tgt)
+def require_valid_morphism(phi: Morphism) -> None:
+    """The gate of the module complex and the morphism's cone: its source
+    and target must pass the fundamental identity, then the map the
+    morphism equation."""
+    _require_valid_algebra(phi.source)
+    _require_valid_algebra(phi.target)
     if not phi.report.is_valid:
         key = phi.report.failures[0].key[0]
         raise InvalidMorphism(f"morphism equation fails on basis tuple {key}")
+
+
+def coboundary_matrix_module(phi: Morphism, m: int) -> Matrix:
+    """Matrix of the module-valued coboundary out of degree m along ``phi``."""
+    require_valid_morphism(phi)
+    src, tgt = phi.source, phi.target
     return _assemble(CochainSpace(src, m, tgt.dim), _Tables(src, tgt, phi.matrix))
 
 

@@ -295,6 +295,10 @@ class FormalAutomorphism:
     terms: tuple[Matrix, ...]  # terms[i] multiplies the (i+1)-st power
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise DimensionMismatch(f"automorphism dimension must be at least 1, got {self.dim}")
+        if self.order < 0:
+            raise OrderMismatch(f"automorphism order must be nonnegative, got {self.order}")
         if len(self.terms) != self.order:
             raise OrderMismatch(f"expected {self.order} terms, got {len(self.terms)}")
         for m in self.terms:

@@ -80,9 +80,9 @@ def _expect(obj, key, kind, where):
     return value
 
 
-def _name(obj, name: str, where: str) -> str:
-    """``name`` if given, else the file's optional "name" key."""
-    value = name or obj.get("name", "")
+def _name(obj, where: str) -> str:
+    """The file's optional "name" key."""
+    value = obj.get("name", "")
     if not isinstance(value, str):
         raise ParseError(f"{where}: key 'name' has wrong type")
     return value
@@ -190,7 +190,7 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
 
 
 def morphism_from_json(
-    obj: dict, base_dir: Optional[Path] = None, name: str = "", where: str = "morphism"
+    obj: dict, base_dir: Optional[Path] = None, where: str = "morphism"
 ) -> Morphism:
     source = _resolve_algebra(_expect(obj, "source", None, where), base_dir, where)
     target = _resolve_algebra(_expect(obj, "target", None, where), base_dir, where)
@@ -198,7 +198,7 @@ def morphism_from_json(
         _expect(obj, "matrix", list, where), (target.dim, source.dim), where
     )
     try:
-        return Morphism(source, target, matrix, _name(obj, name, where))
+        return Morphism(source, target, matrix, _name(obj, where))
     except (ArityMismatch, DimensionMismatch) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -312,7 +312,7 @@ def cochain_to_json(c: Cochain) -> CochainText:
 
 
 def deformation_from_json(
-    obj: dict, base_dir: Optional[Path] = None, name: str = "", where: str = "deformation"
+    obj: dict, base_dir: Optional[Path] = None, where: str = "deformation"
 ) -> DeformedMorphism:
     source = _resolve_algebra(_expect(obj, "source", None, where), base_dir, where)
     target = _resolve_algebra(_expect(obj, "target", None, where), base_dir, where)
@@ -332,7 +332,7 @@ def deformation_from_json(
         matrix_from_json(m, (target.dim, source.dim), f"{where}.morphism_terms[{i}]")
         for i, m in enumerate(phi_rows)
     ]
-    label = _name(obj, name, where)
+    label = _name(obj, where)
     try:
         return DeformedMorphism(
             DeformedAlgebra(source, order, tuple(src_terms)),

@@ -30,12 +30,12 @@ from .cochains import (
     _cohomology_at,
     coboundary_matrix_module,
     coboundary_matrix_self,
+    require_valid_morphism,
 )
 from .errors import (
     ArityMismatch,
     DegreeMismatch,
     DimensionMismatch,
-    InvalidMorphism,
     NotCocycle,
 )
 from .linalg import Matrix, Vector, _sub, int_columns, int_row, lowest, solve
@@ -175,8 +175,7 @@ class TripleComplex:
     """Matrices and coordinate helpers for the complex of one morphism."""
 
     def __init__(self, phi: Morphism):
-        if not phi.report.is_valid:
-            raise InvalidMorphism("the morphism fails structure preservation")
+        require_valid_morphism(phi)
         self.phi = phi
         self._delta_cache: dict[int, Matrix] = {}
         self._space_cache: dict[int, tuple] = {}

@@ -41,15 +41,27 @@ def base_algebras() -> list[NLieAlgebra]:
     return algs
 
 
-def simple_a4() -> NLieAlgebra:
-    """A_4, the simple ternary algebra of dimension 4: the bracket of the
-    basis vectors other than e_m is (-1)^m e_m, m = 1..4.  Kept out of
-    ``base_algebras()``, whose digest set is pinned."""
+def _simple(arity: int) -> NLieAlgebra:
+    """A_(n+1), the simple n-Lie algebra of dimension n + 1: the bracket of
+    the basis vectors other than e_m is (-1)^m e_m, m = 1..n+1."""
+    d = arity + 1
     brackets = {
-        tuple(j for j in range(4) if j != i): [(-1) ** (i + 1) if t == i else 0 for t in range(4)]
-        for i in range(4)
+        tuple(j for j in range(d) if j != i): [(-1) ** (i + 1) if t == i else 0 for t in range(d)]
+        for i in range(d)
     }
-    return _named("A4", 3, 4, brackets)
+    return _named(f"A{d}", arity, d, brackets)
+
+
+def simple_a4() -> NLieAlgebra:
+    """A_4, the simple ternary algebra of dimension 4.  Kept out of
+    ``base_algebras()``, whose digest set is pinned."""
+    return _simple(3)
+
+
+def simple_a5() -> NLieAlgebra:
+    """A_5, the simple 4-Lie algebra of dimension 5, the one catalog case
+    of arity 4; outside ``base_algebras()`` as A_4 is."""
+    return _simple(4)
 
 
 def _random_invertible(rng: random.Random, d: int) -> Matrix:

@@ -15,6 +15,7 @@ from catalog import (
     conjugated_isomorphism,
     conjugated_morphism,
     simple_a4,
+    simple_a5,
 )
 from oracles import (
     as_flat,
@@ -183,6 +184,28 @@ def test_coboundary_requires_valid_algebra(alg_a1):
             coboundary_matrix_module(phi, 1)
 
 
+def test_triple_complex_shares_the_module_gate(alg_a1, alg_b1):
+    """``TripleComplex`` refuses what ``coboundary_matrix_module`` refuses,
+    with the same error: an invalid source or target as ``InvalidAlgebra``
+    naming it, before the map, and then a map that breaks the morphism
+    equation as ``InvalidMorphism``."""
+    bad = NLieAlgebra.from_brackets(
+        "bad", 3, 4, {(0, 1, 2): unit(4, 1), (0, 2, 3): unit(4, 3), (0, 1, 3): unit(4, 0)}
+    )
+    cases = [
+        (Morphism.zero(bad, alg_a1), InvalidAlgebra),
+        (Morphism.zero(alg_a1, bad), InvalidAlgebra),
+        (Morphism(alg_a1, alg_b1, Matrix.identity(4)), InvalidMorphism),
+    ]
+    for phi, error in cases:
+        with pytest.raises(error) as module:
+            coboundary_matrix_module(phi, 1)
+        with pytest.raises(error) as cone:
+            TripleComplex(phi)
+        assert str(cone.value) == str(module.value)
+        assert ("'bad'" in str(cone.value)) == (error is InvalidAlgebra)
+
+
 def test_module_requires_morphism(alg_a1, alg_b1):
     """The module coboundary takes a Morphism: one whose map breaks the
     morphism equation is refused there, and a map of the wrong arity or
@@ -338,6 +361,16 @@ def test_self_matrix_matches_bruteforce_where_the_split_stacks(key, p):
     the oracle sums every term at every key."""
     alg = _algebra(key)
     assert coboundary_matrix_self(alg, p) == oracle_matrix(alg, p)
+
+
+def test_arity_four_matches_bruteforce():
+    """At n = 4 the wedge map of delta_1 sorts a 3-wedge and one index, and
+    the tower stacks on it: A_5 against the oracle at p = 0-2, and its
+    cohomology H^1, H^2, H^3 = 10, 0, 0 (every derivation inner)."""
+    alg = simple_a5()
+    for p in (0, 1, 2):
+        assert coboundary_matrix_self(alg, p) == oracle_matrix(alg, p), p
+    assert [self_cohomology(alg, r).dim_h for r in (1, 2, 3)] == [10, 0, 0]
 
 
 def _assembly_calls(monkeypatch) -> dict:

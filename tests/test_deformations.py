@@ -50,7 +50,13 @@ from nliecoh.deformations import (
     obstruction,
     validate_deformation,
 )
-from nliecoh.errors import ArityMismatch, NotValidated, ObstructionNotCocycle, OrderMismatch
+from nliecoh.errors import (
+    ArityMismatch,
+    DimensionMismatch,
+    NotValidated,
+    ObstructionNotCocycle,
+    OrderMismatch,
+)
 from nliecoh.linalg import Matrix
 from nliecoh.morphisms import CochainTriple, Morphism, triple_complex, validate_morphism
 
@@ -755,6 +761,21 @@ def test_a4_is_rigid_through_the_deformation_commands():
             assert witness is not None
             dm = extend_deformation(dm, witness)
             assert dm.order == order and validate_deformation(dm).is_valid
+
+
+def test_formal_automorphism_checks_its_bounds():
+    """A formal automorphism has dimension at least 1 and a nonnegative
+    order, checked before its terms are counted."""
+    for dim in (-1, 0):
+        with pytest.raises(DimensionMismatch, match="at least 1"):
+            FormalAutomorphism(dim, 0, ())
+    with pytest.raises(DimensionMismatch, match="at least 1"):
+        FormalAutomorphism.identity(0)
+    with pytest.raises(OrderMismatch, match="nonnegative"):
+        FormalAutomorphism(2, -1, ())
+    with pytest.raises(OrderMismatch, match="nonnegative"):
+        FormalAutomorphism.identity(2, -1)
+    assert FormalAutomorphism.identity(1).series(1) == [Matrix.identity(1), Matrix.zero(1, 1)]
 
 
 def test_one_failure_record_ties_the_three_validators():

@@ -120,7 +120,8 @@ def test_algebra_roundtrip():
 
 def test_morphism_roundtrip(phi_a3_b3):
     obj = jsonio.morphism_to_json(phi_a3_b3)
-    back = jsonio.morphism_from_json(obj, name=phi_a3_b3.name)
+    back = jsonio.morphism_from_json(obj)
+    assert back.name == phi_a3_b3.name
     assert back.matrix == phi_a3_b3.matrix
     assert back.source == phi_a3_b3.source
     assert back.target == phi_a3_b3.target
@@ -148,7 +149,8 @@ def test_degree0_cochain_roundtrip(alg_a1):
 
 def test_deformation_roundtrip(def_order2):
     obj = written(jsonio.deformation_to_json(def_order2))
-    back = jsonio.deformation_from_json(obj, name=def_order2.name)
+    back = jsonio.deformation_from_json(obj)
+    assert back.name == def_order2.name
     assert back.phi_terms == def_order2.phi_terms
     assert back.src_def.terms == def_order2.src_def.terms
     assert back.tgt_def.terms == def_order2.tgt_def.terms
