@@ -155,25 +155,22 @@ class Cochain:
 # +rho(w_0) on the value.  With D(w)[u][v] the coefficient of e_v in
 # D(w) e_u, on (n-1)- or n-wedges, and W the number of (n-1)-wedges,
 #
-#   A_0(w) = rho(w),
-#   A_p(w) = -D(w) (x) I + I_W (x) A_(p-1)(w)   (p >= 1),
+#   A_0(w) = rho(w),   A_p(w) = -D(w) (x) I + I_W (x) A_(p-1)(w)   (p >= 1),
 #
 # with D = D_n at p = 1 and D_(n-1) above.  For p >= 1 a key is a first
-# block w_0 and a key of one degree lower, in that order.  Every term but
-# the i = 0 ones keeps w_0 first and is the matching term of the coboundary
-# out of degree p-1, applied to f(w_0; .), with one sign fewer.  So row
-# (w, u, q) of delta_p is A_(p-1)(w)[q] in column block u, plus
-# -D(w)[u][v] at (v, q), plus -iota_w(delta_(p-1)[(u, q)]), where iota_w
-# reads a degree-(p-1) cochain's coordinate as f(w; .): the n-Lie complex
-# read as the Leibniz complex of Lambda^(n-1) g with coefficients in
-# Hom(g, V) (Daletskii-Takhtajan 1997, Gautheron 1996).  For p >= 2 an
-# input key is w and a key of degree p-1 too, so iota_w is the shift by w
-# column blocks.  At p = 1, f(w; e_j) is the sign of sorting w + (j,)
-# times f at that n-wedge, and zero when j is in w, so iota_w is a signed
-# wedge map of the columns.  So each degree is built from the int rows of
-# delta_(p-1) and of the A_(p-1)(w), over ``_Tables.den``; the A_p of the
-# requested degree are never stored.  Only delta_0, which has no i = 0
-# term, is summed from the formula key by key.
+# block w_0 and a key of one degree lower.  Every other term keeps w_0
+# first and is the matching term of the coboundary out of degree p-1,
+# applied to f(w_0; .), with one sign fewer: the n-Lie complex read as the
+# Leibniz complex of Lambda^(n-1) g with coefficients in Hom(g, V)
+# (Daletskii-Takhtajan 1997, Gautheron 1996).  So row (w, u, q) of delta_p
+# is A_(p-1)(w)[q] in column block u, plus -D(w)[u][v] at (v, q), plus
+# -iota_w(delta_(p-1)[(u, q)]), with iota_w reading a coordinate of f as
+# one of f(w; .).  For p >= 2, iota_w is the shift by w column blocks.  At
+# p = 1, f(w; e_j) is the sign of sorting w + (j,) times f at that
+# n-wedge, and zero when j is in w: a signed wedge map of the columns.
+# Each degree is built from the int rows of delta_(p-1) and of the
+# A_(p-1)(w), over ``_Tables.den``; the A_p of the requested degree are
+# never stored.  Only delta_0, with no i = 0 term, is summed key by key.
 
 
 def _derivation(sign, table: SignedTable, w: tuple, u: tuple) -> dict:
@@ -259,10 +256,8 @@ class _Tables:
         return out
 
     def wedge_map(self, space_1: CochainSpace, w: tuple, rows: list) -> list[dict]:
-        """iota_w of degree-0 cochain rows: f(e_j) read as f(w; e_j), the
-        sign s of sorting w + (j,) into v times f at the key (v,) of
-        ``space_1``, and zero when j is in w.  The column destinations
-        (j, t) -> (v, t) are built once for all the rows."""
+        """iota_w of degree-0 cochain rows: column (j, t) to (v, t) of
+        ``space_1`` times s, where s, v sort w + (j,) (s = 0 for j in w)."""
         d_T, pos = space_1.target_dim, space_1._key_pos
         cols, signs = [], []
         for j in range(self.src.dim):
@@ -310,13 +305,11 @@ def _tower(space_in: CochainSpace, tables: _Tables, keep: bool = False):
         return tables.delta_0(d_T), ([tables.action(w) for w in tables.wedges] if keep else None)
     below = CochainSpace(space_in.source, p - 1, d_T)
     lower, lower_actions = _tower(below, tables, keep=True)
-    n = space_in.source.arity
     if p == 1:  # iota_w a signed wedge map, D = D_n
         lowers = ((tables.wedge_map(space_in, w, lower), 0) for w in tables.wedges)
     else:  # iota_w a shift by w column blocks, D = D_(n-1)
         lowers = ((lower, w * below.dim) for w in range(len(tables.wedges)))
-        n -= 1
-    pairs = list(zip(lower_actions, tables.minus_d(n)))
+    pairs = list(zip(lower_actions, tables.minus_d(space_in.source.arity - (p > 1))))
     rows = (r for (a, d_w), lo in zip(pairs, lowers) for r in _action_rows(a, d_w, *lo))
     actions = [list(_action_rows(a, d_w)) for a, d_w in pairs] if keep else None
     return (list(rows), actions) if keep else (rows, None)
@@ -344,9 +337,8 @@ def coboundary_matrix_self(alg: NLieAlgebra, p: int) -> Matrix:
 
 
 def require_valid_morphism(phi: Morphism) -> None:
-    """The gate of the module complex and the morphism's cone: its source
-    and target must pass the fundamental identity, then the map the
-    morphism equation."""
+    """The gate of the module complex and the cone: the source and target
+    pass the fundamental identity, then the map the morphism equation."""
     _require_valid_algebra(phi.source)
     _require_valid_algebra(phi.target)
     if not phi.report.is_valid:
