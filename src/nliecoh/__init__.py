@@ -36,10 +36,10 @@ from .deformations import (
 )
 from .linalg import Matrix, kernel_basis, quotient_data, rank, solve
 from .morphisms import (
-    CochainTriple,
     Morphism,
     TripleComplex,
     morphism_cohomology,
+    triple,
     triple_complex,
     validate_morphism,
 )
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Cochain",
     "CochainSpace",
-    "CochainTriple",
     "CohomologyReport",
     "DeformedAlgebra",
     "DeformedMorphism",
@@ -78,6 +77,7 @@ __all__ = [
     "rank",
     "self_cohomology",
     "solve",
+    "triple",
     "triple_complex",
     "validate_algebra",
     "validate_deformation",

@@ -5,9 +5,11 @@ vector; the final block couples with that vector into a fully skew group of
 n slots.  Canonical bases enumerate strictly increasing index tuples in a
 fixed lexicographic order, so assembled matrices are identical across runs.
 
-A :class:`Cochain` is one integer row over its space's flat coordinates
-``position(key) * target_dim + t``, in the form of a row of
-``Matrix.ints``/``dens``, so equal cochains store equal rows.
+A :class:`Cochain` is one integer row over the flat coordinates
+``position(key) * target_dim + t`` of its spaces end to end, in the form of
+a row of ``Matrix.ints``/``dens``, so equal cochains store equal rows.  A
+cochain of the self or module complex lies on one space; one of a
+morphism's complex on three (see ``morphisms.triple``).
 
 Two coboundaries are assembled here: ``coboundary_matrix_self(alg, p)`` on
 C^p(N, N) and ``coboundary_matrix_module(phi, m)`` on C^m(N, N') along a
@@ -78,16 +80,19 @@ class CochainSpace:
         return self._key_pos[key] * self.target_dim + t
 
     def zero(self) -> "Cochain":
-        return Cochain.from_row(self, {})
+        return Cochain.from_row((self,), {})
 
 
 class Cochain:
-    """A cochain on ``space``: the integer row ``row`` {flat index: int} over
-    the positive denominator ``den``, in lowest terms.  ``Cochain(space,
-    coeffs)`` coerces {(domain key, target index): exact value}, checking
-    every key and index, a zero value's too."""
+    """A cochain on ``spaces``: the integer row ``row`` {flat index: int}
+    over the positive denominator ``den``, in lowest terms, on the spaces
+    end to end.  One space for the self and module complexes; the source,
+    target and module spaces for a morphism's complex, the module space None
+    at degree 0.  ``Cochain(space, coeffs)`` coerces {(domain key, target
+    index): exact value} on one space, checking every key and index, a zero
+    value's too."""
 
-    __slots__ = ("space", "row", "den")
+    __slots__ = ("spaces", "row", "den")
 
     def __init__(self, space: CochainSpace, coeffs: dict):
         flat = {}
@@ -95,21 +100,43 @@ class Cochain:
             if key not in space._key_pos or not (type(t) is int and 0 <= t < space.target_dim):
                 raise DimensionMismatch(f"no coordinate ({key!r}, {t!r}) in the cochain space")
             flat[space.flat_index(key, t)] = c
-        self.space = space
+        self.spaces = (space,)
         self.row, self.den = int_row(flat, space.dim)
 
     @classmethod
     def from_flat(cls, space: CochainSpace, flat) -> "Cochain":
-        """From exact flat coordinates: a dense sequence or a sparse {index: value}."""
-        return cls.from_row(space, *int_row(flat, space.dim))
+        """From exact flat coordinates on one space: a dense sequence or a
+        sparse {index: value}."""
+        return cls.from_row((space,), *int_row(flat, space.dim))
 
     @classmethod
-    def from_row(cls, space: CochainSpace, row: dict, den: int = 1) -> "Cochain":
-        """The cochain of an integer row over ``den``, already in lowest terms
-        and in range: kept as it is, with no copy and no check."""
+    def from_row(cls, spaces: tuple, row: dict, den: int = 1) -> "Cochain":
+        """The cochain of an integer row over ``den`` on ``spaces``, already in
+        lowest terms and in range: kept as it is, with no copy and no check."""
         c = cls.__new__(cls)
-        c.space, c.row, c.den = space, row, den
+        c.spaces, c.row, c.den = spaces, row, den
         return c
+
+    @property
+    def space(self) -> CochainSpace:
+        return self.spaces[0]
+
+    @property
+    def degree(self) -> int:
+        return self.spaces[0].degree
+
+    @property
+    def parts(self) -> tuple:
+        """One cochain per space, read off the row; None for an absent space."""
+        out, lo = [], 0
+        for space in self.spaces:
+            if space is None:
+                out.append(None)
+                continue
+            part = {j - lo: v for j, v in self.row.items() if lo <= j < lo + space.dim}
+            out.append(Cochain.from_row((space,), *lowest(part, self.den)))
+            lo += space.dim
+        return tuple(out)
 
     def is_zero(self) -> bool:
         return not self.row
@@ -117,19 +144,19 @@ class Cochain:
     def scale(self, c) -> "Cochain":
         c = frac(c)
         row = {j: c.numerator * v for j, v in self.row.items()} if c else {}
-        return Cochain.from_row(self.space, *lowest(row, self.den * c.denominator))
+        return Cochain.from_row(self.spaces, *lowest(row, self.den * c.denominator))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Cochain)
-            and (self.space, self.den, self.row) == (other.space, other.den, other.row)
+            and (self.spaces, self.den, self.row) == (other.spaces, other.den, other.row)
         )
 
     def __hash__(self) -> int:
-        return hash((self.space, self.den, frozenset(self.row.items())))
+        return hash((self.spaces, self.den, frozenset(self.row.items())))
 
     def __repr__(self) -> str:
-        return f"Cochain(degree={self.space.degree}, nnz={len(self.row)})"
+        return f"Cochain(degree={self.degree}, spaces={len(self.spaces)}, nnz={len(self.row)})"
 
 
 # ---------------------------------------------------------------------------

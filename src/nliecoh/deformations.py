@@ -25,7 +25,7 @@ from .errors import (
     OrderMismatch,
 )
 from .linalg import Matrix, int_columns, lowest, solve
-from .morphisms import CochainTriple, Morphism, triple_complex
+from .morphisms import Morphism, triple, triple_complex
 from .tables import SignedTable, dense, map_defects, nambu_defects, scaled, series_bracket
 
 
@@ -42,7 +42,7 @@ def linear_map_cochain(space: CochainSpace, m: Matrix) -> Cochain:
     # rows in lowest terms stay so over the lcm of their denominators
     rows = zip(m.ints, m.dens)
     row = {j * d_T + t: v * (den // d) for t, (r, d) in enumerate(rows) for j, v in r.items()}
-    return Cochain.from_row(space, row, den)
+    return Cochain.from_row((space,), row, den)
 
 
 def cochain_matrix(c: Cochain) -> Matrix:
@@ -72,7 +72,7 @@ class DeformedAlgebra:
             )
         want = degree1_space(self.base)
         for term in self.terms:
-            if term.space != want:
+            if term.spaces != (want,):
                 raise DegreeMismatch("bracket terms must be degree-1 self cochains")
 
     @classmethod
@@ -119,7 +119,7 @@ def _defect_cochain(space: CochainSpace, defects) -> Cochain:
     pos, d_T, row, den = space._key_pos, space.target_dim, {}, 1
     for key, res, den in defects:
         row.update((pos[key] * d_T + t, c) for t, c in res.items())
-    return Cochain.from_row(space, *lowest(row, den))
+    return Cochain.from_row((space,), *lowest(row, den))
 
 
 @dataclass(frozen=True)
@@ -221,22 +221,19 @@ def _require_validated(dm: DeformedMorphism, through: int) -> None:
         )
 
 
-def infinitesimal(dm: DeformedMorphism) -> tuple[CochainTriple, bool]:
+def infinitesimal(dm: DeformedMorphism) -> tuple[Cochain, bool]:
     """First-order triple of a deformation and its cocycle verdict."""
     _require_validated(dm, 1)
     phi = dm.base_morphism
     tc = triple_complex(phi)
     c3_space = CochainSpace(phi.source, 0, phi.target.dim)
-    theta = CochainTriple(
-        1,
-        dm.src_def.terms[0],
-        dm.tgt_def.terms[0],
-        linear_map_cochain(c3_space, dm.phi_terms[1]),
+    theta = triple(
+        dm.src_def.terms[0], dm.tgt_def.terms[0], linear_map_cochain(c3_space, dm.phi_terms[1])
     )
     return theta, tc.is_cocycle(theta)
 
 
-def obstruction(dm: DeformedMorphism) -> CochainTriple:
+def obstruction(dm: DeformedMorphism) -> Cochain:
     """Known part of the next-order equations, collected as a degree-2 triple.
 
     It is the order-(N+1) defect of the order-N family itself, with the two
@@ -246,15 +243,14 @@ def obstruction(dm: DeformedMorphism) -> CochainTriple:
     """
     _require_validated(dm, dm.order)
     s = dm.order + 1
-    return CochainTriple(
-        2,
+    return triple(
         nambu_residual(dm.src_def, s).scale(-1),
         nambu_residual(dm.tgt_def, s).scale(-1),
         morphism_residual(dm, s),
     )
 
 
-def extend_order(dm: DeformedMorphism) -> Optional[CochainTriple]:
+def extend_order(dm: DeformedMorphism) -> Optional[Cochain]:
     """Next-order correction triple, when one exists.
 
     Solves the linear system identifying the coboundary of the unknown
@@ -267,21 +263,18 @@ def extend_order(dm: DeformedMorphism) -> Optional[CochainTriple]:
     if not tc.is_cocycle(ob):
         raise ObstructionNotCocycle("obstruction fails its cocycle identity")
     x = solve(tc.delta_matrix(1), ob.row, ob.den)
-    return None if x is None else CochainTriple.from_row(tc.spaces(1), *x)
+    return None if x is None else Cochain.from_row(tc.spaces(1), *x)
 
 
-def extend_deformation(dm: DeformedMorphism, theta: CochainTriple) -> DeformedMorphism:
+def extend_deformation(dm: DeformedMorphism, theta: Cochain) -> DeformedMorphism:
     """Append a degree-1 triple as the next-order terms."""
-    if theta.degree != 1:
+    if len(theta.spaces) != 3 or theta.degree != 1:
         raise DegreeMismatch("extension terms form a degree-1 triple")
+    c1, c2, c3 = theta.parts
     return DeformedMorphism(
-        DeformedAlgebra(
-            dm.src_def.base, dm.order + 1, dm.src_def.terms + (theta.c1,)
-        ),
-        DeformedAlgebra(
-            dm.tgt_def.base, dm.order + 1, dm.tgt_def.terms + (theta.c2,)
-        ),
-        dm.phi_terms + (cochain_matrix(theta.c3),),
+        DeformedAlgebra(dm.src_def.base, dm.order + 1, dm.src_def.terms + (c1,)),
+        DeformedAlgebra(dm.tgt_def.base, dm.order + 1, dm.tgt_def.terms + (c2,)),
+        dm.phi_terms + (cochain_matrix(c3),),
         dm.name,
     )
 
@@ -409,7 +402,8 @@ def first_order_equivalence(
     witness = tc.cohomologous(theta_a, theta_b)
     if witness is None:
         return None
+    c1, c2, _ = witness.parts
     return (
-        FormalAutomorphism.from_first_order(cochain_matrix(witness.c1)),
-        FormalAutomorphism.from_first_order(cochain_matrix(witness.c2)),
+        FormalAutomorphism.from_first_order(cochain_matrix(c1)),
+        FormalAutomorphism.from_first_order(cochain_matrix(c2)),
     )

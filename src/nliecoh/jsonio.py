@@ -28,7 +28,7 @@ from .cochains import Cochain, CochainSpace
 from .deformations import DeformedAlgebra, DeformedMorphism, FormalAutomorphism
 from .errors import ArityMismatch, DimensionMismatch, ParseError
 from .linalg import Matrix
-from .morphisms import CochainTriple, Morphism
+from .morphisms import Morphism, triple
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _INDEX_RE = re.compile(r"[0-9]+")
@@ -264,8 +264,8 @@ def cochain_from_json(
 
 
 class CochainText:
-    """A cochain's row on ``spaces[0]``, or a triple's on ``spaces``, that ``dump_json`` writes in
-    place; rows on the same spaces may share ``heads``, the text of each key's entry head."""
+    """A cochain's row on one space or on a triple's three, that ``dump_json`` writes in place;
+    rows on the same spaces may share ``heads``, the text of each key's entry head."""
 
     __slots__ = ("spaces", "row", "den", "heads")
 
@@ -305,7 +305,7 @@ class CochainText:
 
 
 def cochain_to_json(c: Cochain) -> CochainText:
-    return CochainText((c.space,), c.row, c.den)
+    return CochainText(c.spaces, c.row, c.den)
 
 
 # -- deformations -------------------------------------------------------------
@@ -387,11 +387,11 @@ def automorphism_to_json(psi: FormalAutomorphism) -> dict:
 # -- triples -------------------------------------------------------------------
 
 
-def triple_to_json(t: CochainTriple) -> CochainText:
+def triple_to_json(t: Cochain) -> CochainText:
     return CochainText(t.spaces, t.row, t.den)
 
 
-def triple_from_json(obj: dict, phi: Morphism, where: str = "triple") -> CochainTriple:
+def triple_from_json(obj: dict, phi: Morphism, where: str = "triple") -> Cochain:
     m = _expect(obj, "degree", int, where)
     c1 = cochain_from_json(_expect(obj, "c1", dict, where), phi.source, phi.source.dim, m, where)
     c2 = cochain_from_json(_expect(obj, "c2", dict, where), phi.target, phi.target.dim, m, where)
@@ -401,7 +401,7 @@ def triple_from_json(obj: dict, phi: Morphism, where: str = "triple") -> Cochain
         if c3_obj is not None
         else None
     )
-    return CochainTriple(m, c1, c2, c3)
+    return triple(c1, c2, c3)
 
 
 # -- files ---------------------------------------------------------------------

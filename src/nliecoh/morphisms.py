@@ -6,7 +6,8 @@ degree down) with a coupling term in the differential: the mapping cone of
 post - pull.  Cohomology of that complex classifies simultaneous
 deformations of source, target, and the morphism between them.
 
-A triple is one integer row, as a cochain is.  One way in:
+A triple is a ``Cochain`` on the three spaces, built from its parts by
+``triple(c1, c2, c3)`` and read back by ``Cochain.parts``.  One way in:
 ``triple_complex(phi)`` is the morphism's ``TripleComplex``.
 ``TripleComplex.coboundary`` applies the differential to a triple,
 ``TripleComplex.cohomologous`` finds a witness that two cocycles are
@@ -38,7 +39,7 @@ from .errors import (
     DimensionMismatch,
     NotCocycle,
 )
-from .linalg import Matrix, Vector, _sub, int_columns, int_row, lowest, solve
+from .linalg import Matrix, Vector, _sub, int_columns, int_row, solve
 from .tables import SignedTable, _bracket, dense, map_defects
 
 
@@ -104,71 +105,27 @@ def validate_morphism(phi: Morphism) -> ValidationReport:
     return ValidationReport(phi.name or "morphism", "morphism", failures)
 
 
-class CochainTriple:
-    """Element of the morphism complex: two self-valued cochains plus a
-    module-valued one a degree lower (absent at degree zero), held as one
-    integer row over the flat coordinates of ``spaces`` end to end, in the
-    form of a Cochain's; ``c1``, ``c2`` and ``c3`` read the parts."""
-
-    __slots__ = ("spaces", "row", "den")
-
-    def __init__(self, degree: int, c1: Cochain, c2: Cochain, c3: Optional[Cochain]):
-        if degree < 0:
-            raise DegreeMismatch("triple degree must be nonnegative")
-        if c1.space.degree != degree or c2.space.degree != degree:
-            raise DegreeMismatch("component degrees disagree with the triple degree")
-        if degree == 0:
-            if c3 is not None:
-                raise DegreeMismatch("degree-0 triples have no third component")
-        elif c3 is None or c3.space.degree != degree - 1:
-            raise DegreeMismatch("third component must sit one degree lower")
-        # parts in lowest terms stay so over the lcm of their denominators
-        parts = [c for c in (c1, c2, c3) if c is not None]
-        den, row, off = lcm(*(c.den for c in parts)), {}, 0
-        for c in parts:
-            row.update((off + j, v * (den // c.den)) for j, v in c.row.items())
-            off += c.space.dim
-        self.spaces = (c1.space, c2.space, None if c3 is None else c3.space)
-        self.row, self.den = row, den
-
-    @classmethod
-    def from_row(cls, spaces: tuple, row: dict, den: int = 1) -> "CochainTriple":
-        """The triple of an integer row over ``den`` on ``spaces``, already in
-        lowest terms and in range: kept as it is, with no copy and no check."""
-        t = cls.__new__(cls)
-        t.spaces, t.row, t.den = spaces, row, den
-        return t
-
-    @property
-    def degree(self) -> int:
-        return self.spaces[0].degree
-
-    def _part(self, k: int) -> Optional[Cochain]:
-        space = self.spaces[k]
-        if space is None:
-            return None
-        lo = sum(s.dim for s in self.spaces[:k])
-        part = {j - lo: v for j, v in self.row.items() if lo <= j < lo + space.dim}
-        return Cochain.from_row(space, *lowest(part, self.den))
-
-    c1 = property(lambda self: self._part(0))
-    c2 = property(lambda self: self._part(1))
-    c3 = property(lambda self: self._part(2))
-
-    def is_zero(self) -> bool:
-        return not self.row
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CochainTriple)
-            and (self.spaces, self.den, self.row) == (other.spaces, other.den, other.row)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.spaces, self.den, frozenset(self.row.items())))
-
-    def __repr__(self) -> str:
-        return f"CochainTriple(degree={self.degree}, nnz={len(self.row)})"
+def triple(c1: Cochain, c2: Cochain, c3: Optional[Cochain]) -> Cochain:
+    """The morphism-complex cochain of degree ``c1.degree`` with the parts
+    c1, c2 (self-valued on source and target) and c3 (module-valued one
+    degree lower, None at degree 0), one row over the lcm of their dens."""
+    m = c1.degree
+    if c2.degree != m:
+        raise DegreeMismatch("component degrees disagree with the triple degree")
+    if m == 0:
+        if c3 is not None:
+            raise DegreeMismatch("degree-0 triples have no third component")
+    elif c3 is None or c3.degree != m - 1:
+        raise DegreeMismatch("third component must sit one degree lower")
+    parts = [c for c in (c1, c2, c3) if c is not None]
+    if any(len(c.spaces) != 1 for c in parts):
+        raise DimensionMismatch("the parts of a triple lie on one space each")
+    # parts in lowest terms stay so over the lcm of their denominators
+    den, row, off = lcm(*(c.den for c in parts)), {}, 0
+    for c in parts:
+        row.update((off + j, v * (den // c.den)) for j, v in c.row.items())
+        off += c.space.dim
+    return Cochain.from_row((c1.space, c2.space, None if c3 is None else c3.space), row, den)
 
 
 class TripleComplex:
@@ -197,12 +154,12 @@ class TripleComplex:
     def dim(self, m: int) -> int:
         return sum(s.dim for s in self.spaces(m) if s)
 
-    def zero_triple(self, m: int) -> CochainTriple:
-        return CochainTriple.from_row(self.spaces(m), {})
+    def zero_triple(self, m: int) -> Cochain:
+        return Cochain.from_row(self.spaces(m), {})
 
-    def unvectorize(self, m: int, flat) -> CochainTriple:
+    def unvectorize(self, m: int, flat) -> Cochain:
         """Triple from exact flat coordinates: dense, or sparse {index: value}."""
-        return CochainTriple.from_row(self.spaces(m), *int_row(flat, self.dim(m)))
+        return Cochain.from_row(self.spaces(m), *int_row(flat, self.dim(m)))
 
     # -- structure matrices ---------------------------------------------------
     def post_matrix(self, m: int) -> Matrix:
@@ -281,19 +238,19 @@ class TripleComplex:
         return out
 
     # -- operations -----------------------------------------------------------
-    def coboundary(self, t: CochainTriple) -> CochainTriple:
+    def coboundary(self, t: Cochain) -> Cochain:
+        if t.spaces != self.spaces(t.degree):
+            raise DimensionMismatch("the cochain does not lie on this morphism's complex")
         row, den = self.delta_matrix(t.degree).mul_row(t.row, t.den)
-        return CochainTriple.from_row(self.spaces(t.degree + 1), row, den)
+        return Cochain.from_row(self.spaces(t.degree + 1), row, den)
 
-    def is_cocycle(self, t: CochainTriple) -> bool:
+    def is_cocycle(self, t: Cochain) -> bool:
         return self.coboundary(t).is_zero()
 
     def cohomology(self, r: int) -> CohomologyReport:
         return _cohomology_at(self.delta_matrix, r)
 
-    def cohomologous(
-        self, a: CochainTriple, b: CochainTriple
-    ) -> Optional[CochainTriple]:
+    def cohomologous(self, a: Cochain, b: Cochain) -> Optional[Cochain]:
         """Witness whose coboundary is a - b, or None when classes differ."""
         if a.degree != b.degree:
             raise DegreeMismatch("triples of different degree")
@@ -304,7 +261,7 @@ class TripleComplex:
         den = lcm(a.den, b.den)
         diff = _sub({j: v * (den // a.den) for j, v in a.row.items()}, den // b.den, b.row)
         x = solve(self.delta_matrix(a.degree - 1), diff, den)
-        return None if x is None else CochainTriple.from_row(self.spaces(a.degree - 1), *x)
+        return None if x is None else Cochain.from_row(self.spaces(a.degree - 1), *x)
 
 
 # Morphism complexes kept alive at once.  Each holds its differentials, so

@@ -113,11 +113,7 @@ def _add(total: dict, v: dict, c: int = 1) -> None:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+    """All tuples of ``parts`` >= 1 nonnegative integers summing to ``total``."""
     if parts == 1:
         yield (total,)
         return

@@ -64,6 +64,31 @@ def simple_a5() -> NLieAlgebra:
     return _simple(4)
 
 
+def symmetric_form(n: int, B) -> NLieAlgebra:
+    """The n-Lie algebra of dimension n + 1 of the (n+1)x(n+1) rows ``B``:
+    the bracket of the basis vectors other than e_m, in increasing order, is
+    (-1)^m sum_j B[m][j] e_j, m = 0..n.  It satisfies the fundamental
+    identity when B is symmetric (Filippov 1985); B = -I gives A_(n+1).
+    Outside ``base_algebras()``, as A_4 is."""
+    d = n + 1
+    brackets = {
+        tuple(j for j in range(d) if j != m): [(-1) ** m * Fraction(x) for x in B[m]]
+        for m in range(d)
+    }
+    return _named(f"S{d}", n, d, brackets)
+
+
+def random_symmetric(rng: random.Random, d: int, rank: int) -> list[list[Fraction]]:
+    """P D P^T for a random invertible integer P and a diagonal D of
+    ``rank`` nonzero rational entries of either sign: a symmetric form of
+    that rank."""
+    p, _ = _random_invertible(rng, d)
+    diag = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 2)) for _ in range(rank)]
+    diag += [Fraction(0)] * (d - rank)
+    rows = [column(p, i) for i in range(d)]  # rows of P^T: columns of P
+    return [[sum(rows[k][i] * diag[k] * rows[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+
+
 def _random_invertible(rng: random.Random, d: int) -> Matrix:
     while True:
         m = Matrix.from_rows(

@@ -26,8 +26,8 @@ def unit(d, i):
 
 # -- Fraction views of integer rows --------------------------------------------
 # The package holds every vector as an integer row {index: int} over one
-# positive denominator: a row of ``Matrix.ints``/``dens``, a ``Cochain`` and
-# a ``CochainTriple``.  The tests read them here as dense Fraction tuples, or
+# positive denominator: a row of ``Matrix.ints``/``dens`` and a ``Cochain``,
+# on one space or a triple's three.  The tests read them here as dense Fraction tuples, or
 # as {(domain key, target index): Fraction}, the coefficient tables a Cochain
 # held before.
 
@@ -84,7 +84,7 @@ def coeffs(c):
 
 
 def vectorize(t):
-    """A ``CochainTriple``'s flat coordinates, source, target and module
+    """A triple's flat coordinates, source, target and module
     parts end to end, as a dense Fraction tuple."""
     return dense(t.row, t.den, sum(s.dim for s in t.spaces if s is not None))
 
@@ -406,8 +406,8 @@ def oracle_quotient(z_basis, b_basis):
 
 # -- report bases ------------------------------------------------------------
 # The route ``--basis`` reports took before they were written from integer
-# rows: each row of a basis matrix as Fractions, a Cochain or CochainTriple
-# built from it, and its coefficients sorted by (domain key, target index).
+# rows: each row of a basis matrix as Fractions, a Cochain on one space or
+# on three built from it, and its coefficients sorted by (domain key, target index).
 
 
 def _fraction_text(q):
@@ -441,12 +441,13 @@ def oracle_cochain_json(c, target_label="self"):
 
 
 def oracle_triple_json(t):
-    """``written(jsonio.triple_to_json(t))`` for the CochainTriple ``t``."""
+    """``written(jsonio.triple_to_json(t))`` for the triple ``t``."""
+    c1, c2, c3 = t.parts
     return {
         "degree": t.degree,
-        "c1": oracle_cochain_json(t.c1, "self"),
-        "c2": oracle_cochain_json(t.c2, "self"),
-        "c3": None if t.c3 is None else oracle_cochain_json(t.c3, "module"),
+        "c1": oracle_cochain_json(c1, "self"),
+        "c2": oracle_cochain_json(c2, "self"),
+        "c3": None if c3 is None else oracle_cochain_json(c3, "module"),
     }
 
 

@@ -58,7 +58,7 @@ from nliecoh.deformations import (
     validate_deformation,
 )
 from nliecoh.linalg import kernel_basis, rank
-from nliecoh.morphisms import CochainTriple, triple_complex
+from nliecoh.morphisms import triple, triple_complex
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "nliecoh" / "data"
@@ -351,8 +351,7 @@ def test_criterion_7b_obstruction_identities():
     ob = obstruction(trunc)
     tc = triple_complex(dm2.base_morphism)
     assert tc.is_cocycle(ob), "obstruction must be a cocycle"
-    theta2 = CochainTriple(
-        1,
+    theta2 = triple(
         dm2.src_def.terms[1],
         dm2.tgt_def.terms[1],
         linear_map_cochain(
@@ -461,8 +460,7 @@ def test_criterion_8_equivalence_invariance():
         theta_after, _ = infinitesimal(out)
         phi = dm.base_morphism
         tc = triple_complex(phi)
-        alpha = CochainTriple(
-            0,
+        alpha = triple(
             linear_map_cochain(
                 CochainSpace(phi.source, 0, phi.source.dim), psi_n.term(1)
             ),

@@ -35,7 +35,9 @@ def test_public_surface():
     or tells failures apart by attribute, and ``ValidationReport`` is the
     one class with an ``is_valid``.  Every coboundary above degree 0 comes
     from the one Leibniz recursion: the per-key ``_Tables.delta_rows`` is
-    gone."""
+    gone.  ``Cochain`` is the one vector class: a morphism-complex triple
+    is a cochain on three spaces, built by ``triple``, and
+    ``CochainTriple`` is gone."""
     import inspect
 
     import nliecoh
@@ -48,7 +50,10 @@ def test_public_surface():
     for module in (nliecoh, algebra, cochains, morphisms):
         assert not any(hasattr(module, name) for name in removed), module.__name__
     assert not hasattr(cochains, "_morphism_matrix")
-    assert not any(hasattr(cls, "sub") for cls in (cochains.Cochain, morphisms.CochainTriple))
+    assert not hasattr(cochains.Cochain, "sub")
+    assert "triple" in nliecoh.__all__ and "CochainTriple" not in nliecoh.__all__
+    assert not any(hasattr(module, "CochainTriple") for module in (nliecoh, morphisms, deformations, jsonio))
+    assert all(hasattr(cochains.Cochain, name) for name in ("spaces", "degree", "parts", "space"))
     assert not hasattr(cochains.Cochain, "add")
     gone = {
         linalg.Matrix: ("row", "mul_vector"),

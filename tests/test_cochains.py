@@ -14,8 +14,10 @@ from catalog import (
     conjugate,
     conjugated_isomorphism,
     conjugated_morphism,
+    random_symmetric,
     simple_a4,
     simple_a5,
+    symmetric_form,
 )
 from oracles import (
     as_flat,
@@ -371,6 +373,34 @@ def test_arity_four_matches_bruteforce():
     for p in (0, 1, 2):
         assert coboundary_matrix_self(alg, p) == oracle_matrix(alg, p), p
     assert [self_cohomology(alg, r).dim_h for r in (1, 2, 3)] == [10, 0, 0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_symmetric_forms_give_n_lie_algebras(n):
+    """The bracket of a symmetric (n+1)x(n+1) form B satisfies the
+    fundamental identity; breaking B's symmetry in one entry breaks it."""
+    rng = random.Random(1300 + n)
+    d = n + 1
+    for _ in range(10):
+        b = random_symmetric(rng, d, d)
+        assert symmetric_form(n, b).report.is_valid
+        b[0][1] += rng.randint(1, 3)
+        assert not symmetric_form(n, b).report.is_valid
+
+
+@pytest.mark.parametrize("rank,dims", [
+    (4, [6, 0, 0]), (3, [7, 1, 1]), (2, [9, 4, 6]), (1, [12, 9, 21]), (0, [16, 16, 96]),
+])
+def test_symmetric_form_cohomology_depends_on_rank_alone(rank, dims):
+    """H^1, H^2, H^3 of the ternary algebra of a symmetric 4x4 form: the
+    diagonal form of each rank, and random forms P D P^T of the same rank.
+    Dimensions do not change under field extension, and over C a symmetric
+    form is fixed by its rank up to change of basis."""
+    diagonal = [[Fraction(int(i == j < rank)) for j in range(4)] for i in range(4)]
+    rng = random.Random(1310 + rank)
+    for b in [diagonal] + [random_symmetric(rng, 4, rank) for _ in range(2)]:
+        alg = symmetric_form(3, b)
+        assert [self_cohomology(alg, r).dim_h for r in (1, 2, 3)] == dims
 
 
 def _assembly_calls(monkeypatch) -> dict:

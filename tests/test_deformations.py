@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalog import _random_invertible, conjugate, conjugated_cases, degree1_cochain, full_catalog, simple_a4
+from catalog import (
+    _random_invertible,
+    conjugate,
+    conjugated_cases,
+    degree1_cochain,
+    full_catalog,
+    random_symmetric,
+    simple_a4,
+    symmetric_form,
+)
 from oracles import (
     cochain_value,
     coeffs,
@@ -31,6 +41,7 @@ from oracles import (
 
 from nliecoh import jsonio
 from nliecoh.algebra import NLieAlgebra, validate_algebra
+from nliecoh.cli import main
 from nliecoh.cochains import Cochain, CochainSpace
 from nliecoh.corpus import automorphism
 from nliecoh.deformations import (
@@ -58,7 +69,7 @@ from nliecoh.errors import (
     OrderMismatch,
 )
 from nliecoh.linalg import Matrix
-from nliecoh.morphisms import CochainTriple, Morphism, triple_complex, validate_morphism
+from nliecoh.morphisms import Morphism, triple, triple_complex, validate_morphism
 
 
 def test_nambu_residual_base_order(corpus_algebras):
@@ -152,7 +163,7 @@ def test_obstruction_vs_quadratic_residual(def_identity_pair, def_order1):
     for dm in (def_identity_pair, def_order1):
         ob = obstruction(dm)
         res = nambu_residual(dm.src_def, 2)
-        assert coeffs(res) == coeffs(ob.c1.scale(-1))
+        assert coeffs(res) == coeffs(ob.parts[0].scale(-1))
         tc = triple_complex(dm.base_morphism)
         assert tc.is_cocycle(ob)
 
@@ -196,8 +207,7 @@ def _catalog_pairs(rng, count):
 
 
 def _oracle_obstruction(dm):
-    return CochainTriple(
-        2,
+    return triple(
         oracle_algebra_obstruction(dm.src_def, dm.order),
         oracle_algebra_obstruction(dm.tgt_def, dm.order),
         oracle_morphism_obstruction(dm, dm.order),
@@ -205,7 +215,7 @@ def _oracle_obstruction(dm):
 
 
 def _same_triple(a, b):
-    return (coeffs(a.c1), coeffs(a.c2), coeffs(a.c3)) == (coeffs(b.c1), coeffs(b.c2), coeffs(b.c3))
+    return [coeffs(c) for c in a.parts] == [coeffs(c) for c in b.parts]
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -225,7 +235,7 @@ def test_residuals_and_obstruction_match_dense_oracle(order, monkeypatch):
             assert coeffs(morphism_residual(dm, s)) == coeffs(oracle_morphism_residual(dm, s))
         ob = obstruction(dm)
         assert _same_triple(ob, _oracle_obstruction(dm))
-        parts = (ob.c1, ob.c2, ob.c3)
+        parts = ob.parts
         nonzero_parts.update(i for i, c in enumerate(parts) if not c.is_zero())
     assert nonzero_parts == {0, 1, 2}
 
@@ -293,7 +303,7 @@ def test_residuals_and_obstruction_match_dense_oracle_on_rational_families(order
             assert not got.is_zero()
         ob = obstruction(dm)
         assert _same_triple(ob, _oracle_obstruction(dm))
-        assert _lowest_terms(ob.c1, ob.c2, ob.c3)
+        assert _lowest_terms(*ob.parts)
     assert distinct
 
 
@@ -390,10 +400,10 @@ def test_library_rows_are_in_lowest_terms(def_order1, def_order2):
         seen += out.src_def.terms + out.tgt_def.terms
         seen.append(tc.cohomologous(infinitesimal(out)[0], theta))
     seen = [x for x in seen if x is not None]
-    triples = [x for x in seen if isinstance(x, CochainTriple)]
+    triples = [x for x in seen if len(x.spaces) == 3]
     assert len(triples) >= 20 and any(x.den > 1 for x in triples)
-    assert any(x.den > 1 and not isinstance(x, CochainTriple) for x in seen)
-    for x in seen + [c for t in triples for c in (t.c1, t.c2, t.c3) if c is not None]:
+    assert any(x.den > 1 and len(x.spaces) == 1 for x in seen)
+    for x in seen + [c for t in triples for c in t.parts if c is not None]:
         assert x.den > 0 and gcd(x.den, *x.row.values()) == 1, x
         assert all(type(v) is int and v for v in x.row.values()), x
 
@@ -549,8 +559,7 @@ def test_obstruction_equals_coboundary_of_discarded_terms(def_order2):
     trunc = def_order2.truncated(1)
     ob = obstruction(trunc)
     tc = triple_complex(def_order2.base_morphism)
-    theta2 = CochainTriple(
-        1,
+    theta2 = triple(
         def_order2.src_def.terms[1],
         def_order2.tgt_def.terms[1],
         linear_map_cochain(
@@ -693,8 +702,7 @@ def test_equivalence_invariance_identity(def_order1, def_order2):
         theta_after, _ = infinitesimal(out)
         phi = dm.base_morphism
         tc = triple_complex(phi)
-        alpha = CochainTriple(
-            0,
+        alpha = triple(
             linear_map_cochain(CochainSpace(phi.source, 0, 4), psi_n.term(1)),
             linear_map_cochain(CochainSpace(phi.target, 0, 4), psi_t.term(1)),
             None,
@@ -715,8 +723,7 @@ def test_first_order_equivalence_search(def_order1):
     theta_b, _ = infinitesimal(out)
     phi = def_order1.base_morphism
     tc = triple_complex(phi)
-    alpha = CochainTriple(
-        0,
+    alpha = triple(
         linear_map_cochain(CochainSpace(phi.source, 0, 4), found_n.term(1)),
         linear_map_cochain(CochainSpace(phi.target, 0, 4), found_t.term(1)),
         None,
@@ -761,6 +768,53 @@ def test_a4_is_rigid_through_the_deformation_commands():
             assert witness is not None
             dm = extend_deformation(dm, witness)
             assert dm.order == order and validate_deformation(dm).is_valid
+
+
+def test_an_obstructed_family_is_reported_through_the_cli(phi_a3_b3, tmp_path, capsys):
+    """On a3_b3 the H^2 representatives at flat entries 0 and 9 each give an
+    order-1 family that extends, and their sum one that does not: its
+    obstruction is a cocycle outside the coboundaries.  ``deform extend``
+    exits 1 with no witness, ``deform obstruction`` reports the cocycle,
+    and the family has no first-order equivalence to the trivial one."""
+    tc = triple_complex(phi_a3_b3)
+    classes = tc.cohomology(2).classes
+    assert (classes.ints[0], classes.ints[3]) == ({0: 1}, {9: 1})
+
+    def family(flat):
+        return extend_deformation(DeformedMorphism.trivial(phi_a3_b3, 0), tc.unvectorize(1, flat))
+
+    assert extend_order(family({0: 1})) is not None and extend_order(family({9: 1})) is not None
+    dm = family({0: 1, 9: 1})
+    assert dm.report.is_valid and extend_order(dm) is None
+    assert first_order_equivalence(DeformedMorphism.trivial(phi_a3_b3, 1), dm) is None
+    path = tmp_path / "obstructed.json"
+    path.write_text(jsonio.dump_json(jsonio.deformation_to_json(dm)))
+    assert main(["--output", "json", "deform", "extend", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"]["extendable"] is False and report["status"] == 1
+    assert "the obstruction class is nonzero" in report["verdict"]["note"]
+    assert report["artifacts"] == {"witness": None}
+    assert main(["--output", "json", "deform", "obstruction", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["artifacts"]["cocycle"] is True
+
+
+def test_symmetric_forms_deform_without_obstruction():
+    """mu_B + t mu_B' is a valid bracket for every t when B and B' are
+    symmetric, so the identity's order-1 family with both terms mu_B' and
+    phi_1 = 0 validates, its obstruction is exactly zero, and it extends."""
+    rng = random.Random(1320)
+    for _ in range(3):
+        alg = symmetric_form(3, random_symmetric(rng, 4, 4))
+        shift = symmetric_form(3, random_symmetric(rng, 4, rng.randint(0, 4)))
+        term = Cochain(
+            CochainSpace(alg, 1, 4),
+            {((key,), t): c for key, value in shift.structure for t, c in enumerate(value)},
+        )
+        da = DeformedAlgebra(alg, 1, (term,))
+        dm = DeformedMorphism(da, da, (Matrix.identity(4), Matrix.zero(4, 4)))
+        assert dm.report.is_valid
+        assert obstruction(dm).is_zero()
+        assert extend_order(dm) is not None
 
 
 def test_formal_automorphism_checks_its_bounds():

@@ -20,7 +20,7 @@ from nliecoh.corpus import algebra, deformation, morphism
 from nliecoh.deformations import FormalAutomorphism
 from nliecoh.errors import ParseError
 from nliecoh.linalg import Matrix
-from nliecoh.morphisms import CochainTriple, triple_complex
+from nliecoh.morphisms import triple, triple_complex
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "nliecoh" / "data"
@@ -169,7 +169,7 @@ def test_triple_roundtrip(def_order1):
     phi = def_order1.base_morphism
     obj = written(jsonio.triple_to_json(theta))
     back = jsonio.triple_from_json(obj, phi)
-    assert back.c1 == theta.c1 and back.c2 == theta.c2 and back.c3 == theta.c3
+    assert back.parts == theta.parts
 
 
 # -- the report writer ------------------------------------------------------------
@@ -690,6 +690,47 @@ def test_cli_infinitesimal_at_order_zero_is_a_usage_error(tmp_path, capsys, sour
     capsys.readouterr()
 
 
+def _edited_entries(edit, index, message):
+    """A case of ``test_cli_usage_errors_exit_2``: ``deform check`` on
+    def_a3_b3_1.json with the entries of its first source term edited."""
+
+    def case(tmp_path):
+        obj = _deformation_obj()
+        edit(obj["source_terms"][0]["entries"])
+        p = tmp_path / "edited.json"
+        p.write_text(json.dumps(obj))
+        return ["deform", "check", str(p)], f"{p}.source_terms[0].entries[{index}]: {message}"
+
+    return case
+
+
+def _data(name):
+    return str(DATA / name)
+
+
+@pytest.mark.parametrize("case", [
+    lambda _: (["deform", "check", _data("def_a3_b3_1.json"), "--order", "2"],
+               "--order 2 exceeds file order 1"),
+    lambda _: (["cohomology", "--morphism", _data("mor_a3_b3.json"), "--algebra", _data("alg_a1.json"),
+                "--degree", "1"], "--algebra disagrees with the morphism's source"),
+    lambda _: (["deform", "transform", _data("def_a3_b3_1.json"), "--psi-source", _data("aut_a3_scaling.json")],
+               "transform needs --psi-source and --psi-target"),
+    lambda _: (["cohomology", "--algebra", _data("alg_a1.json"), "--degree", "x"], "invalid int value: 'x'"),
+    _edited_entries(lambda e: e[0].update(blocks=[[1, 2]]), 0, "expected 0 blocks"),
+    _edited_entries(lambda e: e[0].update(last=[2, 3]), 0, "last must list 3 indices"),
+    _edited_entries(lambda e: e[0].update(target_index=0), 0, "target_index outside 1..4"),
+    _edited_entries(lambda e: e.append(dict(e[0])), 1, "duplicate coefficient"),
+], ids=["order-above-file", "algebra-not-source", "no-psi-target", "degree-not-int",
+        "block-count", "last-length", "target-index-0", "duplicate-coefficient"])
+def test_cli_usage_errors_exit_2(tmp_path, capsys, case):
+    """Usage and parse errors that exit 2 with a one-line message naming the
+    option, or the file and entry, and no traceback."""
+    argv, message = case(tmp_path)
+    code, out, err = _run_main(argv, capsys)
+    assert code == 2
+    assert message in out + err and "Traceback" not in out + err
+
+
 def test_cli_rejects_negative_cochain_degree(tmp_path):
     obj = _deformation_obj()
     obj["source_terms"][0]["degree"] = -1
@@ -988,8 +1029,8 @@ def test_triple_text_matches_stdlib_dumps_of_the_oracle_dicts(degree):
         triples = []
         for fills in [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 0.4, 0.0), (0.2, 0.1, 0.5)]:
             parts = [_random_cochain(s, rng, f) if s else None for s, f in zip(spaces, fills)]
-            triples.append(CochainTriple(degree, *parts))
-        assert (triples[1].c3 is None) == (degree == 0)
+            triples.append(triple(*parts))
+        assert (triples[1].parts[2] is None) == (degree == 0)
         heads: dict = {}
         texts = [jsonio.CochainText(t.spaces, t.row, t.den, heads) for t in triples]
         _assert_text_matches(texts, [oracle_triple_json(t) for t in triples], name)
@@ -997,7 +1038,7 @@ def test_triple_text_matches_stdlib_dumps_of_the_oracle_dicts(degree):
 
 def _fraction_route(space, v):
     """The writer's value for the dense Fraction row ``v``, through the Cochain
-    or CochainTriple built from it; ``space`` as in ``_basis_subjects``."""
+    on one space or three built from it; ``space`` as in ``_basis_subjects``."""
     if isinstance(space, tuple):
         return jsonio.triple_to_json(space[0].unvectorize(space[1], v))
     return jsonio.cochain_to_json(Cochain.from_flat(space, v))
@@ -1021,7 +1062,7 @@ def test_basis_text_matches_stdlib_dumps_of_the_oracle_dicts():
 
 def test_basis_rows_match_the_fraction_route():
     """Each basis row, wrapped as it is by ``from_row`` and as Fractions
-    through a Cochain or CochainTriple, is written as the oracle's dict."""
+    through a Cochain on one space or three, is written as the oracle's dict."""
     from oracles import dense_rows, oracle_basis_json
 
     seen = set()
@@ -1031,9 +1072,9 @@ def test_basis_rows_match_the_fraction_route():
             rows = zip(m.ints, m.dens)
             if isinstance(space, tuple):
                 tc, deg = space
-                got = [jsonio.triple_to_json(CochainTriple.from_row(tc.spaces(deg), r, d)) for r, d in rows]
+                got = [jsonio.triple_to_json(Cochain.from_row(tc.spaces(deg), r, d)) for r, d in rows]
             else:
-                got = [jsonio.cochain_to_json(Cochain.from_row(space, r, d)) for r, d in rows]
+                got = [jsonio.cochain_to_json(Cochain.from_row((space,), r, d)) for r, d in rows]
             assert len(got) == len(expected), name
             if not expected:
                 continue

@@ -32,14 +32,14 @@ from nliecoh.cochains import (
     self_cohomology,
 )
 from nliecoh.corpus import MORPHISM_FILES, algebra, morphism
-from nliecoh.deformations import DeformedMorphism
+from nliecoh.deformations import DeformedAlgebra, DeformedMorphism, extend_deformation
 from nliecoh.errors import ArityMismatch, DegreeMismatch, DimensionMismatch, NotCocycle
 from nliecoh.linalg import Matrix, rank
 from nliecoh.morphisms import (
-    CochainTriple,
     Morphism,
     TripleComplex,
     morphism_cohomology,
+    triple,
     triple_complex,
     validate_morphism,
 )
@@ -243,14 +243,13 @@ def test_degree0_coupling_formula(phi_a3_b3):
     g2 = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
     from nliecoh.deformations import cochain_matrix, linear_map_cochain
 
-    t = CochainTriple(
-        0,
+    t = triple(
         linear_map_cochain(CochainSpace(src, 0, 4), g1),
         linear_map_cochain(CochainSpace(tgt, 0, 4), g2),
         None,
     )
     out = tc.coboundary(t)
-    got = cochain_matrix(out.c3)
+    got = cochain_matrix(out.parts[2])
     expected = phi_a3_b3.matrix.mul(g1).add(g2.mul(phi_a3_b3.matrix).scale(-1))
     assert got == expected
 
@@ -340,9 +339,33 @@ def test_triple_shape_checks(phi_a3_b3):
         with pytest.raises(DimensionMismatch):
             tc.unvectorize(m, flat[:-1])
     with pytest.raises(DegreeMismatch):
-        CochainTriple(0, tc.zero_triple(1).c1, tc.zero_triple(1).c2, None)
+        triple(*tc.zero_triple(1).parts[:2], None)
+
+
+def test_triple_complex_takes_only_its_own_cochains(phi_a3_b3):
+    """A cochain on one space, or on another morphism's three, is no
+    cochain of this complex: the coboundary, the cocycle check and the
+    witness search raise DimensionMismatch rather than read its row.  A
+    triple is no part of a triple, no bracket term and no extension term
+    unless it has three spaces at degree 1."""
+    tc = triple_complex(phi_a3_b3)
+    one = CochainSpace(phi_a3_b3.source, 1, 4).zero()
+    other = triple_complex(Morphism.identity(phi_a3_b3.source)).zero_triple(1)
+    for c in (one, other):
+        for call in (tc.coboundary, tc.is_cocycle, lambda c: tc.cohomologous(c, c)):
+            with pytest.raises(DimensionMismatch, match="this morphism's complex"):
+                call(c)
+    t = tc.zero_triple(1)
+    assert tc.is_cocycle(tc.coboundary(tc.zero_triple(0)))
+    with pytest.raises(DimensionMismatch, match="one space each"):
+        triple(t, *t.parts[1:])
     with pytest.raises(DegreeMismatch):
-        CochainTriple(1, tc.zero_triple(1).c1, tc.zero_triple(1).c2, None)
+        DeformedAlgebra(phi_a3_b3.source, 1, (t,))
+    trivial = DeformedMorphism.trivial(phi_a3_b3, 0)
+    for theta in (one, tc.zero_triple(2)):
+        with pytest.raises(DegreeMismatch, match="degree-1 triple"):
+            extend_deformation(trivial, theta)
+    assert extend_deformation(trivial, t) == DeformedMorphism.trivial(phi_a3_b3, 1)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -364,7 +387,7 @@ def test_triple_complex_keeps_its_spaces(key):
         spaces = tc.spaces(m)
         assert tc.spaces(m) is spaces
         for _ in range(3):
-            t = CochainTriple(m, *(
+            t = triple(*(
                 Cochain(s, {
                     (rng.choice(s.domain_keys), rng.randrange(s.target_dim)):
                         Fraction(rng.randint(-9, 9), rng.randint(1, 4))
@@ -374,7 +397,8 @@ def test_triple_complex_keeps_its_spaces(key):
             ))
             back = tc.unvectorize(m, vectorize(t))
             assert back == t
-            assert back.c1.space is spaces[0] and back.c2.space is spaces[1]
+            c1, c2, _ = back.parts
+            assert c1.space is spaces[0] and c2.space is spaces[1]
 
 
 def test_morphism_cohomology_h1(phi_a1_b1):
