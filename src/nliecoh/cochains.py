@@ -197,7 +197,9 @@ class Cochain:
 # n-wedge, and zero when j is in w: a signed wedge map of the columns.
 # Each degree is built from the int rows of delta_(p-1) and of the
 # A_(p-1)(w), over ``_Tables.den``; the A_p of the requested degree are
-# never stored.  Only delta_0, with no i = 0 term, is summed key by key.
+# never stored.  The tower hands back the rows of delta_(p-1) it built on
+# the way, so H^r takes delta_(r-2) from delta_(r-1)'s build.  Only
+# delta_0, with no i = 0 term, is summed key by key.
 
 
 def _derivation(sign, table: SignedTable, w: tuple, u: tuple) -> dict:
@@ -324,14 +326,16 @@ def _action_rows(action: list, minus_d: list, lower=(), off: int = 0):
 
 
 def _tower(space_in: CochainSpace, tables: _Tables, keep: bool = False):
-    """Int rows over ``den`` of the coboundary out of ``space_in``, and with
-    ``keep`` the rows of A_p(w) for each (n-1)-wedge w as lists.  Without
-    ``keep`` the rows above p = 0 come one by one and no A_p is built."""
+    """Int rows over ``den`` of the coboundary out of ``space_in``, those of
+    the one out of degree p - 1 as a list (None at p = 0), and with ``keep``
+    the rows of A_p(w) for each (n-1)-wedge w as lists.  Without ``keep``
+    the rows above p = 0 come one by one and no A_p is built."""
     p, d_T = space_in.degree, space_in.target_dim
     if not p:
-        return tables.delta_0(d_T), ([tables.action(w) for w in tables.wedges] if keep else None)
+        actions = [tables.action(w) for w in tables.wedges] if keep else None
+        return tables.delta_0(d_T), None, actions
     below = CochainSpace(space_in.source, p - 1, d_T)
-    lower, lower_actions = _tower(below, tables, keep=True)
+    lower, _, lower_actions = _tower(below, tables, keep=True)
     if p == 1:  # iota_w a signed wedge map, D = D_n
         lowers = ((tables.wedge_map(space_in, w, lower), 0) for w in tables.wedges)
     else:  # iota_w a shift by w column blocks, D = D_(n-1)
@@ -339,12 +343,19 @@ def _tower(space_in: CochainSpace, tables: _Tables, keep: bool = False):
     pairs = list(zip(lower_actions, tables.minus_d(space_in.source.arity - (p > 1))))
     rows = (r for (a, d_w), lo in zip(pairs, lowers) for r in _action_rows(a, d_w, *lo))
     actions = [list(_action_rows(a, d_w)) for a, d_w in pairs] if keep else None
-    return (list(rows), actions) if keep else (rows, None)
+    return (list(rows) if keep else rows), lower, actions
 
 
-def _assemble(space_in: CochainSpace, tables: _Tables) -> Matrix:
-    rows, _ = _tower(space_in, tables)
-    out = CochainSpace(space_in.source, space_in.degree + 1, space_in.target_dim).dim
+def _assemble(space_in: CochainSpace, tables: _Tables, floor: Optional[list] = None) -> Matrix:
+    """The coboundary out of ``space_in``.  Given a list ``floor`` and p >= 1,
+    also appends the one out of degree p - 1 that the tower built on the
+    way, on the same row objects: what a separate call would return."""
+    rows, lower, _ = _tower(space_in, tables)
+    src, p, d_T = space_in.source, space_in.degree, space_in.target_dim
+    if floor is not None and lower is not None:
+        below = CochainSpace(src, p - 1, d_T).dim
+        floor.append(Matrix.from_ints(space_in.dim, below, lower, [tables.den] * space_in.dim))
+    out = CochainSpace(src, p + 1, d_T).dim
     return Matrix.from_ints(out, space_in.dim, rows, [tables.den] * out)
 
 
@@ -353,14 +364,16 @@ def _require_valid_algebra(alg: NLieAlgebra) -> None:
         raise InvalidAlgebra(f"algebra {alg.name!r} fails the fundamental identity")
 
 
-def coboundary_matrix_self(alg: NLieAlgebra, p: int) -> Matrix:
+def coboundary_matrix_self(alg: NLieAlgebra, p: int, floor: Optional[list] = None) -> Matrix:
     """Matrix of the self-valued coboundary out of degree p, canonical bases.
 
-    Columns follow the degree-p basis, rows the degree-(p+1) basis.
+    Columns follow the degree-p basis, rows the degree-(p+1) basis.  Given
+    a list ``floor`` and p >= 1, the coboundary out of degree p - 1, which
+    the tower builds on the way, is appended to it.
     """
     _require_valid_algebra(alg)
     tables = _Tables(alg, alg, Matrix.identity(alg.dim))
-    return _assemble(CochainSpace(alg, p, alg.dim), tables)
+    return _assemble(CochainSpace(alg, p, alg.dim), tables, floor)
 
 
 def require_valid_morphism(phi: Morphism) -> None:
@@ -373,11 +386,12 @@ def require_valid_morphism(phi: Morphism) -> None:
         raise InvalidMorphism(f"morphism equation fails on basis tuple {key}")
 
 
-def coboundary_matrix_module(phi: Morphism, m: int) -> Matrix:
-    """Matrix of the module-valued coboundary out of degree m along ``phi``."""
+def coboundary_matrix_module(phi: Morphism, m: int, floor: Optional[list] = None) -> Matrix:
+    """Matrix of the module-valued coboundary out of degree m along ``phi``;
+    ``floor`` as for :func:`coboundary_matrix_self`."""
     require_valid_morphism(phi)
     src, tgt = phi.source, phi.target
-    return _assemble(CochainSpace(src, m, tgt.dim), _Tables(src, tgt, phi.matrix))
+    return _assemble(CochainSpace(src, m, tgt.dim), _Tables(src, tgt, phi.matrix), floor)
 
 
 @dataclass(frozen=True)
@@ -415,11 +429,13 @@ def cohomology(delta_in: Optional[Matrix], delta_out: Matrix) -> CohomologyRepor
 
 def _cohomology_at(delta, r: int) -> CohomologyReport:
     """Classically labelled group H^r (r >= 1) of the complex whose degree-p
-    differential is ``delta(p)``."""
+    differential is ``delta(p, floor)``, which appends the degree-(p-1) one
+    to the list ``floor`` for p >= 1: one call per group."""
     if r < 1:
         raise DegreeMismatch("report degree starts at 1")
-    delta_out = delta(r - 1)
-    return cohomology(delta(r - 2) if r >= 2 else None, delta_out)
+    floor: list = []
+    delta_out = delta(r - 1, floor)
+    return cohomology(floor[0] if floor else None, delta_out)
 
 
 def self_cohomology(alg: NLieAlgebra, r: int) -> CohomologyReport:

@@ -395,13 +395,12 @@ def triple_from_json(obj: dict, phi: Morphism, where: str = "triple") -> Cochain
     m = _expect(obj, "degree", int, where)
     c1 = cochain_from_json(_expect(obj, "c1", dict, where), phi.source, phi.source.dim, m, where)
     c2 = cochain_from_json(_expect(obj, "c2", dict, where), phi.target, phi.target.dim, m, where)
-    c3_obj = obj.get("c3")
-    c3 = (
-        cochain_from_json(c3_obj, phi.source, phi.target.dim, m - 1, where)
-        if c3_obj is not None
-        else None
-    )
-    return triple(c1, c2, c3)
+    if m == 0:  # written with "c3": null
+        if obj.get("c3") is not None:
+            raise ParseError(f"{where}: a degree-0 triple has no 'c3'")
+        return triple(c1, c2, None)
+    c3_obj = _expect(obj, "c3", dict, where)
+    return triple(c1, c2, cochain_from_json(c3_obj, phi.source, phi.target.dim, m - 1, where))
 
 
 # -- files ---------------------------------------------------------------------

@@ -204,14 +204,29 @@ class TripleComplex:
             rows += [{base + s: c for base, c in entries} for s in range(dp)]
         return Matrix.from_ints(len(rows), len(tgt_pos) * dp, rows, [den] * len(rows))
 
-    def delta_matrix(self, m: int) -> Matrix:
-        """Block differential out of triple degree m."""
-        cached = self._delta_cache.get(m)
-        if cached is not None:
-            return cached
-        phi = self.phi
-        d_src = coboundary_matrix_self(phi.source, m)
-        d_tgt = coboundary_matrix_self(phi.target, m)
+    def delta_matrix(self, m: int, floor: Optional[list] = None) -> Matrix:
+        """Block differential out of triple degree m.  Its blocks are built
+        once each; their towers hand back the blocks out of degree m - 1, so
+        that differential is merged and cached too.  Given a list ``floor``
+        and m >= 1, the one out of degree m - 1 is appended to it."""
+        out = self._delta_cache.get(m)
+        if out is None:
+            phi = self.phi
+            floors = [] if m and m - 1 not in self._delta_cache else None
+            d_src = coboundary_matrix_self(phi.source, m, floors)
+            d_tgt = coboundary_matrix_self(phi.target, m, floors)
+            d_mod = coboundary_matrix_module(phi, m - 1, floors) if m else None
+            out = self._merge(m, d_src, d_tgt, d_mod)
+            if floors is not None:
+                self._merge(m - 1, *floors)
+        if floor is not None and m:
+            floor.append(self._delta_cache[m - 1])
+        return out
+
+    def _merge(self, m: int, d_src: Matrix, d_tgt: Matrix, d_mod: Optional[Matrix] = None):
+        """Cache the differential out of degree m, merged from its self and
+        module blocks (``d_mod`` None at m = 0) and the post and pull
+        blocks, and return it."""
         post = self.post_matrix(m)
         pull = self.pull_matrix(m)
         dims_in = [s.dim if s else 0 for s in self.spaces(m)]
@@ -222,8 +237,7 @@ class TripleComplex:
         rows = [*d_src.ints, *({off_tgt + j: v for j, v in r.items()} for r in d_tgt.ints)]
         dens = [*d_src.dens, *d_tgt.dens]
         blocks = [(post, 0, sign), (pull, off_tgt, -sign)]
-        if m >= 1:
-            d_mod = coboundary_matrix_module(phi, m - 1)
+        if d_mod is not None:
             blocks.append((d_mod, off_mod, 1))
         for i in range(post.rows):
             den = lcm(*(b.dens[i] for b, _, _ in blocks))

@@ -1,7 +1,7 @@
 import random
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, permutations
 from math import comb, gcd, lcm
 from types import SimpleNamespace
@@ -423,13 +423,106 @@ def _assembly_calls(monkeypatch) -> dict:
 
 def test_each_requested_matrix_is_one_assembler_call(monkeypatch, alg_b3, phi_a3_b3):
     """The lower coboundaries a matrix is built from are assembled below
-    the public functions, so their calls still count requested matrices."""
+    the public functions, so their calls still count requested matrices.
+    H^r takes delta_(r-2) from delta_(r-1)'s tower, and a cone's
+    delta_matrix(m) its blocks out of degree m - 1."""
     calls = _assembly_calls(monkeypatch)
     self_cohomology(alg_b3, 4)
-    assert calls == {"coboundary_matrix_self": 2, "coboundary_matrix_module": 0}
+    assert calls == {"coboundary_matrix_self": 1, "coboundary_matrix_module": 0}
     calls.update(dict.fromkeys(calls, 0))
-    TripleComplex(phi_a3_b3).delta_matrix(3)
+    tc = TripleComplex(phi_a3_b3)
+    tc.delta_matrix(3)
     assert calls == {"coboundary_matrix_self": 2, "coboundary_matrix_module": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    tc.delta_matrix(2)
+    assert calls == {"coboundary_matrix_self": 0, "coboundary_matrix_module": 0}
+
+
+def _same_matrix(a: Matrix, b: Matrix) -> bool:
+    return (a.rows, a.cols, a.ints, a.dens) == (b.rows, b.cols, b.ints, b.dens)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("name", ["a1", "b1", "b2", "a3", "b3", "a1~dense"])
+def test_self_floor_is_the_separate_coboundary(name, r):
+    """delta_(r-2) handed back by delta_(r-1)'s tower has the (ints, dens)
+    of a call of its own, on the corpus and a dense conjugate; b3 at r = 4
+    is the deep-self H^4.  Nothing is handed back out of degree 0."""
+    alg = _dense_conjugate_a1() if name == "a1~dense" else algebra(name)
+    floor = []
+    top = coboundary_matrix_self(alg, r - 1, floor)
+    [below] = floor
+    assert _same_matrix(top, coboundary_matrix_self(alg, r - 1))
+    assert _same_matrix(below, coboundary_matrix_self(alg, r - 2))
+    floor.clear()
+    coboundary_matrix_self(alg, 0, floor)
+    assert floor == []
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("key", sorted(MORPHISM_FILES))
+def test_module_floor_is_the_separate_coboundary(key, r):
+    phi = morphism(key)
+    floor = []
+    top = coboundary_matrix_module(phi, r - 1, floor)
+    [below] = floor
+    assert _same_matrix(top, coboundary_matrix_module(phi, r - 1))
+    assert _same_matrix(below, coboundary_matrix_module(phi, r - 2))
+
+
+@pytest.mark.parametrize("key", [*sorted(MORPHISM_FILES), "a1_b2_i1~"])
+def test_cone_floor_is_the_fresh_lower_differential(key):
+    """delta_matrix(m) merges and caches delta_matrix(m - 1) from its
+    blocks' floors: equal to that differential built by a fresh complex,
+    and the one the complex then returns for m - 1."""
+    phi = conjugated_morphism() if key == "a1_b2_i1~" else morphism(key)
+    for m in (1, 2, 3):
+        tc = TripleComplex(phi)
+        floor = []
+        top = tc.delta_matrix(m, floor)
+        [below] = floor
+        assert below is tc.delta_matrix(m - 1)
+        assert _same_matrix(below, TripleComplex(phi).delta_matrix(m - 1))
+        assert _same_matrix(top, TripleComplex(phi).delta_matrix(m))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_each_group_makes_one_dd_product(monkeypatch, alg_b3, phi_a3_b3, r):
+    """H^r at r >= 2 multiplies once inside ``cohomology``: delta_(r-1) by
+    delta_(r-2), the floor of its tower, and reports what the two matrices
+    built apart give."""
+    cochains_mod = sys.modules["nliecoh.cochains"]
+    mul, original = Matrix.mul, cochains_mod.cohomology
+    products, inside = [], []
+
+    def recorded_mul(a, b):
+        if inside:
+            products.append(((a.rows, a.cols), (b.rows, b.cols)))
+        return mul(a, b)
+
+    def recorded_cohomology(*args):
+        inside.append(True)
+        try:
+            return original(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Matrix, "mul", recorded_mul)
+    monkeypatch.setattr(cochains_mod, "cohomology", recorded_cohomology)
+    fresh = Morphism(phi_a3_b3.source, phi_a3_b3.target, phi_a3_b3.matrix, "a3_b3 fresh")
+    cases = [
+        (self_cohomology, alg_b3, partial(coboundary_matrix_self, alg_b3)),
+        (module_cohomology, phi_a3_b3, partial(coboundary_matrix_module, phi_a3_b3)),
+        (morphism_cohomology, fresh, lambda p: TripleComplex(fresh).delta_matrix(p)),
+    ]
+    for group, subject, delta in cases:
+        products.clear()
+        rep = group(subject, r)
+        d_out, d_in = delta(r - 1), delta(r - 2)
+        assert products == [((d_out.rows, d_out.cols), (d_in.rows, d_in.cols))]
+        apart = original(d_in, d_out)
+        assert (rep.dim_z, rep.dim_b, rep.dim_h) == (apart.dim_z, apart.dim_b, apart.dim_h)
+        assert _same_matrix(rep.classes, apart.classes)
 
 
 def test_cohomology_report_fields(alg_a3):

@@ -172,6 +172,31 @@ def test_triple_roundtrip(def_order1):
     assert back.parts == theta.parts
 
 
+def _empty_part(degree: int) -> dict:
+    return {"degree": degree, "target": "self", "entries": []}
+
+
+@pytest.mark.parametrize("c3", ["absent", None], ids=["no_c3", "null_c3"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_triple_without_c3_above_degree_0_is_a_parse_error(phi_a3_b3, degree, c3):
+    obj = {"degree": degree, "c1": _empty_part(degree), "c2": _empty_part(degree)}
+    if c3 is None:
+        obj["c3"] = None
+    with pytest.raises(ParseError, match=r"^obs: .*'c3'"):
+        jsonio.triple_from_json(obj, phi_a3_b3, where="obs")
+
+
+def test_degree_0_triple_with_c3_is_a_parse_error(phi_a3_b3):
+    obj = {"degree": 0, "c1": _empty_part(0), "c2": _empty_part(0), "c3": _empty_part(0)}
+    with pytest.raises(ParseError, match=r"^obs: a degree-0 triple has no 'c3'$"):
+        jsonio.triple_from_json(obj, phi_a3_b3, where="obs")
+    del obj["c3"]
+    assert jsonio.triple_from_json(obj, phi_a3_b3).is_zero()
+    obj["c3"] = None
+    back = jsonio.triple_from_json(obj, phi_a3_b3)
+    assert back.spaces == triple_complex(phi_a3_b3).zero_triple(0).spaces
+
+
 # -- the report writer ------------------------------------------------------------
 
 

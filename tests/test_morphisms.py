@@ -416,8 +416,8 @@ def test_delta_matrix_shares_the_source_rows(conjugated, monkeypatch):
     phi = conjugated_morphism() if conjugated else morphism("a3_b3")
     built = []
 
-    def recorded(alg, m):
-        built.append(coboundary_matrix_self(alg, m))
+    def recorded(alg, m, floor=None):
+        built.append(coboundary_matrix_self(alg, m, floor))
         return built[-1]
 
     monkeypatch.setattr(morphisms, "coboundary_matrix_self", recorded)
