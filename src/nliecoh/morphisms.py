@@ -129,7 +129,9 @@ def triple(c1: Cochain, c2: Cochain, c3: Optional[Cochain]) -> Cochain:
 
 
 class TripleComplex:
-    """Matrices and coordinate helpers for the complex of one morphism."""
+    """Matrices and coordinate helpers for the complex of one morphism.
+    Differentials are cached; building the one out of degree m caches the
+    one out of degree m - 1 as well."""
 
     def __init__(self, phi: Morphism):
         require_valid_morphism(phi)
