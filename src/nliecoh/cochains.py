@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import combinations, product
-from math import lcm, prod
+from math import comb, lcm, prod
 from typing import TYPE_CHECKING, Optional
 
 from .algebra import NLieAlgebra
@@ -54,6 +54,8 @@ class CochainSpace:
     def __post_init__(self):
         if self.degree < 0:
             raise DegreeMismatch("cochain degree must be nonnegative")
+        if self.target_dim < 1:
+            raise DimensionMismatch(f"cochain target dimension must be at least 1, got {self.target_dim}")
 
     @cached_property
     def domain_keys(self) -> tuple:
@@ -72,9 +74,12 @@ class CochainSpace:
     def _key_pos(self) -> dict:
         return {k: i for i, k in enumerate(self.domain_keys)}
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        return len(self.domain_keys) * self.target_dim
+        """len(domain_keys) * target_dim, counted without building the keys."""
+        d, n, p = self.source.dim, self.source.arity, self.degree
+        keys = comb(d, n - 1) ** (p - 1) * comb(d, n) if p else d
+        return keys * self.target_dim
 
     def flat_index(self, key: DomainKey, t: int) -> int:
         return self._key_pos[key] * self.target_dim + t
@@ -102,12 +107,6 @@ class Cochain:
             flat[space.flat_index(key, t)] = c
         self.spaces = (space,)
         self.row, self.den = int_row(flat, space.dim)
-
-    @classmethod
-    def from_flat(cls, space: CochainSpace, flat) -> "Cochain":
-        """From exact flat coordinates on one space: a dense sequence or a
-        sparse {index: value}."""
-        return cls.from_row((space,), *int_row(flat, space.dim))
 
     @classmethod
     def from_row(cls, spaces: tuple, row: dict, den: int = 1) -> "Cochain":

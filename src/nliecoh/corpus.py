@@ -67,7 +67,3 @@ def deformation(key: str) -> DeformedMorphism:
 @lru_cache(maxsize=None)
 def automorphism(key: str) -> FormalAutomorphism:
     return load_automorphism(data_path(AUTOMORPHISM_FILES[key]))
-
-
-def all_algebras() -> dict[str, NLieAlgebra]:
-    return {k: algebra(k) for k in ALGEBRA_FILES}

@@ -307,6 +307,8 @@ class FormalAutomorphism:
         return cls(m.rows, 1, (m,))
 
     def term(self, i: int) -> Matrix:
+        if i < 0:
+            raise OrderMismatch(f"series terms start at order 0, got {i}")
         if i == 0:
             return Matrix.identity(self.dim)
         if i <= self.order:

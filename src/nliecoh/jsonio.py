@@ -1,5 +1,7 @@
-"""JSON formats for algebras, morphisms, cochains, deformations, and
-automorphism series, with strict parsing and deterministic serialization.
+"""JSON formats, with strict parsing and deterministic serialization.
+Algebra, morphism, deformation and automorphism files are read; reports,
+deformations and triples (``{"degree", "c1", "c2", "c3"}``, ``c3`` null at
+degree 0) are written, and a triple is never read back.
 
 Rationals travel as strings "p/q" or "p" with an optional leading sign;
 a zero denominator is rejected.  All index lists are 1-based and strictly
@@ -28,7 +30,7 @@ from .cochains import Cochain, CochainSpace
 from .deformations import DeformedAlgebra, DeformedMorphism, FormalAutomorphism
 from .errors import ArityMismatch, DimensionMismatch, ParseError
 from .linalg import Matrix
-from .morphisms import Morphism, triple
+from .morphisms import Morphism
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _INDEX_RE = re.compile(r"[0-9]+")
@@ -203,16 +205,6 @@ def morphism_from_json(
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def morphism_to_json(phi: Morphism) -> dict:
-    out = {}
-    if phi.name:
-        out["name"] = phi.name
-    out["source"] = algebra_to_json(phi.source)
-    out["target"] = algebra_to_json(phi.target)
-    out["matrix"] = matrix_to_json(phi.matrix)
-    return out
-
-
 # -- cochains ----------------------------------------------------------------
 
 
@@ -376,31 +368,11 @@ def automorphism_from_json(obj: dict, where: str = "automorphism") -> FormalAuto
     return FormalAutomorphism(dim, order, tuple(terms))
 
 
-def automorphism_to_json(psi: FormalAutomorphism) -> dict:
-    return {
-        "dimension": psi.dim,
-        "order": psi.order,
-        "terms": [matrix_to_json(m) for m in psi.terms],
-    }
-
-
 # -- triples -------------------------------------------------------------------
 
 
 def triple_to_json(t: Cochain) -> CochainText:
     return CochainText(t.spaces, t.row, t.den)
-
-
-def triple_from_json(obj: dict, phi: Morphism, where: str = "triple") -> Cochain:
-    m = _expect(obj, "degree", int, where)
-    c1 = cochain_from_json(_expect(obj, "c1", dict, where), phi.source, phi.source.dim, m, where)
-    c2 = cochain_from_json(_expect(obj, "c2", dict, where), phi.target, phi.target.dim, m, where)
-    if m == 0:  # written with "c3": null
-        if obj.get("c3") is not None:
-            raise ParseError(f"{where}: a degree-0 triple has no 'c3'")
-        return triple(c1, c2, None)
-    c3_obj = _expect(obj, "c3", dict, where)
-    return triple(c1, c2, cochain_from_json(c3_obj, phi.source, phi.target.dim, m - 1, where))
 
 
 # -- files ---------------------------------------------------------------------

@@ -100,6 +100,8 @@ class Matrix:
         self._set(rows, cols, (r for r, _ in pairs), (d for _, d in pairs))
 
     def _set(self, rows: int, cols: int, ints: Iterable[dict], dens: Iterable[int]) -> None:
+        if min(rows, cols) < 0:
+            raise DimensionMismatch(f"matrix size {rows}x{cols} is negative")
         for name, value in zip(self.__slots__, (rows, cols, tuple(ints), tuple(dens), None)):
             object.__setattr__(self, name, value)
 

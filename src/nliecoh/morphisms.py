@@ -39,7 +39,7 @@ from .errors import (
     DimensionMismatch,
     NotCocycle,
 )
-from .linalg import Matrix, Vector, _sub, int_columns, int_row, solve
+from .linalg import Matrix, _sub, int_columns, solve
 from .tables import SignedTable, _bracket, dense, map_defects
 
 
@@ -80,11 +80,6 @@ class Morphism:
     @classmethod
     def zero(cls, source: NLieAlgebra, target: NLieAlgebra) -> "Morphism":
         return cls(source, target, Matrix.zero(target.dim, source.dim), "0")
-
-    def apply(self, v: Sequence) -> Vector:
-        """The image of a vector of exact entries, as Fractions."""
-        row, den = self.matrix.mul_row(*int_row(v, self.source.dim))
-        return dense(row, den, self.target.dim)
 
     @cached_property
     def report(self) -> ValidationReport:
@@ -152,16 +147,6 @@ class TripleComplex:
                 CochainSpace(src, m - 1, tgt.dim) if m else None,
             )
         return spaces
-
-    def dim(self, m: int) -> int:
-        return sum(s.dim for s in self.spaces(m) if s)
-
-    def zero_triple(self, m: int) -> Cochain:
-        return Cochain.from_row(self.spaces(m), {})
-
-    def unvectorize(self, m: int, flat) -> Cochain:
-        """Triple from exact flat coordinates: dense, or sparse {index: value}."""
-        return Cochain.from_row(self.spaces(m), *int_row(flat, self.dim(m)))
 
     # -- structure matrices ---------------------------------------------------
     def post_matrix(self, m: int) -> Matrix:

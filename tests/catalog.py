@@ -15,7 +15,7 @@ from oracles import column, mul_vector, solve_vector, unit
 
 from nliecoh.algebra import NLieAlgebra
 from nliecoh.cochains import Cochain, CochainSpace
-from nliecoh.corpus import algebra, all_algebras, morphism
+from nliecoh.corpus import ALGEBRA_FILES, algebra, morphism
 from nliecoh.deformations import DeformedAlgebra, DeformedMorphism
 from nliecoh.linalg import Matrix
 from nliecoh.morphisms import Morphism
@@ -26,7 +26,7 @@ def _named(name, arity, dim, brackets):
 
 
 def base_algebras() -> list[NLieAlgebra]:
-    algs = list(all_algebras().values())
+    algs = [algebra(k) for k in ALGEBRA_FILES]
     algs += [
         # basis (e, f, h): [e,f]=h, [e,h]=-2e, [f,h]=2f
         _named("sl2", 2, 3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)}),

@@ -10,12 +10,12 @@ from catalog import identity_pair_deformation
 settings.register_profile("no-explain", phases=[p for p in Phase if p is not Phase.explain])
 settings.load_profile("no-explain")
 
-from nliecoh.corpus import algebra, all_algebras, deformation, morphism
+from nliecoh.corpus import ALGEBRA_FILES, algebra, deformation, morphism
 
 
 @pytest.fixture(scope="session")
 def corpus_algebras():
-    return all_algebras()
+    return {k: algebra(k) for k in ALGEBRA_FILES}
 
 
 @pytest.fixture(scope="session")

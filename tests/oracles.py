@@ -86,7 +86,21 @@ def coeffs(c):
 def vectorize(t):
     """A triple's flat coordinates, source, target and module
     parts end to end, as a dense Fraction tuple."""
-    return dense(t.row, t.den, sum(s.dim for s in t.spaces if s is not None))
+    return dense(t.row, t.den, flat_size(t.spaces))
+
+
+def flat_size(spaces):
+    """The number of flat coordinates on ``spaces`` end to end, as a
+    ``Cochain.spaces`` tuple holds them (None for an absent space)."""
+    return sum(s.dim for s in spaces if s is not None)
+
+
+def flat_cochain(spaces, flat):
+    """The cochain on the tuple ``spaces`` with exact flat coordinates
+    ``flat``, a dense sequence or a sparse {index: value}: one space for the
+    self and module complexes, a morphism complex's three for a triple.
+    ``int_row`` coerces and range-checks the coordinates."""
+    return Cochain.from_row(spaces, *int_row(flat, flat_size(spaces)))
 
 
 def cocycle_basis(rep):
@@ -197,7 +211,7 @@ def delta_value(delta, f, blocks, z):
     product with f's flat coordinates, read back as a cochain one degree up
     and evaluated on raw arguments."""
     space = CochainSpace(f.space.source, f.space.degree + 1, f.space.target_dim)
-    return cochain_value(Cochain.from_flat(space, mul_vector(delta, as_flat(f))), blocks, z)
+    return cochain_value(flat_cochain((space,), mul_vector(delta, as_flat(f))), blocks, z)
 
 
 def raw_fundamental_bracket(alg, x_block, y_block):
@@ -455,9 +469,9 @@ def oracle_basis_json(m, space):
     """The report rows of the basis matrix ``m``: ``space`` is a CochainSpace
     for the self and module complexes, or a TripleComplex and its degree."""
     if isinstance(space, CochainSpace):
-        return [oracle_cochain_json(Cochain.from_flat(space, v)) for v in dense_rows(m)]
+        return [oracle_cochain_json(flat_cochain((space,), v)) for v in dense_rows(m)]
     tc, deg = space
-    return [oracle_triple_json(tc.unvectorize(deg, v)) for v in dense_rows(m)]
+    return [oracle_triple_json(flat_cochain(tc.spaces(deg), v)) for v in dense_rows(m)]
 
 
 # -- deformation equations --------------------------------------------------
@@ -797,7 +811,7 @@ def module_action(phi, x, z):
     if len(z) != phi.target.dim or x.dim != phi.source.dim:
         raise DimensionMismatch("module action shape mismatch")
     if x.components is not None:
-        return oracle_ad(phi.target, [phi.apply(v) for v in x.components], z)
+        return oracle_ad(phi.target, [mul_vector(phi.matrix, v) for v in x.components], z)
     out = [Fraction(0)] * phi.target.dim
     for key, c in x.decomposition().items():
         val = oracle_ad(phi.target, [column(phi.matrix, i) for i in key], z)
@@ -810,7 +824,7 @@ def module_action(phi, x, z):
 def wedge_image(phi, x):
     """Image of an argument block under the morphism, component-wise."""
     if x.components is not None:
-        return FundamentalObject([phi.apply(v) for v in x.components], dim=phi.target.dim)
+        return FundamentalObject([mul_vector(phi.matrix, v) for v in x.components], dim=phi.target.dim)
     combo = {}
     for key, c in x.decomposition().items():
         for wkey, wc in wedge_decompose([column(phi.matrix, i) for i in key]).items():
@@ -827,6 +841,7 @@ def oracle_pull_matrix(phi, m):
     rows = []
     for key in src_space.domain_keys:
         blocks, z = _canonical_input(src.dim, src.arity, key) if m else ([], unit(src.dim, key))
-        form = naive_form(m, [[phi.apply(v) for v in b] for b in blocks], phi.apply(z))
+        image = [[mul_vector(phi.matrix, v) for v in b] for b in blocks]
+        form = naive_form(m, image, mul_vector(phi.matrix, z))
         rows += [{tgt_space.flat_index(k, s): c for k, c in form.items()} for s in range(tgt.dim)]
     return Matrix(len(rows), tgt_space.dim, rows)

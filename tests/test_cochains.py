@@ -27,6 +27,7 @@ from oracles import (
     delta_value,
     dense,
     dense_rows,
+    flat_cochain,
     mul_vector,
     oracle_delta_eval,
     oracle_matrix,
@@ -73,6 +74,28 @@ def test_space_dimensions(alg_a1):
     assert CochainSpace(alg_a1, 2, 4).dim == 96
     assert CochainSpace(alg_a1, 3, 4).dim == 576
     assert CochainSpace(alg_a1, 1, 3).dim == 12
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_space_dim_is_counted_without_building_keys(corpus_algebras, p):
+    """dim C^p is counted from its parts, not from ``domain_keys``, which an
+    assembler would otherwise build one degree up only to count rows; it
+    equals len(domain_keys) * target_dim.  On the corpus, A_5 and a1 plus
+    two central lines (dimension 6, 67500 keys at p = 4)."""
+    a1_plus_2 = _central_extension(algebra("a1"), 2, [0] * CochainSpace(algebra("a1"), 1, 2).dim)
+    for alg in [*corpus_algebras.values(), simple_a5(), a1_plus_2]:
+        for t in (1, alg.dim):
+            space = CochainSpace(alg, p, t)
+            dim = space.dim
+            assert "domain_keys" not in vars(space), alg.name
+            assert dim == len(space.domain_keys) * t, (alg.name, t)
+
+
+@pytest.mark.parametrize("t", [0, -2])
+def test_space_refuses_a_target_dimension_below_1(alg_a1, t):
+    """As ``NLieAlgebra`` refuses its own dimension below 1."""
+    with pytest.raises(DimensionMismatch, match="target dimension"):
+        CochainSpace(alg_a1, 1, t)
 
 
 @pytest.mark.parametrize("key", ["cross3", "a1"])
@@ -143,21 +166,23 @@ def test_flat_roundtrip(alg_a1):
     rng = random.Random(5)
     space = CochainSpace(alg_a1, 2, 4)
     flat = [Fraction(rng.randint(-3, 3)) for _ in range(space.dim)]
-    c = Cochain.from_flat(space, flat)
+    c = flat_cochain((space,), flat)
     assert list(as_flat(c)) == flat
-    assert Cochain.from_flat(space, {i: x for i, x in enumerate(flat) if x}) == c
+    assert flat_cochain((space,), {i: x for i, x in enumerate(flat) if x}) == c
     for wrong in (flat[:-1], flat + [Fraction(0)]):
         with pytest.raises(DimensionMismatch):
-            Cochain.from_flat(space, wrong)
+            flat_cochain((space,), wrong)
 
 
 @pytest.mark.parametrize("flat", [{-1: 1}, {16: 1}, {0: 1, 16: 1}, {-17: 1}])
 def test_from_flat_rejects_sparse_index_out_of_range(alg_a1, flat):
+    """Flat coordinates on one space, through ``oracles.flat_cochain``:
+    ``int_row`` refuses a sparse index outside the space."""
     space = CochainSpace(alg_a1, 1, 4)
     assert space.dim == 16
     with pytest.raises(DimensionMismatch):
-        Cochain.from_flat(space, flat)
-    assert coeffs(Cochain.from_flat(space, {15: 1})) == {(((1, 2, 3),), 3): 1}
+        flat_cochain((space,), flat)
+    assert coeffs(flat_cochain((space,), {15: 1})) == {(((1, 2, 3),), 3): 1}
 
 
 def test_abelian_coboundary_is_zero():

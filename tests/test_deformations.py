@@ -24,6 +24,8 @@ from oracles import (
     coeffs,
     column,
     dense_rows,
+    flat_cochain,
+    flat_size,
     mul_vector,
     oracle_algebra_obstruction,
     oracle_compose,
@@ -419,7 +421,7 @@ def test_scalings_of_one_cochain_are_equal_and_hash_equal(flat, p, q):
     from nliecoh.corpus import algebra
 
     space = CochainSpace(algebra("a1"), 1, 4)
-    c = Cochain.from_flat(space, flat)
+    c = flat_cochain((space,), flat)
     one, two = c.scale(p).scale(q), c.scale(p * q)
     three = Cochain(space, {k: v * p * q for k, v in coeffs(c).items()})
     assert one == two == three and hash(one) == hash(two) == hash(three)
@@ -594,7 +596,7 @@ def test_extension_blocked_by_nonzero_class(def_order1, monkeypatch):
     tc = triple_complex(def_order1.base_morphism)
     rep = tc.cohomology(3)
     assert rep.dim_h > 0, "corpus morphism complex is not rigid at this degree"
-    blocked = tc.unvectorize(2, representatives(rep)[0])
+    blocked = flat_cochain(tc.spaces(2), representatives(rep)[0])
     assert tc.is_cocycle(blocked)
     monkeypatch.setattr(dfm, "obstruction", lambda dm: blocked)
     assert dfm.extend_order(def_order1) is None
@@ -604,7 +606,7 @@ def test_obstruction_cocycle_guard(def_order1, monkeypatch):
     import nliecoh.deformations as dfm
 
     tc = triple_complex(def_order1.base_morphism)
-    rogue = tc.unvectorize(2, [1] * tc.dim(2))
+    rogue = flat_cochain(tc.spaces(2), [1] * flat_size(tc.spaces(2)))
     assert not tc.is_cocycle(rogue)
     monkeypatch.setattr(dfm, "obstruction", lambda dm: rogue)
     with pytest.raises(ObstructionNotCocycle):
@@ -621,6 +623,17 @@ def test_formal_inverse_identity_and_series():
     assert inv.term(1) == a.scale(-1)
     assert inv.term(2) == a.mul(a)
     assert inv.term(3) == a.mul(a).mul(a).scale(-1)
+
+
+def test_series_term_below_order_0_is_refused():
+    """A negative order has no term; it is not read from the end of the series."""
+    a = Matrix.from_rows([[0, 1], [0, 0]])
+    psi = FormalAutomorphism(2, 3, (a, a.scale(2), a.scale(3)))
+    assert psi.term(0) == Matrix.identity(2) and psi.term(3) == a.scale(3)
+    assert psi.term(4).is_zero()
+    for i in (-1, -2, -4):
+        with pytest.raises(OrderMismatch, match="order 0"):
+            psi.term(i)
 
 
 def test_formal_inverse_random_roundtrip():
@@ -758,7 +771,7 @@ def test_a4_is_rigid_through_the_deformation_commands():
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 3) * den)
             for j, v in row.items():
                 flat[j] = flat.get(j, 0) + c * v
-        theta = tc.unvectorize(1, flat)
+        theta = flat_cochain(tc.spaces(1), flat)
         assert tc.is_cocycle(theta)
         dm = extend_deformation(DeformedMorphism.trivial(phi, 0), theta)
         assert dm.order == 1 and dm.report.is_valid
@@ -781,7 +794,7 @@ def test_an_obstructed_family_is_reported_through_the_cli(phi_a3_b3, tmp_path, c
     assert (classes.ints[0], classes.ints[3]) == ({0: 1}, {9: 1})
 
     def family(flat):
-        return extend_deformation(DeformedMorphism.trivial(phi_a3_b3, 0), tc.unvectorize(1, flat))
+        return extend_deformation(DeformedMorphism.trivial(phi_a3_b3, 0), flat_cochain(tc.spaces(1), flat))
 
     assert extend_order(family({0: 1})) is not None and extend_order(family({9: 1})) is not None
     dm = family({0: 1, 9: 1})

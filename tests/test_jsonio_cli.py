@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import written
+from oracles import flat_cochain, written
 
 from nliecoh import jsonio
 from nliecoh.cli import build_parser, main
@@ -119,8 +119,9 @@ def test_algebra_roundtrip():
 
 
 def test_morphism_roundtrip(phi_a3_b3):
-    obj = jsonio.morphism_to_json(phi_a3_b3)
-    back = jsonio.morphism_from_json(obj)
+    """The bundled file's own object, its algebra references read from its
+    directory, parses to the corpus morphism."""
+    back = jsonio.morphism_from_json(jsonio.load_json(DATA / "mor_a3_b3.json"), DATA)
     assert back.name == phi_a3_b3.name
     assert back.matrix == phi_a3_b3.matrix
     assert back.source == phi_a3_b3.source
@@ -158,7 +159,9 @@ def test_deformation_roundtrip(def_order2):
 
 def test_automorphism_roundtrip():
     psi = FormalAutomorphism(3, 2, (Matrix.identity(3), Matrix.zero(3, 3)))
-    back = jsonio.automorphism_from_json(jsonio.automorphism_to_json(psi))
+    identity = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    obj = {"dimension": 3, "order": 2, "terms": [identity, [["0"] * 3] * 3]}
+    back = jsonio.automorphism_from_json(obj)
     assert back == psi
 
 
@@ -166,35 +169,15 @@ def test_triple_roundtrip(def_order1):
     from nliecoh.deformations import infinitesimal
 
     theta, _ = infinitesimal(def_order1)
-    phi = def_order1.base_morphism
+    src, tgt = def_order1.base_morphism.source, def_order1.base_morphism.target
     obj = written(jsonio.triple_to_json(theta))
-    back = jsonio.triple_from_json(obj, phi)
-    assert back.parts == theta.parts
-
-
-def _empty_part(degree: int) -> dict:
-    return {"degree": degree, "target": "self", "entries": []}
-
-
-@pytest.mark.parametrize("c3", ["absent", None], ids=["no_c3", "null_c3"])
-@pytest.mark.parametrize("degree", [1, 2])
-def test_triple_without_c3_above_degree_0_is_a_parse_error(phi_a3_b3, degree, c3):
-    obj = {"degree": degree, "c1": _empty_part(degree), "c2": _empty_part(degree)}
-    if c3 is None:
-        obj["c3"] = None
-    with pytest.raises(ParseError, match=r"^obs: .*'c3'"):
-        jsonio.triple_from_json(obj, phi_a3_b3, where="obs")
-
-
-def test_degree_0_triple_with_c3_is_a_parse_error(phi_a3_b3):
-    obj = {"degree": 0, "c1": _empty_part(0), "c2": _empty_part(0), "c3": _empty_part(0)}
-    with pytest.raises(ParseError, match=r"^obs: a degree-0 triple has no 'c3'$"):
-        jsonio.triple_from_json(obj, phi_a3_b3, where="obs")
-    del obj["c3"]
-    assert jsonio.triple_from_json(obj, phi_a3_b3).is_zero()
-    obj["c3"] = None
-    back = jsonio.triple_from_json(obj, phi_a3_b3)
-    assert back.spaces == triple_complex(phi_a3_b3).zero_triple(0).spaces
+    m = obj["degree"]
+    back = (
+        jsonio.cochain_from_json(obj["c1"], src, src.dim, m),
+        jsonio.cochain_from_json(obj["c2"], tgt, tgt.dim, m),
+        jsonio.cochain_from_json(obj["c3"], src, tgt.dim, m - 1),
+    )
+    assert back == theta.parts
 
 
 # -- the report writer ------------------------------------------------------------
@@ -544,8 +527,8 @@ def test_cli_reports_the_invalid_algebra_of_a_morphism(tmp_path, capsys):
     target's failures as residuals, from ``validate`` and ``cohomology``."""
     bad = dict(jsonio.algebra_to_json(algebra("b1")))
     bad["brackets"] = bad["brackets"] + [{"args": [2, 3, 4], "value": {"1": "1/2"}}]
-    obj = jsonio.morphism_to_json(morphism("a1_b1"))
-    obj["target"] = bad
+    obj = jsonio.load_json(DATA / "mor_a1_b1.json")
+    obj["source"], obj["target"] = jsonio.algebra_to_json(algebra("a1")), bad
     p = tmp_path / "bad_target.json"
     p.write_text(jsonio.dump_json(obj))
     failures = validate_algebra(jsonio.algebra_from_json(bad, str(p))).failures
@@ -963,10 +946,11 @@ def _basis_subjects():
     cases, at r = 1..3."""
     from catalog import conjugated_morphism
     from nliecoh.cochains import CochainSpace, module_cohomology, self_cohomology
-    from nliecoh.corpus import MORPHISM_FILES, all_algebras
+    from nliecoh.corpus import ALGEBRA_FILES, MORPHISM_FILES
     from nliecoh.morphisms import morphism_cohomology, triple_complex
 
-    algs = dict(all_algebras(), a1_dense=jsonio.load_algebra(ROOT / _DENSE_A1))
+    algs = {k: algebra(k) for k in ALGEBRA_FILES}
+    algs["a1_dense"] = jsonio.load_algebra(ROOT / _DENSE_A1)
     phis = {key: morphism(key) for key in MORPHISM_FILES}
     phis["a1_b2_i1~"] = conjugated_morphism()
     for r in (1, 2, 3):
@@ -1015,7 +999,7 @@ def _random_cochain(space, rng, fill):
     values, some of them fractions."""
     flat = {j: Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.choice([1, 1, 2, 3, 12]))
             for j in range(space.dim) if rng.random() < fill}
-    return Cochain.from_flat(space, flat)
+    return flat_cochain((space,), flat)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -1065,8 +1049,8 @@ def _fraction_route(space, v):
     """The writer's value for the dense Fraction row ``v``, through the Cochain
     on one space or three built from it; ``space`` as in ``_basis_subjects``."""
     if isinstance(space, tuple):
-        return jsonio.triple_to_json(space[0].unvectorize(space[1], v))
-    return jsonio.cochain_to_json(Cochain.from_flat(space, v))
+        return jsonio.triple_to_json(flat_cochain(space[0].spaces(space[1]), v))
+    return jsonio.cochain_to_json(flat_cochain((space,), v))
 
 
 def test_basis_text_matches_stdlib_dumps_of_the_oracle_dicts():

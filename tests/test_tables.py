@@ -12,7 +12,7 @@ from oracles import oracle_basis
 from nliecoh import jsonio, tables
 from nliecoh.algebra import NLieAlgebra
 from nliecoh.cli import main
-from nliecoh.corpus import DEFORMATION_FILES, all_algebras, deformation
+from nliecoh.corpus import ALGEBRA_FILES, DEFORMATION_FILES, algebra, deformation
 from nliecoh.deformations import DeformedAlgebra, nambu_residual
 from nliecoh.tables import SignedTable, _bracket, int_table
 
@@ -24,7 +24,7 @@ def _fresh_tables():
     read yet, and every order of the corpus deformations, with the algebra.
     Order 0 of a deformation is its base algebra's own table, shared and so
     possibly read already, when no term has a larger denominator."""
-    algs = [*all_algebras().values(), *conjugated_cases(per_base=2)]
+    algs = [*(algebra(k) for k in ALGEBRA_FILES), *conjugated_cases(per_base=2)]
     out = [pytest.param(a, int_table(a.structure, a.den), id=a.name) for a in algs]
     dms = [deformation(k) for k in DEFORMATION_FILES] + [identity_pair_deformation()]
     for dm in dms:
@@ -92,7 +92,7 @@ def test_a_hit_never_sorts(monkeypatch):
 
 def test_empty_table_stays_empty_after_reads():
     empty_tables = [SignedTable(), int_table((), 1)]
-    trivial = DeformedAlgebra.trivial(all_algebras()["a1"], 2)
+    trivial = DeformedAlgebra.trivial(algebra("a1"), 2)
     empty_tables += trivial.tables[1:]
     abelian = NLieAlgebra.abelian("ab", 3, 4)
     assert abelian.report.is_valid
