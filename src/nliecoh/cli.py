@@ -82,7 +82,7 @@ def _report(argv, paths, verdict: dict, status: int, bases=None, **body) -> tupl
 
 def cmd_validate(args, argv: list[str]) -> tuple[dict, int]:
     obj = jsonio.load_json(args.path)
-    kind = jsonio.detect_kind(obj)
+    kind = jsonio.detect_kind(obj, args.path)
     base_dir = Path(args.path).parent
     if kind == "algebra":
         report = validate_algebra(jsonio.algebra_from_json(obj, args.path))

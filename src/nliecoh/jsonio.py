@@ -4,8 +4,11 @@ deformations and triples (``{"degree", "c1", "c2", "c3"}``, ``c3`` null at
 degree 0) are written, and a triple is never read back.
 
 Rationals travel as strings "p/q" or "p" with an optional leading sign;
-a zero denominator is rejected.  All index lists are 1-based and strictly
-increasing.  Serialization emits keys in a fixed order and sorted entries,
+a JSON number or a zero denominator is rejected.  All index lists are
+1-based and strictly increasing.  The parsers check JSON shape and
+indices; the library constructor that :func:`_build` calls checks every
+mathematical invariant, and its refusal becomes a ``ParseError`` naming
+the file.  Serialization emits keys in a fixed order and sorted entries,
 so identical objects always produce identical bytes.  Numbers are written
 from integers over a positive denominator, as ``Matrix.ints``/``dens`` hold
 them.  A cochain or a triple is written from its integer row by
@@ -28,7 +31,7 @@ from typing import Optional, Union
 from .algebra import NLieAlgebra
 from .cochains import Cochain, CochainSpace
 from .deformations import DeformedAlgebra, DeformedMorphism, FormalAutomorphism
-from .errors import ArityMismatch, DimensionMismatch, ParseError
+from .errors import NliecohError, ParseError
 from .linalg import Matrix
 from .morphisms import Morphism
 
@@ -39,8 +42,6 @@ _INDEX_RE = re.compile(r"[0-9]+")
 def parse_rational(text, where: str = "") -> Fraction:
     """Parse "p", "-p", or "p/q" with q > 0; ``where`` prefixes errors."""
     prefix = f"{where}: " if where else ""
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ParseError(f"{prefix}malformed rational literal {text!r}")
     num, _, den = text.partition("/")
@@ -67,6 +68,15 @@ def format_ratio(num: int, den: int) -> str:
 
 def format_rational(q: Fraction) -> str:
     return format_ratio(q.numerator, q.denominator)
+
+
+def _build(where: str, make, *args):
+    """``make(*args)``: a library constructor, which checks the invariants;
+    its refusal is a parse error naming ``where``."""
+    try:
+        return make(*args)
+    except NliecohError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def _expect(obj, key, kind, where):
@@ -132,10 +142,7 @@ def algebra_from_json(obj: dict, where: str = "algebra") -> NLieAlgebra:
                 raise ParseError(f"{spot}: value key {k!r} names basis index {pos} twice")
             value[pos] = parse_rational(raw, f"{spot}: value key {k!r}")
         brackets[args] = [value.get(t, zero) for t in range(1, dim + 1)]
-    try:
-        return NLieAlgebra.from_brackets(name, arity, dim, brackets, tuple(basis))
-    except Exception as exc:  # structural invariants surface as parse errors
-        raise ParseError(f"{where}: {exc}") from exc
+    return _build(where, NLieAlgebra.from_brackets, name, arity, dim, brackets, tuple(basis))
 
 
 def algebra_to_json(alg: NLieAlgebra) -> dict:
@@ -199,10 +206,7 @@ def morphism_from_json(
     matrix = matrix_from_json(
         _expect(obj, "matrix", list, where), (target.dim, source.dim), where
     )
-    try:
-        return Morphism(source, target, matrix, _name(obj, where))
-    except (ArityMismatch, DimensionMismatch) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return _build(where, Morphism, source, target, matrix, _name(obj, where))
 
 
 # -- cochains ----------------------------------------------------------------
@@ -249,10 +253,7 @@ def cochain_from_json(
         if pos in coeffs:
             raise ParseError(f"{spot}: duplicate coefficient")
         coeffs[pos] = value
-    try:
-        return Cochain(space, coeffs)
-    except Exception as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return Cochain(space, coeffs)
 
 
 class CochainText:
@@ -317,23 +318,13 @@ def deformation_from_json(
         cochain_from_json(t, target, target.dim, 1, f"{where}.target_terms[{i}]")
         for i, t in enumerate(_expect(obj, "target_terms", list, where))
     ]
-    phi_rows = _expect(obj, "morphism_terms", list, where)
-    if len(src_terms) != order or len(tgt_terms) != order or len(phi_rows) != order + 1:
-        raise ParseError(f"{where}: term counts disagree with order {order}")
     phis = [
         matrix_from_json(m, (target.dim, source.dim), f"{where}.morphism_terms[{i}]")
-        for i, m in enumerate(phi_rows)
+        for i, m in enumerate(_expect(obj, "morphism_terms", list, where))
     ]
-    label = _name(obj, where)
-    try:
-        return DeformedMorphism(
-            DeformedAlgebra(source, order, tuple(src_terms)),
-            DeformedAlgebra(target, order, tuple(tgt_terms)),
-            tuple(phis),
-            label,
-        )
-    except Exception as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    src = _build(where, DeformedAlgebra, source, order, tuple(src_terms))
+    tgt = _build(where, DeformedAlgebra, target, order, tuple(tgt_terms))
+    return _build(where, DeformedMorphism, src, tgt, tuple(phis), _name(obj, where))
 
 
 def deformation_to_json(dm: DeformedMorphism) -> dict:
@@ -355,17 +346,11 @@ def deformation_to_json(dm: DeformedMorphism) -> dict:
 def automorphism_from_json(obj: dict, where: str = "automorphism") -> FormalAutomorphism:
     dim = _expect(obj, "dimension", int, where)
     order = _expect(obj, "order", int, where)
-    rows = _expect(obj, "terms", list, where)
-    if dim < 1:
-        raise ParseError(f"{where}: dimension must be at least 1, got {dim}")
-    if order < 0:
-        raise ParseError(f"{where}: order must be nonnegative, got {order}")
-    if len(rows) != order:
-        raise ParseError(f"{where}: expected {order} terms (identity is implicit)")
     terms = [
-        matrix_from_json(m, (dim, dim), f"{where}.terms[{i}]") for i, m in enumerate(rows)
+        matrix_from_json(m, (dim, dim), f"{where}.terms[{i}]")
+        for i, m in enumerate(_expect(obj, "terms", list, where))
     ]
-    return FormalAutomorphism(dim, order, tuple(terms))
+    return _build(where, FormalAutomorphism, dim, order, tuple(terms))
 
 
 # -- triples -------------------------------------------------------------------
@@ -494,7 +479,7 @@ def load_automorphism(path: Union[str, Path]) -> FormalAutomorphism:
     return automorphism_from_json(load_json(path), str(path))
 
 
-def detect_kind(obj: dict) -> str:
+def detect_kind(obj: dict, where: str = "input") -> str:
     """Classify a parsed file by its schema keys."""
     if "brackets" in obj:
         return "algebra"
@@ -504,4 +489,4 @@ def detect_kind(obj: dict) -> str:
         return "morphism"
     if "terms" in obj and "dimension" in obj:
         return "automorphism"
-    raise ParseError("unrecognised file schema")
+    raise ParseError(f"{where}: unrecognised file schema")

@@ -54,7 +54,7 @@ from nliecoh.errors import (
     InvalidAlgebra,
     InvalidMorphism,
 )
-from nliecoh.linalg import Matrix, kernel_basis
+from nliecoh.linalg import Matrix, kernel_basis, rank
 from nliecoh.morphisms import Morphism, TripleComplex, morphism_cohomology, triple_complex, validate_morphism
 from nliecoh.tables import sort_sign
 
@@ -754,12 +754,17 @@ def test_central_extensions_validate_exactly_along_cocycles():
     coboundary assembler share no code.  For ω' = ω + δλ, λ: A -> k^m,
     x ↦ x - λ(x) on A and the identity on k^m is an isomorphism from the
     extension by ω to the extension by ω', and x ↦ x + λ(x) is not one
-    when δλ ≠ 0.  On the corpus, the dense conjugate of a1 and A_4, m = 1
-    and 2."""
+    when δλ ≠ 0.  On the corpus, the dense conjugate of a1, A_4 and the
+    ternary algebras of the diagonal forms of rank 4 down to 0, m = 1 and
+    2: on the last, every degree-1 cochain is a cocycle and dim H^2 is
+    (4 - rank) m, so the classes are not all trivial."""
     rng = random.Random(14)
     draw = lambda size: [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(size)]
     algs = [algebra(k) for k in ("a1", "b1", "b2", "a3", "b3")]
     algs += [conjugated_isomorphism(algebra("a1"), 1).source, simple_a4()]
+    forms = [symmetric_form(3, [[Fraction(int(i == j < r)) for j in range(4)] for i in range(4)])
+             for r in range(4, -1, -1)]
+    algs += forms
     non_cocycles = coboundaries = 0
     for alg in algs:
         d = alg.dim
@@ -768,6 +773,8 @@ def test_central_extensions_validate_exactly_along_cocycles():
             delta0, delta1 = coboundary_matrix_module(phi, 0), coboundary_matrix_module(phi, 1)
             z = dense_rows(kernel_basis(delta1))
             assert z
+            if alg in forms:  # forms[k] has rank 4 - k
+                assert len(z) == delta1.cols and len(z) - rank(delta0) == forms.index(alg) * m
             for _ in range(6):
                 weights = draw(len(z))
                 cocycle = [sum(c * v for c, v in zip(weights, col)) for col in zip(*z)]
@@ -785,4 +792,4 @@ def test_central_extensions_validate_exactly_along_cocycles():
                     iso = validate_morphism(Morphism.from_columns(source, target, cols)).is_valid
                     assert iso == (sign == -1 or not any(d_lam)), (alg.name, m, sign)
                 coboundaries += any(d_lam)
-    assert non_cocycles == 12 and coboundaries >= 70  # the non-cocycles are b1's
+    assert non_cocycles == 12 and coboundaries >= 120  # the non-cocycles are b1's

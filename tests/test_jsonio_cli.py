@@ -608,9 +608,9 @@ def test_cli_rejects_automorphism_of_wrong_dimension(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("obj,message", [
-    ({"dimension": -1, "order": 0, "terms": []}, "dimension must be at least 1, got -1"),
-    ({"dimension": 0, "order": 0, "terms": []}, "dimension must be at least 1, got 0"),
-    ({"dimension": 2, "order": -1, "terms": []}, "order must be nonnegative, got -1"),
+    ({"dimension": -1, "order": 0, "terms": []}, "automorphism dimension must be at least 1, got -1"),
+    ({"dimension": 0, "order": 0, "terms": []}, "automorphism dimension must be at least 1, got 0"),
+    ({"dimension": 2, "order": -1, "terms": []}, "automorphism order must be nonnegative, got -1"),
 ], ids=["dimension-negative", "dimension-zero", "order-negative"])
 def test_cli_rejects_automorphism_of_no_dimension_or_negative_order(tmp_path, capsys, obj, message):
     p = tmp_path / "aut.json"
@@ -618,6 +618,64 @@ def test_cli_rejects_automorphism_of_no_dimension_or_negative_order(tmp_path, ca
     code, out, _ = _run_main(["--output", "json", "validate", str(p)], capsys)
     assert code == 2
     assert json.loads(out)["error"] == f"{p}: {message}"
+
+
+def _written(obj):
+    """A case of ``test_cli_rejects_bad_input_in_one_line``: ``obj`` written
+    as JSON text, unless it is text already."""
+
+    def case(tmp_path):
+        p = tmp_path / "input.json"
+        p.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+        return p
+
+    return case
+
+
+@pytest.mark.parametrize("case,message", [
+    (_written({**base_algebra_obj(), "arity": 1, "brackets": []}), "arity must be at least 2"),
+    (_written({"name": "z", "arity": 3, "dimension": 0, "basis": [], "brackets": []}),
+     "dimension must be at least 1"),
+    (_written({**base_algebra_obj(), "brackets": [{"args": [1, 2, 3], "value": {"1": 2}}]}),
+     "brackets[0]: value key '1': malformed rational literal 2"),
+    (_written({**jsonio.load_json(DATA / "mor_a1_b1.json"), "source": 5}),
+     "expected a file reference or inline algebra"),
+    (lambda tmp_path: tmp_path / "absent.json", "cannot read"),
+    (lambda tmp_path: tmp_path, "cannot read"),
+    (_written("[1, 2]"), "top level must be an object"),
+    (_written({"name": "x"}), "unrecognised file schema"),
+    (_written({**_deformation_obj(), "order": -1}), "order must be nonnegative"),
+    (_written({**_deformation_obj(), "order": 2}), "expected 2 bracket terms, got 1"),
+    (_written({**_deformation_obj(), "morphism_terms": []}), "expected 2 morphism terms, got 0"),
+    (_written({**jsonio.load_json(DATA / "aut_a3_scaling.json"), "order": 2}), "expected 2 terms, got 1"),
+], ids=["algebra-arity-1", "algebra-dimension-0", "integer-rational", "morphism-source-5",
+        "missing-file", "directory", "top-level-array", "unknown-schema", "deformation-order-negative",
+        "deformation-bracket-terms", "deformation-morphism-terms", "automorphism-terms"])
+def test_cli_rejects_bad_input_in_one_line(tmp_path, case, message):
+    """Each input exits 2 with one error line that names the file, and
+    nothing on stderr: the library constructors' refusals too."""
+    p = case(tmp_path)
+    error = _assert_one_line_parse_error(run_cli("validate", str(p)))
+    assert str(p) in error and message in error
+
+
+def test_morphism_relative_reference_needs_a_base_directory():
+    with pytest.raises(ParseError, match="relative reference 'alg_a1.json' needs a base directory"):
+        jsonio.morphism_from_json(jsonio.load_json(DATA / "mor_a1_b1.json"))
+
+
+@pytest.mark.parametrize("degree,message", [
+    (0, "degree-0 entries use blocks=[] and one last index"),
+    (2, "blocks must list 2 indices"),
+], ids=["degree-0-with-blocks", "block-of-wrong-length"])
+def test_cochain_entry_blocks_are_checked(alg_a1, degree, message):
+    """An entry with the block [1]: no command reads a cochain of degree
+    other than 1, so only a library caller meets these refusals."""
+    last = [1] if degree == 0 else [1, 2, 3]
+    entry = {"blocks": [[1]], "last": last, "target_index": 1, "value": "1"}
+    with pytest.raises(ParseError) as exc:
+        jsonio.cochain_from_json({"degree": degree, "entries": [entry]}, alg_a1, 4, degree)
+    assert str(exc.value) == f"cochain.entries[0]: {message}"
 
 
 def _repeated_key_text(case: str) -> str:
